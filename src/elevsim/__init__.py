@@ -35,6 +35,7 @@ from .sensorsim import (
     CommandProfile,
     GaitParams,
     RobotState,
+    Trajectory,
     inject_sensor_noise,
     render_depth,
     simulate_trajectory,

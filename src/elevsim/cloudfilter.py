@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import quat_rotate
 from .pointcloud import PointCloud
 from .sensorsim import HIP_OFFSETS, RobotState
 

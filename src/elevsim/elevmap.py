@@ -9,15 +9,12 @@ between the incoming cloud and the map, applied before integration.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Pose, rotz
 from .pointcloud import PointCloud
-
-log = logging.getLogger(__name__)
 
 DEFAULT_RESOLUTION = 0.025
 DEFAULT_SIZE = 5.0

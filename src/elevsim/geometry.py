@@ -1,7 +1,9 @@
 """Quaternion and rigid-pose helpers.
 
 Quaternions are (w, x, y, z), always kept normalized. Vectorized functions
-accept either a single (3,) vector or an (N, 3) array.
+accept either a single (3,) vector or an (N, 3) array. The quaternion and
+rotation helpers also take a stack of N quaternions or angles and then
+return one result per row, with the same bits as N single calls.
 """
 
 from __future__ import annotations
@@ -11,47 +13,64 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _rows(q: np.ndarray) -> np.ndarray:
+    """Components along the last axis first, so `w, x, y, z = _rows(q)`."""
+    return np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+
+
+def _matrices(m: np.ndarray) -> np.ndarray:
+    """(3, 3, ...) nested components to contiguous (..., 3, 3) matrices, so
+    that stacked products take the same BLAS path as single ones."""
+    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0:
+    # the BLAS dot np.linalg.norm uses for one contiguous quaternion, so a
+    # stack normalizes to the same bits as its rows one by one
+    q = np.ascontiguousarray(q, dtype=float)
+    n = np.sqrt(np.vecdot(q, q))[..., None]
+    if not n.all():
         raise ValueError("zero quaternion")
     return q / n
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    aw, ax, ay, az = _rows(a)
+    bw, bx, by, bz = _rows(b)
+    return np.stack(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
-        ]
+        ],
+        axis=-1,
     )
 
 
 def rotation_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = quat_normalize(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
+    w, x, y, z = _rows(quat_normalize(q))
+    return _matrices(
+        np.array(
+            [
+                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+            ]
+        )
     )
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector(s) v by quaternion q."""
+    """Rotate vector(s) v by quaternion q; with (N, 4) q, row i of v by q[i]."""
     R = rotation_matrix(q)
     v = np.asarray(v, dtype=float)
+    if R.ndim == 3:
+        return (R @ np.ascontiguousarray(v)[..., None])[..., 0]
     if v.ndim == 1:
         return R @ v
     return v @ R.T
@@ -60,8 +79,8 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    half = 0.5 * angle
-    return np.concatenate([[np.cos(half)], np.sin(half) * axis])
+    half = 0.5 * np.asarray(angle, dtype=float)[..., None]
+    return np.concatenate([np.cos(half), np.sin(half) * axis], axis=-1)
 
 
 def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -76,14 +95,15 @@ def quat_from_yaw(yaw: float) -> np.ndarray:
     return quat_from_axis_angle([0, 0, 1], yaw)
 
 
-def yaw_from_quat(q: np.ndarray) -> float:
-    w, x, y, z = q
-    return float(np.arctan2(2 * (w * z + x * y), 1 - 2 * (y * y + z * z)))
+def yaw_from_quat(q: np.ndarray) -> np.ndarray:
+    w, x, y, z = _rows(q)
+    return np.arctan2(2 * (w * z + x * y), 1 - 2 * (y * y + z * z))
 
 
 def rotz(yaw: float) -> np.ndarray:
     c, s = np.cos(yaw), np.sin(yaw)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    zero, one = np.zeros_like(c), np.ones_like(c)
+    return _matrices(np.array([[c, -s, zero], [s, c, zero], [zero, zero, one]]))
 
 
 @dataclass
@@ -109,4 +129,4 @@ class Pose:
 
     @property
     def yaw(self) -> float:
-        return yaw_from_quat(self.quat)
+        return float(yaw_from_quat(self.quat))

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -112,8 +112,7 @@ class TrajectorySamples:
             raise ValueError("trajectory timestamps must be strictly increasing")
 
     def yaws(self) -> np.ndarray:
-        raw = np.array([yaw_from_quat(q) for q in self.quats])
-        return np.unwrap(raw)
+        return np.unwrap(yaw_from_quat(self.quats))
 
     def arc_lengths(self) -> np.ndarray:
         seg = np.linalg.norm(np.diff(self.positions, axis=0), axis=1)

@@ -11,15 +11,12 @@ skipping its update.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import quat_conj, quat_mul, quat_normalize, quat_rotate, rotation_matrix
-from .sensorsim import RobotState
-
-log = logging.getLogger(__name__)
+from .geometry import quat_mul, quat_normalize, quat_rotate
+from .sensorsim import RobotState, Trajectory
 
 
 @dataclass
@@ -64,65 +61,84 @@ class SourceErrorModel:
 
 @dataclass
 class SourceStreams:
-    estimator: list[tuple[float, np.ndarray]]  # (t, v_body)
-    imu: list[tuple[float, np.ndarray, np.ndarray]]  # (t, quat, omega_body)
-    vio: list[tuple[float, np.ndarray, np.ndarray]]  # (t, position, quat)
+    """The three sampled sources, one row per sample."""
+
+    est_t: np.ndarray  # (Ne,)
+    est_v: np.ndarray  # (Ne, 3) body-frame velocity
+    imu_t: np.ndarray  # (Ni,)
+    imu_quat: np.ndarray  # (Ni, 4)
+    imu_w: np.ndarray  # (Ni, 3) body-frame rates
+    vio_t: np.ndarray  # (Nv,) outside the dropout windows
+    vio_pos: np.ndarray  # (Nv, 3)
+    vio_quat: np.ndarray  # (Nv, 4)
 
 
-def _nearest_states(states: list[RobotState], times: np.ndarray) -> list[RobotState]:
-    ts = np.array([s.t for s in states])
-    idx = np.clip(np.searchsorted(ts, times), 0, len(states) - 1)
-    left = np.clip(idx - 1, 0, len(states) - 1)
-    pick = np.where(np.abs(ts[left] - times) < np.abs(ts[idx] - times), left, idx)
-    return [states[i] for i in pick]
+def _nearest_states(ts: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Index of the tick in `ts` nearest to each of `times`."""
+    idx = np.clip(np.searchsorted(ts, times), 0, len(ts) - 1)
+    left = np.clip(idx - 1, 0, len(ts) - 1)
+    return np.where(np.abs(ts[left] - times) < np.abs(ts[idx] - times), left, idx)
 
 
 def make_source_streams(
-    states: list[RobotState],
+    traj: Trajectory,
     model: SourceErrorModel,
     seed: int,
     rates: tuple[float, float, float] = (50.0, 200.0, 90.0),
 ) -> SourceStreams:
-    """Sample the three sources from ground truth. Deterministic per seed."""
-    if not states:
+    """Sample the three sources from ground truth. Deterministic per seed.
+
+    Each source draws its noise row by row, in the order a per-sample loop
+    would, so a stream's values do not depend on how it is computed.
+    """
+    if len(traj) == 0:
         raise ValueError("empty ground-truth stream")
-    t_end = states[-1].t
+    t_end = traj.t[-1]
     root = np.random.SeedSequence(seed)
     rng_est, rng_imu, rng_vio = (np.random.default_rng(s) for s in root.spawn(3))
 
     est_rate, imu_rate, vio_rate = rates
-    est_times = np.arange(0.0, t_end + 1e-9, 1.0 / est_rate)
-    imu_times = np.arange(0.0, t_end + 1e-9, 1.0 / imu_rate)
-    vio_times = np.arange(0.0, t_end + 1e-9, 1.0 / vio_rate)
+    est_t = np.arange(0.0, t_end + 1e-9, 1.0 / est_rate)
+    imu_t = np.arange(0.0, t_end + 1e-9, 1.0 / imu_rate)
+    vio_t = np.arange(0.0, t_end + 1e-9, 1.0 / vio_rate)
 
-    estimator = []
-    for t, s in zip(est_times, _nearest_states(states, est_times)):
-        v = s.lin_vel_body + model.estimator.bias
-        v = v + rng_est.normal(0.0, 1.0, 3) * model.estimator.vel_sigma
-        estimator.append((float(t), v))
+    k = _nearest_states(traj.t, est_t)
+    est_v = traj.v_body[k] + model.estimator.bias
+    est_v = est_v + rng_est.normal(0.0, 1.0, (len(k), 3)) * model.estimator.vel_sigma
 
-    imu = []
-    for t, s in zip(imu_times, _nearest_states(states, imu_times)):
-        if model.imu.orient_sigma > 0:
-            dtheta = rng_imu.normal(0.0, model.imu.orient_sigma, 3)
-            dq = np.concatenate([[1.0], 0.5 * dtheta])
-            q = quat_normalize(quat_mul(s.quat, dq))
-        else:
-            q = s.quat.copy()
-        w = s.ang_vel_body + rng_imu.normal(0.0, 1.0, 3) * model.imu.gyro_sigma
-        imu.append((float(t), q, w))
+    k = _nearest_states(traj.t, imu_t)
+    imu_quat = traj.quat[k]
+    if model.imu.orient_sigma > 0:
+        # per sample: 3 orientation draws, then 3 gyro draws
+        z = rng_imu.normal(0.0, 1.0, (len(k), 6))
+        dtheta = model.imu.orient_sigma * z[:, :3]
+        dq = np.column_stack([np.ones(len(k)), 0.5 * dtheta])
+        imu_quat = quat_normalize(quat_mul(imu_quat, dq))
+        gyro = z[:, 3:]
+    else:
+        gyro = rng_imu.normal(0.0, 1.0, (len(k), 3))
+    imu_w = traj.w_body[k] + gyro * model.imu.gyro_sigma
 
-    vio = []
-    walk = np.zeros(3)
-    dt_vio = 1.0 / vio_rate
-    for t, s in zip(vio_times, _nearest_states(states, vio_times)):
-        walk = walk + rng_vio.normal(0.0, 1.0, 3) * model.vio.walk_rate * np.sqrt(dt_vio)
-        noise = rng_vio.normal(0.0, 1.0, 3) * model.vio.sample_sigma
-        if any(t0 <= t < t1 for t0, t1 in model.vio.dropouts):
-            continue
-        vio.append((float(t), s.position + walk + noise, s.quat.copy()))
+    k = _nearest_states(traj.t, vio_t)
+    # per sample: 3 random-walk draws, then 3 sample-noise draws
+    z = rng_vio.normal(0.0, 1.0, (len(k), 6))
+    walk_step = z[:, :3] * model.vio.walk_rate * np.sqrt(1.0 / vio_rate)
+    walk = np.cumsum(walk_step, axis=0)
+    vio_pos = traj.pos[k] + walk + z[:, 3:] * model.vio.sample_sigma
+    keep = np.ones(len(k), dtype=bool)
+    for t0, t1 in model.vio.dropouts:
+        keep &= ~((t0 <= vio_t) & (vio_t < t1))
 
-    return SourceStreams(estimator=estimator, imu=imu, vio=vio)
+    return SourceStreams(
+        est_t=est_t,
+        est_v=est_v,
+        imu_t=imu_t,
+        imu_quat=imu_quat,
+        imu_w=imu_w,
+        vio_t=vio_t[keep],
+        vio_pos=vio_pos[keep],
+        vio_quat=traj.quat[k[keep]],
+    )
 
 
 @dataclass
@@ -259,29 +275,25 @@ def fuse_streams(
     are applied in the fixed order: predict, velocity, pose.
     """
     ekf = OdometryEkf(initial, cfg)
-    events: list[tuple[float, int, tuple]] = []
-    for t, q, w in streams.imu:
-        events.append((t, 0, (q, w)))
-    for t, v in streams.estimator:
-        events.append((t, 1, (v,)))
+    # (t, kind, row): IMU orientation, body velocity, VIO position
+    events = [(t, 0, q) for t, q in zip(streams.imu_t.tolist(), streams.imu_quat)]
+    events += [(t, 1, v) for t, v in zip(streams.est_t.tolist(), streams.est_v)]
     if use_vio:
-        for t, p, q in streams.vio:
-            events.append((t, 2, (p, q)))
+        events += [(t, 2, p) for t, p in zip(streams.vio_t.tolist(), streams.vio_pos)]
     events.sort(key=lambda e: (e[0], e[1]))
 
     ts, ps, qs, vs = [], [], [], []
-    for t, kind, payload in events:
+    for t, kind, row in events:
         if kind == 0:
-            q, _w = payload
             dt = t - ekf.state.t
             if dt > 0:
-                ekf.predict(q, dt)
+                ekf.predict(row, dt)
             else:
-                ekf.state = replace(ekf.state, quat=q)
+                ekf.state = replace(ekf.state, quat=row)
         elif kind == 1:
-            ekf.update_velocity(payload[0])
+            ekf.update_velocity(row)
         else:
-            ekf.update_pose(payload[0])
+            ekf.update_pose(row)
         ts.append(ekf.state.t)
         ps.append(ekf.state.position.copy())
         qs.append(ekf.state.quat.copy())

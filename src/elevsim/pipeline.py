@@ -10,7 +10,7 @@ seed hierarchy: identical config + seed gives byte-identical outputs.
 
 from __future__ import annotations
 
-import logging
+import copy
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,7 +20,7 @@ import yaml
 
 from . import cloudfilter, metrics, obsbuilder, reward, scene
 from .elevmap import ElevationMap, SensorVarianceModel
-from .geometry import Pose, quat_conj, quat_rotate
+from .geometry import Pose, quat_normalize, quat_rotate, yaw_from_quat
 from .odometry import (
     EkfConfig,
     EstimatorErrors,
@@ -35,14 +35,13 @@ from .sensorsim import (
     CameraModel,
     CommandProfile,
     GaitParams,
+    Trajectory,
     default_front_camera,
     default_rear_camera,
     inject_sensor_noise,
     render_depth,
     simulate_trajectory,
 )
-
-log = logging.getLogger(__name__)
 
 SIM_RATE = 300  # lcm of the three pipeline rates
 CONTROL_EVERY = SIM_RATE // 50
@@ -94,7 +93,6 @@ class ScenarioConfig:
     start_yaw: float = 0.0
     success: SuccessCriteria = field(default_factory=SuccessCriteria)
     sweep_step_heights: list[float] | None = None
-    sweep_duration: float | None = None
     out_dir: Path | None = None
     snapshot_every: float | None = None
     tag: str = ""
@@ -133,7 +131,6 @@ class ScenarioConfig:
             "snapshot_every",
             "tag",
             "sweep_step_heights",
-            "sweep_duration",
         ):
             if key in d:
                 kwargs[key] = d.pop(key)
@@ -198,40 +195,33 @@ class ScenarioResult:
     truncated: bool
 
 
-def _estimate_odometry(cfg: ScenarioConfig, traj, rng_seed: int):
+def _estimate_odometry(cfg: ScenarioConfig, traj: Trajectory, rng_seed: int):
     """Per-sim-step estimated poses and the measured command-tracking triple
     (yaw-frame v_x, v_y, yaw rate) used by the tracking RMS metric."""
-    states = traj.states
-    ts = np.array([s.t for s in states])
-    gt_pos = np.array([s.position for s in states])
-    gt_quat = np.array([s.quat for s in states])
-    yaws = np.array([s.pose.yaw for s in states])
-    wz = np.array([s.ang_vel_body[2] for s in states])
+    ts = traj.t
     if cfg.odometry == "gt":
-        pos = gt_pos.copy()
-        quat = gt_quat.copy()
-        vel_world = np.array(
-            [quat_rotate(s.quat, s.lin_vel_body) for s in states]
-        )
+        pos = traj.pos.copy()
+        vel_world = quat_rotate(traj.quat, traj.v_body)
     else:
-        streams = make_source_streams(states, cfg.source_errors, rng_seed)
+        streams = make_source_streams(traj, cfg.source_errors, rng_seed)
         fused = fuse_streams(
             streams,
-            initial_state_from(states[0]),
+            initial_state_from(traj.state(0)),
             cfg.ekf,
             use_vio=(cfg.odometry == "ekf-vio"),
         )
         pos = metrics._interp_vec(ts, fused.t, fused.positions)
         vel_world = metrics._interp_vec(ts, fused.t, fused.velocities)
-        # orientation is IMU-driven and near ground truth; reuse GT quats for
-        # frame conversions of the fused velocity
-        quat = gt_quat.copy()
+    # orientation is IMU-driven and near ground truth; GT quats serve both
+    # modes and the frame conversions of the fused velocity
+    quat = traj.quat.copy()
+    yaws = yaw_from_quat(quat_normalize(traj.quat))
     c, s_ = np.cos(yaws), np.sin(yaws)
     v_track = np.stack(
         [
             c * vel_world[:, 0] + s_ * vel_world[:, 1],
             -s_ * vel_world[:, 0] + c * vel_world[:, 1],
-            wz,
+            traj.w_body[:, 2],
         ],
         axis=1,
     )
@@ -269,7 +259,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         start_xy=cfg.start_xy,
         start_yaw=cfg.start_yaw,
     )
-    states = traj.states
     est_pos, est_quat, est_vtrack = _estimate_odometry(cfg, traj, odom_seed)
 
     cameras = [(cfg.front_camera, rng_front)]
@@ -283,6 +272,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     )
     history = obsbuilder.HistoryBuffer()
     var_model = cfg.variance_model
+    # bias resampling mutates the noise state; the config stays untouched
+    height_noise = copy.deepcopy(cfg.height_noise)
 
     chamfers: list[float] = []
     excluded_windows = 0
@@ -290,33 +281,33 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     window_chamfers: list[float] = []
     window_fill: list[float] = []
     reward_totals: list[float] = []
-    ctrl_t: list[float] = []
-    ctrl_vbody: list[np.ndarray] = []
-    total_shift_applied = 0.0
     prev_action = cfg.gait.q_default.copy()
     prev_dq = np.zeros(12)
     rcfg = reward.RewardConfig(
         q_default=cfg.gait.q_default, h_default=cfg.gait.trunk_height
     )
     obs_dim = None
-    snap_dir = cfg.out_dir
-    next_snapshot = 0.0 if cfg.snapshot_every else None
+    next_snapshot = 0.0 if cfg.snapshot_every and cfg.out_dir is not None else None
 
-    for i, st in enumerate(states):
+    for i in range(len(traj)):
+        snapshot = next_snapshot is not None and traj.t[i] >= next_snapshot
+        if i % CLOUD_EVERY and i % CONTROL_EVERY and i % CHAMFER_EVERY and not snapshot:
+            continue
+        st = traj.state(i)
         est_pose = Pose(est_pos[i], est_quat[i])
 
         if i % CLOUD_EVERY == 0:
+            est_state = replace(st, position=est_pos[i], quat=est_quat[i])
             for cam, rng in cameras:
                 cloud = render_depth(cam, st, hf)
                 cloud = inject_sensor_noise(cloud, cam, rng)
                 cam_pose = est_pose.compose(cam.mount)
                 world = cloud.transformed(cam_pose)
                 world = cloudfilter.remove_outliers(world)
-                est_state = replace(st, position=est_pos[i], quat=est_quat[i])
                 world = cloudfilter.body_filter(world, est_state, body)
                 world = cloudfilter.voxel_downsample(world, cfg.map_resolution)
                 if cfg.drift_compensation:
-                    total_shift_applied += emap.drift_compensate(
+                    emap.drift_compensate(
                         world, cfg.drift_gate, cfg.drift_min_points
                     )
                 emap.integrate_cloud(world, cam_pose.position, var_model, st.t)
@@ -330,7 +321,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             noisy = obsbuilder.apply_height_noise(
                 samples,
                 positions,
-                cfg.height_noise,
+                height_noise,
                 st.t,
                 emap,
                 rng_heights,
@@ -363,8 +354,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             reward_totals.append(b.total)
             prev_action = st.q.copy()
             prev_dq = st.dq.copy()
-            ctrl_t.append(st.t)
-            ctrl_vbody.append(est_vtrack[i])
             if window is not None and window[0] <= st.position[0] <= window[1]:
                 window_fill.append(float(fill.mean()))
 
@@ -377,15 +366,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 if window is not None and window[0] <= st.position[0] <= window[1]:
                     window_chamfers.append(c)
 
-        if next_snapshot is not None and st.t >= next_snapshot and snap_dir:
-            emap.to_csv(snap_dir / f"map_{st.t:07.3f}.csv")
+        if snapshot:
+            emap.to_csv(cfg.out_dir / f"map_{st.t:07.3f}.csv")
             next_snapshot += cfg.snapshot_every
 
-    gt_traj = metrics.TrajectorySamples(
-        t=np.array([s.t for s in states]),
-        positions=np.array([s.position for s in states]),
-        quats=np.array([s.quat for s in states]),
-    )
+    gt_traj = metrics.TrajectorySamples(t=traj.t, positions=traj.pos, quats=traj.quat)
     est_traj = metrics.TrajectorySamples(
         t=gt_traj.t.copy(), positions=est_pos, quats=est_quat
     )
@@ -403,7 +388,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     ):
         out["rte_mean_m"] = metrics.rte(est_traj, gt_traj).mean
     rms, skipped = metrics.tracking_rms(
-        np.array(ctrl_t), np.array(ctrl_vbody), cfg.profile
+        traj.t[::CONTROL_EVERY], est_vtrack[::CONTROL_EVERY], cfg.profile
     )
     out["tracking_rms_vx"] = float(rms[0])
     out["tracking_rms_vy"] = float(rms[1])

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Pose, quat_rotate
+from .geometry import Pose
 
 
 @dataclass
@@ -14,7 +14,6 @@ class PointCloud:
     t: float
     frame: str
     points: np.ndarray  # (N, 3)
-    rays: np.ndarray | None = None  # unit ray directions per point, same frame
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -22,35 +21,15 @@ class PointCloud:
             raise ValueError("point cloud contains non-finite coordinates")
         if not self.frame:
             raise ValueError("point cloud needs a frame tag")
-        if self.rays is not None:
-            self.rays = np.asarray(self.rays, dtype=float).reshape(-1, 3)
-            if len(self.rays) != len(self.points):
-                raise ValueError("rays/points length mismatch")
 
     def __len__(self) -> int:
         return len(self.points)
 
     def transformed(self, pose: Pose, frame: str = "world") -> "PointCloud":
-        rays = None
-        if self.rays is not None:
-            rays = quat_rotate(pose.quat, self.rays)
-        return replace(self, frame=frame, points=pose.transform(self.points), rays=rays)
+        return replace(self, frame=frame, points=pose.transform(self.points))
 
     def select(self, mask: np.ndarray) -> "PointCloud":
-        rays = self.rays[mask] if self.rays is not None else None
-        return replace(self, points=self.points[mask], rays=rays)
-
-    def save_xyz(self, path) -> None:
-        with open(path, "w") as f:
-            for x, y, z in self.points:
-                f.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
-
-    @classmethod
-    def load_xyz(cls, path, t: float = 0.0, frame: str = "file") -> "PointCloud":
-        pts = np.loadtxt(path, dtype=float, ndmin=2)
-        if pts.size == 0:
-            pts = np.zeros((0, 3))
-        return cls(t=t, frame=frame, points=pts)
+        return replace(self, points=self.points[mask])
 
 
 def empty_cloud(t: float, frame: str) -> PointCloud:

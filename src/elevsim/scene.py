@@ -8,7 +8,7 @@ faces stay sharp (no interpolation smoothing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml

@@ -39,6 +39,8 @@ TROT_PHASE_OFFSETS = np.array([0.0, np.pi, np.pi, 0.0])
 
 @dataclass
 class RobotState:
+    """One tick of the robot's state; `Trajectory.state(i)` gives row views."""
+
     t: float
     position: np.ndarray  # (3,) world
     quat: np.ndarray  # (4,) wxyz, unit
@@ -103,13 +105,12 @@ class CommandProfile:
     def total_duration(self) -> float:
         return sum(d for d, _ in self.segments)
 
-    def at(self, t: float) -> np.ndarray:
-        acc = 0.0
-        for d, cmd in self.segments:
-            acc += d
-            if t < acc:
-                return np.asarray(cmd, dtype=float)
-        return np.asarray(self.segments[-1][1], dtype=float)
+    def at(self, t) -> np.ndarray:
+        """Command at time(s) t: (3,) for a scalar, (N, 3) for N times. A
+        segment covers [start, end); past the end the last one holds."""
+        ends = np.cumsum([d for d, _ in self.segments])
+        k = np.minimum(np.searchsorted(ends, t, side="right"), len(ends) - 1)
+        return np.array([cmd for _, cmd in self.segments], dtype=float)[k]
 
     def boundaries(self) -> list[tuple[float, float, np.ndarray]]:
         out, acc = [], 0.0
@@ -135,19 +136,37 @@ class GaitParams:
 
 @dataclass
 class Trajectory:
-    states: list[RobotState]
+    """Struct-of-arrays kinematic trajectory; row i is sim tick i."""
+
+    t: np.ndarray  # (N,) seconds
+    pos: np.ndarray  # (N, 3) world
+    quat: np.ndarray  # (N, 4) wxyz, unit
+    v_body: np.ndarray  # (N, 3)
+    w_body: np.ndarray  # (N, 3)
+    q: np.ndarray  # (N, 12)
+    dq: np.ndarray  # (N, 12)
+    contacts: np.ndarray  # (N, 4) bool
+    air: np.ndarray  # (N, 4) seconds, 0 while in stance
+    touchdown_air: np.ndarray  # (N, 4) completed air time, nonzero only on touchdown ticks
     truncated: bool = False
 
-    def __iter__(self):
-        return iter(self.states)
+    def __len__(self) -> int:
+        return len(self.t)
 
-    def __len__(self):
-        return len(self.states)
-
-
-def _footprint_heights(hf: Heightfield, xy: np.ndarray, yaw: float) -> np.ndarray:
-    feet = HIP_OFFSETS[:, :2] @ rotz(yaw)[:2, :2].T + xy
-    return hf.heights_at(feet)
+    def state(self, i: int) -> RobotState:
+        """Tick i as a RobotState whose arrays are views of these rows."""
+        return RobotState(
+            float(self.t[i]),
+            self.pos[i],
+            self.quat[i],
+            self.v_body[i],
+            self.w_body[i],
+            self.q[i],
+            self.dq[i],
+            self.contacts[i],
+            self.air[i],
+            self.touchdown_air[i],
+        )
 
 
 def simulate_trajectory(
@@ -168,99 +187,90 @@ def simulate_trajectory(
     if dt <= 0:
         raise ValueError("dt must be positive")
     duration = profile.total_duration if duration is None else duration
-    n_steps = int(round(duration / dt))
+    n = int(round(duration / dt)) + 1
+    t = np.arange(n) * dt
+    cmd = profile.at(t)
 
     sx, sy = start_xy
     if sy is None:
         sy = hf.size[1] / 2.0
-    xy = np.array([sx, sy], dtype=float)
-    yaw = start_yaw
-    pitch = 0.0
-    air = np.zeros(N_FEET)
-    prev_contact = np.ones(N_FEET, dtype=bool)
-    prev_pos = None
-    states: list[RobotState] = []
-    truncated = False
+    # tick i holds the start plus the body-frame command of ticks < i rotated
+    # by yaw; cumsum adds the steps in the same order as a running total
+    yaw = np.cumsum(np.concatenate([[start_yaw], cmd[:-1, 2] * dt]))
+    rot = rotz(yaw)[:, :2, :2]
+    step = (rot[:-1] @ np.ascontiguousarray(cmd[:-1, :2])[..., None])[..., 0] * dt
+    xy = np.cumsum(np.concatenate([[[sx, sy]], step]), axis=0)
+    feet = HIP_OFFSETS[:, :2] @ np.swapaxes(rot, -1, -2) + xy[:, None, :]
+    foot_h = hf.heights_at(feet.reshape(-1, 2)).reshape(n, N_FEET)
 
-    for i in range(n_steps + 1):
-        t = i * dt
-        cmd = profile.at(t)
-        foot_h = _footprint_heights(hf, xy, yaw)
-        if not np.isfinite(foot_h).all():
-            truncated = True
-            log.warning("trajectory left the heightfield at t=%.3f", t)
-            break
-        z = float(foot_h.mean()) + gait.trunk_height
-        # terrain slope between front and rear hip pairs, low-passed into pitch
-        front, rear = foot_h[:2].mean(), foot_h[2:].mean()
-        pitch_target = -np.arctan2(front - rear, 2 * abs(HIP_OFFSETS[0, 0]))
-        alpha = min(1.0, dt / gait.pitch_tau)
-        pitch += alpha * (pitch_target - pitch)
-        quat = quat_from_euler(0.0, pitch, yaw)
+    off_map = ~np.isfinite(foot_h).all(axis=1)
+    truncated = bool(off_map.any())
+    if truncated:
+        n = int(np.argmax(off_map))
+        log.warning("trajectory left the heightfield at t=%.3f", t[n])
+        t, cmd, yaw, xy, foot_h = t[:n], cmd[:n], yaw[:n], xy[:n], foot_h[:n]
 
-        pos = np.array([xy[0], xy[1], z])
-        if prev_pos is None:
-            v_world = quat_rotate(quat, np.array([cmd[0], cmd[1], 0.0]))
-        else:
-            v_world = (pos - prev_pos) / dt
-            v_world[:2] = quat_rotate(quat, np.array([cmd[0], cmd[1], 0.0]))[:2]
-        v_body = quat_rotate(quat_conj(quat), v_world)
-        w_body = np.array([0.0, 0.0, cmd[2]])
+    z = foot_h.mean(axis=1) + gait.trunk_height
+    # terrain slope between front and rear hip pairs, low-passed into pitch
+    front, rear = foot_h[:, :2].mean(axis=1), foot_h[:, 2:].mean(axis=1)
+    pitch_target = -np.arctan2(front - rear, 2 * abs(HIP_OFFSETS[0, 0]))
+    alpha = min(1.0, dt / gait.pitch_tau)
+    pitch = np.empty(n)
+    p = 0.0
+    for i, target in enumerate(pitch_target.tolist()):
+        p += alpha * (target - p)
+        pitch[i] = p
+    quat = quat_from_euler(0.0, pitch, yaw)
+    pos = np.column_stack([xy, z])
 
-        # trot oscillator: contacts, joints and air-time bookkeeping
-        moving = bool(np.linalg.norm(cmd) > 1e-9)
-        phase = (2 * np.pi * gait.frequency * t + TROT_PHASE_OFFSETS) % (2 * np.pi)
-        if moving:
-            contact = phase / (2 * np.pi) < gait.duty
-        else:
-            contact = np.ones(N_FEET, dtype=bool)
-        touchdown_air = np.zeros(N_FEET)
-        td = contact & ~prev_contact
-        touchdown_air[td] = air[td]
-        air[contact] = 0.0
-        air[~contact] += dt
+    # commanded planar velocity; vertical velocity follows the terrain
+    v_world = quat_rotate(quat, np.column_stack([cmd[:, :2], np.zeros(n)]))
+    v_world[1:, 2] = np.diff(z) / dt
+    v_body = quat_rotate(quat_conj(quat), v_world)
+    w_body = np.column_stack([np.zeros((n, 2)), cmd[:, 2]])
 
-        q = gait.q_default.copy()
-        dq = np.zeros(N_JOINTS)
-        if moving:
-            # swing progress in [0, 1]; thigh/calf fold-unfold during swing
-            s = (phase / (2 * np.pi) - gait.duty) / (1 - gait.duty)
-            swing = np.where(contact, 0.0, np.sin(np.pi * np.clip(s, 0.0, 1.0)))
-            dswing = np.where(
-                contact,
-                0.0,
-                np.pi * np.cos(np.pi * np.clip(s, 0.0, 1.0))
-                * gait.frequency / (1 - gait.duty),
-            )
-            for f in range(N_FEET):
-                q[3 * f + 1] -= gait.swing_amplitude * swing[f]
-                q[3 * f + 2] += gait.swing_amplitude * swing[f]
-                dq[3 * f + 1] = -gait.swing_amplitude * dswing[f]
-                dq[3 * f + 2] = -dq[3 * f + 1]
+    # trot oscillator: contacts, joints and air-time bookkeeping
+    moving = np.linalg.norm(cmd, axis=1) > 1e-9
+    phase = (2 * np.pi * gait.frequency * t[:, None] + TROT_PHASE_OFFSETS) % (2 * np.pi)
+    cycle = phase / (2 * np.pi)
+    contact = (cycle < gait.duty) | ~moving[:, None]
+    air = np.empty((n, N_FEET))
+    a = np.zeros(N_FEET)
+    for i in range(n):
+        a = np.where(contact[i], 0.0, a + dt)
+        air[i] = a
+    # a touchdown credits the air time the foot had on the tick before
+    prev_contact = np.concatenate([np.ones((1, N_FEET), dtype=bool), contact[:-1]])
+    prev_air = np.concatenate([np.zeros((1, N_FEET)), air[:-1]])
+    touchdown_air = np.where(contact & ~prev_contact, prev_air, 0.0)
 
-        states.append(
-            RobotState(
-                t=t,
-                position=pos,
-                quat=quat,
-                lin_vel_body=v_body,
-                ang_vel_body=w_body,
-                q=q,
-                dq=dq,
-                foot_contacts=contact.copy(),
-                foot_air_times=air.copy(),
-                foot_touchdown_air=touchdown_air,
-            )
-        )
-        prev_contact = contact
-        prev_pos = pos
+    q = np.tile(gait.q_default, (n, 1))
+    dq = np.zeros((n, N_JOINTS))
+    # swing progress in [0, 1]; thigh/calf fold-unfold during swing
+    s = np.pi * np.clip((cycle - gait.duty) / (1 - gait.duty), 0.0, 1.0)
+    swing = np.where(contact, 0.0, np.sin(s))[moving]
+    dswing = np.where(
+        contact, 0.0, np.pi * np.cos(s) * gait.frequency / (1 - gait.duty)
+    )[moving]
+    amp = gait.swing_amplitude
+    q[moving, 1::3] -= amp * swing
+    q[moving, 2::3] += amp * swing
+    dq[moving, 1::3] = -amp * dswing
+    dq[moving, 2::3] = -dq[moving, 1::3]
 
-        # advance base: body-frame command rotated by yaw
-        step = rotz(yaw)[:2, :2] @ np.array([cmd[0], cmd[1]]) * dt
-        xy = xy + step
-        yaw += cmd[2] * dt
-
-    return Trajectory(states=states, truncated=truncated)
+    return Trajectory(
+        t=t,
+        pos=pos,
+        quat=quat,
+        v_body=v_body,
+        w_body=w_body,
+        q=q,
+        dq=dq,
+        contacts=contact,
+        air=air,
+        touchdown_air=touchdown_air,
+        truncated=truncated,
+    )
 
 
 def render_depth(
@@ -269,9 +279,7 @@ def render_depth(
     hf: Heightfield,
     march_step: float | None = None,
 ) -> PointCloud:
-    """Ray-cast one depth frame. Points are returned in the sensor frame;
-    per-point ray directions are attached for noise injection.
-    """
+    """Ray-cast one depth frame. Points are returned in the sensor frame."""
     cam_pose = base_state.pose.compose(camera.mount)
     origin = cam_pose.position
     try_h = hf.heights_at(origin[:2].reshape(1, 2), fill=-np.inf)[0]
@@ -325,9 +333,9 @@ def render_depth(
     t_hit = t_hit[in_range]
     d = d[in_range]
     world = origin + d * t_hit[:, None]
-    sensor_pts = cam_pose.inverse_transform(world)
-    rays = sensor_pts / np.linalg.norm(sensor_pts, axis=1, keepdims=True)
-    return PointCloud(t=base_state.t, frame=camera.name, points=sensor_pts, rays=rays)
+    return PointCloud(
+        t=base_state.t, frame=camera.name, points=cam_pose.inverse_transform(world)
+    )
 
 
 def inject_sensor_noise(
@@ -341,14 +349,12 @@ def inject_sensor_noise(
     if camera.noise_sigma0 == 0 and camera.noise_k == 0 and camera.dropout == 0:
         return cloud
     ranges = np.linalg.norm(cloud.points, axis=1)
-    rays = cloud.rays
-    if rays is None:
-        rays = cloud.points / ranges[:, None]
+    rays = cloud.points / ranges[:, None]
     sigma = camera.noise_sigma0 + camera.noise_k * ranges**2
     noisy_r = ranges + rng.normal(0.0, 1.0, len(cloud)) * sigma
     pts = rays * noisy_r[:, None]
     keep = rng.random(len(cloud)) >= camera.dropout
-    return PointCloud(t=cloud.t, frame=cloud.frame, points=pts[keep], rays=rays[keep])
+    return PointCloud(t=cloud.t, frame=cloud.frame, points=pts[keep])
 
 
 def default_front_camera() -> CameraModel:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elevsim.geometry import quat_from_yaw, quat_rotate
+from elevsim.geometry import quat_from_yaw, quat_mul, quat_normalize, quat_rotate
 from elevsim.odometry import (
     EkfConfig,
     EkfState,
@@ -34,37 +34,83 @@ def _initial(position=(0, 0, 0), velocity=(0, 0, 0), quat=None, cov=1e-6):
     )
 
 
+def _reference_streams(traj, model, seed):
+    """Sample-by-sample source generation, the oracle for the array version."""
+    rng_est, rng_imu, rng_vio = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
+    )
+    est_t, imu_t, vio_times = (np.arange(0.0, traj.t[-1] + 1e-9, 1.0 / r) for r in (50, 200, 90))
+
+    def nearest(t):
+        return int(np.argmin(np.abs(traj.t - t)))
+
+    est_v = []
+    for t in est_t:
+        v = traj.v_body[nearest(t)] + model.estimator.bias
+        est_v.append(v + rng_est.normal(0.0, 1.0, 3) * model.estimator.vel_sigma)
+    imu_quat, imu_w = [], []
+    for t in imu_t:
+        q = traj.quat[nearest(t)]
+        if model.imu.orient_sigma > 0:
+            dtheta = rng_imu.normal(0.0, model.imu.orient_sigma, 3)
+            q = quat_normalize(quat_mul(q, np.concatenate([[1.0], 0.5 * dtheta])))
+        imu_quat.append(q)
+        gyro = rng_imu.normal(0.0, 1.0, 3) * model.imu.gyro_sigma
+        imu_w.append(traj.w_body[nearest(t)] + gyro)
+    vio_t, vio_pos, vio_quat = [], [], []
+    walk = np.zeros(3)
+    for t in vio_times:
+        walk = walk + rng_vio.normal(0.0, 1.0, 3) * model.vio.walk_rate * np.sqrt(1.0 / 90)
+        noise = rng_vio.normal(0.0, 1.0, 3) * model.vio.sample_sigma
+        if not any(t0 <= t < t1 for t0, t1 in model.vio.dropouts):
+            vio_t.append(t)
+            vio_pos.append(traj.pos[nearest(t)] + walk + noise)
+            vio_quat.append(traj.quat[nearest(t)])
+    columns = dict(est_t=est_t, est_v=est_v, imu_t=imu_t, imu_quat=imu_quat, imu_w=imu_w)
+    columns.update(vio_t=vio_t, vio_pos=vio_pos, vio_quat=vio_quat)
+    return {name: np.array(col) for name, col in columns.items()}
+
+
 class TestSourceStreams:
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_matches_sample_by_sample_reference(self, short_trajectory, noisy):
+        model = SourceErrorModel() if noisy else _noiseless_model(bias=(0.01, 0.0, 0.0))
+        model.vio.dropouts = ((0.5, 1.0),)
+        streams = make_source_streams(short_trajectory, model, seed=7)
+        for name, expected in _reference_streams(short_trajectory, model, seed=7).items():
+            got = getattr(streams, name)
+            # same bits, signed zeros included
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
+
     def test_rates_and_determinism(self, short_trajectory):
         model = SourceErrorModel()
-        a = make_source_streams(short_trajectory.states, model, seed=5)
-        b = make_source_streams(short_trajectory.states, model, seed=5)
-        t_end = short_trajectory.states[-1].t
-        assert len(a.estimator) == int(t_end * 50) + 1
-        assert len(a.imu) == int(t_end * 200) + 1
-        assert len(a.vio) == int(t_end * 90) + 1
-        np.testing.assert_array_equal(a.estimator[10][1], b.estimator[10][1])
-        np.testing.assert_array_equal(a.vio[10][1], b.vio[10][1])
+        a = make_source_streams(short_trajectory, model, seed=5)
+        b = make_source_streams(short_trajectory, model, seed=5)
+        t_end = short_trajectory.t[-1]
+        assert len(a.est_t) == len(a.est_v) == int(t_end * 50) + 1
+        assert len(a.imu_t) == len(a.imu_quat) == len(a.imu_w) == int(t_end * 200) + 1
+        assert len(a.vio_t) == len(a.vio_pos) == len(a.vio_quat) == int(t_end * 90) + 1
+        np.testing.assert_array_equal(a.est_v, b.est_v)
+        np.testing.assert_array_equal(a.imu_quat, b.imu_quat)
+        np.testing.assert_array_equal(a.vio_pos, b.vio_pos)
 
     def test_fixed_bias_enters_every_velocity_sample(self, short_trajectory):
         bias = (0.03, -0.01, 0.02)
-        streams = make_source_streams(
-            short_trajectory.states, _noiseless_model(bias), seed=0
-        )
+        streams = make_source_streams(short_trajectory, _noiseless_model(bias), seed=0)
         errs = []
-        states = short_trajectory.states
-        ts = np.array([s.t for s in states])
-        for t, v in streams.estimator:
-            s = states[int(np.argmin(np.abs(ts - t)))]
-            errs.append(v - s.lin_vel_body)
+        ts = short_trajectory.t
+        for t, v in zip(streams.est_t, streams.est_v):
+            errs.append(v - short_trajectory.v_body[int(np.argmin(np.abs(ts - t)))])
         errs = np.array(errs)
         np.testing.assert_allclose(errs, np.broadcast_to(bias, errs.shape), atol=1e-12)
 
     def test_vio_dropout_windows_excluded(self, short_trajectory):
         model = _noiseless_model()
         model.vio.dropouts = ((0.5, 1.0),)
-        streams = make_source_streams(short_trajectory.states, model, seed=0)
-        ts = np.array([t for t, _, _ in streams.vio])
+        streams = make_source_streams(short_trajectory, model, seed=0)
+        ts = streams.vio_t
+        assert len(ts) == len(streams.vio_pos) == len(streams.vio_quat)
         assert not np.any((ts >= 0.5) & (ts < 1.0))
 
 
@@ -121,11 +167,10 @@ class TestEkfCore:
 
 class TestFusion:
     def test_zero_noise_fusion_tracks_ground_truth(self, short_trajectory):
-        streams = make_source_streams(short_trajectory.states, _noiseless_model(), seed=0)
-        fused = fuse_streams(streams, initial_state_from(short_trajectory.states[0]))
-        states = short_trajectory.states
-        ts = np.array([s.t for s in states])
-        gt_pos = np.array([s.position for s in states])
+        streams = make_source_streams(short_trajectory, _noiseless_model(), seed=0)
+        fused = fuse_streams(streams, initial_state_from(short_trajectory.state(0)))
+        ts = short_trajectory.t
+        gt_pos = short_trajectory.pos
         est = np.stack(
             [np.interp(ts, fused.t, fused.positions[:, i]) for i in range(3)], axis=1
         )
@@ -134,34 +179,34 @@ class TestFusion:
 
     def test_novio_drifts_with_bias(self, short_trajectory):
         streams = make_source_streams(
-            short_trajectory.states, _noiseless_model(bias=(0.05, 0.0, 0.0)), seed=0
+            short_trajectory, _noiseless_model(bias=(0.05, 0.0, 0.0)), seed=0
         )
         fused = fuse_streams(
-            streams, initial_state_from(short_trajectory.states[0]), use_vio=False
+            streams, initial_state_from(short_trajectory.state(0)), use_vio=False
         )
-        t_end = short_trajectory.states[-1].t
-        drift = fused.positions[-1] - short_trajectory.states[-1].position
+        t_end = short_trajectory.t[-1]
+        drift = fused.positions[-1] - short_trajectory.pos[-1]
         assert drift[0] == pytest.approx(0.05 * t_end, rel=0.15)
 
     def test_vio_bounds_bias_drift(self, short_trajectory):
         streams = make_source_streams(
-            short_trajectory.states, _noiseless_model(bias=(0.05, 0.0, 0.0)), seed=0
+            short_trajectory, _noiseless_model(bias=(0.05, 0.0, 0.0)), seed=0
         )
         with_vio = fuse_streams(
-            streams, initial_state_from(short_trajectory.states[0]), use_vio=True
+            streams, initial_state_from(short_trajectory.state(0)), use_vio=True
         )
         without = fuse_streams(
-            streams, initial_state_from(short_trajectory.states[0]), use_vio=False
+            streams, initial_state_from(short_trajectory.state(0)), use_vio=False
         )
-        gt_end = short_trajectory.states[-1].position
+        gt_end = short_trajectory.pos[-1]
         assert np.linalg.norm(with_vio.positions[-1] - gt_end) < np.linalg.norm(
             without.positions[-1] - gt_end
         )
 
     def test_fusion_is_deterministic(self, short_trajectory):
-        streams = make_source_streams(short_trajectory.states, SourceErrorModel(), seed=3)
-        a = fuse_streams(streams, initial_state_from(short_trajectory.states[0]))
-        b = fuse_streams(streams, initial_state_from(short_trajectory.states[0]))
+        streams = make_source_streams(short_trajectory, SourceErrorModel(), seed=3)
+        a = fuse_streams(streams, initial_state_from(short_trajectory.state(0)))
+        b = fuse_streams(streams, initial_state_from(short_trajectory.state(0)))
         np.testing.assert_array_equal(a.positions, b.positions)
 
 

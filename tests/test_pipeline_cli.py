@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import yaml
@@ -40,8 +42,9 @@ class TestRates:
 
 class TestConfig:
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown config keys"):
-            ScenarioConfig.from_dict({**SHORT, "bogus": 1})
+        for key in ("bogus", "sweep_duration"):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                ScenarioConfig.from_dict({**SHORT, key: 1})
 
     def test_unknown_scene_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +109,24 @@ class TestScenario:
             cfg = ScenarioConfig.from_dict({**SHORT, "odometry": "ekf-vio", "seed": seed})
             vals.append(run_scenario(cfg).metrics["rte_mean_m"])
         assert vals[0] != vals[1]
+
+    def test_run_leaves_config_unchanged(self):
+        cfg = ScenarioConfig.from_dict(
+            {
+                **SHORT,
+                "command": [[2.0, [0.5, 0.0, 0.0]]],
+                "height_noise": {"sample_sigma": 0.005, "bias_sigma": [0.01, 0.01, 0.01]},
+            }
+        )
+        before = copy.deepcopy(cfg.height_noise)
+        first = run_scenario(cfg).metrics
+        after = cfg.height_noise
+        assert after.last_resample == before.last_resample
+        for name in ("bias", "bias_sigma", "sample_sigma", "period"):
+            np.testing.assert_array_equal(getattr(after, name), getattr(before, name))
+        second = run_scenario(cfg).metrics
+        first.pop("wall_time_s"), second.pop("wall_time_s")
+        assert first == second
 
     def test_injected_drift_reported_via_rte(self):
         cfg = ScenarioConfig.from_dict({**SHORT, "injected_drift": [0.0, 0.0, 0.01]})

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from elevsim.geometry import Pose, quat_from_euler, quat_rotate
+from elevsim.geometry import Pose, quat_conj, quat_from_euler, quat_rotate, rotz
 from elevsim.scene import FlatRegion, SceneSpec, build_scene, obstacle_scene
 from elevsim.sensorsim import (
+    HIP_OFFSETS,
     CameraModel,
     CommandProfile,
     GaitParams,
@@ -24,59 +25,146 @@ def _run(profile, hf, **kw):
     return simulate_trajectory(profile, hf, dt=1.0 / 300, gait=GaitParams(), **kw)
 
 
+def _reference_trajectory(profile, hf, dt, gait, start_xy, start_yaw):
+    """Tick-by-tick integration, the oracle for the array version.
+
+    Returns the columns (t, pos, quat, v_body, w_body, q, dq, contacts, air,
+    touchdown_air) and the truncation flag.
+    """
+    xy, yaw, pitch = np.array(start_xy, dtype=float), start_yaw, 0.0
+    air, prev_contact, prev_z = np.zeros(4), np.ones(4, dtype=bool), None
+    rows, truncated = [], False
+    for i in range(int(round(profile.total_duration / dt)) + 1):
+        t = i * dt
+        cmd = profile.at(t)
+        foot_h = hf.heights_at(HIP_OFFSETS[:, :2] @ rotz(yaw)[:2, :2].T + xy)
+        if not np.isfinite(foot_h).all():
+            truncated = True
+            break
+        z = float(foot_h.mean()) + gait.trunk_height
+        target = -np.arctan2(foot_h[:2].mean() - foot_h[2:].mean(), 2 * abs(HIP_OFFSETS[0, 0]))
+        pitch += min(1.0, dt / gait.pitch_tau) * (target - pitch)
+        quat = quat_from_euler(0.0, pitch, yaw)
+        v_world = quat_rotate(quat, np.array([cmd[0], cmd[1], 0.0]))
+        if prev_z is not None:
+            v_world[2] = (z - prev_z) / dt
+        moving = bool(np.linalg.norm(cmd) > 1e-9)
+        phase = (2 * np.pi * gait.frequency * t + np.array([0, np.pi, np.pi, 0])) % (2 * np.pi)
+        contact = phase / (2 * np.pi) < gait.duty if moving else np.ones(4, dtype=bool)
+        touchdown_air = np.where(contact & ~prev_contact, air, 0.0)
+        air = np.where(contact, 0.0, air + dt)
+        q, dq = gait.q_default.copy(), np.zeros(12)
+        if moving:
+            s = np.pi * np.clip((phase / (2 * np.pi) - gait.duty) / (1 - gait.duty), 0.0, 1.0)
+            swing = np.where(contact, 0.0, np.sin(s))
+            dswing = np.where(contact, 0.0, np.pi * np.cos(s) * gait.frequency / (1 - gait.duty))
+            q[1::3] -= gait.swing_amplitude * swing
+            q[2::3] += gait.swing_amplitude * swing
+            dq[1::3] = -gait.swing_amplitude * dswing
+            dq[2::3] = -dq[1::3]
+        v_body = quat_rotate(quat_conj(quat), v_world)
+        w_body = np.array([0.0, 0.0, cmd[2]])
+        rows.append((t, [xy[0], xy[1], z], quat, v_body, w_body, q, dq, contact, air, touchdown_air))
+        prev_contact, prev_z = contact, z
+        xy = xy + rotz(yaw)[:2, :2] @ np.array([cmd[0], cmd[1]]) * dt
+        yaw += cmd[2] * dt
+    return [np.array(col) for col in zip(*rows)], truncated
+
+
 class TestTrajectory:
+    @pytest.mark.parametrize(
+        "profile, scene, start_xy, start_yaw",
+        [
+            # climb with a sideways turn, a stop and a turn back
+            (
+                CommandProfile(
+                    [
+                        (1.0, (0.5, 0.0, 0.0)),
+                        (1.0, (0.4, 0.1, 0.3)),
+                        (0.5, (0.0, 0.0, 0.0)),
+                        (1.0, (0.4, 0.0, -0.3)),
+                    ]
+                ),
+                "obstacle",
+                (2.2, 1.4),
+                0.2,
+            ),
+            # walks off the far edge and is truncated
+            (CommandProfile.constant((1.0, 0.0, 0.0), 8.0), "flat", (0.8, 1.5), 0.0),
+        ],
+    )
+    def test_matches_tick_by_tick_reference(
+        self, profile, scene, start_xy, start_yaw, obstacle_hf, flat_hf
+    ):
+        hf = obstacle_hf if scene == "obstacle" else flat_hf
+        gait = GaitParams()
+        traj = simulate_trajectory(
+            profile, hf, 1.0 / 300, gait, start_xy=start_xy, start_yaw=start_yaw
+        )
+        columns, truncated = _reference_trajectory(
+            profile, hf, 1.0 / 300, gait, start_xy, start_yaw
+        )
+        assert traj.truncated == truncated
+        fields = ("t", "pos", "quat", "v_body", "w_body", "q", "dq", "contacts", "air")
+        for name, expected in zip(fields + ("touchdown_air",), columns):
+            got = getattr(traj, name)
+            # same bits, signed zeros included
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
+
+    def test_state_is_a_view_of_one_row(self, short_trajectory):
+        st = short_trajectory.state(7)
+        assert st.t == short_trajectory.t[7]
+        for name, rows in (("position", "pos"), ("foot_air_times", "air"), ("q", "q")):
+            np.testing.assert_array_equal(getattr(st, name), getattr(short_trajectory, rows)[7])
+            assert np.shares_memory(getattr(st, name), getattr(short_trajectory, rows))
+
     def test_forward_walk_integrates_command(self, flat_hf):
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 4.0), flat_hf)
-        first, last = traj.states[0], traj.states[-1]
-        assert last.position[0] - first.position[0] == pytest.approx(0.5 * 4.0, abs=0.01)
-        assert last.position[1] == pytest.approx(first.position[1], abs=1e-9)
+        first, last = traj.pos[0], traj.pos[-1]
+        assert last[0] - first[0] == pytest.approx(0.5 * 4.0, abs=0.01)
+        assert last[1] == pytest.approx(first[1], abs=1e-9)
 
     def test_base_height_on_flat_ground(self, flat_hf):
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 1.0), flat_hf)
-        for s in traj.states:
-            assert s.position[2] == pytest.approx(GaitParams().trunk_height)
+        assert traj.pos[:, 2] == pytest.approx(GaitParams().trunk_height)
 
     def test_turn_in_place_integrates_yaw(self, flat_hf):
         traj = _run(CommandProfile.constant((0.0, 0.0, 0.5), 2.0), flat_hf)
-        assert traj.states[-1].pose.yaw == pytest.approx(1.0, abs=0.01)
-        assert np.allclose(traj.states[-1].position[:2], traj.states[0].position[:2])
+        assert traj.state(-1).pose.yaw == pytest.approx(1.0, abs=0.01)
+        assert np.allclose(traj.pos[-1, :2], traj.pos[0, :2])
 
     def test_walking_off_the_map_truncates(self, flat_hf):
         traj = _run(CommandProfile.constant((1.0, 0.0, 0.0), 30.0), flat_hf)
         assert traj.truncated
-        assert traj.states[-1].t < 30.0
+        assert traj.t[-1] < 30.0
 
     def test_base_climbs_obstacle(self, obstacle_hf):
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 9.0), obstacle_hf)
-        z = np.array([s.position[2] for s in traj.states])
-        assert z.max() == pytest.approx(0.30 + GaitParams().trunk_height, abs=0.02)
+        assert traj.pos[:, 2].max() == pytest.approx(0.30 + GaitParams().trunk_height, abs=0.02)
 
     def test_pitch_responds_to_slope(self, obstacle_hf):
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 9.0), obstacle_hf)
-        pitches = []
-        for s in traj.states:
-            g = quat_rotate(s.quat, np.array([1.0, 0.0, 0.0]))
-            pitches.append(np.arcsin(np.clip(g[2], -1, 1)))
+        nose = quat_rotate(traj.quat, np.array([1.0, 0.0, 0.0]))
+        pitches = np.arcsin(np.clip(nose[:, 2], -1, 1))
         # climbing: nose pitches up at some point
-        assert max(pitches) > 0.05
+        assert pitches.max() > 0.05
 
     def test_stationary_robot_keeps_all_feet_down(self, flat_hf):
         traj = _run(CommandProfile.constant((0.0, 0.0, 0.0), 1.0), flat_hf)
-        for s in traj.states:
-            assert s.foot_contacts.all()
-            assert not s.foot_air_times.any()
+        assert traj.contacts.all()
+        assert not traj.air.any()
 
     def test_trot_alternates_diagonal_pairs(self, flat_hf):
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 1.0), flat_hf)
-        mid = traj.states[len(traj.states) // 4]
-        c = mid.foot_contacts
+        c = traj.contacts[len(traj) // 4]
         assert c[0] == c[3] and c[1] == c[2] and c[0] != c[1]
 
     def test_air_time_credit_granted_once_per_touchdown(self, flat_hf):
         gait = GaitParams()
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 2.0), flat_hf)
         swing_time = (1.0 - gait.duty) / gait.frequency
-        credits = np.array([s.foot_touchdown_air for s in traj.states])
+        credits = traj.touchdown_air
         nonzero = credits[credits > 0]
         # every credit equals the swing duration (one sim tick of slack)
         assert np.allclose(nonzero, swing_time, atol=2.0 / 300)
@@ -89,7 +177,7 @@ class TestTrajectory:
         gait = GaitParams()
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 1.0), flat_hf)
         dt = 1.0 / 300
-        contact0 = np.array([s.foot_contacts[0] for s in traj.states])
+        contact0 = traj.contacts[:, 0]
         stride_ticks = int(round(1.0 / gait.frequency / dt))
         one_stride = contact0[:stride_ticks]
         assert abs(one_stride.sum() * dt + (~one_stride).sum() * dt - 1.0 / gait.frequency) <= dt
@@ -98,7 +186,7 @@ class TestTrajectory:
 class TestRenderDepth:
     def test_points_lie_on_terrain_flat(self, flat_hf, short_trajectory):
         cam = default_front_camera()
-        st = short_trajectory.states[0]
+        st = short_trajectory.state(0)
         cloud = render_depth(cam, st, flat_hf)
         assert len(cloud) > 0
         world = cloud.transformed(st.pose.compose(cam.mount))
@@ -106,7 +194,7 @@ class TestRenderDepth:
 
     def test_ranges_within_camera_limits(self, flat_hf, short_trajectory):
         cam = default_front_camera()
-        cloud = render_depth(cam, short_trajectory.states[0], flat_hf)
+        cloud = render_depth(cam, short_trajectory.state(0), flat_hf)
         r = np.linalg.norm(cloud.points, axis=1)
         assert (r >= cam.min_range).all() and (r <= cam.max_range).all()
 
@@ -188,7 +276,7 @@ class TestRenderDepth:
 class TestSensorNoise:
     def test_noiseless_camera_returns_cloud_unchanged(self, flat_hf, short_trajectory, rng):
         cam = default_front_camera()
-        cloud = render_depth(cam, short_trajectory.states[0], flat_hf)
+        cloud = render_depth(cam, short_trajectory.state(0), flat_hf)
         out = inject_sensor_noise(cloud, cam, rng)
         np.testing.assert_array_equal(out.points, cloud.points)
 
@@ -196,7 +284,7 @@ class TestSensorNoise:
         from dataclasses import replace
 
         cam = replace(default_front_camera(), noise_sigma0=0.01)
-        cloud = render_depth(cam, short_trajectory.states[0], flat_hf)
+        cloud = render_depth(cam, short_trajectory.state(0), flat_hf)
         out = inject_sensor_noise(cloud, cam, np.random.default_rng(0))
         assert len(out) == len(cloud)
         dr = np.linalg.norm(out.points, axis=1) - np.linalg.norm(cloud.points, axis=1)
@@ -210,7 +298,7 @@ class TestSensorNoise:
         from dataclasses import replace
 
         cam = replace(default_front_camera(), dropout=0.3)
-        cloud = render_depth(cam, short_trajectory.states[0], flat_hf)
+        cloud = render_depth(cam, short_trajectory.state(0), flat_hf)
         out = inject_sensor_noise(cloud, cam, np.random.default_rng(0))
         frac = 1.0 - len(out) / len(cloud)
         assert 0.15 < frac < 0.45
@@ -219,7 +307,7 @@ class TestSensorNoise:
         from dataclasses import replace
 
         cam = replace(default_front_camera(), noise_sigma0=0.01, dropout=0.1)
-        cloud = render_depth(cam, short_trajectory.states[0], flat_hf)
+        cloud = render_depth(cam, short_trajectory.state(0), flat_hf)
         a = inject_sensor_noise(cloud, cam, np.random.default_rng(42))
         b = inject_sensor_noise(cloud, cam, np.random.default_rng(42))
         np.testing.assert_array_equal(a.points, b.points)
