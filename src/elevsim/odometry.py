@@ -67,10 +67,8 @@ class SourceStreams:
     est_v: np.ndarray  # (Ne, 3) body-frame velocity
     imu_t: np.ndarray  # (Ni,)
     imu_quat: np.ndarray  # (Ni, 4)
-    imu_w: np.ndarray  # (Ni, 3) body-frame rates
     vio_t: np.ndarray  # (Nv,) outside the dropout windows
     vio_pos: np.ndarray  # (Nv, 3)
-    vio_quat: np.ndarray  # (Nv, 4)
 
 
 def _nearest_states(ts: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -109,15 +107,12 @@ def make_source_streams(
     k = _nearest_states(traj.t, imu_t)
     imu_quat = traj.quat[k]
     if model.imu.orient_sigma > 0:
-        # per sample: 3 orientation draws, then 3 gyro draws
+        # per sample: 3 orientation draws, then 3 gyro draws that the fusion
+        # does not read but that keep the seeded noise sequence
         z = rng_imu.normal(0.0, 1.0, (len(k), 6))
         dtheta = model.imu.orient_sigma * z[:, :3]
         dq = np.column_stack([np.ones(len(k)), 0.5 * dtheta])
         imu_quat = quat_normalize(quat_mul(imu_quat, dq))
-        gyro = z[:, 3:]
-    else:
-        gyro = rng_imu.normal(0.0, 1.0, (len(k), 3))
-    imu_w = traj.w_body[k] + gyro * model.imu.gyro_sigma
 
     k = _nearest_states(traj.t, vio_t)
     # per sample: 3 random-walk draws, then 3 sample-noise draws
@@ -134,10 +129,8 @@ def make_source_streams(
         est_v=est_v,
         imu_t=imu_t,
         imu_quat=imu_quat,
-        imu_w=imu_w,
         vio_t=vio_t[keep],
         vio_pos=vio_pos[keep],
-        vio_quat=traj.quat[k[keep]],
     )
 
 

@@ -48,16 +48,15 @@ def _reference_streams(traj, model, seed):
     for t in est_t:
         v = traj.v_body[nearest(t)] + model.estimator.bias
         est_v.append(v + rng_est.normal(0.0, 1.0, 3) * model.estimator.vel_sigma)
-    imu_quat, imu_w = [], []
+    imu_quat = []
     for t in imu_t:
         q = traj.quat[nearest(t)]
         if model.imu.orient_sigma > 0:
             dtheta = rng_imu.normal(0.0, model.imu.orient_sigma, 3)
             q = quat_normalize(quat_mul(q, np.concatenate([[1.0], 0.5 * dtheta])))
+            rng_imu.normal(0.0, 1.0, 3)  # gyro noise, drawn but not streamed
         imu_quat.append(q)
-        gyro = rng_imu.normal(0.0, 1.0, 3) * model.imu.gyro_sigma
-        imu_w.append(traj.w_body[nearest(t)] + gyro)
-    vio_t, vio_pos, vio_quat = [], [], []
+    vio_t, vio_pos = [], []
     walk = np.zeros(3)
     for t in vio_times:
         walk = walk + rng_vio.normal(0.0, 1.0, 3) * model.vio.walk_rate * np.sqrt(1.0 / 90)
@@ -65,9 +64,8 @@ def _reference_streams(traj, model, seed):
         if not any(t0 <= t < t1 for t0, t1 in model.vio.dropouts):
             vio_t.append(t)
             vio_pos.append(traj.pos[nearest(t)] + walk + noise)
-            vio_quat.append(traj.quat[nearest(t)])
-    columns = dict(est_t=est_t, est_v=est_v, imu_t=imu_t, imu_quat=imu_quat, imu_w=imu_w)
-    columns.update(vio_t=vio_t, vio_pos=vio_pos, vio_quat=vio_quat)
+    columns = dict(est_t=est_t, est_v=est_v, imu_t=imu_t, imu_quat=imu_quat)
+    columns.update(vio_t=vio_t, vio_pos=vio_pos)
     return {name: np.array(col) for name, col in columns.items()}
 
 
@@ -89,8 +87,8 @@ class TestSourceStreams:
         b = make_source_streams(short_trajectory, model, seed=5)
         t_end = short_trajectory.t[-1]
         assert len(a.est_t) == len(a.est_v) == int(t_end * 50) + 1
-        assert len(a.imu_t) == len(a.imu_quat) == len(a.imu_w) == int(t_end * 200) + 1
-        assert len(a.vio_t) == len(a.vio_pos) == len(a.vio_quat) == int(t_end * 90) + 1
+        assert len(a.imu_t) == len(a.imu_quat) == int(t_end * 200) + 1
+        assert len(a.vio_t) == len(a.vio_pos) == int(t_end * 90) + 1
         np.testing.assert_array_equal(a.est_v, b.est_v)
         np.testing.assert_array_equal(a.imu_quat, b.imu_quat)
         np.testing.assert_array_equal(a.vio_pos, b.vio_pos)
@@ -110,7 +108,7 @@ class TestSourceStreams:
         model.vio.dropouts = ((0.5, 1.0),)
         streams = make_source_streams(short_trajectory, model, seed=0)
         ts = streams.vio_t
-        assert len(ts) == len(streams.vio_pos) == len(streams.vio_quat)
+        assert len(ts) == len(streams.vio_pos)
         assert not np.any((ts >= 0.5) & (ts < 1.0))
 
 
