@@ -2,6 +2,9 @@
 
 All three filters are pure functions over immutable clouds and idempotent on
 their own output. Default order in the pipeline: outlier -> body -> voxel.
+The voxel filter groups points by one packed int64 key per voxel, and the
+body filter runs its capsule distance test only on the points inside the
+body's bounding box.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .geometry import rotation_matrix
 from .pointcloud import PointCloud
 from .sensorsim import HIP_OFFSETS, RobotState
 
@@ -28,7 +32,9 @@ def remove_outliers(cloud: PointCloud, k: int = 8, std_ratio: float = 2.0) -> Po
     if n < k + 1:
         log.debug("cloud of %d points too small for k=%d; returned unchanged", n, k)
         return cloud
-    tree = cKDTree(cloud.points)
+    # the median-split build is cheaper than the balanced one and gives the
+    # same neighbor distances
+    tree = cKDTree(cloud.points, balanced_tree=False)
     dists, _ = tree.query(cloud.points, k=k + 1)  # first neighbor is the point itself
     mean_d = dists[:, 1:].mean(axis=1)
     keep = mean_d <= mean_d.mean() + std_ratio * mean_d.std()
@@ -36,21 +42,28 @@ def remove_outliers(cloud: PointCloud, k: int = 8, std_ratio: float = 2.0) -> Po
 
 
 def voxel_downsample(cloud: PointCloud, resolution: float = 0.025) -> PointCloud:
-    """One centroid per occupied voxel of the world-aligned grid."""
+    """One centroid per occupied voxel of the world-aligned grid, in the order
+    the voxels are first occupied in the input.
+
+    The three voxel indices are packed into one int64 key, and each voxel's
+    coordinate sums accumulate its points in input order, so a centroid has
+    the same bits as a running sum over its points divided by their count.
+    """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if len(cloud) == 0:
         return cloud
     keys = np.floor(cloud.points / resolution).astype(np.int64)
-    _, inv, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    sums = np.zeros((len(counts), 3))
-    np.add.at(sums, inv, cloud.points)
-    centroids = sums / counts[:, None]
-    # keep the original input order of first occupancy for determinism
-    first = np.full(len(counts), len(cloud), dtype=np.int64)
-    np.minimum.at(first, inv, np.arange(len(cloud)))
-    order = np.argsort(first)
-    return PointCloud(t=cloud.t, frame=cloud.frame, points=centroids[order])
+    low, high = keys.min(axis=0), keys.max(axis=0)
+    span = [int(b) - int(a) + 1 for a, b in zip(low, high)]
+    if span[0] * span[1] * span[2] > np.iinfo(np.int64).max:
+        raise ValueError("cloud spans too many voxels to index at this resolution")
+    keys -= low
+    packed = (keys[:, 0] * span[1] + keys[:, 1]) * span[2] + keys[:, 2]
+    _, first, inv = np.unique(packed, return_index=True, return_inverse=True)
+    sums = np.stack([np.bincount(inv, weights=cloud.points[:, k]) for k in range(3)], axis=1)
+    centroids = sums / np.bincount(inv)[:, None]
+    return PointCloud(t=cloud.t, frame=cloud.frame, points=centroids[np.argsort(first)])
 
 
 @dataclass
@@ -72,10 +85,17 @@ class BodyModel:
     def capsules(self, state: RobotState) -> list[tuple[np.ndarray, np.ndarray, float]]:
         """World-frame (p0, p1, radius) capsules posed by forward kinematics."""
         pose = state.pose
+        # one rotation matrix for every endpoint; `pose.transform` would
+        # rebuild the same matrix per point
+        R = rotation_matrix(pose.quat)
+
+        def to_world(p):
+            return R @ p + pose.position
+
         caps = [
             (
-                pose.transform(np.array([self.trunk_half_length, 0.0, 0.0])),
-                pose.transform(np.array([-self.trunk_half_length, 0.0, 0.0])),
+                to_world(np.array([self.trunk_half_length, 0.0, 0.0])),
+                to_world(np.array([-self.trunk_half_length, 0.0, 0.0])),
                 self.trunk_radius,
             )
         ]
@@ -92,8 +112,9 @@ class BodyModel:
 
             knee = hip + self.thigh_length * leg_dir(thigh_pitch)
             foot = knee + self.calf_length * leg_dir(thigh_pitch + calf_pitch)
-            caps.append((pose.transform(hip), pose.transform(knee), self.leg_radius))
-            caps.append((pose.transform(knee), pose.transform(foot), self.leg_radius))
+            knee_w = to_world(knee)
+            caps.append((to_world(hip), knee_w, self.leg_radius))
+            caps.append((knee_w, to_world(foot), self.leg_radius))
         return caps
 
 
@@ -108,10 +129,29 @@ def _point_segment_dist(points: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> n
 
 
 def body_filter(cloud: PointCloud, state: RobotState, body: BodyModel) -> PointCloud:
-    """Remove every world-frame point inside an inflated body capsule."""
+    """Remove every world-frame point inside an inflated body capsule.
+
+    Only points inside the capsules' bounding box, grown by radius + margin
+    and a slack, get the distance test; every point outside it is farther
+    than radius + margin from each capsule and is kept.
+    """
     if len(cloud) == 0:
         return cloud
+    caps = body.capsules(state)
+    # 1 um lies far above the rounding error of the distance test
+    grow = body.margin + 1e-6
+    box_lo = np.min([np.minimum(p0, p1) - r for p0, p1, r in caps], axis=0) - grow
+    box_hi = np.max([np.maximum(p0, p1) + r for p0, p1, r in caps], axis=0) + grow
+    pts = cloud.points
+    near = ((pts >= box_lo) & (pts <= box_hi)).all(axis=1)
+    if near.sum() == 1 and len(pts) > 1:
+        # matmul takes a dot path for one row, whose rounding can differ from
+        # the multi-row path the whole cloud takes; test one more point
+        near[np.argmin(near)] = True
+    sub = pts[near]
+    keep_sub = np.ones(len(sub), dtype=bool)
+    for p0, p1, r in caps:
+        keep_sub &= _point_segment_dist(sub, p0, p1) > r + body.margin
     keep = np.ones(len(cloud), dtype=bool)
-    for p0, p1, r in body.capsules(state):
-        keep &= _point_segment_dist(cloud.points, p0, p1) > r + body.margin
+    keep[near] = keep_sub
     return cloud.select(keep)

@@ -255,7 +255,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         hf,
         dt=1.0 / SIM_RATE,
         gait=cfg.gait,
-        seed=cfg.seed,
         start_xy=cfg.start_xy,
         start_yaw=cfg.start_yaw,
     )
@@ -288,6 +287,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     )
     obs_dim = None
     next_snapshot = 0.0 if cfg.snapshot_every and cfg.out_dir is not None else None
+    if cfg.out_dir is not None:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     for i in range(len(traj)):
         snapshot = next_snapshot is not None and traj.t[i] >= next_snapshot
@@ -409,7 +410,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     out["wall_time_s"] = round(time.perf_counter() - t_start, 3)
 
     if cfg.out_dir is not None:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         write_metrics(cfg.out_dir, out, cfg.tag)
         est_traj.save_csv(cfg.out_dir / "trajectory_est.csv")
         gt_traj.save_csv(cfg.out_dir / "trajectory_gt.csv")

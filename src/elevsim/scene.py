@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -183,6 +184,16 @@ class Heightfield:
         if not np.isfinite(self.cells).all():
             raise SceneError("heightfield contains non-finite heights")
         self.cells.setflags(write=False)
+
+    @cached_property
+    def padded_cells(self) -> np.ndarray:
+        """`cells` inside a one-cell border at -1e9, below anything a ray
+        can reach; read-only, built on first use."""
+        nx, ny = self.cells.shape
+        padded = np.full((nx + 2, ny + 2), -1e9)
+        padded[1:-1, 1:-1] = self.cells
+        padded.setflags(write=False)
+        return padded
 
     @property
     def extent(self) -> tuple[int, int]:

@@ -4,11 +4,18 @@ The robot motion is kinematic: commanded body-frame velocity integrated over
 yaw, base height glued to the terrain plus the nominal trunk height. The trot
 oscillator only exists so the body filter and air-time bookkeeping have
 realistic inputs. Depth cameras are pinhole models whose rays are intersected
-with the heightfield surface (coarse march plus bisection refinement).
+with the heightfield surface: a coarse march at fixed steps finds the first
+sample at or below the terrain, and bisection between it and the sample
+before refines the hit. The march runs in blocks of samples over the rays
+that have not hit yet and stops once all have; this gives the same first
+sample as marching every ray over the full range. Terrain heights come from
+the heightfield's padded copy (`Heightfield.padded_cells`), whose -1e9 border
+answers every lookup off the grid, so a ray leaving the map never hits.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -81,14 +88,22 @@ class CameraModel:
             raise ValueError("rate must be positive")
 
     def ray_directions(self) -> np.ndarray:
-        """Unit ray directions in the sensor frame (x forward, y left, z up)."""
-        au = (np.arange(self.width) + 0.5) / self.width - 0.5
-        av = (np.arange(self.height) + 0.5) / self.height - 0.5
-        ty = np.tan(au * self.h_fov)
-        tz = np.tan(av * self.v_fov)
-        gy, gz = np.meshgrid(ty, tz, indexing="ij")
-        dirs = np.stack([np.ones_like(gy), gy, gz], axis=-1).reshape(-1, 3)
-        return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        """Unit ray directions in the sensor frame (x forward, y left, z up);
+        read-only and shared by every camera of the same geometry."""
+        return _unit_rays(self.h_fov, self.v_fov, self.width, self.height)
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_rays(h_fov: float, v_fov: float, width: int, height: int) -> np.ndarray:
+    au = (np.arange(width) + 0.5) / width - 0.5
+    av = (np.arange(height) + 0.5) / height - 0.5
+    ty = np.tan(au * h_fov)
+    tz = np.tan(av * v_fov)
+    gy, gz = np.meshgrid(ty, tz, indexing="ij")
+    dirs = np.stack([np.ones_like(gy), gy, gz], axis=-1).reshape(-1, 3)
+    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs.setflags(write=False)
+    return dirs
 
 
 @dataclass
@@ -98,8 +113,11 @@ class CommandProfile:
     segments: list[tuple[float, tuple[float, float, float]]]  # (duration, cmd)
 
     def __post_init__(self):
-        if any(d <= 0 for d, _ in self.segments):
-            raise ValueError("segment durations must be positive")
+        for d, cmd in self.segments:
+            if not (np.isfinite(d) and np.isfinite(np.asarray(cmd, dtype=float)).all()):
+                raise ValueError(f"segment ({d}, {cmd}) is not finite")
+            if d <= 0:
+                raise ValueError("segment durations must be positive")
 
     @property
     def total_duration(self) -> float:
@@ -174,15 +192,14 @@ def simulate_trajectory(
     hf: Heightfield,
     dt: float,
     gait: GaitParams,
-    seed: int = 0,
     start_xy=(0.5, None),
     start_yaw: float = 0.0,
     duration: float | None = None,
 ) -> Trajectory:
     """Integrate the commanded kinematic motion over the heightfield.
 
-    Deterministic given the seed. If the base footprint leaves the
-    heightfield the stream is truncated and flagged.
+    If the base footprint leaves the heightfield the stream is truncated
+    and flagged.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -273,12 +290,10 @@ def simulate_trajectory(
     )
 
 
-def render_depth(
-    camera: CameraModel,
-    base_state: RobotState,
-    hf: Heightfield,
-    march_step: float | None = None,
-) -> PointCloud:
+MARCH_BLOCK = 8  # coarse samples per block of the march
+
+
+def render_depth(camera: CameraModel, base_state: RobotState, hf: Heightfield) -> PointCloud:
     """Ray-cast one depth frame. Points are returned in the sensor frame."""
     cam_pose = base_state.pose.compose(camera.mount)
     origin = cam_pose.position
@@ -288,43 +303,42 @@ def render_depth(
         return empty_cloud(base_state.t, camera.name)
 
     dirs = quat_rotate(cam_pose.quat, camera.ray_directions())
-    # fast heightfield lookup; out-of-extent cells can never be hit
-    cells = hf.cells
-    nx, ny = cells.shape
-    ox, oy = hf.origin
-    inv_res = 1.0 / hf.resolution
+    terrain = _terrain_lookup(hf)
+    o = origin[:, None]
 
-    def terrain(x, y):
-        ix = np.floor((x - ox) * inv_res).astype(np.int64)
-        iy = np.floor((y - oy) * inv_res).astype(np.int64)
-        ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-        h = np.full(ix.shape, -1e9)
-        h[ok] = cells[ix[ok], iy[ok]]
-        return h
-
-    # coarse march; the terrain primitives are wide enough that a crossing
-    # cannot be skipped, and bisection restores exact precision
-    step = max(hf.resolution, 0.05) if march_step is None else march_step
+    # coarse march, then bisection between the first sample at or below the
+    # terrain and the one before; a feature narrower than the step can fall
+    # between two samples and be missed
+    step = max(hf.resolution, 0.05)
     ts = np.arange(1e-4, camera.max_range + step, step)
-    px = origin[0] + dirs[:, 0:1] * ts
-    py = origin[1] + dirs[:, 1:2] * ts
-    pz = origin[2] + dirs[:, 2:3] * ts
-    below = pz <= terrain(px, py)
-    hit_any = below.any(axis=1)
-    first = np.argmax(below, axis=1)
-    hit = hit_any & (first > 0)
+    # first[i]: index of ray i's first sample at or below the terrain; it
+    # stays 0 for rays that never get there, which like rays starting under
+    # the surface count as misses
+    first = np.zeros(len(dirs), dtype=np.int64)
+    open_rays = np.arange(len(dirs))
+    d_open = np.ascontiguousarray(dirs.T)
+    for k in range(0, len(ts), MARCH_BLOCK):
+        # (3, open rays, samples of this block)
+        p = o[..., None] + d_open[:, :, None] * ts[k : k + MARCH_BLOCK]
+        below = p[2] <= terrain(p[:2])
+        done = below.any(axis=1)
+        first[open_rays[done]] = k + below[done].argmax(axis=1)
+        open_rays, d_open = open_rays[~done], d_open[:, ~done]
+        if not len(open_rays):
+            break
+    hit = first > 0
 
     if not hit.any():
         return empty_cloud(base_state.t, camera.name)
 
     d = dirs[hit]
+    d_hit = np.ascontiguousarray(d.T)
     lo = ts[first[hit] - 1]
     hi = ts[first[hit]]
     for _ in range(33):
         mid = 0.5 * (lo + hi)
-        under = origin[2] + d[:, 2] * mid <= terrain(
-            origin[0] + d[:, 0] * mid, origin[1] + d[:, 1] * mid
-        )
+        p = o + d_hit * mid
+        under = p[2] <= terrain(p[:2])
         hi = np.where(under, mid, hi)
         lo = np.where(under, lo, mid)
     t_hit = 0.5 * (lo + hi)
@@ -336,6 +350,27 @@ def render_depth(
     return PointCloud(
         t=base_state.t, frame=camera.name, points=cam_pose.inverse_transform(world)
     )
+
+
+def _terrain_lookup(hf: Heightfield):
+    """Height of the cell under each world xy of a (2, ...) array; -1e9 off
+    the grid, read from the border of `hf.padded_cells`."""
+    cells = hf.padded_cells.ravel()
+    stride = hf.padded_cells.shape[1]
+    xy0 = np.array(hf.origin, dtype=float).reshape(2, 1)
+    top = np.array(hf.cells.shape).reshape(2, 1)
+    inv_res = 1.0 / hf.resolution
+
+    def terrain(xy: np.ndarray) -> np.ndarray:
+        shape = xy.shape[1:]
+        idx = np.floor((xy.reshape(2, -1) - xy0) * inv_res).astype(np.int64)
+        np.maximum(idx, -1, out=idx)
+        np.minimum(idx, top, out=idx)
+        flat = idx[0] * stride
+        flat += idx[1]
+        return cells.take(flat + (stride + 1)).reshape(shape)
+
+    return terrain
 
 
 def inject_sensor_noise(

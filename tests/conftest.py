@@ -17,9 +17,7 @@ def obstacle_hf():
 @pytest.fixture(scope="session")
 def short_trajectory(obstacle_hf):
     profile = CommandProfile.constant((0.5, 0.0, 0.0), 2.0)
-    return simulate_trajectory(
-        profile, obstacle_hf, dt=1.0 / 300, gait=GaitParams(), seed=0
-    )
+    return simulate_trajectory(profile, obstacle_hf, dt=1.0 / 300, gait=GaitParams())
 
 
 @pytest.fixture

@@ -10,19 +10,65 @@ from elevsim.cloudfilter import (
     remove_outliers,
     voxel_downsample,
 )
+from elevsim.geometry import quat_from_euler
 from elevsim.pointcloud import PointCloud
 from elevsim.sensorsim import Q_STAND, RobotState
+
+
+def _reference_voxel_downsample(cloud, resolution):
+    """Row-wise np.unique with np.add.at sums: the oracle for the packed-key
+    voxel filter."""
+    keys = np.floor(cloud.points / resolution).astype(np.int64)
+    _, inv, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    sums = np.zeros((len(counts), 3))
+    np.add.at(sums, inv, cloud.points)
+    first = np.full(len(counts), len(cloud), dtype=np.int64)
+    np.minimum.at(first, inv, np.arange(len(cloud)))
+    return (sums / counts[:, None])[np.argsort(first)]
+
+
+def _reference_capsules(body, state):
+    """Capsules with every endpoint through `Pose.transform`."""
+    pose = state.pose
+    caps = [
+        (
+            pose.transform(np.array([body.trunk_half_length, 0.0, 0.0])),
+            pose.transform(np.array([-body.trunk_half_length, 0.0, 0.0])),
+            body.trunk_radius,
+        )
+    ]
+    for f in range(4):
+        roll, thigh, calf = state.q[3 * f : 3 * f + 3]
+        rx = np.array([[1, 0, 0], [0, np.cos(roll), -np.sin(roll)], [0, np.sin(roll), np.cos(roll)]])
+
+        def leg_dir(pitch):
+            return rx @ np.array([np.sin(pitch), 0.0, -np.cos(pitch)])
+
+        hip = body.hip_offsets[f]
+        knee = hip + body.thigh_length * leg_dir(thigh)
+        foot = knee + body.calf_length * leg_dir(thigh + calf)
+        caps.append((pose.transform(hip), pose.transform(knee), body.leg_radius))
+        caps.append((pose.transform(knee), pose.transform(foot), body.leg_radius))
+    return caps
+
+
+def _reference_body_filter(points, state, body):
+    """Distance test of every point against every capsule, no cull."""
+    keep = np.ones(len(points), dtype=bool)
+    for p0, p1, r in _reference_capsules(body, state):
+        keep &= _point_segment_dist(points, p0, p1) > r + body.margin
+    return points[keep]
 
 
 def _cloud(points, t=0.0, frame="world"):
     return PointCloud(t=t, frame=frame, points=np.asarray(points, dtype=float))
 
 
-def _standing_state(position=(0.0, 0.0, 0.30)):
+def _standing_state(position=(0.0, 0.0, 0.30), quat=(1.0, 0.0, 0.0, 0.0)):
     return RobotState(
         t=0.0,
         position=np.asarray(position, dtype=float),
-        quat=np.array([1.0, 0.0, 0.0, 0.0]),
+        quat=np.asarray(quat, dtype=float),
         lin_vel_body=np.zeros(3),
         ang_vel_body=np.zeros(3),
         q=Q_STAND.copy(),
@@ -99,6 +145,43 @@ class TestVoxelDownsample:
         with pytest.raises(ValueError):
             voxel_downsample(_cloud([[0, 0, 0]]), 0.0)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["negative", "duplicates", "single_voxel", "single_point", "spread", "on_voxel_faces"],
+    )
+    def test_same_bits_as_row_unique(self, case):
+        rng = np.random.default_rng(7)
+        res = 0.025
+        pts = {
+            "negative": rng.uniform(-3.0, -0.5, (700, 3)),
+            "duplicates": np.repeat(rng.uniform(-1.0, 1.0, (40, 3)), 5, axis=0)[
+                rng.permutation(200)
+            ],
+            "single_voxel": 0.05 + rng.uniform(0.0, 0.02, (30, 3)) * [1, -1, 1],
+            "single_point": np.array([[-0.3, 0.2, -0.01]]),
+            "spread": rng.uniform(-50.0, 50.0, (500, 3)),
+            # coordinates on the voxel faces, signed zeros included
+            "on_voxel_faces": np.array(
+                [[0.0, -0.0, 0.025], [-0.025, 0.05, 0.0], [-0.0, 0.0, -0.0], [0.025, -0.025, 0.075]]
+            ),
+        }[case]
+        out = voxel_downsample(_cloud(pts), res)
+        expect = _reference_voxel_downsample(_cloud(pts), res)
+        assert out.points.shape == expect.shape
+        assert out.points.tobytes() == expect.tobytes()
+
+    def test_matches_reference_on_sensor_clouds(self, rng):
+        # world-frame clouds as the pipeline feeds them, at two resolutions
+        for res in (0.025, 0.0125):
+            for _ in range(5):
+                pts = rng.normal([2.0, 1.5, 0.1], [0.6, 0.5, 0.1], (1200, 3))
+                out = voxel_downsample(_cloud(pts), res)
+                assert out.points.tobytes() == _reference_voxel_downsample(_cloud(pts), res).tobytes()
+
+    def test_too_many_voxels_rejected(self):
+        with pytest.raises(ValueError, match="too many voxels"):
+            voxel_downsample(_cloud([[-1e6, -1e6, -1e6], [1e6, 1e6, 1e6]]), 1e-6)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_property_output_never_larger(self, seed):
@@ -152,6 +235,69 @@ class TestBodyFilter:
         out = body_filter(_cloud(ground), state, BodyModel())
         # feet reach the ground; only a few points under the feet may go
         assert len(out) >= 190
+
+    POSES = {
+        "standing": ((0.0, 0.0, 0.30), (0.0, 0.0, 0.0)),
+        "yawed": ((2.5, 1.2, 0.35), (0.0, 0.0, 2.2)),
+        "pitched_rolled": ((-1.0, 0.4, 0.45), (0.2, -0.3, -0.7)),
+    }
+
+    @pytest.mark.parametrize("pose", sorted(POSES))
+    def test_capsules_same_bits_as_pose_transform(self, pose):
+        position, (roll, pitch, yaw) = self.POSES[pose]
+        state = _standing_state(position, quat_from_euler(roll, pitch, yaw))
+        body = BodyModel()
+        for got, ref in zip(body.capsules(state), _reference_capsules(body, state), strict=True):
+            assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+            assert got[2] == ref[2]
+
+    @pytest.mark.parametrize("pose", sorted(POSES))
+    def test_same_points_as_unculled_filter(self, pose, rng):
+        position, (roll, pitch, yaw) = self.POSES[pose]
+        state = _standing_state(position, quat_from_euler(roll, pitch, yaw))
+        body = BodyModel()
+        pts = [rng.uniform(-0.7, 0.7, (600, 3)) + state.position]
+        # for each capsule, points at radius + margin times (1 -+ 1e-9)
+        # from its axis and beyond its ends (just inside, just outside)
+        for p0, p1, r in body.capsules(state):
+            axis = (p1 - p0) / np.linalg.norm(p1 - p0)
+            side = np.cross(axis, rng.normal(size=(40, 3)))
+            side /= np.linalg.norm(side, axis=1, keepdims=True)
+            reach = (r + body.margin) * np.array([1 - 1e-9, 1 + 1e-9])
+            along = p0 + rng.uniform(0.0, 1.0, (40, 1)) * (p1 - p0)
+            pts += [along + side * s for s in reach]
+            for end, out in ((p0, -axis), (p1, axis)):
+                pts.append(end + out * np.array([reach[0], reach[1], reach[1] + 5e-7])[:, None])
+            # past the capsule's farthest endpoint along each world axis; at
+            # the body's extremes these straddle the bounding box faces
+            for k in range(3):
+                unit = np.eye(3)[k]
+                for sgn in (-1.0, 1.0):
+                    tip = max((p0, p1), key=lambda p: sgn * p[k])
+                    d = r + body.margin + np.array([-1e-9, 1e-9, 5e-7, 2e-6])
+                    pts.append(tip + sgn * unit * d[:, None])
+        pts = np.vstack(pts)
+        out = body_filter(_cloud(pts), state, body)
+        expect = _reference_body_filter(pts, state, body)
+        assert 0 < len(expect) < len(pts)
+        assert out.points.tobytes() == expect.tobytes()
+
+    def test_one_point_in_box(self):
+        # one point inside the bounding box, the others far outside it. The
+        # near points sit within a last-bit rounding of a capsule surface,
+        # where a one-row distance test can decide otherwise than the
+        # whole-cloud test
+        state = _standing_state((2.5, 1.2, 0.35), quat_from_euler(0.2, -0.3, 2.2))
+        body = BodyModel()
+        far = np.array([[9.0, 0.0, 0.0], [0.0, -4.0, 1.0]])
+        for near in (
+            ["0x1.377440cacbbf7p+1", "0x1.174b3a19b465cp+0", "0x1.312828ecbc5d7p-2"],
+            ["0x1.407729c43dc22p+1", "0x1.221bb002027eap+0", "0x1.c3e7d10a74375p-2"],
+        ):
+            near = np.array([float.fromhex(v) for v in near])
+            for pts in (np.vstack([far, near]), near[None, :]):
+                out = body_filter(_cloud(pts), state, body)
+                assert out.points.tobytes() == _reference_body_filter(pts, state, body).tobytes()
 
     def test_point_segment_dist_degenerate_segment(self):
         p0 = np.array([1.0, 0.0, 0.0])

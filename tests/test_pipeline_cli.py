@@ -46,6 +46,19 @@ class TestConfig:
             with pytest.raises(ValueError, match="unknown config keys"):
                 ScenarioConfig.from_dict({**SHORT, key: 1})
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            [[float("nan"), [0.5, 0.0, 0.0]]],
+            [[float("inf"), [0.5, 0.0, 0.0]]],
+            [[1.0, [0.5, 0.0, 0.0]], [1.0, [float("nan"), 0.0, 0.0]]],
+            [[1.0, [0.5, float("-inf"), 0.0]]],
+        ],
+    )
+    def test_non_finite_command_rejected(self, command):
+        with pytest.raises(ValueError, match="not finite"):
+            ScenarioConfig.from_dict({**SHORT, "command": command})
+
     def test_unknown_scene_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig.from_dict({**SHORT, "scene": "volcano"})
@@ -92,6 +105,21 @@ class TestScenario:
         assert (tmp_path / "run" / "metrics.json").exists()
         assert (tmp_path / "run" / "trajectory_est.csv").exists()
         assert (tmp_path / "run" / "trajectory_gt.csv").exists()
+
+    def test_snapshots_into_fresh_nested_dir(self, tmp_path):
+        out = tmp_path / "fresh" / "run"
+        cfg = ScenarioConfig.from_dict(
+            {
+                **SHORT,
+                "command": [[1.0, [0.5, 0.0, 0.0]]],
+                "snapshot_every": 0.25,
+                "out_dir": str(out),
+            }
+        )
+        run_scenario(cfg)
+        snaps = sorted(p.name for p in out.glob("map_*.csv"))
+        assert snaps[:4] == [f"map_000.{ms:03d}.csv" for ms in (0, 250, 500, 750)]
+        assert (out / "metrics.csv").exists()
 
     def test_byte_identical_rerun(self, tmp_path):
         outs = []
@@ -201,6 +229,13 @@ class TestCli:
         rc = main(["run", "--config", str(path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_run_nan_command_exits_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, {"command": [[1.0, [float("nan"), 0.0, 0.0]]]})
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_no_rear_camera_flag_tags_report(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

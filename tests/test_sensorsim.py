@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from elevsim.geometry import Pose, quat_conj, quat_from_euler, quat_rotate, rotz
-from elevsim.scene import FlatRegion, SceneSpec, build_scene, obstacle_scene
+from elevsim.pointcloud import PointCloud, empty_cloud
+from elevsim.scene import FlatRegion, Heightfield, SceneSpec, Step, build_scene, obstacle_scene
 from elevsim.sensorsim import (
     HIP_OFFSETS,
     CameraModel,
     CommandProfile,
     GaitParams,
+    RobotState,
     default_front_camera,
     default_rear_camera,
     inject_sensor_noise,
@@ -271,6 +275,173 @@ class TestRenderDepth:
         )
         cloud = render_depth(default_front_camera(), st, obstacle_hf)
         assert len(cloud) == 0
+
+
+def _reference_render_depth(camera, base_state, hf):
+    """Full-range coarse march with a masked lookup, then bisection: the
+    oracle for the block march over the padded heightfield."""
+    cam_pose = base_state.pose.compose(camera.mount)
+    origin = cam_pose.position
+    try_h = hf.heights_at(origin[:2].reshape(1, 2), fill=-np.inf)[0]
+    if np.isfinite(try_h) and origin[2] <= try_h:
+        return empty_cloud(base_state.t, camera.name)
+    au = (np.arange(camera.width) + 0.5) / camera.width - 0.5
+    av = (np.arange(camera.height) + 0.5) / camera.height - 0.5
+    gy, gz = np.meshgrid(np.tan(au * camera.h_fov), np.tan(av * camera.v_fov), indexing="ij")
+    rays = np.stack([np.ones_like(gy), gy, gz], axis=-1).reshape(-1, 3)
+    rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    dirs = quat_rotate(cam_pose.quat, rays)
+    cells = hf.cells
+    nx, ny = cells.shape
+    ox, oy = hf.origin
+    inv_res = 1.0 / hf.resolution
+
+    def terrain(x, y):
+        ix = np.floor((x - ox) * inv_res).astype(np.int64)
+        iy = np.floor((y - oy) * inv_res).astype(np.int64)
+        ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+        h = np.full(ix.shape, -1e9)
+        h[ok] = cells[ix[ok], iy[ok]]
+        return h
+
+    step = max(hf.resolution, 0.05)
+    ts = np.arange(1e-4, camera.max_range + step, step)
+    px = origin[0] + dirs[:, 0:1] * ts
+    py = origin[1] + dirs[:, 1:2] * ts
+    pz = origin[2] + dirs[:, 2:3] * ts
+    below = pz <= terrain(px, py)
+    first = np.argmax(below, axis=1)
+    hit = below.any(axis=1) & (first > 0)
+    if not hit.any():
+        return empty_cloud(base_state.t, camera.name)
+    d = dirs[hit]
+    lo = ts[first[hit] - 1]
+    hi = ts[first[hit]]
+    for _ in range(33):
+        mid = 0.5 * (lo + hi)
+        under = origin[2] + d[:, 2] * mid <= terrain(
+            origin[0] + d[:, 0] * mid, origin[1] + d[:, 1] * mid
+        )
+        hi = np.where(under, mid, hi)
+        lo = np.where(under, lo, mid)
+    t_hit = 0.5 * (lo + hi)
+    in_range = (t_hit >= camera.min_range) & (t_hit <= camera.max_range)
+    world = origin + d[in_range] * t_hit[in_range][:, None]
+    return PointCloud(
+        t=base_state.t, frame=camera.name, points=cam_pose.inverse_transform(world)
+    )
+
+
+def _posed_state(x, y, z, yaw=0.0, pitch=0.0, roll=0.0):
+    return RobotState(
+        t=0.5,
+        position=np.array([x, y, z]),
+        quat=quat_from_euler(roll, pitch, yaw),
+        lin_vel_body=np.zeros(3),
+        ang_vel_body=np.zeros(3),
+        q=np.zeros(12),
+        dq=np.zeros(12),
+        foot_contacts=np.ones(4, dtype=bool),
+        foot_air_times=np.zeros(4),
+        foot_touchdown_air=np.zeros(4),
+    )
+
+
+def _thin_step_hf():
+    # 2 cm deep, 12 cm high: narrower than the 5 cm march step
+    spec = SceneSpec([FlatRegion(0.0), Step(x_start=3.0, height=0.12, depth=0.02)], (8.0, 3.0))
+    return build_scene(spec, 0.0175)
+
+
+def _shifted_hf(hf, origin=(-1.3, 0.7)):
+    return Heightfield(resolution=hf.resolution, origin=origin, cells=hf.cells)
+
+
+# (scene, pose), poses chosen so that each scene gets hits
+RENDER_CASES = {
+    "obstacle_first_rise": ("obstacle", (2.6, 1.5, 0.30)),
+    "obstacle_on_platform_yawed": ("obstacle", (3.9, 1.2, 0.60, 0.6)),
+    "obstacle_pitched_up": ("obstacle", (3.1, 1.5, 0.42, 0.0, -0.25)),
+    "obstacle_rolled_yawed_back": ("obstacle", (5.2, 1.6, 0.50, -2.5, 0.15, 0.1)),
+    "flat": ("flat", (1.5, 1.5, 0.30)),
+    "flat_pitched_down": ("flat", (4.0, 1.0, 0.30, 0.3, 0.3)),
+    "thin_step": ("thin", (2.35, 1.5, 0.30)),
+    "thin_step_yawed": ("thin", (2.4, 1.3, 0.30, 0.2, 0.05)),
+    "shifted_origin": ("shifted", (1.3, 2.2, 0.30)),
+    "shifted_origin_near_edge": ("shifted", (-0.55, 2.2, 0.30, np.pi)),
+    "near_x_edge_looking_out": ("obstacle", (0.75, 1.5, 0.30, np.pi)),
+    "near_y_edge_looking_out": ("flat", (4.0, 0.75, 0.30, -np.pi / 2, -0.1)),
+    "corner_looking_out": ("flat", (7.5, 2.5, 0.30, np.pi / 4)),
+}
+
+
+class TestRenderDepthMatchesReference:
+    @pytest.fixture(scope="class")
+    def scenes(self, obstacle_hf, flat_hf):
+        return {
+            "obstacle": obstacle_hf,
+            "flat": flat_hf,
+            "thin": _thin_step_hf(),
+            "shifted": _shifted_hf(obstacle_hf),
+        }
+
+    @pytest.mark.parametrize("case", sorted(RENDER_CASES))
+    def test_same_bits_as_full_march(self, case, scenes):
+        name, pose = RENDER_CASES[case]
+        st = _posed_state(*pose)
+        wide = CameraModel(
+            name="wide",
+            mount=Pose(np.array([0.25, 0.0, 0.05]), quat_from_euler(0.0, np.deg2rad(25), 0.0)),
+            h_fov=np.deg2rad(100),
+            v_fov=np.deg2rad(70),
+            width=24,
+            height=18,
+            min_range=0.05,
+            max_range=4.0,
+        )
+        for cam in (default_front_camera(), default_rear_camera(), wide):
+            got = render_depth(cam, st, scenes[name])
+            ref = _reference_render_depth(cam, st, scenes[name])
+            assert (got.t, got.frame) == (ref.t, ref.frame)
+            assert got.points.shape == ref.points.shape, (case, cam.name)
+            assert got.points.tobytes() == ref.points.tobytes(), (case, cam.name)
+        # the wide camera sees both terrain and misses from every pose
+        assert 0 < len(ref) < wide.width * wide.height
+
+    def test_edge_poses_send_rays_off_the_grid(self, scenes):
+        # the front camera hits with every ray from the inner poses; at the
+        # edges some of its rays leave the grid and miss
+        cam = default_front_camera()
+        for case in ("near_x_edge_looking_out", "shifted_origin_near_edge", "corner_looking_out"):
+            name, pose = RENDER_CASES[case]
+            assert 0 < len(render_depth(cam, _posed_state(*pose), scenes[name])) < 768
+
+    def test_thin_step_in_view(self, scenes):
+        # the march finds the step with some rays and skips it with others
+        # (a known gap of the coarse march), so the bit check covers both
+        st = _posed_state(*RENDER_CASES["thin_step"][1])
+        cam = default_front_camera()
+        world = render_depth(cam, st, scenes["thin"]).transformed(st.pose.compose(cam.mount))
+        assert (world.points[:, 2] > 0.1).any()
+
+
+class TestCaches:
+    def test_ray_directions_shared_and_read_only(self):
+        a = default_front_camera()
+        b = replace(default_front_camera(), name="other", max_range=5.0)
+        assert a.ray_directions() is b.ray_directions()
+        assert not a.ray_directions().flags.writeable
+        c = replace(a, width=a.width + 1)
+        assert c.ray_directions().shape == ((a.width + 1) * a.height, 3)
+
+    def test_padded_cells(self, obstacle_hf):
+        pad = obstacle_hf.padded_cells
+        assert pad is obstacle_hf.padded_cells
+        assert not pad.flags.writeable
+        np.testing.assert_array_equal(pad[1:-1, 1:-1], obstacle_hf.cells)
+        border = np.ones(pad.shape, dtype=bool)
+        border[1:-1, 1:-1] = False
+        assert (pad[border] == -1e9).all()
 
 
 class TestSensorNoise:
