@@ -130,3 +130,14 @@ class Pose:
     @property
     def yaw(self) -> float:
         return float(yaw_from_quat(self.quat))
+
+
+def yaw_aligned_grid(pose: Pose, nx: int, ny: int, pitch: float) -> np.ndarray:
+    """World xy of an nx x ny grid with the given pitch, centred on the pose
+    and rotated by its yaw; x (forward) is the slow axis of the rows."""
+    xs = (np.arange(nx) - (nx - 1) / 2) * pitch
+    ys = (np.arange(ny) - (ny - 1) / 2) * pitch
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    local = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    R = rotz(pose.yaw)[:2, :2]
+    return local @ R.T + pose.position[:2]

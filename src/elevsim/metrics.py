@@ -19,6 +19,9 @@ from .sensorsim import CommandProfile
 
 log = logging.getLogger(__name__)
 
+# seconds at the start of each command segment that tracking RMS discards
+TRACKING_SETTLE_S = 0.7
+
 
 @dataclass
 class MetricReport:
@@ -172,7 +175,7 @@ def tracking_rms(
     times: np.ndarray,
     velocities: np.ndarray,
     profile: CommandProfile,
-    settle: float = 0.7,
+    settle: float = TRACKING_SETTLE_S,
     tag: str = "",
 ) -> tuple[np.ndarray, int]:
     """Per-axis RMS of (measured - commanded) body velocity, pooled over all

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elevmap import ElevationMap
-from .geometry import Pose, quat_conj, quat_rotate, rotz
+from .geometry import Pose, quat_conj, quat_rotate, yaw_aligned_grid
 
 HEIGHT_GRID = (11, 7)  # samples along forward (x) and lateral (y)
 HEIGHT_PITCH = 0.05
@@ -53,13 +53,7 @@ def projected_gravity(quat: np.ndarray) -> np.ndarray:
 
 def sample_grid_positions(base_pose: Pose) -> np.ndarray:
     """World xy of the 77 sample positions, yaw-aligned, centered on the base."""
-    nx, ny = HEIGHT_GRID
-    xs = (np.arange(nx) - (nx - 1) / 2) * HEIGHT_PITCH
-    ys = (np.arange(ny) - (ny - 1) / 2) * HEIGHT_PITCH
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    local = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    R = rotz(base_pose.yaw)[:2, :2]
-    return local @ R.T + base_pose.position[:2]
+    return yaw_aligned_grid(base_pose, *HEIGHT_GRID, HEIGHT_PITCH)
 
 
 def sample_heights(

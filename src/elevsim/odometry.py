@@ -138,7 +138,6 @@ def make_source_streams(
 class EkfConfig:
     q_pos: float = 1e-8  # process noise densities (per second)
     q_vel: float = 1e-3
-    q_att: float = 1e-6
     r_vel: float = 2.5e-3  # velocity measurement variance, m^2/s^2
     r_pos: float = 1e-4  # pose measurement variance, m^2
     r_att: float = 1e-5  # attitude pseudo-measurement variance, rad^2
@@ -191,7 +190,6 @@ class OdometryEkf:
         Q = np.zeros((9, 9))
         Q[0:3, 0:3] = c.q_pos * dt * np.eye(3)
         Q[3:6, 3:6] = c.q_vel * dt * np.eye(3)
-        Q[6:9, 6:9] = c.q_att * dt * np.eye(3)
         P = F @ s.cov @ F.T + Q
         # orientation comes straight from the IMU, so its error stays at the
         # IMU noise level and decorrelates from the translational states
@@ -254,7 +252,6 @@ class OdometryEkf:
 class FusedTrajectory:
     t: np.ndarray
     positions: np.ndarray  # (N, 3)
-    quats: np.ndarray  # (N, 4)
     velocities: np.ndarray  # (N, 3) world frame
 
 
@@ -275,7 +272,7 @@ def fuse_streams(
         events += [(t, 2, p) for t, p in zip(streams.vio_t.tolist(), streams.vio_pos)]
     events.sort(key=lambda e: (e[0], e[1]))
 
-    ts, ps, qs, vs = [], [], [], []
+    ts, ps, vs = [], [], []
     for t, kind, row in events:
         if kind == 0:
             dt = t - ekf.state.t
@@ -289,11 +286,8 @@ def fuse_streams(
             ekf.update_pose(row)
         ts.append(ekf.state.t)
         ps.append(ekf.state.position.copy())
-        qs.append(ekf.state.quat.copy())
         vs.append(ekf.state.velocity.copy())
-    return FusedTrajectory(
-        t=np.array(ts), positions=np.array(ps), quats=np.array(qs), velocities=np.array(vs)
-    )
+    return FusedTrajectory(t=np.array(ts), positions=np.array(ps), velocities=np.array(vs))
 
 
 def initial_state_from(state: RobotState, cov_scale: float = 1e-6) -> EkfState:

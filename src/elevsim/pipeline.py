@@ -101,6 +101,9 @@ class ScenarioConfig:
         if self.odometry not in ODOMETRY_MODES:
             raise ValueError(f"odometry mode must be one of {ODOMETRY_MODES}")
         self.injected_drift = np.asarray(self.injected_drift, dtype=float).reshape(3)
+        settle = metrics.TRACKING_SETTLE_S
+        if all(t1 - t0 <= settle for t0, t1, _ in self.profile.boundaries()):
+            raise ValueError(f"no command segment outlasts the {settle} s tracking settle time")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -231,22 +234,17 @@ def _estimate_odometry(cfg: ScenarioConfig, traj: Trajectory, rng_seed: int):
 
 def _step_window(spec: scene.SceneSpec, margin: float) -> tuple[float, float] | None:
     for p in spec.primitives:
-        if isinstance(p, scene.Step):
-            a, b = p.x_interval()
-            return (a - margin, b + margin)
-        if isinstance(p, scene.Platform):
+        if isinstance(p, (scene.Step, scene.Platform)):
             a, b = p.x_interval()
             return (a - margin, b + margin)
     return None
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+    """Stages: precompute, one map loop over the ticks, reward, report."""
     t_start = time.perf_counter()
-    root = np.random.SeedSequence(cfg.seed)
-    seeds = root.spawn(4)
-    rng_front = np.random.default_rng(seeds[0])
-    rng_rear = np.random.default_rng(seeds[1])
-    rng_heights = np.random.default_rng(seeds[2])
+    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+    rng_front, rng_rear, rng_heights = (np.random.default_rng(s) for s in seeds[:3])
     odom_seed = int(seeds[3].generate_state(1)[0])
 
     hf = scene.build_scene(cfg.scene_spec, cfg.scene_resolution)
@@ -270,26 +268,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         center=est_pos[0][:2],
     )
     history = obsbuilder.HistoryBuffer()
-    var_model = cfg.variance_model
     # bias resampling mutates the noise state; the config stays untouched
     height_noise = copy.deepcopy(cfg.height_noise)
-
-    chamfers: list[float] = []
-    excluded_windows = 0
-    window = _step_window(cfg.scene_spec, cfg.success.window_margin)
-    window_chamfers: list[float] = []
-    window_fill: list[float] = []
-    reward_totals: list[float] = []
-    prev_action = cfg.gait.q_default.copy()
-    prev_dq = np.zeros(12)
-    rcfg = reward.RewardConfig(
-        q_default=cfg.gait.q_default, h_default=cfg.gait.trunk_height
-    )
-    obs_dim = None
+    default_rel = -cfg.gait.trunk_height
+    # per-rate results: the default-fill fraction of each control tick and
+    # the chamfer (cm) of each chamfer tick, NaN where it was excluded
+    fill = np.empty(len(traj.t[::CONTROL_EVERY]))
+    chamfer = np.full(len(traj.t[::CHAMFER_EVERY]), np.nan)
     next_snapshot = 0.0 if cfg.snapshot_every and cfg.out_dir is not None else None
     if cfg.out_dir is not None:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
+    # map loop: only the stages that read or write the map run per tick
     for i in range(len(traj)):
         snapshot = next_snapshot is not None and traj.t[i] >= next_snapshot
         if i % CLOUD_EVERY and i % CONTROL_EVERY and i % CHAMFER_EVERY and not snapshot:
@@ -311,12 +301,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                     emap.drift_compensate(
                         world, cfg.drift_gate, cfg.drift_min_points
                     )
-                emap.integrate_cloud(world, cam_pose.position, var_model, st.t)
+                emap.integrate_cloud(world, cam_pose.position, cfg.variance_model, st.t)
 
         if i % CONTROL_EVERY == 0:
             emap.recenter(est_pos[i][:2])
-            default_rel = -cfg.gait.trunk_height
-            samples, positions, fill = obsbuilder.sample_heights(
+            samples, positions, filled = obsbuilder.sample_heights(
                 emap, est_pose, default_rel
             )
             noisy = obsbuilder.apply_height_noise(
@@ -336,36 +325,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 gravity=obsbuilder.projected_gravity(st.quat),
                 heights=noisy,
             )
-            flat = history.push_and_flatten(frame)
-            obs_dim = flat.shape[0]
-
-            qdd = (st.dq - prev_dq) / (CONTROL_EVERY / SIM_RATE)
-            terrain_h = float(hf.heights_at(st.position[:2].reshape(1, 2), fill=0.0)[0])
-            b = reward.compute_terms(
-                st,
-                cfg.profile.at(st.t),
-                st.q,
-                prev_action,
-                np.zeros(12),
-                0,
-                rcfg,
-                joint_accel=qdd,
-                terrain_height=terrain_h,
-            )
-            reward_totals.append(b.total)
-            prev_action = st.q.copy()
-            prev_dq = st.dq.copy()
-            if window is not None and window[0] <= st.position[0] <= window[1]:
-                window_fill.append(float(fill.mean()))
+            obs = history.push_and_flatten(frame)
+            fill[i // CONTROL_EVERY] = filled.mean()
 
         if i % CHAMFER_EVERY == 0:
             c = metrics.map_vs_ground_truth(emap, hf, est_pose, true_pose=st.pose)
-            if c is None:
-                excluded_windows += 1
-            else:
-                chamfers.append(c)
-                if window is not None and window[0] <= st.position[0] <= window[1]:
-                    window_chamfers.append(c)
+            if c is not None:
+                chamfer[i // CHAMFER_EVERY] = c
 
         if snapshot:
             emap.to_csv(cfg.out_dir / f"map_{st.t:07.3f}.csv")
@@ -375,38 +341,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     est_traj = metrics.TrajectorySamples(
         t=gt_traj.t.copy(), positions=est_pos, quats=est_quat
     )
-
-    out: dict[str, float] = {}
-    out["chamfer_mean_cm"] = float(np.mean(chamfers)) if chamfers else float("nan")
-    out["chamfer_windows"] = float(len(chamfers))
-    out["chamfer_excluded"] = float(excluded_windows)
-    if window_chamfers:
-        out["window_chamfer_mean_cm"] = float(np.mean(window_chamfers))
-    if window_fill:
-        out["window_fill_fraction_max"] = float(np.max(window_fill))
-    if gt_traj.arc_lengths()[-1] >= 1.0 and (
-        cfg.odometry != "gt" or cfg.injected_drift.any()
-    ):
-        out["rte_mean_m"] = metrics.rte(est_traj, gt_traj).mean
-    rms, skipped = metrics.tracking_rms(
-        traj.t[::CONTROL_EVERY], est_vtrack[::CONTROL_EVERY], cfg.profile
-    )
-    out["tracking_rms_vx"] = float(rms[0])
-    out["tracking_rms_vy"] = float(rms[1])
-    out["tracking_rms_wz"] = float(rms[2])
-    out["tracking_segments_skipped"] = float(skipped)
-    out["reward_mean"] = float(np.mean(reward_totals))
-    out["obs_dim"] = float(obs_dim if obs_dim is not None else 0)
-    out["map_total_shift_m"] = float(emap.total_shift)
-    out["truncated"] = float(traj.truncated)
-    if window is not None:
-        succ = (
-            bool(window_chamfers)
-            and float(np.mean(window_chamfers)) <= cfg.success.chamfer_cm
-            and bool(window_fill)
-            and float(np.max(window_fill)) <= cfg.success.max_fill_fraction
-        )
-        out["success"] = float(succ)
+    out = _report(cfg, traj, gt_traj, est_traj, est_vtrack, chamfer, fill,
+                  _reward_mean(cfg, traj, hf), len(obs), emap.total_shift)
     out["wall_time_s"] = round(time.perf_counter() - t_start, 3)
 
     if cfg.out_dir is not None:
@@ -420,6 +356,70 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         emap=emap,
         truncated=traj.truncated,
     )
+
+
+def _reward_mean(cfg: ScenarioConfig, traj: Trajectory, hf: scene.Heightfield) -> float:
+    """Mean reward over the control ticks. The reward reads only the
+    trajectory and the terrain, never the map."""
+    rcfg = reward.RewardConfig(q_default=cfg.gait.q_default, h_default=cfg.gait.trunk_height)
+    ticks = np.arange(0, len(traj), CONTROL_EVERY)
+    terrain = hf.heights_at(traj.pos[ticks, :2], fill=0.0)
+    commands = cfg.profile.at(traj.t[ticks])
+    prev_q, prev_dq = cfg.gait.q_default, np.zeros(12)
+    totals = []
+    for i, terrain_h, cmd in zip(ticks, terrain, commands):
+        st = traj.state(i)
+        qdd = (st.dq - prev_dq) / (CONTROL_EVERY / SIM_RATE)
+        b = reward.compute_terms(st, cmd, st.q, prev_q, np.zeros(12), 0, rcfg,
+                                 joint_accel=qdd, terrain_height=float(terrain_h))
+        totals.append(b.total)
+        prev_q, prev_dq = st.q, st.dq
+    return float(np.mean(totals))
+
+
+def _report(cfg: ScenarioConfig, traj: Trajectory, gt_traj: metrics.TrajectorySamples,
+            est_traj: metrics.TrajectorySamples, est_vtrack: np.ndarray,
+            chamfer: np.ndarray, fill: np.ndarray, reward_mean: float, obs_dim: int,
+            total_shift: float) -> dict[str, float]:
+    """The run's metrics in report order, from the map loop's per-rate
+    arrays (`chamfer` at 20 Hz, `fill` at 50 Hz) and the other stages."""
+    out: dict[str, float] = {}
+    scored = ~np.isnan(chamfer)
+    out["chamfer_mean_cm"] = float(np.mean(chamfer[scored])) if scored.any() else np.nan
+    out["chamfer_windows"] = float(scored.sum())
+    out["chamfer_excluded"] = float((~scored).sum())
+    window = _step_window(cfg.scene_spec, cfg.success.window_margin)
+    if window is not None:
+        x = traj.pos[:, 0]
+        inside = (window[0] <= x) & (x <= window[1])
+        window_chamfer = chamfer[inside[::CHAMFER_EVERY] & scored]
+        window_fill = fill[inside[::CONTROL_EVERY]]
+        if len(window_chamfer):
+            out["window_chamfer_mean_cm"] = float(np.mean(window_chamfer))
+        if len(window_fill):
+            out["window_fill_fraction_max"] = float(np.max(window_fill))
+    if gt_traj.arc_lengths()[-1] >= 1.0 and (
+        cfg.odometry != "gt" or cfg.injected_drift.any()
+    ):
+        out["rte_mean_m"] = metrics.rte(est_traj, gt_traj).mean
+    rms, skipped = metrics.tracking_rms(
+        traj.t[::CONTROL_EVERY], est_vtrack[::CONTROL_EVERY], cfg.profile
+    )
+    out["tracking_rms_vx"] = float(rms[0])
+    out["tracking_rms_vy"] = float(rms[1])
+    out["tracking_rms_wz"] = float(rms[2])
+    out["tracking_segments_skipped"] = float(skipped)
+    out["reward_mean"] = reward_mean
+    out["obs_dim"] = float(obs_dim)
+    out["map_total_shift_m"] = float(total_shift)
+    out["truncated"] = float(traj.truncated)
+    if window is not None:
+        # a missing window value is NaN, which fails its comparison
+        out["success"] = float(
+            out.get("window_chamfer_mean_cm", np.nan) <= cfg.success.chamfer_cm
+            and out.get("window_fill_fraction_max", np.nan) <= cfg.success.max_fill_fraction
+        )
+    return out
 
 
 def run_step_sweep(cfg: ScenarioConfig) -> list[dict[str, float]]:

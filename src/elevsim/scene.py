@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import yaml
 
-from .geometry import Pose, rotz
+from .geometry import Pose, yaw_aligned_grid
 from .pointcloud import PointCloud
 
 GT_PATCH_RESOLUTION = 0.0175  # scanner-analog grid pitch
@@ -273,12 +273,7 @@ def ground_truth_patch(
     """
     nx = math.ceil(region[0] / resolution)
     ny = math.ceil(region[1] / resolution)
-    xs = (np.arange(nx) - (nx - 1) / 2) * resolution
-    ys = (np.arange(ny) - (ny - 1) / 2) * resolution
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    local = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    R = rotz(base_pose.yaw)[:2, :2]
-    world = local @ R.T + base_pose.position[:2]
+    world = yaw_aligned_grid(base_pose, nx, ny, resolution)
     z = hf.heights_at(world)
     ok = np.isfinite(z)
     clipped = int((~ok).sum())

@@ -194,17 +194,16 @@ def simulate_trajectory(
     gait: GaitParams,
     start_xy=(0.5, None),
     start_yaw: float = 0.0,
-    duration: float | None = None,
 ) -> Trajectory:
     """Integrate the commanded kinematic motion over the heightfield.
 
     If the base footprint leaves the heightfield the stream is truncated
-    and flagged.
+    and flagged; a start pose whose footprint is off the heightfield is a
+    ValueError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    duration = profile.total_duration if duration is None else duration
-    n = int(round(duration / dt)) + 1
+    n = int(round(profile.total_duration / dt)) + 1
     t = np.arange(n) * dt
     cmd = profile.at(t)
 
@@ -222,6 +221,9 @@ def simulate_trajectory(
 
     off_map = ~np.isfinite(foot_h).all(axis=1)
     truncated = bool(off_map.any())
+    if off_map[0]:
+        msg = f"start pose (x={sx}, y={sy}, yaw={start_yaw}) has its footprint off the terrain"
+        raise ValueError(msg)
     if truncated:
         n = int(np.argmax(off_map))
         log.warning("trajectory left the heightfield at t=%.3f", t[n])

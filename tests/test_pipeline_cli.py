@@ -59,6 +59,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="not finite"):
             ScenarioConfig.from_dict({**SHORT, "command": command})
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            [[0.5, [0.5, 0.0, 0.0]]],
+            [[0.7, [0.5, 0.0, 0.0]]],
+            [[0.7, [0.5, 0.0, 0.0]], [0.6, [0.4, 0.0, 0.3]]],
+        ],
+    )
+    def test_command_within_settle_time_rejected(self, command):
+        # tracking RMS discards the first 0.7 s of each segment, so it would
+        # have no samples to score
+        with pytest.raises(ValueError, match="settle time"):
+            ScenarioConfig.from_dict({**SHORT, "command": command})
+
+    def test_one_segment_past_settle_time_accepted(self):
+        command = [[0.5, [0.5, 0.0, 0.0]], [0.75, [0.5, 0.0, 0.0]]]
+        cfg = ScenarioConfig.from_dict({**SHORT, "command": command})
+        assert cfg.profile.total_duration == 1.25
+
     def test_unknown_scene_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig.from_dict({**SHORT, "scene": "volcano"})
@@ -156,6 +175,11 @@ class TestScenario:
         first.pop("wall_time_s"), second.pop("wall_time_s")
         assert first == second
 
+    def test_off_map_start_rejected(self):
+        cfg = ScenarioConfig.from_dict({**SHORT, "start_xy": [-1.0, 1.5]})
+        with pytest.raises(ValueError, match="start pose"):
+            run_scenario(cfg)
+
     def test_injected_drift_reported_via_rte(self):
         cfg = ScenarioConfig.from_dict({**SHORT, "injected_drift": [0.0, 0.0, 0.01]})
         m = run_scenario(cfg).metrics
@@ -235,6 +259,13 @@ class TestCli:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_command_within_settle_time_exits_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, {"command": [[0.5, [0.5, 0.0, 0.0]]]})
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "settle time" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_no_rear_camera_flag_tags_report(self, tmp_path):

@@ -143,6 +143,13 @@ class TestTrajectory:
         assert traj.truncated
         assert traj.t[-1] < 30.0
 
+    @pytest.mark.parametrize("start_xy", [(-1.0, 1.5), (0.1, 1.5), (4.0, 2.95)])
+    def test_off_map_start_rejected(self, flat_hf, start_xy):
+        # (0.1, 1.5) and (4.0, 2.95) have the base on the map but rear or
+        # left hips off it
+        with pytest.raises(ValueError, match=rf"start pose \(x={start_xy[0]}, y={start_xy[1]}"):
+            _run(CommandProfile.constant((0.5, 0.0, 0.0), 1.0), flat_hf, start_xy=start_xy)
+
     def test_base_climbs_obstacle(self, obstacle_hf):
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 9.0), obstacle_hf)
         assert traj.pos[:, 2].max() == pytest.approx(0.30 + GaitParams().trunk_height, abs=0.02)
