@@ -33,40 +33,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(path: Path, e: Exception) -> int:
+    print(f"config error in {path}: {e}", file=sys.stderr)
+    return 2
+
+
 def cmd_run(args) -> int:
     try:
         cfg = pipeline.ScenarioConfig.from_yaml(args.config)
+        overrides = {}
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        if args.out is not None or cfg.out_dir is None:
+            overrides["out_dir"] = args.out or Path("elevsim_out")
+        if args.no_rear_camera:
+            overrides["use_rear_camera"] = False
+            overrides["tag"] = (cfg.tag + "+no-rear") if cfg.tag else "no-rear"
+        if args.odometry is not None:
+            overrides["odometry"] = args.odometry
+        if args.snapshot_every is not None:
+            overrides["snapshot_every"] = args.snapshot_every
+        cfg = replace(cfg, **overrides)
     except Exception as e:  # config errors get a diagnostic, nonzero exit
-        print(f"config error in {args.config}: {e}", file=sys.stderr)
-        return 2
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.no_rear_camera:
-        overrides["use_rear_camera"] = False
-        overrides["tag"] = (cfg.tag + "+no-rear") if cfg.tag else "no-rear"
-    if args.odometry is not None:
-        overrides["odometry"] = args.odometry
-    if args.snapshot_every is not None:
-        overrides["snapshot_every"] = args.snapshot_every
-    cfg = replace(cfg, **overrides)
-    if cfg.out_dir is None:
-        cfg = replace(cfg, out_dir=Path("elevsim_out"))
-    if cfg.sweep_step_heights:
-        rows = pipeline.run_step_sweep(cfg)
-        for row in rows:
-            print(
-                f"step {row['step_height_m']:.3f} m: success={int(row.get('success', 0))}"
-                f" chamfer={row.get('window_chamfer_mean_cm', float('nan')):.3f} cm"
-            )
-    else:
-        result = pipeline.run_scenario(cfg)
-        for k, v in result.metrics.items():
-            print(f"{k} = {v:.6g}")
-        if result.truncated:
-            print("warning: trajectory left the terrain and was truncated", file=sys.stderr)
+        return _config_error(args.config, e)
+    try:
+        if cfg.sweep_step_heights:
+            for row in pipeline.run_step_sweep(cfg):
+                print(
+                    f"step {row['step_height_m']:.3f} m: success={int(row.get('success', 0))}"
+                    f" chamfer={row.get('window_chamfer_mean_cm', float('nan')):.3f} cm"
+                )
+        else:
+            result = pipeline.run_scenario(cfg)
+            for k, v in result.metrics.items():
+                print(f"{k} = {v:.6g}")
+            if result.truncated:
+                print("warning: trajectory left the terrain and was truncated", file=sys.stderr)
+    except scene.OutOfBoundsError as e:  # an off-terrain start, found as the run starts
+        return _config_error(args.config, e)
     print(f"reports written to {cfg.out_dir}")
     return 0
 
@@ -75,10 +79,12 @@ def cmd_compare(args) -> int:
     table = pipeline.compare_runs(args.reports)
     width = max(len(name) for name, _, _ in table)
     header = " | ".join(p.parent.name or str(p) for p in args.reports)
-    print(f"{'metric':<{width}} | {header} | delta%")
-    for name, vals, delta in table:
+    # one delta column per run but the last, each relative to the last run
+    delta_header = " | ".join(["delta%"] * (len(args.reports) - 1))
+    print(f"{'metric':<{width}} | {header} | {delta_header}")
+    for name, vals, deltas in table:
         cells = " | ".join("-" if v is None else f"{v:.6g}" for v in vals)
-        d = "-" if delta is None else f"{delta:+.2f}%"
+        d = " | ".join("-" if delta is None else f"{delta:+.2f}%" for delta in deltas)
         print(f"{name:<{width}} | {cells} | {d}")
     return 0
 
@@ -87,8 +93,7 @@ def cmd_export_scene(args) -> int:
     try:
         cfg = pipeline.ScenarioConfig.from_yaml(args.config)
     except Exception as e:
-        print(f"config error in {args.config}: {e}", file=sys.stderr)
-        return 2
+        return _config_error(args.config, e)
     hf = scene.build_scene(cfg.scene_spec, cfg.scene_resolution)
     hf.to_csv(args.out)
     print(f"heightfield {hf.extent[0]}x{hf.extent[1]} written to {args.out}")

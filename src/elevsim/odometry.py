@@ -1,7 +1,7 @@
 """Synthetic odometry sources and their loosely-coupled EKF fusion.
 
 Three sources are derived from the ground-truth trajectory: a body-frame
-velocity estimator (50 Hz), an IMU orientation/rate stream (200 Hz), and a
+velocity estimator (50 Hz), an IMU orientation stream (200 Hz), and a
 drifting pose source standing in for visual-inertial odometry (90 Hz, with
 dropout windows). The EKF treats IMU orientation as a direct input, predicts
 position from the fused velocity, and applies velocity / pose measurement
@@ -34,10 +34,9 @@ class EstimatorErrors:
 @dataclass
 class ImuErrors:
     orient_sigma: float = 0.002  # rad, per-axis small-angle
-    gyro_sigma: float = 0.01  # rad/s
 
     def __post_init__(self):
-        if self.orient_sigma < 0 or self.gyro_sigma < 0:
+        if self.orient_sigma < 0:
             raise ValueError("sigma must be non-negative")
 
 
@@ -71,6 +70,10 @@ class SourceStreams:
     vio_pos: np.ndarray  # (Nv, 3)
 
 
+SOURCE_RATES = (50.0, 200.0, 90.0)  # Hz: velocity estimator, IMU, VIO
+INITIAL_COV = 1e-6  # per-state variance of the filter's initial covariance
+
+
 def _nearest_states(ts: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Index of the tick in `ts` nearest to each of `times`."""
     idx = np.clip(np.searchsorted(ts, times), 0, len(ts) - 1)
@@ -82,7 +85,6 @@ def make_source_streams(
     traj: Trajectory,
     model: SourceErrorModel,
     seed: int,
-    rates: tuple[float, float, float] = (50.0, 200.0, 90.0),
 ) -> SourceStreams:
     """Sample the three sources from ground truth. Deterministic per seed.
 
@@ -95,7 +97,7 @@ def make_source_streams(
     root = np.random.SeedSequence(seed)
     rng_est, rng_imu, rng_vio = (np.random.default_rng(s) for s in root.spawn(3))
 
-    est_rate, imu_rate, vio_rate = rates
+    est_rate, imu_rate, vio_rate = SOURCE_RATES
     est_t = np.arange(0.0, t_end + 1e-9, 1.0 / est_rate)
     imu_t = np.arange(0.0, t_end + 1e-9, 1.0 / imu_rate)
     vio_t = np.arange(0.0, t_end + 1e-9, 1.0 / vio_rate)
@@ -140,14 +142,14 @@ class EkfConfig:
     q_vel: float = 1e-3
     r_vel: float = 2.5e-3  # velocity measurement variance, m^2/s^2
     r_pos: float = 1e-4  # pose measurement variance, m^2
-    r_att: float = 1e-5  # attitude pseudo-measurement variance, rad^2
     gate: float = 9.0  # Mahalanobis rejection threshold
 
 
 @dataclass
 class EkfState:
-    """Fused pose/velocity with a 9x9 covariance over
-    (position, velocity, attitude error)."""
+    """Fused position/velocity with a 6x6 covariance over (position,
+    velocity). `quat` is the latest IMU orientation; it rotates body-frame
+    velocity samples into the world frame and is not estimated."""
 
     position: np.ndarray
     velocity: np.ndarray
@@ -159,7 +161,7 @@ class EkfState:
         self.position = np.asarray(self.position, dtype=float).reshape(3)
         self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
         self.quat = quat_normalize(self.quat)
-        self.cov = np.asarray(self.cov, dtype=float).reshape(9, 9)
+        self.cov = np.asarray(self.cov, dtype=float).reshape(6, 6)
 
 
 def _check_psd(P: np.ndarray, context: str) -> np.ndarray:
@@ -185,17 +187,12 @@ class OdometryEkf:
         if dt <= 0:
             raise ValueError("dt must be positive")
         s, c = self.state, self.cfg
-        F = np.eye(9)
+        F = np.eye(6)
         F[0:3, 3:6] = dt * np.eye(3)
-        Q = np.zeros((9, 9))
+        Q = np.zeros((6, 6))
         Q[0:3, 0:3] = c.q_pos * dt * np.eye(3)
         Q[3:6, 3:6] = c.q_vel * dt * np.eye(3)
         P = F @ s.cov @ F.T + Q
-        # orientation comes straight from the IMU, so its error stays at the
-        # IMU noise level and decorrelates from the translational states
-        P[6:9, 6:9] = np.eye(3) * c.r_att
-        P[0:6, 6:9] = 0.0
-        P[6:9, 0:6] = 0.0
         P = _check_psd(P, "predict")
         self.state = EkfState(
             position=s.position + s.velocity * dt,
@@ -214,7 +211,7 @@ class OdometryEkf:
             return False
         K = s.cov @ H.T @ np.linalg.inv(S)
         dx = K @ innovation
-        I_KH = np.eye(9) - K @ H
+        I_KH = np.eye(6) - K @ H
         P = I_KH @ s.cov @ I_KH.T + K @ R @ K.T  # Joseph form
         P = _check_psd(P, "update")
         self.state = replace(
@@ -228,7 +225,7 @@ class OdometryEkf:
     def update_velocity(self, v_body: np.ndarray) -> bool:
         """World-frame velocity update from a body-frame estimator sample."""
         z = quat_rotate(self.state.quat, np.asarray(v_body, dtype=float))
-        H = np.zeros((3, 9))
+        H = np.zeros((3, 6))
         H[:, 3:6] = np.eye(3)
         ok = self._update(H, z - self.state.velocity, self.cfg.r_vel * np.eye(3))
         if not ok:
@@ -237,7 +234,7 @@ class OdometryEkf:
 
     def update_pose(self, position: np.ndarray) -> bool:
         """Position update from the drifting pose (VIO stand-in) source."""
-        H = np.zeros((3, 9))
+        H = np.zeros((3, 6))
         H[:, 0:3] = np.eye(3)
         ok = self._update(
             H, np.asarray(position, dtype=float) - self.state.position,
@@ -290,12 +287,12 @@ def fuse_streams(
     return FusedTrajectory(t=np.array(ts), positions=np.array(ps), velocities=np.array(vs))
 
 
-def initial_state_from(state: RobotState, cov_scale: float = 1e-6) -> EkfState:
+def initial_state_from(state: RobotState) -> EkfState:
     v_world = quat_rotate(state.quat, state.lin_vel_body)
     return EkfState(
         position=state.position.copy(),
         velocity=v_world,
         quat=state.quat.copy(),
-        cov=np.eye(9) * cov_scale,
+        cov=np.eye(6) * INITIAL_COV,
         t=state.t,
     )

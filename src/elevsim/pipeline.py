@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,7 @@ class ScenarioConfig:
     odometry: str = "gt"
     use_rear_camera: bool = True
     drift_compensation: bool = True
-    injected_drift: np.ndarray = field(default_factory=lambda: np.zeros(3))  # m/s
+    injected_drift: np.ndarray = (0.0, 0.0, 0.0)  # m/s
     front_camera: CameraModel = field(default_factory=default_front_camera)
     rear_camera: CameraModel = field(default_factory=default_rear_camera)
     gait: GaitParams = field(default_factory=GaitParams)
@@ -101,6 +101,11 @@ class ScenarioConfig:
         if self.odometry not in ODOMETRY_MODES:
             raise ValueError(f"odometry mode must be one of {ODOMETRY_MODES}")
         self.injected_drift = np.asarray(self.injected_drift, dtype=float).reshape(3)
+        self.start_xy = tuple(self.start_xy)
+        if self.out_dir is not None:
+            self.out_dir = Path(self.out_dir)
+        if self.snapshot_every is not None and not 0 < self.snapshot_every < np.inf:
+            raise ValueError(f"snapshot_every must be positive and finite: {self.snapshot_every}")
         settle = metrics.TRACKING_SETTLE_S
         if all(t1 - t0 <= settle for t0, t1, _ in self.profile.boundaries()):
             raise ValueError(f"no command segment outlasts the {settle} s tracking settle time")
@@ -119,30 +124,9 @@ class ScenarioConfig:
             raise ValueError(f"unknown scene {sc!r}")
         cmd = d.pop("command", [[12.0, [0.5, 0.0, 0.0]]])
         profile = CommandProfile([(float(dur), tuple(c)) for dur, c in cmd])
-        kwargs: dict = {}
-        for key in (
-            "seed",
-            "odometry",
-            "use_rear_camera",
-            "drift_compensation",
-            "scene_resolution",
-            "map_resolution",
-            "map_size",
-            "drift_gate",
-            "drift_min_points",
-            "start_yaw",
-            "snapshot_every",
-            "tag",
-            "sweep_step_heights",
-        ):
-            if key in d:
-                kwargs[key] = d.pop(key)
-        if "injected_drift" in d:
-            kwargs["injected_drift"] = np.asarray(d.pop("injected_drift"), dtype=float)
-        if "start_xy" in d:
-            kwargs["start_xy"] = tuple(d.pop("start_xy"))
-        if "out_dir" in d:
-            kwargs["out_dir"] = Path(d.pop("out_dir"))
+        # scalar knobs: the fields with a plain default, coerced in __post_init__
+        scalars = {f.name for f in fields(cls) if f.default is not MISSING}
+        kwargs = {key: d.pop(key) for key in scalars & d.keys()}
         if "sensor_noise" in d:
             sn = d.pop("sensor_noise")
             for cam_key in ("front_camera", "rear_camera"):
@@ -490,20 +474,22 @@ def read_metrics_csv(path) -> dict[str, float]:
     return out
 
 
-def compare_runs(paths: list) -> list[tuple[str, list[float | None], float | None]]:
+def compare_runs(paths: list) -> list[tuple[str, list[float | None], list[float | None]]]:
     """Side-by-side metric comparison; deltas are percentages of each run
-    relative to the last one. Metrics missing from a run are left as gaps.
+    but the last relative to the last one. Metrics missing from a run are
+    left as gaps, and so are their deltas.
     """
     if len(paths) < 2:
         raise ValueError("need at least two reports to compare")
     reports = [read_metrics_csv(p) for p in paths]
     names = sorted(set().union(*[set(r) for r in reports]))
     table = []
-    base = reports[-1]
     for name in names:
         vals = [r.get(name) for r in reports]
-        delta = None
-        if vals[0] is not None and name in base and base[name] != 0:
-            delta = (vals[0] - base[name]) / base[name] * 100.0
-        table.append((name, vals, delta))
+        base = vals[-1]
+        deltas = [
+            None if v is None or base is None or base == 0 else (v - base) / base * 100.0
+            for v in vals[:-1]
+        ]
+        table.append((name, vals, deltas))
     return table

@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import Pose, quat_conj, quat_from_euler, quat_rotate, rotz
 from .pointcloud import PointCloud, empty_cloud
-from .scene import Heightfield
+from .scene import Heightfield, OutOfBoundsError
 
 log = logging.getLogger(__name__)
 
@@ -74,7 +74,6 @@ class CameraModel:
     height: int
     min_range: float
     max_range: float
-    rate: float = 30.0
     noise_sigma0: float = 0.0  # range noise: sigma(r) = sigma0 + k * r^2
     noise_k: float = 0.0
     dropout: float = 0.0
@@ -84,8 +83,6 @@ class CameraModel:
             raise ValueError("fov must lie in (0, pi)")
         if not (0 <= self.min_range < self.max_range):
             raise ValueError("need 0 <= min_range < max_range")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
 
     def ray_directions(self) -> np.ndarray:
         """Unit ray directions in the sensor frame (x forward, y left, z up);
@@ -198,8 +195,8 @@ def simulate_trajectory(
     """Integrate the commanded kinematic motion over the heightfield.
 
     If the base footprint leaves the heightfield the stream is truncated
-    and flagged; a start pose whose footprint is off the heightfield is a
-    ValueError.
+    and flagged; a start pose whose footprint is off the heightfield is an
+    OutOfBoundsError (a ValueError).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -223,7 +220,7 @@ def simulate_trajectory(
     truncated = bool(off_map.any())
     if off_map[0]:
         msg = f"start pose (x={sx}, y={sy}, yaw={start_yaw}) has its footprint off the terrain"
-        raise ValueError(msg)
+        raise OutOfBoundsError(msg)
     if truncated:
         n = int(np.argmax(off_map))
         log.warning("trajectory left the heightfield at t=%.3f", t[n])

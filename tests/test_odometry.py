@@ -1,6 +1,9 @@
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
+from elevsim import odometry
 from elevsim.geometry import quat_from_yaw, quat_mul, quat_normalize, quat_rotate
 from elevsim.odometry import (
     EkfConfig,
@@ -19,7 +22,7 @@ from elevsim.odometry import (
 def _noiseless_model(bias=(0.0, 0.0, 0.0)):
     return SourceErrorModel(
         estimator=EstimatorErrors(vel_sigma=np.zeros(3), bias=np.array(bias)),
-        imu=ImuErrors(orient_sigma=0.0, gyro_sigma=0.0),
+        imu=ImuErrors(orient_sigma=0.0),
         vio=VioErrors(walk_rate=0.0, sample_sigma=0.0),
     )
 
@@ -29,7 +32,7 @@ def _initial(position=(0, 0, 0), velocity=(0, 0, 0), quat=None, cov=1e-6):
         position=np.asarray(position, dtype=float),
         velocity=np.asarray(velocity, dtype=float),
         quat=np.array([1.0, 0, 0, 0]) if quat is None else quat,
-        cov=np.eye(9) * cov,
+        cov=np.eye(6) * cov,
         t=0.0,
     )
 
@@ -67,6 +70,81 @@ def _reference_streams(traj, model, seed):
     columns = dict(est_t=est_t, est_v=est_v, imu_t=imu_t, imu_quat=imu_quat)
     columns.update(vio_t=vio_t, vio_pos=vio_pos)
     return {name: np.array(col) for name, col in columns.items()}
+
+
+@dataclass
+class _NineState:
+    """EkfState with a 9x9 covariance over (position, velocity, attitude
+    error); like EkfState, it normalizes the quaternion on construction."""
+
+    position: np.ndarray
+    velocity: np.ndarray
+    quat: np.ndarray
+    cov: np.ndarray
+    t: float
+
+    def __post_init__(self):
+        self.quat = quat_normalize(self.quat)
+
+
+class _NineStateEkf(OdometryEkf):
+    """The earlier nine-state filter, the oracle for the six-state one: its
+    attitude block is reset on every predict and read by no update."""
+
+    R_ATT = 1e-5  # attitude pseudo-measurement variance, rad^2
+
+    def __init__(self, initial, cfg=None):
+        # the IMU sample at t = 0 replaces the initial quaternion before any
+        # update reads it
+        super().__init__(_NineState(initial.position, initial.velocity, initial.quat,
+                                    np.eye(9) * odometry.INITIAL_COV, initial.t), cfg)
+
+    def predict(self, imu_quat, dt):
+        s, c = self.state, self.cfg
+        F = np.eye(9)
+        F[0:3, 3:6] = dt * np.eye(3)
+        Q = np.zeros((9, 9))
+        Q[0:3, 0:3] = c.q_pos * dt * np.eye(3)
+        Q[3:6, 3:6] = c.q_vel * dt * np.eye(3)
+        P = F @ s.cov @ F.T + Q
+        P[6:9, 6:9] = np.eye(3) * self.R_ATT
+        P[0:6, 6:9] = 0.0
+        P[6:9, 0:6] = 0.0
+        P = odometry._check_psd(P, "predict")
+        self.state = _NineState(s.position + s.velocity * dt, s.velocity, imu_quat, P, s.t + dt)
+        return self.state
+
+    def _update(self, H, innovation, R):
+        s, c = self.state, self.cfg
+        H = np.hstack([H, np.zeros((3, 3))])
+        S = H @ s.cov @ H.T + R
+        maha = float(innovation @ np.linalg.solve(S, innovation))
+        if maha > c.gate:
+            return False
+        K = s.cov @ H.T @ np.linalg.inv(S)
+        dx = K @ innovation
+        I_KH = np.eye(9) - K @ H
+        P = I_KH @ s.cov @ I_KH.T + K @ R @ K.T
+        P = odometry._check_psd(P, "update")
+        self.state = replace(
+            s, position=s.position + dx[0:3], velocity=s.velocity + dx[3:6], cov=P
+        )
+        return True
+
+
+def _fuse_with(monkeypatch, ekf_cls, streams, initial, use_vio):
+    """`fuse_streams` run with `ekf_cls` as its filter; returns the fused
+    trajectory and the filter, for its reject counters."""
+    made = []
+
+    class Recorded(ekf_cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(odometry, "OdometryEkf", Recorded)
+    fused = fuse_streams(streams, initial, use_vio=use_vio)
+    return fused, made[0]
 
 
 class TestSourceStreams:
@@ -206,6 +284,28 @@ class TestFusion:
         a = fuse_streams(streams, initial_state_from(short_trajectory.state(0)))
         b = fuse_streams(streams, initial_state_from(short_trajectory.state(0)))
         np.testing.assert_array_equal(a.positions, b.positions)
+
+
+class TestSixStateMatchesNineState:
+    @pytest.mark.parametrize("use_vio", [True, False])
+    def test_same_bits_and_rejects(self, monkeypatch, short_trajectory, use_vio):
+        # noisy enough that the gate rejects about a quarter of the velocity
+        # and, with VIO, of the pose updates
+        model = SourceErrorModel(
+            estimator=EstimatorErrors(vel_sigma=np.full(3, 0.08)),
+            vio=VioErrors(walk_rate=0.02, sample_sigma=0.01, dropouts=((0.6, 1.2),)),
+        )
+        streams = make_source_streams(short_trajectory, model, seed=11)
+        initial = initial_state_from(short_trajectory.state(0))
+        six, ekf6 = _fuse_with(monkeypatch, OdometryEkf, streams, initial, use_vio)
+        nine, ekf9 = _fuse_with(monkeypatch, _NineStateEkf, streams, initial, use_vio)
+        assert ekf6.state.cov.shape == (6, 6) and ekf9.state.cov.shape == (9, 9)
+        for name in ("t", "positions", "velocities"):
+            assert getattr(six, name).tobytes() == getattr(nine, name).tobytes(), name
+        assert ekf6.rejected_velocity == ekf9.rejected_velocity > 0
+        assert ekf6.rejected_pose == ekf9.rejected_pose
+        if use_vio:
+            assert ekf6.rejected_pose > 0
 
 
 def test_error_model_validation():

@@ -1,4 +1,6 @@
 import copy
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,9 +44,30 @@ class TestRates:
 
 class TestConfig:
     def test_unknown_keys_rejected(self):
-        for key in ("bogus", "sweep_duration"):
+        # fields without a plain default are not scalar knobs
+        for key in ("bogus", "sweep_duration", "gait", "ekf", "variance_model",
+                    "front_camera", "scene_spec", "profile"):
             with pytest.raises(ValueError, match="unknown config keys"):
                 ScenarioConfig.from_dict({**SHORT, key: 1})
+
+    def test_gyro_sigma_rejected(self):
+        with pytest.raises(TypeError, match="gyro_sigma"):
+            ScenarioConfig.from_dict({**SHORT, "source_errors": {"imu": {"gyro_sigma": 0.01}}})
+
+    def test_scalar_knobs_coerced(self, tmp_path):
+        cfg = ScenarioConfig.from_dict(
+            {**SHORT, "injected_drift": [0, 0, 1], "start_xy": [1.0, 1.5], "out_dir": "runs/a"}
+        )
+        assert cfg.injected_drift.dtype == float and cfg.injected_drift.tolist() == [0, 0, 1]
+        assert cfg.start_xy == (1.0, 1.5) and cfg.out_dir == Path("runs/a")
+        # replace() goes through the same coercions
+        cfg = replace(cfg, start_xy=[0.9, None], out_dir=str(tmp_path))
+        assert cfg.start_xy == (0.9, None) and cfg.out_dir == tmp_path
+
+    @pytest.mark.parametrize("every", [0, 0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_snapshot_every_rejected(self, every):
+        with pytest.raises(ValueError, match="snapshot_every"):
+            ScenarioConfig.from_dict({**SHORT, "snapshot_every": every})
 
     @pytest.mark.parametrize(
         "command",
@@ -218,8 +241,23 @@ class TestSweepAndCompare:
         write_metrics(a, {"chamfer_mean_cm": 1.416}, "two-cam")
         write_metrics(b, {"chamfer_mean_cm": 1.982}, "front-only")
         table = compare_runs([a / "metrics.csv", b / "metrics.csv"])
-        row = dict((name, delta) for name, _, delta in table)
-        assert row["chamfer_mean_cm"] == pytest.approx(-28.56, abs=0.01)
+        row = dict((name, deltas) for name, _, deltas in table)
+        assert row["chamfer_mean_cm"] == [pytest.approx(-28.56, abs=0.01)]
+
+    def test_compare_runs_delta_for_every_run(self, tmp_path):
+        paths = []
+        for name, values in (
+            ("a", {"chamfer_mean_cm": 1.5, "rte_mean_m": 0.2}),
+            ("b", {"chamfer_mean_cm": 3.0}),
+            ("c", {"chamfer_mean_cm": 2.0, "rte_mean_m": 0.0}),
+        ):
+            (tmp_path / name).mkdir()
+            write_metrics(tmp_path / name, values, name)
+            paths.append(tmp_path / name / "metrics.csv")
+        table = {name: (vals, deltas) for name, vals, deltas in compare_runs(paths)}
+        assert table["chamfer_mean_cm"] == ([1.5, 3.0, 2.0], [-25.0, 50.0])
+        # a gap in a run, or a zero in the last run, leaves its delta empty
+        assert table["rte_mean_m"] == ([0.2, None, 0.0], [None, None])
 
     def test_compare_needs_two_reports(self, tmp_path):
         with pytest.raises(ValueError):
@@ -268,6 +306,22 @@ class TestCli:
         assert "settle time" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_run_off_map_start_exits_2(self, tmp_path, capsys):
+        # found as the run starts, after the scene is built
+        cfg = self._write_cfg(tmp_path, {"start_xy": [-1.0, 1.5]})
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_bad_snapshot_every_flag_exits_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out), "--snapshot-every", "-1"])
+        assert rc == 2
+        assert "snapshot_every" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_rear_camera_flag_tags_report(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
         out = tmp_path / "out"
@@ -285,6 +339,17 @@ class TestCli:
         rc = main(["compare", str(a / "metrics.csv"), str(b / "metrics.csv")])
         assert rc == 0
         assert "-28.56%" in capsys.readouterr().out
+
+    def test_compare_verb_three_reports(self, tmp_path, capsys):
+        paths = []
+        for name, value in (("a", 1.5), ("b", 3.0), ("c", 2.0)):
+            (tmp_path / name).mkdir()
+            write_metrics(tmp_path / name, {"chamfer_mean_cm": value}, "")
+            paths.append(str(tmp_path / name / "metrics.csv"))
+        assert main(["compare", *paths]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.endswith("| a | b | c | delta% | delta%")
+        assert row.endswith("| 1.5 | 3 | 2 | -25.00% | +50.00%")
 
     def test_export_scene_verb(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
