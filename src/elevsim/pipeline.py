@@ -3,14 +3,14 @@
 One scenario: build terrain, integrate the kinematic trajectory, derive the
 odometry estimate (ground truth or EKF fusion, optionally with an injected
 constant drift), render and filter depth clouds, maintain the elevation map
-with drift compensation, build observations and rewards at the control rate,
-and score the run with the evaluation metrics. Everything is driven by one
-seed hierarchy: identical config + seed gives byte-identical outputs.
+with drift compensation, sample the height grid at the control rate for its
+default-fill fraction, and score the run with the reward and the evaluation
+metrics. Everything is driven by one seed hierarchy: identical config + seed
+gives byte-identical outputs.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -79,11 +79,6 @@ class ScenarioConfig:
     source_errors: SourceErrorModel = field(default_factory=SourceErrorModel)
     ekf: EkfConfig = field(default_factory=EkfConfig)
     variance_model: SensorVarianceModel = field(default_factory=SensorVarianceModel)
-    height_noise: obsbuilder.HeightNoiseState = field(
-        default_factory=lambda: obsbuilder.HeightNoiseState(
-            sample_sigma=0.0, bias_sigma=np.zeros(3)
-        )
-    )
     scene_resolution: float = 0.0175
     map_resolution: float = 0.025
     map_size: float = 5.0
@@ -106,6 +101,8 @@ class ScenarioConfig:
             self.out_dir = Path(self.out_dir)
         if self.snapshot_every is not None and not 0 < self.snapshot_every < np.inf:
             raise ValueError(f"snapshot_every must be positive and finite: {self.snapshot_every}")
+        if self.sweep_step_heights and self.snapshot_every is not None:
+            raise ValueError("snapshot_every is not supported in a step sweep")
         settle = metrics.TRACKING_SETTLE_S
         if all(t1 - t0 <= settle for t0, t1, _ in self.profile.boundaries()):
             raise ValueError(f"no command segment outlasts the {settle} s tracking settle time")
@@ -128,7 +125,7 @@ class ScenarioConfig:
         scalars = {f.name for f in fields(cls) if f.default is not MISSING}
         kwargs = {key: d.pop(key) for key in scalars & d.keys()}
         if "sensor_noise" in d:
-            sn = d.pop("sensor_noise")
+            sn = _section(d, "sensor_noise", ("sigma0", "k", "dropout"))
             for cam_key in ("front_camera", "rear_camera"):
                 cam = (
                     default_front_camera()
@@ -142,13 +139,15 @@ class ScenarioConfig:
                     dropout=float(sn.get("dropout", 0.0)),
                 )
         if "height_noise" in d:
-            hn = d.pop("height_noise")
-            kwargs["height_noise"] = obsbuilder.HeightNoiseState(
+            # the policy's observation noise: no run output reads it, so the
+            # section is validated and then discarded
+            hn = _section(d, "height_noise", ("sample_sigma", "bias_sigma"))
+            obsbuilder.HeightNoiseState(
                 sample_sigma=float(hn.get("sample_sigma", 0.0)),
                 bias_sigma=np.asarray(hn.get("bias_sigma", [0, 0, 0]), dtype=float),
             )
         if "source_errors" in d:
-            se = d.pop("source_errors")
+            se = _section(d, "source_errors", ("estimator", "imu", "vio"))
             kwargs["source_errors"] = SourceErrorModel(
                 estimator=EstimatorErrors(**se.get("estimator", {})),
                 imu=ImuErrors(**se.get("imu", {})),
@@ -171,6 +170,17 @@ class ScenarioConfig:
     def from_yaml(cls, path) -> "ScenarioConfig":
         with open(path) as f:
             return cls.from_dict(yaml.safe_load(f) or {})
+
+
+def _section(d: dict, name: str, keys: tuple[str, ...]) -> dict:
+    """Pops config section `name`; a key outside `keys` is an error."""
+    section = d.pop(name)
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be a mapping, got {section!r}")
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {unknown}")
+    return section
 
 
 @dataclass
@@ -226,9 +236,12 @@ def _step_window(spec: scene.SceneSpec, margin: float) -> tuple[float, float] | 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Stages: precompute, one map loop over the ticks, reward, report."""
+    if cfg.snapshot_every is not None and cfg.out_dir is None:
+        raise ValueError("snapshot_every needs an out_dir to write the snapshots to")
     t_start = time.perf_counter()
+    # child 2 fed the height noise that was dropped; odometry keeps child 3
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-    rng_front, rng_rear, rng_heights = (np.random.default_rng(s) for s in seeds[:3])
+    rng_front, rng_rear = (np.random.default_rng(s) for s in seeds[:2])
     odom_seed = int(seeds[3].generate_state(1)[0])
 
     hf = scene.build_scene(cfg.scene_spec, cfg.scene_resolution)
@@ -251,15 +264,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         size=cfg.map_size,
         center=est_pos[0][:2],
     )
-    history = obsbuilder.HistoryBuffer()
-    # bias resampling mutates the noise state; the config stays untouched
-    height_noise = copy.deepcopy(cfg.height_noise)
     default_rel = -cfg.gait.trunk_height
     # per-rate results: the default-fill fraction of each control tick and
     # the chamfer (cm) of each chamfer tick, NaN where it was excluded
     fill = np.empty(len(traj.t[::CONTROL_EVERY]))
     chamfer = np.full(len(traj.t[::CHAMFER_EVERY]), np.nan)
-    next_snapshot = 0.0 if cfg.snapshot_every and cfg.out_dir is not None else None
+    next_snapshot = 0.0 if cfg.snapshot_every else None
     if cfg.out_dir is not None:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -289,27 +299,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
         if i % CONTROL_EVERY == 0:
             emap.recenter(est_pos[i][:2])
-            samples, positions, filled = obsbuilder.sample_heights(
-                emap, est_pose, default_rel
-            )
-            noisy = obsbuilder.apply_height_noise(
-                samples,
-                positions,
-                height_noise,
-                st.t,
-                emap,
-                rng_heights,
-                est_pos[i][2],
-                default_rel,
-            )
-            frame = obsbuilder.ObservationFrame(
-                command=cfg.profile.at(st.t),
-                q=st.q,
-                dq=st.dq,
-                gravity=obsbuilder.projected_gravity(st.quat),
-                heights=noisy,
-            )
-            obs = history.push_and_flatten(frame)
+            filled = obsbuilder.sample_heights(emap, est_pose, default_rel)[2]
             fill[i // CONTROL_EVERY] = filled.mean()
 
         if i % CHAMFER_EVERY == 0:
@@ -326,7 +316,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         t=gt_traj.t.copy(), positions=est_pos, quats=est_quat
     )
     out = _report(cfg, traj, gt_traj, est_traj, est_vtrack, chamfer, fill,
-                  _reward_mean(cfg, traj, hf), len(obs), emap.total_shift)
+                  _reward_mean(cfg, traj, hf), emap.total_shift)
     out["wall_time_s"] = round(time.perf_counter() - t_start, 3)
 
     if cfg.out_dir is not None:
@@ -363,7 +353,7 @@ def _reward_mean(cfg: ScenarioConfig, traj: Trajectory, hf: scene.Heightfield) -
 
 def _report(cfg: ScenarioConfig, traj: Trajectory, gt_traj: metrics.TrajectorySamples,
             est_traj: metrics.TrajectorySamples, est_vtrack: np.ndarray,
-            chamfer: np.ndarray, fill: np.ndarray, reward_mean: float, obs_dim: int,
+            chamfer: np.ndarray, fill: np.ndarray, reward_mean: float,
             total_shift: float) -> dict[str, float]:
     """The run's metrics in report order, from the map loop's per-rate
     arrays (`chamfer` at 20 Hz, `fill` at 50 Hz) and the other stages."""
@@ -394,7 +384,8 @@ def _report(cfg: ScenarioConfig, traj: Trajectory, gt_traj: metrics.TrajectorySa
     out["tracking_rms_wz"] = float(rms[2])
     out["tracking_segments_skipped"] = float(skipped)
     out["reward_mean"] = reward_mean
-    out["obs_dim"] = float(obs_dim)
+    # the policy input size: a history of observation frames
+    out["obs_dim"] = float(obsbuilder.HISTORY_STEPS * obsbuilder.FRAME_DIM)
     out["map_total_shift_m"] = float(total_shift)
     out["truncated"] = float(traj.truncated)
     if window is not None:

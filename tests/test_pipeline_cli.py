@@ -1,5 +1,5 @@
 import copy
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,27 @@ SHORT = {
 }
 
 
+# misspelled section keys: each must be an error, not zero noise
+MISSPELLED_SECTIONS = {
+    "sensor_noise": {"sigma": 0.01, "drop_out": 0.5},
+    "height_noise": {"sigma": 0.1},
+}
+HEIGHT_NOISE = {"sample_sigma": 0.005, "bias_sigma": [0.01, 0.01, 0.01]}
+
+
+def _same(a, b) -> bool:
+    """Deep equality over dataclasses, arrays and sequences."""
+    if type(a) is not type(b):
+        return False
+    if is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 @pytest.fixture(scope="module")
 def short_result():
     return run_scenario(ScenarioConfig.from_dict(dict(SHORT)))
@@ -49,6 +70,30 @@ class TestConfig:
                     "front_camera", "scene_spec", "profile"):
             with pytest.raises(ValueError, match="unknown config keys"):
                 ScenarioConfig.from_dict({**SHORT, key: 1})
+        # misspelled keys inside a section are named too
+        for section, value, bad in (
+            ("sensor_noise", MISSPELLED_SECTIONS["sensor_noise"], "drop_out"),
+            ("height_noise", MISSPELLED_SECTIONS["height_noise"], "sigma"),
+            ("source_errors", {"imu": {}, "odom": {}}, "odom"),
+        ):
+            with pytest.raises(ValueError, match=f"unknown {section} keys.*{bad}"):
+                ScenarioConfig.from_dict({**SHORT, section: value})
+            with pytest.raises(ValueError, match=f"{section} must be a mapping"):
+                ScenarioConfig.from_dict({**SHORT, section: None})
+
+    def test_height_noise_validated_and_discarded(self):
+        assert "height_noise" not in {f.name for f in fields(ScenarioConfig)}
+        with_section = ScenarioConfig.from_dict({**SHORT, "height_noise": HEIGHT_NOISE})
+        assert _same(with_section, ScenarioConfig.from_dict(SHORT))
+        # a bad value still fails in the noise model
+        with pytest.raises(ValueError):
+            ScenarioConfig.from_dict({**SHORT, "height_noise": {"bias_sigma": [0.1, 0.1]}})
+
+    def test_snapshot_every_in_sweep_rejected(self):
+        with pytest.raises(ValueError, match="snapshot_every"):
+            ScenarioConfig.from_dict(
+                {**SHORT, "sweep_step_heights": [0.1], "snapshot_every": 0.25, "out_dir": "sweep"}
+            )
 
     def test_gyro_sigma_rejected(self):
         with pytest.raises(TypeError, match="gyro_sigma"):
@@ -185,18 +230,27 @@ class TestScenario:
             {
                 **SHORT,
                 "command": [[2.0, [0.5, 0.0, 0.0]]],
-                "height_noise": {"sample_sigma": 0.005, "bias_sigma": [0.01, 0.01, 0.01]},
+                "odometry": "ekf-vio",
+                "sensor_noise": {"sigma0": 0.003, "k": 0.005, "dropout": 0.02},
+                "source_errors": {"vio": {"dropouts": [[0.5, 1.0]]}},
+                "injected_drift": [0.01, 0.0, 0.0],
+                "start_xy": [1.6, 1.45],
             }
         )
-        before = copy.deepcopy(cfg.height_noise)
+        before = copy.deepcopy(cfg)
         first = run_scenario(cfg).metrics
-        after = cfg.height_noise
-        assert after.last_resample == before.last_resample
-        for name in ("bias", "bias_sigma", "sample_sigma", "period"):
-            np.testing.assert_array_equal(getattr(after, name), getattr(before, name))
+        for f in fields(ScenarioConfig):
+            assert _same(getattr(cfg, f.name), getattr(before, f.name)), f.name
         second = run_scenario(cfg).metrics
         first.pop("wall_time_s"), second.pop("wall_time_s")
         assert first == second
+
+    def test_snapshot_every_without_out_dir_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = ScenarioConfig.from_dict({**SHORT, "snapshot_every": 0.25})
+        with pytest.raises(ValueError, match="out_dir"):
+            run_scenario(cfg)
+        assert not list(tmp_path.iterdir())
 
     def test_off_map_start_rejected(self):
         cfg = ScenarioConfig.from_dict({**SHORT, "start_xy": [-1.0, 1.5]})
@@ -321,6 +375,23 @@ class TestCli:
         assert rc == 2
         assert "snapshot_every" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_misspelled_section_key_exits_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, MISSPELLED_SECTIONS)
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unknown sensor_noise keys" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_snapshot_every_with_default_out_dir(self, tmp_path, monkeypatch):
+        # the YAML sets snapshot_every; the out_dir comes from the CLI default
+        cfg = self._write_cfg(
+            tmp_path, {"command": [[1.0, [0.5, 0.0, 0.0]]], "snapshot_every": 0.5}
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        snaps = sorted(p.name for p in (tmp_path / "elevsim_out").glob("map_*.csv"))
+        assert snaps[:2] == ["map_000.000.csv", "map_000.500.csv"]
 
     def test_no_rear_camera_flag_tags_report(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
