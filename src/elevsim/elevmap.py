@@ -48,12 +48,14 @@ class ElevationMap:
         size: float = DEFAULT_SIZE,
         center=(0.0, 0.0),
     ):
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
-        if size <= 0 or size > MAX_SIZE + 1e-9:
+        if not 0 < resolution < np.inf:
+            raise ValueError("resolution must be positive and finite")
+        if not 0 < size <= MAX_SIZE + 1e-9:
             raise ValueError(f"map size must be in (0, {MAX_SIZE}] m")
         self.resolution = float(resolution)
         self.n = int(round(size / resolution))
+        if self.n < 1:
+            raise ValueError(f"map size {size} m rounds to zero {resolution} m cells")
         # center snapped to the grid so recentering moves whole cells
         self.center = np.round(np.asarray(center, dtype=float) / resolution) * resolution
         self.height = np.zeros((self.n, self.n))
@@ -132,7 +134,13 @@ class ElevationMap:
     ) -> float:
         """Global z-shift from the mean gated measurement-vs-map discrepancy.
         Run before integrating the same frame. Returns the applied shift.
+        The gate must be positive and finite and min_points at least 1, so
+        the mean is never taken over an empty set.
         """
+        if not 0 < gate < np.inf or min_points < 1:
+            raise ValueError(
+                f"need a positive finite gate and min_points >= 1: {gate}, {min_points}"
+            )
         if len(cloud) == 0:
             return 0.0
         idx, ok = self.cell_indices(cloud.points[:, :2])

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import cloudfilter, metrics, obsbuilder, reward, scene
-from .elevmap import ElevationMap, SensorVarianceModel
+from .elevmap import MAX_SIZE, ElevationMap, SensorVarianceModel
 from .geometry import Pose, quat_normalize, quat_rotate, yaw_from_quat
 from .odometry import (
     EkfConfig,
@@ -99,6 +99,20 @@ class ScenarioConfig:
         self.start_xy = tuple(self.start_xy)
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
+        for key in ("scene_resolution", "map_resolution", "drift_gate"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be positive and finite: {getattr(self, key)}")
+        if not 0 < self.map_size <= MAX_SIZE + 1e-9:
+            raise ValueError(f"map_size must be in (0, {MAX_SIZE}] m: {self.map_size}")
+        if self.map_size < self.map_resolution:
+            raise ValueError(f"map_size {self.map_size} m is smaller than one map_resolution cell")
+        if self.drift_min_points < 1:
+            raise ValueError(f"drift_min_points must be at least 1: {self.drift_min_points}")
+        sx, sy = self.start_xy
+        if not np.isfinite([sx, 0.0 if sy is None else sy]).all():
+            raise ValueError(f"start_xy must be finite: {self.start_xy}")
+        if not np.isfinite(self.start_yaw):
+            raise ValueError(f"start_yaw must be finite: {self.start_yaw}")
         if self.snapshot_every is not None and not 0 < self.snapshot_every < np.inf:
             raise ValueError(f"snapshot_every must be positive and finite: {self.snapshot_every}")
         if self.sweep_step_heights and self.snapshot_every is not None:

@@ -186,14 +186,19 @@ class Heightfield:
         self.cells.setflags(write=False)
 
     @cached_property
-    def padded_cells(self) -> np.ndarray:
-        """`cells` inside a one-cell border at -1e9, below anything a ray
-        can reach; read-only, built on first use."""
-        nx, ny = self.cells.shape
-        padded = np.full((nx + 2, ny + 2), -1e9)
-        padded[1:-1, 1:-1] = self.cells
-        padded.setflags(write=False)
-        return padded
+    def x_runs(self) -> np.ndarray:
+        """The x-profile as runs of equal height: a read-only (K, 3) array of
+        (x_start, x_end, height) rows in increasing x, built on first use.
+        Run k covers [x_start, x_end) over the whole y extent. A field whose
+        heights vary along y has no such profile and raises SceneError."""
+        col = self.cells[:, 0]
+        if (self.cells != col[:, None]).any():
+            raise SceneError("heightfield varies along y; it has no x-profile")
+        starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+        x = self.origin[0] + np.append(starts, len(col)) * self.resolution
+        runs = np.column_stack([x[:-1], x[1:], col[starts]])
+        runs.setflags(write=False)
+        return runs
 
     @property
     def extent(self) -> tuple[int, int]:

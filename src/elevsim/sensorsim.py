@@ -4,13 +4,10 @@ The robot motion is kinematic: commanded body-frame velocity integrated over
 yaw, base height glued to the terrain plus the nominal trunk height. The trot
 oscillator only exists so the body filter and air-time bookkeeping have
 realistic inputs. Depth cameras are pinhole models whose rays are intersected
-with the heightfield surface: a coarse march at fixed steps finds the first
-sample at or below the terrain, and bisection between it and the sample
-before refines the hit. The march runs in blocks of samples over the rays
-that have not hit yet and stops once all have; this gives the same first
-sample as marching every ray over the full range. Terrain heights come from
-the heightfield's padded copy (`Heightfield.padded_cells`), whose -1e9 border
-answers every lookup off the grid, so a ray leaving the map never hits.
+with the heightfield surface in closed form: the terrain is an x-profile
+repeated along y (`Heightfield.x_runs`), so a ray's first hit is the
+earliest entry into one box per run of equal height, with no march step or
+refinement tolerance. A ray that leaves the grid never hits.
 """
 
 from __future__ import annotations
@@ -289,9 +286,6 @@ def simulate_trajectory(
     )
 
 
-MARCH_BLOCK = 8  # coarse samples per block of the march
-
-
 def render_depth(camera: CameraModel, base_state: RobotState, hf: Heightfield) -> PointCloud:
     """Ray-cast one depth frame. Points are returned in the sensor frame."""
     cam_pose = base_state.pose.compose(camera.mount)
@@ -302,74 +296,66 @@ def render_depth(camera: CameraModel, base_state: RobotState, hf: Heightfield) -
         return empty_cloud(base_state.t, camera.name)
 
     dirs = quat_rotate(cam_pose.quat, camera.ray_directions())
-    terrain = _terrain_lookup(hf)
-    o = origin[:, None]
-
-    # coarse march, then bisection between the first sample at or below the
-    # terrain and the one before; a feature narrower than the step can fall
-    # between two samples and be missed
-    step = max(hf.resolution, 0.05)
-    ts = np.arange(1e-4, camera.max_range + step, step)
-    # first[i]: index of ray i's first sample at or below the terrain; it
-    # stays 0 for rays that never get there, which like rays starting under
-    # the surface count as misses
-    first = np.zeros(len(dirs), dtype=np.int64)
-    open_rays = np.arange(len(dirs))
-    d_open = np.ascontiguousarray(dirs.T)
-    for k in range(0, len(ts), MARCH_BLOCK):
-        # (3, open rays, samples of this block)
-        p = o[..., None] + d_open[:, :, None] * ts[k : k + MARCH_BLOCK]
-        below = p[2] <= terrain(p[:2])
-        done = below.any(axis=1)
-        first[open_rays[done]] = k + below[done].argmax(axis=1)
-        open_rays, d_open = open_rays[~done], d_open[:, ~done]
-        if not len(open_rays):
-            break
-    hit = first > 0
-
-    if not hit.any():
-        return empty_cloud(base_state.t, camera.name)
-
-    d = dirs[hit]
-    d_hit = np.ascontiguousarray(d.T)
-    lo = ts[first[hit] - 1]
-    hi = ts[first[hit]]
-    for _ in range(33):
-        mid = 0.5 * (lo + hi)
-        p = o + d_hit * mid
-        under = p[2] <= terrain(p[:2])
-        hi = np.where(under, mid, hi)
-        lo = np.where(under, lo, mid)
-    t_hit = 0.5 * (lo + hi)
-
-    in_range = (t_hit >= camera.min_range) & (t_hit <= camera.max_range)
-    t_hit = t_hit[in_range]
-    d = d[in_range]
-    world = origin + d * t_hit[:, None]
+    t_hit = _first_hits(hf, origin, dirs, camera.max_range)
+    # a hit nearer than min_range blocks the ray, as in a real sensor
+    keep = (t_hit >= camera.min_range) & (t_hit <= camera.max_range)
+    world = origin + dirs[keep] * t_hit[keep, None]
     return PointCloud(
         t=base_state.t, frame=camera.name, points=cam_pose.inverse_transform(world)
     )
 
 
-def _terrain_lookup(hf: Heightfield):
-    """Height of the cell under each world xy of a (2, ...) array; -1e9 off
-    the grid, read from the border of `hf.padded_cells`."""
-    cells = hf.padded_cells.ravel()
-    stride = hf.padded_cells.shape[1]
-    xy0 = np.array(hf.origin, dtype=float).reshape(2, 1)
-    top = np.array(hf.cells.shape).reshape(2, 1)
-    inv_res = 1.0 / hf.resolution
+# an axis-parallel ray gets this component in place of 0, signed so that the
+# cell semantics hold: a ray on a cell's upper x or y bound is outside the
+# cell, and a ray level with a cell's top is on it
+_AXIS_TINY = np.array([1e-300, 1e-300, -1e-300])
 
-    def terrain(xy: np.ndarray) -> np.ndarray:
-        shape = xy.shape[1:]
-        idx = np.floor((xy.reshape(2, -1) - xy0) * inv_res).astype(np.int64)
-        np.maximum(idx, -1, out=idx)
-        np.minimum(idx, top, out=idx)
-        flat = idx[0] * stride
-        flat += idx[1]
-        return cells.take(flat + (stride + 1)).reshape(shape)
 
-    return terrain
+def _first_hits(hf: Heightfield, o: np.ndarray, dirs: np.ndarray, t_max: float) -> np.ndarray:
+    """Range of each ray's first point in the terrain solid within
+    [0, t_max]; inf where there is none.
+
+    The solid is one box per run of `hf.x_runs`: [x_start, x_end) times the
+    grid's y extent times z <= height. A ray enters a box at the latest of
+    its slab entries (the run's x face, the top crossing
+    t = (height - o_z) / d_z, the grid's y face, t = 0) if that comes before
+    the earliest slab exit; the first hit is the earliest entry over the
+    boxes.
+    """
+    runs = hf.x_runs
+    edges = np.append(runs[:, 0], runs[-1, 1])
+    dx, dy, dz = np.where(dirs == 0, _AXIS_TINY, dirs).T
+    y0 = hf.origin[1]
+    # the span of each ray inside the grid's xy box
+    tx0, tx1 = (edges[[0, -1], None] - o[0]) / dx
+    ty0, ty1 = (np.array([[y0], [y0 + hf.size[1]]]) - o[1]) / dy
+    lo = np.maximum(np.maximum(np.minimum(tx0, tx1), np.minimum(ty0, ty1)), 0.0)
+    hi = np.minimum(np.minimum(np.maximum(tx0, tx1), np.maximum(ty0, ty1)), t_max)
+    live = lo < hi
+    if not live.any():
+        return np.full(len(dirs), np.inf)
+
+    # inside the box and below the lowest run a ray is in the solid, so its
+    # hit comes no later than there; cull the runs beyond every ray's reach
+    t_low = np.where(dz < 0, (runs[:, 2].min() - o[2]) / dz, np.inf)
+    reach = np.minimum(hi, np.maximum(lo, t_low))
+    x = o[0] + dx[live] * np.stack([lo[live], reach[live]])
+    # one cell of slack on each side absorbs rounding at the reach's ends
+    k0, k1 = np.clip(
+        np.searchsorted(edges, [x.min() - hf.resolution, x.max() + hf.resolution], "right") - 1,
+        0,
+        len(runs) - 1,
+    )
+
+    # (runs, rays): entry and exit of each run's x slab and z half-space
+    tx = (edges[k0 : k1 + 2, None] - o[0]) / dx
+    tz = (runs[k0 : k1 + 1, 2:3] - o[2]) / dz
+    down = dz < 0
+    t_in = np.maximum(np.minimum(tx[:-1], tx[1:]), np.where(down, tz, lo))
+    t_out = np.minimum(np.maximum(tx[:-1], tx[1:]), np.where(down, hi, tz))
+    t_in = np.maximum(t_in, lo)
+    t_out = np.minimum(t_out, hi)
+    return np.where(t_in < t_out, t_in, np.inf).min(axis=0)
 
 
 def inject_sensor_noise(

@@ -119,6 +119,14 @@ class TestIntegration:
         with pytest.raises(ValueError):
             ElevationMap(resolution=0.025, size=8.0)
 
+    @pytest.mark.parametrize(
+        "resolution, size", [(0.025, 0.01), (0.025, float("nan")), (float("nan"), 1.0)]
+    )
+    def test_map_without_cells_rejected(self, resolution, size):
+        # 0.01 m rounds to zero 0.025 m cells
+        with pytest.raises(ValueError):
+            ElevationMap(resolution=resolution, size=size)
+
 
 class TestDriftCompensation:
     def test_uniform_offset_recovered_exactly(self):
@@ -151,6 +159,17 @@ class TestDriftCompensation:
         emap.integrate_cloud(_cloud([[0, 0, 0.2]]), ORIGIN, _model(), t=0.0)
         applied = emap.drift_compensate(_cloud([[0, 0, 0.21]]), gate=0.03, min_points=20)
         assert applied == 0.0
+
+    @pytest.mark.parametrize(
+        "gate, min_points", [(0.03, 0), (-1.0, 20), (0.0, 20), (float("nan"), 20), (np.inf, 20)]
+    )
+    def test_settings_that_average_nothing_rejected(self, gate, min_points):
+        # min_points 0 with an empty gated set would add NaN to every cell
+        emap = ElevationMap(resolution=0.05, size=2.0)
+        emap.integrate_cloud(_cloud([[0, 0, 0.2]]), ORIGIN, _model(), t=0.0)
+        with pytest.raises(ValueError, match="min_points"):
+            emap.drift_compensate(_cloud([[0, 0, 0.5]]), gate=gate, min_points=min_points)
+        assert emap.query_height(0, 0)[0] == 0.2
 
     def test_unmapped_cloud_gives_zero_shift(self):
         emap = ElevationMap(resolution=0.05, size=2.0)

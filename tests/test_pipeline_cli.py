@@ -34,6 +34,28 @@ MISSPELLED_SECTIONS = {
 }
 HEIGHT_NOISE = {"sample_sigma": 0.005, "bias_sigma": [0.01, 0.01, 0.01]}
 
+NAN, INF = float("nan"), float("inf")
+# scalar keys whose bad values used to fail deep in the run, or to finish with
+# a NaN chamfer (a 0.01 m map_size held no 0.025 m cell)
+BAD_SCALARS = [
+    ("scene_resolution", 0),
+    ("scene_resolution", -0.01),
+    ("scene_resolution", NAN),
+    ("map_resolution", 0),
+    ("map_resolution", INF),
+    ("map_size", 6.0),
+    ("map_size", 0.0),
+    ("map_size", 0.01),
+    ("map_size", NAN),
+    ("start_xy", [NAN, 1.5]),
+    ("start_xy", [1.0, INF]),
+    ("start_yaw", NAN),
+    ("drift_min_points", 0),
+    ("drift_gate", -1.0),
+    ("drift_gate", 0.0),
+    ("drift_gate", NAN),
+]
+
 
 def _same(a, b) -> bool:
     """Deep equality over dataclasses, arrays and sequences."""
@@ -113,6 +135,11 @@ class TestConfig:
     def test_bad_snapshot_every_rejected(self, every):
         with pytest.raises(ValueError, match="snapshot_every"):
             ScenarioConfig.from_dict({**SHORT, "snapshot_every": every})
+
+    @pytest.mark.parametrize("key, value", BAD_SCALARS)
+    def test_bad_geometry_and_drift_keys_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            ScenarioConfig.from_dict({**SHORT, key: value})
 
     @pytest.mark.parametrize(
         "command",
@@ -375,6 +402,14 @@ class TestCli:
         assert rc == 2
         assert "snapshot_every" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", BAD_SCALARS)
+    def test_run_bad_scalar_exits_2(self, tmp_path, capsys, key, value):
+        cfg = self._write_cfg(tmp_path, {key: value})
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_misspelled_section_key_exits_2(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, MISSPELLED_SECTIONS)

@@ -99,6 +99,22 @@ def test_heightfield_is_immutable():
         hf.cells[0, 0] = 1.0
 
 
+def test_x_runs_cached_read_only_and_exact():
+    spec = SceneSpec(
+        [FlatRegion(0.0), Step(x_start=1.0, height=0.2, depth=0.5)], extent=(2.0, 1.0)
+    )
+    hf = Heightfield(resolution=0.1, origin=(-0.5, 2.0), cells=build_scene(spec, 0.1).cells)
+    runs = hf.x_runs
+    assert runs is hf.x_runs
+    assert not runs.flags.writeable
+    # cells [0, 10) at 0, [10, 15) at 0.2, [15, 20) at 0, from x = -0.5
+    np.testing.assert_allclose(runs, [[-0.5, 0.5, 0.0], [0.5, 1.0, 0.2], [1.0, 1.5, 0.0]])
+    col = hf.cells[:, 0]
+    for x0, x1, h in runs:
+        ix = np.arange(round((x0 + 0.5) / 0.1), round((x1 + 0.5) / 0.1))
+        assert (col[ix] == h).all()
+
+
 def test_heightfield_csv_round_trip(tmp_path):
     hf = build_scene(obstacle_scene(), resolution=0.05)
     path = tmp_path / "scene.csv"

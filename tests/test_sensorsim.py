@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from elevsim.geometry import Pose, quat_conj, quat_from_euler, quat_rotate, rotz
-from elevsim.pointcloud import PointCloud, empty_cloud
-from elevsim.scene import FlatRegion, Heightfield, SceneSpec, Step, build_scene, obstacle_scene
+from elevsim.scene import (
+    FlatRegion,
+    Heightfield,
+    SceneError,
+    SceneSpec,
+    Step,
+    build_scene,
+    obstacle_scene,
+)
 from elevsim.sensorsim import (
     HIP_OFFSETS,
     CameraModel,
@@ -284,61 +291,6 @@ class TestRenderDepth:
         assert len(cloud) == 0
 
 
-def _reference_render_depth(camera, base_state, hf):
-    """Full-range coarse march with a masked lookup, then bisection: the
-    oracle for the block march over the padded heightfield."""
-    cam_pose = base_state.pose.compose(camera.mount)
-    origin = cam_pose.position
-    try_h = hf.heights_at(origin[:2].reshape(1, 2), fill=-np.inf)[0]
-    if np.isfinite(try_h) and origin[2] <= try_h:
-        return empty_cloud(base_state.t, camera.name)
-    au = (np.arange(camera.width) + 0.5) / camera.width - 0.5
-    av = (np.arange(camera.height) + 0.5) / camera.height - 0.5
-    gy, gz = np.meshgrid(np.tan(au * camera.h_fov), np.tan(av * camera.v_fov), indexing="ij")
-    rays = np.stack([np.ones_like(gy), gy, gz], axis=-1).reshape(-1, 3)
-    rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
-    dirs = quat_rotate(cam_pose.quat, rays)
-    cells = hf.cells
-    nx, ny = cells.shape
-    ox, oy = hf.origin
-    inv_res = 1.0 / hf.resolution
-
-    def terrain(x, y):
-        ix = np.floor((x - ox) * inv_res).astype(np.int64)
-        iy = np.floor((y - oy) * inv_res).astype(np.int64)
-        ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-        h = np.full(ix.shape, -1e9)
-        h[ok] = cells[ix[ok], iy[ok]]
-        return h
-
-    step = max(hf.resolution, 0.05)
-    ts = np.arange(1e-4, camera.max_range + step, step)
-    px = origin[0] + dirs[:, 0:1] * ts
-    py = origin[1] + dirs[:, 1:2] * ts
-    pz = origin[2] + dirs[:, 2:3] * ts
-    below = pz <= terrain(px, py)
-    first = np.argmax(below, axis=1)
-    hit = below.any(axis=1) & (first > 0)
-    if not hit.any():
-        return empty_cloud(base_state.t, camera.name)
-    d = dirs[hit]
-    lo = ts[first[hit] - 1]
-    hi = ts[first[hit]]
-    for _ in range(33):
-        mid = 0.5 * (lo + hi)
-        under = origin[2] + d[:, 2] * mid <= terrain(
-            origin[0] + d[:, 0] * mid, origin[1] + d[:, 1] * mid
-        )
-        hi = np.where(under, mid, hi)
-        lo = np.where(under, lo, mid)
-    t_hit = 0.5 * (lo + hi)
-    in_range = (t_hit >= camera.min_range) & (t_hit <= camera.max_range)
-    world = origin + d[in_range] * t_hit[in_range][:, None]
-    return PointCloud(
-        t=base_state.t, frame=camera.name, points=cam_pose.inverse_transform(world)
-    )
-
-
 def _posed_state(x, y, z, yaw=0.0, pitch=0.0, roll=0.0):
     return RobotState(
         t=0.5,
@@ -382,7 +334,68 @@ RENDER_CASES = {
 }
 
 
+WIDE_CAMERA = CameraModel(
+    name="wide",
+    mount=Pose(np.array([0.25, 0.0, 0.05]), quat_from_euler(0.0, np.deg2rad(25), 0.0)),
+    h_fov=np.deg2rad(100),
+    v_fov=np.deg2rad(70),
+    width=24,
+    height=18,
+    min_range=0.05,
+    max_range=4.0,
+)
+
+# the rear camera's origin is at y = -0.05, off the grid: its rays hit where
+# they enter the grid under the terrain
+ORACLE_CASES = {**RENDER_CASES, "rear_origin_off_y_edge": ("flat", (4.0, 0.2, 0.30, np.pi / 2))}
+
+
+def _march_ranges(cam, st, hf, step=1e-3):
+    """Per ray, the first sample of a `step` march from the camera that is at
+    or under its cell's height (nothing off the grid), kept only within the
+    camera's range; inf where there is none."""
+    pose = st.pose.compose(cam.mount)
+    dirs = quat_rotate(pose.quat, cam.ray_directions())
+    ts = np.arange(1, int(round(cam.max_range / step)) + 1) * step
+    out = np.full(len(dirs), np.inf)
+    for rays in np.array_split(np.arange(len(dirs)), 16):
+        p = pose.position + dirs[rays, None, :] * ts[:, None]
+        h = hf.heights_at(p[..., :2].reshape(-1, 2), fill=-np.inf).reshape(p.shape[:2])
+        below = p[..., 2] <= h
+        hit = below.any(axis=1)
+        out[rays[hit]] = ts[below[hit].argmax(axis=1)]
+    out[(out < cam.min_range) | (out > cam.max_range)] = np.inf
+    return out
+
+
+def _cast_ranges(cam, st, hf):
+    """Per ray, the range of its `render_depth` point; inf where none."""
+    points = render_depth(cam, st, hf).points
+    rays = np.argmax(points @ cam.ray_directions().T, axis=1)
+    assert len(np.unique(rays)) == len(rays)
+    out = np.full(cam.width * cam.height, np.inf)
+    out[rays] = np.linalg.norm(points, axis=1)
+    return out
+
+
+def _on_surface(hf, world, tol=1e-6):
+    """Whether each world point is on the terrain surface: within `tol` of it
+    there are points both in the solid (on the grid, z at or under the cell's
+    height) and outside it. This holds on a cell top, on a cell boundary
+    whose two heights bracket the point's z, and on the grid edge."""
+    solid = []
+    for axis in range(3):
+        for sign in (-1.0, 1.0):
+            q = world.copy()
+            q[:, axis] += sign * tol
+            solid.append(q[:, 2] <= hf.heights_at(q[:, :2], fill=-np.inf))
+    solid = np.array(solid)
+    return solid.any(axis=0) & ~solid.all(axis=0)
+
+
 class TestRenderDepthMatchesReference:
+    """The reference is a 1 mm march along every ray."""
+
     @pytest.fixture(scope="class")
     def scenes(self, obstacle_hf, flat_hf):
         return {
@@ -392,28 +405,27 @@ class TestRenderDepthMatchesReference:
             "shifted": _shifted_hf(obstacle_hf),
         }
 
-    @pytest.mark.parametrize("case", sorted(RENDER_CASES))
-    def test_same_bits_as_full_march(self, case, scenes):
-        name, pose = RENDER_CASES[case]
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_hits_match_fine_march(self, case, scenes):
+        name, pose = ORACLE_CASES[case]
         st = _posed_state(*pose)
-        wide = CameraModel(
-            name="wide",
-            mount=Pose(np.array([0.25, 0.0, 0.05]), quat_from_euler(0.0, np.deg2rad(25), 0.0)),
-            h_fov=np.deg2rad(100),
-            v_fov=np.deg2rad(70),
-            width=24,
-            height=18,
-            min_range=0.05,
-            max_range=4.0,
-        )
-        for cam in (default_front_camera(), default_rear_camera(), wide):
-            got = render_depth(cam, st, scenes[name])
-            ref = _reference_render_depth(cam, st, scenes[name])
-            assert (got.t, got.frame) == (ref.t, ref.frame)
-            assert got.points.shape == ref.points.shape, (case, cam.name)
-            assert got.points.tobytes() == ref.points.tobytes(), (case, cam.name)
+        hf = scenes[name]
+        for cam in (default_front_camera(), default_rear_camera(), WIDE_CAMERA):
+            cast = _cast_ranges(cam, st, hf)
+            march = _march_ranges(cam, st, hf)
+            # every march hit is a cast hit, no later along the ray
+            seen = np.isfinite(march)
+            assert np.isfinite(cast[seen]).all(), (case, cam.name)
+            assert (cast[seen] <= march[seen] + 1e-9).all(), (case, cam.name)
+            # and every cast hit, including those the march steps over or
+            # reaches more than a step later, lies on the surface
+            pose_w = st.pose.compose(cam.mount)
+            dirs = quat_rotate(pose_w.quat, cam.ray_directions())
+            hit = np.isfinite(cast)
+            world = pose_w.position + dirs[hit] * cast[hit, None]
+            assert _on_surface(hf, world).all(), (case, cam.name)
         # the wide camera sees both terrain and misses from every pose
-        assert 0 < len(ref) < wide.width * wide.height
+        assert 0 < hit.sum() < WIDE_CAMERA.width * WIDE_CAMERA.height
 
     def test_edge_poses_send_rays_off_the_grid(self, scenes):
         # the front camera hits with every ray from the inner poses; at the
@@ -424,12 +436,20 @@ class TestRenderDepthMatchesReference:
             assert 0 < len(render_depth(cam, _posed_state(*pose), scenes[name])) < 768
 
     def test_thin_step_in_view(self, scenes):
-        # the march finds the step with some rays and skips it with others
-        # (a known gap of the coarse march), so the bit check covers both
+        # a 2 mm march puts 224 of the 768 front rays on the 2 cm deep step,
+        # 32 of them above 10 cm; a cast that steps over the step finds fewer
         st = _posed_state(*RENDER_CASES["thin_step"][1])
         cam = default_front_camera()
         world = render_depth(cam, st, scenes["thin"]).transformed(st.pose.compose(cam.mount))
-        assert (world.points[:, 2] > 0.1).any()
+        assert (world.points[:, 2] > 1e-6).sum() >= 224
+        assert (world.points[:, 2] > 0.1).sum() >= 32
+
+    def test_y_varying_heightfield_rejected(self, flat_hf):
+        cells = flat_hf.cells.copy()
+        cells[10, 20] = 0.05
+        hf = Heightfield(resolution=flat_hf.resolution, origin=flat_hf.origin, cells=cells)
+        with pytest.raises(SceneError, match="varies along y"):
+            render_depth(default_front_camera(), _posed_state(*RENDER_CASES["flat"][1]), hf)
 
 
 class TestCaches:
@@ -440,15 +460,6 @@ class TestCaches:
         assert not a.ray_directions().flags.writeable
         c = replace(a, width=a.width + 1)
         assert c.ray_directions().shape == ((a.width + 1) * a.height, 3)
-
-    def test_padded_cells(self, obstacle_hf):
-        pad = obstacle_hf.padded_cells
-        assert pad is obstacle_hf.padded_cells
-        assert not pad.flags.writeable
-        np.testing.assert_array_equal(pad[1:-1, 1:-1], obstacle_hf.cells)
-        border = np.ones(pad.shape, dtype=bool)
-        border[1:-1, 1:-1] = False
-        assert (pad[border] == -1e9).all()
 
 
 class TestSensorNoise:
