@@ -49,6 +49,9 @@ class VioErrors:
     def __post_init__(self):
         if self.walk_rate < 0 or self.sample_sigma < 0:
             raise ValueError("sigma must be non-negative")
+        for w in self.dropouts:
+            if len(w) != 2 or not (np.isfinite(w).all() and w[0] < w[1]):
+                raise ValueError(f"vio dropouts must be finite (t0, t1) pairs with t0 < t1: {w}")
 
 
 @dataclass

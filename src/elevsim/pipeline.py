@@ -95,6 +95,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.odometry not in ODOMETRY_MODES:
             raise ValueError(f"odometry mode must be one of {ODOMETRY_MODES}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer: {seed!r}")
         self.injected_drift = np.asarray(self.injected_drift, dtype=float).reshape(3)
         self.start_xy = tuple(self.start_xy)
         if self.out_dir is not None:
@@ -115,8 +118,14 @@ class ScenarioConfig:
             raise ValueError(f"start_yaw must be finite: {self.start_yaw}")
         if self.snapshot_every is not None and not 0 < self.snapshot_every < np.inf:
             raise ValueError(f"snapshot_every must be positive and finite: {self.snapshot_every}")
-        if self.sweep_step_heights and self.snapshot_every is not None:
-            raise ValueError("snapshot_every is not supported in a step sweep")
+        if self.sweep_step_heights:
+            if self.snapshot_every is not None:
+                raise ValueError("snapshot_every is not supported in a step sweep")
+            heights = np.asarray(self.sweep_step_heights, dtype=float)
+            if heights.ndim != 1 or not (np.isfinite(heights) & (heights != 0)).all():
+                raise ValueError(f"sweep_step_heights must be finite and non-zero: {heights}")
+            if not any(isinstance(p, scene.Step) for p in self.scene_spec.primitives):
+                raise ValueError("sweep_step_heights needs a Step primitive in the scene")
         settle = metrics.TRACKING_SETTLE_S
         if all(t1 - t0 <= settle for t0, t1, _ in self.profile.boundaries()):
             raise ValueError(f"no command segment outlasts the {settle} s tracking settle time")
@@ -207,8 +216,10 @@ class ScenarioResult:
 
 
 def _estimate_odometry(cfg: ScenarioConfig, traj: Trajectory, rng_seed: int):
-    """Per-sim-step estimated poses and the measured command-tracking triple
-    (yaw-frame v_x, v_y, yaw rate) used by the tracking RMS metric."""
+    """Per-sim-step estimated positions and the measured command-tracking
+    triple (yaw-frame v_x, v_y, yaw rate) used by the tracking RMS metric.
+    Orientation is IMU-driven and near ground truth, so every mode takes
+    `traj.quat` as the estimated orientation."""
     ts = traj.t
     if cfg.odometry == "gt":
         pos = traj.pos.copy()
@@ -223,9 +234,6 @@ def _estimate_odometry(cfg: ScenarioConfig, traj: Trajectory, rng_seed: int):
         )
         pos = metrics._interp_vec(ts, fused.t, fused.positions)
         vel_world = metrics._interp_vec(ts, fused.t, fused.velocities)
-    # orientation is IMU-driven and near ground truth; GT quats serve both
-    # modes and the frame conversions of the fused velocity
-    quat = traj.quat.copy()
     yaws = yaw_from_quat(quat_normalize(traj.quat))
     c, s_ = np.cos(yaws), np.sin(yaws)
     v_track = np.stack(
@@ -237,7 +245,7 @@ def _estimate_odometry(cfg: ScenarioConfig, traj: Trajectory, rng_seed: int):
         axis=1,
     )
     pos = pos + np.outer(ts, cfg.injected_drift)
-    return pos, quat, v_track
+    return pos, v_track
 
 
 def _step_window(spec: scene.SceneSpec, margin: float) -> tuple[float, float] | None:
@@ -267,7 +275,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         start_xy=cfg.start_xy,
         start_yaw=cfg.start_yaw,
     )
-    est_pos, est_quat, est_vtrack = _estimate_odometry(cfg, traj, odom_seed)
+    est_pos, est_vtrack = _estimate_odometry(cfg, traj, odom_seed)
 
     cameras = [(cfg.front_camera, rng_front)]
     if cfg.use_rear_camera:
@@ -293,10 +301,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         if i % CLOUD_EVERY and i % CONTROL_EVERY and i % CHAMFER_EVERY and not snapshot:
             continue
         st = traj.state(i)
-        est_pose = Pose(est_pos[i], est_quat[i])
+        est_pose = Pose(est_pos[i], traj.quat[i])
 
         if i % CLOUD_EVERY == 0:
-            est_state = replace(st, position=est_pos[i], quat=est_quat[i])
+            est_state = replace(st, position=est_pos[i])
             for cam, rng in cameras:
                 cloud = render_depth(cam, st, hf)
                 cloud = inject_sensor_noise(cloud, cam, rng)
@@ -327,7 +335,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     gt_traj = metrics.TrajectorySamples(t=traj.t, positions=traj.pos, quats=traj.quat)
     est_traj = metrics.TrajectorySamples(
-        t=gt_traj.t.copy(), positions=est_pos, quats=est_quat
+        t=gt_traj.t.copy(), positions=est_pos, quats=traj.quat.copy()
     )
     out = _report(cfg, traj, gt_traj, est_traj, est_vtrack, chamfer, fill,
                   _reward_mean(cfg, traj, hf), emap.total_shift)
@@ -413,19 +421,12 @@ def _report(cfg: ScenarioConfig, traj: Trajectory, gt_traj: metrics.TrajectorySa
 
 def run_step_sweep(cfg: ScenarioConfig) -> list[dict[str, float]]:
     """One sub-run per step height; success uses the map-quality proxy."""
-    heights = cfg.sweep_step_heights or []
     rows = []
-    for h in heights:
-        prims = []
-        replaced = False
-        for p in cfg.scene_spec.primitives:
-            if isinstance(p, scene.Step) and not replaced:
-                prims.append(replace(p, height=h))
-                replaced = True
-            else:
-                prims.append(p)
-        if not replaced:
-            raise ValueError("step sweep requires a Step primitive in the scene")
+    for h in cfg.sweep_step_heights or []:
+        # a sweeping config has a Step (checked at construction); sweep the first
+        prims = list(cfg.scene_spec.primitives)
+        k = next(i for i, p in enumerate(prims) if isinstance(p, scene.Step))
+        prims[k] = replace(prims[k], height=h)
         sub = replace(
             cfg,
             scene_spec=scene.SceneSpec(prims, cfg.scene_spec.extent),

@@ -1,14 +1,15 @@
 """Parametric ground-truth terrains and exact height queries.
 
-Terrain primitives are profiles along x, extruded along y. A heightfield is
-sampled once at cell centers; lookups are piecewise-constant so vertical step
-faces stay sharp (no interpolation smoothing).
+Terrain primitives are profiles along x, extruded along y. A heightfield
+stores that profile sampled once at x cell centers, with the number of cells
+along y; lookups are piecewise-constant so vertical step faces stay sharp (no
+interpolation smoothing).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -71,13 +72,18 @@ class SceneSpec:
     extent: tuple[float, float]  # world size in x and y, base height z = 0
 
     def __post_init__(self):
-        if self.extent[0] <= 0 or self.extent[1] <= 0:
-            raise SceneError("scene extent must be positive")
         self.validate()
 
     def validate(self) -> None:
+        if len(self.extent) != 2 or not all(0 < e < math.inf for e in self.extent):
+            raise SceneError(f"scene extent must be two positive finite sizes: {self.extent}")
         intervals = []
         for p in self.primitives:
+            if isinstance(p, Platform) and any(len(r) != 2 for r in p.rise_steps):
+                raise SceneError(f"rise steps must be (height, depth) pairs in {p}")
+            values = np.hstack([np.ravel(getattr(p, f.name)) for f in fields(p)])
+            if not np.isfinite(values).all():
+                raise SceneError(f"non-finite value in {p}")
             if isinstance(p, Step):
                 if p.height == 0 or p.depth <= 0:
                     raise SceneError(f"degenerate step: {p}")
@@ -170,89 +176,62 @@ def obstacle_scene(extent=(8.0, 3.0), x_start=3.0) -> SceneSpec:
 
 @dataclass(frozen=True)
 class Heightfield:
-    """Dense ground-truth z-grid. Immutable after construction."""
+    """Ground-truth terrain: one height per x cell, extruded over `ny` cells
+    along y. Immutable after construction."""
 
     resolution: float
     origin: tuple[float, float]  # world xy of cell (0, 0) lower corner
-    cells: np.ndarray  # (nx, ny) heights
+    profile: np.ndarray  # (nx,) heights, read-only
+    ny: int  # cells along y
 
     def __post_init__(self):
         if self.resolution <= 0:
             raise SceneError("resolution must be positive")
-        if self.cells.ndim != 2 or min(self.cells.shape) < 1:
+        if self.profile.ndim != 1 or len(self.profile) < 1 or self.ny < 1:
             raise SceneError("heightfield needs at least a 1x1 grid")
-        if not np.isfinite(self.cells).all():
+        if not np.isfinite(self.profile).all():
             raise SceneError("heightfield contains non-finite heights")
-        self.cells.setflags(write=False)
+        self.profile.setflags(write=False)
 
     @cached_property
     def x_runs(self) -> np.ndarray:
-        """The x-profile as runs of equal height: a read-only (K, 3) array of
+        """The profile as runs of equal height: a read-only (K, 3) array of
         (x_start, x_end, height) rows in increasing x, built on first use.
-        Run k covers [x_start, x_end) over the whole y extent. A field whose
-        heights vary along y has no such profile and raises SceneError."""
-        col = self.cells[:, 0]
-        if (self.cells != col[:, None]).any():
-            raise SceneError("heightfield varies along y; it has no x-profile")
-        starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
-        x = self.origin[0] + np.append(starts, len(col)) * self.resolution
-        runs = np.column_stack([x[:-1], x[1:], col[starts]])
+        Run k covers [x_start, x_end) over the whole y extent."""
+        z = self.profile
+        starts = np.flatnonzero(np.r_[True, z[1:] != z[:-1]])
+        x = self.origin[0] + np.append(starts, len(z)) * self.resolution
+        runs = np.column_stack([x[:-1], x[1:], z[starts]])
         runs.setflags(write=False)
         return runs
 
     @property
     def extent(self) -> tuple[int, int]:
-        return self.cells.shape
+        return (len(self.profile), self.ny)
 
     @property
     def size(self) -> tuple[float, float]:
-        nx, ny = self.cells.shape
+        nx, ny = self.extent
         return (nx * self.resolution, ny * self.resolution)
-
-    def cell_index(self, x: float, y: float) -> tuple[int, int]:
-        ix = math.floor((x - self.origin[0]) / self.resolution)
-        iy = math.floor((y - self.origin[1]) / self.resolution)
-        return ix, iy
-
-    def height_at(self, x: float, y: float) -> float:
-        """Piecewise-constant lookup of the containing cell."""
-        ix, iy = self.cell_index(x, y)
-        nx, ny = self.cells.shape
-        if not (0 <= ix < nx and 0 <= iy < ny):
-            raise OutOfBoundsError(f"({x}, {y}) outside heightfield")
-        return float(self.cells[ix, iy])
 
     def heights_at(self, xy: np.ndarray, fill: float = np.nan) -> np.ndarray:
         """Vectorized lookup; out-of-extent entries get `fill`."""
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        idx = np.floor((xy - np.asarray(self.origin)) / self.resolution).astype(int)
-        nx, ny = self.cells.shape
-        ok = (
-            (idx[:, 0] >= 0)
-            & (idx[:, 0] < nx)
-            & (idx[:, 1] >= 0)
-            & (idx[:, 1] < ny)
-        )
+        # bounds are checked before the cast, so NaN is off the grid too
+        cell = np.floor((xy - np.asarray(self.origin)) / self.resolution)
+        ok = ((cell >= 0) & (cell < self.extent)).all(axis=1)
         out = np.full(len(xy), fill, dtype=float)
-        out[ok] = self.cells[idx[ok, 0], idx[ok, 1]]
+        out[ok] = self.profile[cell[ok, 0].astype(int)]
         return out
 
     def to_csv(self, path) -> None:
+        """The (nx, ny) grid, one row per x cell, under a header line."""
         with open(path, "w") as f:
             f.write(
                 f"# resolution={self.resolution} origin={self.origin[0]},{self.origin[1]}\n"
             )
-            np.savetxt(f, self.cells, delimiter=",", fmt="%.9g")
-
-    @classmethod
-    def from_csv(cls, path) -> "Heightfield":
-        with open(path) as f:
-            header = f.readline()
-            parts = dict(tok.split("=") for tok in header.lstrip("# ").split())
-            res = float(parts["resolution"])
-            ox, oy = (float(v) for v in parts["origin"].split(","))
-            cells = np.loadtxt(f, delimiter=",", ndmin=2)
-        return cls(resolution=res, origin=(ox, oy), cells=cells)
+            grid = np.broadcast_to(self.profile[:, None], self.extent)
+            np.savetxt(f, grid, delimiter=",", fmt="%.9g")
 
 
 def build_scene(spec: SceneSpec, resolution: float) -> Heightfield:
@@ -262,9 +241,7 @@ def build_scene(spec: SceneSpec, resolution: float) -> Heightfield:
     nx = max(1, int(round(spec.extent[0] / resolution)))
     ny = max(1, int(round(spec.extent[1] / resolution)))
     xc = (np.arange(nx) + 0.5) * resolution
-    col = spec.profile_height(xc)
-    cells = np.repeat(col[:, None], ny, axis=1)
-    return Heightfield(resolution=resolution, origin=(0.0, 0.0), cells=cells)
+    return Heightfield(resolution, (0.0, 0.0), profile=spec.profile_height(xc), ny=ny)
 
 
 def ground_truth_patch(

@@ -4,10 +4,11 @@ The robot motion is kinematic: commanded body-frame velocity integrated over
 yaw, base height glued to the terrain plus the nominal trunk height. The trot
 oscillator only exists so the body filter and air-time bookkeeping have
 realistic inputs. Depth cameras are pinhole models whose rays are intersected
-with the heightfield surface in closed form: the terrain is an x-profile
-repeated along y (`Heightfield.x_runs`), so a ray's first hit is the
-earliest entry into one box per run of equal height, with no march step or
-refinement tolerance. A ray that leaves the grid never hits.
+with the heightfield surface in closed form: the heightfield is one
+x-profile extruded along y (`Heightfield.profile`), so a ray's first hit is
+the earliest entry into one box per run of equal height
+(`Heightfield.x_runs`), with no march step or refinement tolerance. A ray
+that leaves the grid never hits.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ class CameraModel:
             raise ValueError("fov must lie in (0, pi)")
         if not (0 <= self.min_range < self.max_range):
             raise ValueError("need 0 <= min_range < max_range")
+        for key in ("noise_sigma0", "noise_k"):
+            if not 0 <= getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be non-negative and finite: {getattr(self, key)}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must lie in [0, 1): {self.dropout}")
 
     def ray_directions(self) -> np.ndarray:
         """Unit ray directions in the sensor frame (x forward, y left, z up);
@@ -315,9 +321,9 @@ def _first_hits(hf: Heightfield, o: np.ndarray, dirs: np.ndarray, t_max: float) 
     """Range of each ray's first point in the terrain solid within
     [0, t_max]; inf where there is none.
 
-    The solid is one box per run of `hf.x_runs`: [x_start, x_end) times the
-    grid's y extent times z <= height. A ray enters a box at the latest of
-    its slab entries (the run's x face, the top crossing
+    The solid is one box per run of the profile (`hf.x_runs`): [x_start,
+    x_end) times the grid's y extent times z <= height. A ray enters a box
+    at the latest of its slab entries (the run's x face, the top crossing
     t = (height - o_z) / d_z, the grid's y face, t = 0) if that comes before
     the earliest slab exit; the first hit is the earliest entry over the
     boxes.
@@ -359,11 +365,9 @@ def _first_hits(hf: Heightfield, o: np.ndarray, dirs: np.ndarray, t_max: float) 
 
 
 def inject_sensor_noise(
-    cloud: PointCloud, camera: CameraModel, rng: np.random.Generator | int
+    cloud: PointCloud, camera: CameraModel, rng: np.random.Generator
 ) -> PointCloud:
     """Range noise along each ray plus i.i.d. dropout. Deterministic per rng."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     if len(cloud) == 0:
         return cloud
     if camera.noise_sigma0 == 0 and camera.noise_k == 0 and camera.dropout == 0:

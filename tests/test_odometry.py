@@ -315,3 +315,8 @@ def test_error_model_validation():
         ImuErrors(orient_sigma=-1.0)
     with pytest.raises(ValueError):
         VioErrors(walk_rate=-0.1)
+    # each used to fail at run start, deep in make_source_streams, or to
+    # drop nothing
+    for window in ((1.0,), (1.0, 0.5), (1.0, 1.0), (float("nan"), 1.0), (0.5, float("inf"))):
+        with pytest.raises(ValueError, match="dropouts"):
+            VioErrors(dropouts=(window,))

@@ -56,6 +56,71 @@ BAD_SCALARS = [
     ("drift_gate", NAN),
 ]
 
+STEP = {"type": "step", "x_start": 3.0, "height": 0.1, "depth": 0.8}
+PLATFORM = {
+    "type": "platform",
+    "x_start": 3.0,
+    "rise_steps": [[0.1, 0.3], [0.1, 0.3]],
+    "platform_height": 0.3,
+    "platform_length": 1.0,
+    "ramp_slope": 0.3,
+}
+
+
+def _scene(prim, extent=(8.0, 3.0)) -> dict:
+    """An inline scene: flat ground plus `prim`."""
+    return {"extent": list(extent), "primitives": [{"type": "flat", "z": 0.0}, prim]}
+
+
+# config values that used to fail only once the run had started (or, for
+# the NaN step start, silently drop the step), each with the text its
+# error must name
+BAD_CONFIGS = {
+    "extent_nan": ({"scene": _scene(STEP, extent=(8.0, NAN))}, "extent"),
+    "extent_inf": ({"scene": _scene(STEP, extent=(INF, 3.0))}, "extent"),
+    "step_height_nan": ({"scene": _scene({**STEP, "height": NAN})}, "height=nan"),
+    "step_x_start_nan": ({"scene": _scene({**STEP, "x_start": NAN})}, "x_start=nan"),
+    "flat_z_nan": (
+        {"scene": {"extent": [8.0, 3.0], "primitives": [{"type": "flat", "z": NAN}]}},
+        "FlatRegion(z=nan)",
+    ),
+    "rise_step_nan": (
+        {"scene": _scene({**PLATFORM, "rise_steps": [[0.1, NAN]]})},
+        "rise_steps=((0.1, nan),)",
+    ),
+    "ramp_slope_inf": (
+        {"scene": _scene({**PLATFORM, "ramp_slope": INF})}, "ramp_slope=inf"
+    ),
+    "seed_negative": ({"seed": -1}, "seed"),
+    "seed_float": ({"seed": 1.5}, "seed"),
+    "seed_bool": ({"seed": True}, "seed"),
+    "sweep_zero_height": (
+        {"scene": _scene(STEP), "sweep_step_heights": [0.1, 0.0]},
+        "sweep_step_heights",
+    ),
+    "sweep_nan_height": (
+        {"scene": _scene(STEP), "sweep_step_heights": [NAN]},
+        "sweep_step_heights",
+    ),
+    "sweep_without_step": ({"sweep_step_heights": [0.1]}, "sweep_step_heights"),
+    "vio_dropout_not_a_pair": (
+        {"source_errors": {"vio": {"dropouts": [[1.0]]}}},
+        "dropouts",
+    ),
+    "vio_dropout_reversed": (
+        {"source_errors": {"vio": {"dropouts": [[1.0, 0.5]]}}},
+        "dropouts",
+    ),
+    "vio_dropout_nan": (
+        {"source_errors": {"vio": {"dropouts": [[NAN, 1.0]]}}},
+        "dropouts",
+    ),
+    "sigma0_negative": ({"sensor_noise": {"sigma0": -1.0}}, "noise_sigma0"),
+    "k_negative": ({"sensor_noise": {"k": -0.1}}, "noise_k"),
+    "dropout_above_one": ({"sensor_noise": {"dropout": 1.5}}, "dropout"),
+    "dropout_one": ({"sensor_noise": {"dropout": 1.0}}, "dropout"),
+}
+
 
 def _same(a, b) -> bool:
     """Deep equality over dataclasses, arrays and sequences."""
@@ -140,6 +205,13 @@ class TestConfig:
     def test_bad_geometry_and_drift_keys_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             ScenarioConfig.from_dict({**SHORT, key: value})
+
+    @pytest.mark.parametrize("case", BAD_CONFIGS)
+    def test_bad_scene_seed_sweep_and_noise_rejected(self, case):
+        extra, text = BAD_CONFIGS[case]
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig.from_dict({**SHORT, **extra})
+        assert text in str(err.value)
 
     @pytest.mark.parametrize(
         "command",
@@ -312,9 +384,9 @@ class TestSweepAndCompare:
         assert (tmp_path / "metrics.csv").exists()
 
     def test_sweep_without_step_rejected(self):
-        cfg = ScenarioConfig.from_dict({**SHORT, "sweep_step_heights": [0.1]})
-        with pytest.raises(ValueError):
-            run_step_sweep(cfg)
+        # rejected with the config, before any sub-run
+        with pytest.raises(ValueError, match="Step"):
+            ScenarioConfig.from_dict({**SHORT, "sweep_step_heights": [0.1]})
 
     def test_compare_runs_delta(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -411,6 +483,15 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", BAD_CONFIGS)
+    def test_run_bad_scene_seed_sweep_and_noise_exits_2(self, tmp_path, capsys, case):
+        extra, text = BAD_CONFIGS[case]
+        cfg = self._write_cfg(tmp_path, extra)
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert text in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_misspelled_section_key_exits_2(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, MISSPELLED_SECTIONS)
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -462,7 +543,8 @@ class TestCli:
         out = tmp_path / "scene.csv"
         rc = main(["export-scene", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
-        from elevsim.scene import Heightfield
-
-        hf = Heightfield.from_csv(out)
-        assert hf.resolution == pytest.approx(0.0175)
+        assert out.read_text().splitlines()[0] == "# resolution=0.0175 origin=0.0,0.0"
+        grid = np.loadtxt(out, delimiter=",")
+        # the obstacle scene's 8 x 3 m at 0.0175 m, one x-profile per column
+        assert grid.shape == (457, 171)
+        assert (grid == grid[:, :1]).all()

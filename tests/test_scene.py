@@ -5,7 +5,6 @@ from elevsim.geometry import Pose, quat_from_yaw
 from elevsim.scene import (
     FlatRegion,
     Heightfield,
-    OutOfBoundsError,
     Platform,
     SceneError,
     SceneSpec,
@@ -65,8 +64,9 @@ def test_build_scene_samples_cell_centers():
     hf = build_scene(spec, resolution=0.1)
     assert hf.extent == (20, 10)
     # cell containing x=1.05 sits on the step, cell at x=0.95 does not
-    assert hf.height_at(1.05, 0.5) == pytest.approx(0.2)
-    assert hf.height_at(0.95, 0.5) == pytest.approx(0.0)
+    z = hf.heights_at(np.array([[1.05, 0.5], [0.95, 0.5]]))
+    assert z[0] == pytest.approx(0.2)
+    assert z[1] == pytest.approx(0.0)
 
 
 def test_heightfield_exact_queries_match_profile():
@@ -81,12 +81,6 @@ def test_heightfield_exact_queries_match_profile():
     assert np.allclose(got, expect, atol=0.0)
 
 
-def test_height_query_out_of_bounds_raises():
-    hf = build_scene(SceneSpec([FlatRegion(0.0)], extent=(1.0, 1.0)), 0.1)
-    with pytest.raises(OutOfBoundsError):
-        hf.height_at(1.5, 0.5)
-
-
 def test_heights_at_fill_value():
     hf = build_scene(SceneSpec([FlatRegion(0.0)], extent=(1.0, 1.0)), 0.1)
     out = hf.heights_at(np.array([[0.5, 0.5], [2.0, 0.5]]), fill=-9.0)
@@ -96,33 +90,33 @@ def test_heights_at_fill_value():
 def test_heightfield_is_immutable():
     hf = build_scene(SceneSpec([FlatRegion(0.0)], extent=(1.0, 1.0)), 0.1)
     with pytest.raises(ValueError):
-        hf.cells[0, 0] = 1.0
+        hf.profile[0] = 1.0
 
 
 def test_x_runs_cached_read_only_and_exact():
     spec = SceneSpec(
         [FlatRegion(0.0), Step(x_start=1.0, height=0.2, depth=0.5)], extent=(2.0, 1.0)
     )
-    hf = Heightfield(resolution=0.1, origin=(-0.5, 2.0), cells=build_scene(spec, 0.1).cells)
+    profile = build_scene(spec, 0.1).profile
+    hf = Heightfield(resolution=0.1, origin=(-0.5, 2.0), profile=profile, ny=10)
     runs = hf.x_runs
     assert runs is hf.x_runs
     assert not runs.flags.writeable
     # cells [0, 10) at 0, [10, 15) at 0.2, [15, 20) at 0, from x = -0.5
     np.testing.assert_allclose(runs, [[-0.5, 0.5, 0.0], [0.5, 1.0, 0.2], [1.0, 1.5, 0.0]])
-    col = hf.cells[:, 0]
     for x0, x1, h in runs:
         ix = np.arange(round((x0 + 0.5) / 0.1), round((x1 + 0.5) / 0.1))
-        assert (col[ix] == h).all()
+        assert (hf.profile[ix] == h).all()
 
 
 def test_heightfield_csv_round_trip(tmp_path):
     hf = build_scene(obstacle_scene(), resolution=0.05)
     path = tmp_path / "scene.csv"
     hf.to_csv(path)
-    back = Heightfield.from_csv(path)
-    assert back.resolution == hf.resolution
-    assert back.origin == hf.origin
-    np.testing.assert_allclose(back.cells, hf.cells)
+    assert path.read_text().splitlines()[0] == "# resolution=0.05 origin=0.0,0.0"
+    grid = np.loadtxt(path, delimiter=",")
+    assert grid.shape == hf.extent == (160, 60)
+    np.testing.assert_allclose(grid, np.repeat(hf.profile[:, None], hf.ny, axis=1))
 
 
 def test_scene_spec_yaml_round_trip(tmp_path):

@@ -7,7 +7,6 @@ from elevsim.geometry import Pose, quat_conj, quat_from_euler, quat_rotate, rotz
 from elevsim.scene import (
     FlatRegion,
     Heightfield,
-    SceneError,
     SceneSpec,
     Step,
     build_scene,
@@ -256,10 +255,8 @@ class TestRenderDepth:
             t_hit = None
             for t in np.arange(0.01, cam.max_range, 0.001):
                 p = origin + d * t
-                try:
-                    h = obstacle_hf.height_at(p[0], p[1])
-                except Exception:
-                    continue
+                # NaN off the grid compares false
+                h = obstacle_hf.heights_at(p[:2])[0]
                 if p[2] <= h:
                     t_hit = t
                     break
@@ -313,7 +310,7 @@ def _thin_step_hf():
 
 
 def _shifted_hf(hf, origin=(-1.3, 0.7)):
-    return Heightfield(resolution=hf.resolution, origin=origin, cells=hf.cells)
+    return Heightfield(resolution=hf.resolution, origin=origin, profile=hf.profile, ny=hf.ny)
 
 
 # (scene, pose), poses chosen so that each scene gets hits
@@ -444,13 +441,6 @@ class TestRenderDepthMatchesReference:
         assert (world.points[:, 2] > 1e-6).sum() >= 224
         assert (world.points[:, 2] > 0.1).sum() >= 32
 
-    def test_y_varying_heightfield_rejected(self, flat_hf):
-        cells = flat_hf.cells.copy()
-        cells[10, 20] = 0.05
-        hf = Heightfield(resolution=flat_hf.resolution, origin=flat_hf.origin, cells=cells)
-        with pytest.raises(SceneError, match="varies along y"):
-            render_depth(default_front_camera(), _posed_state(*RENDER_CASES["flat"][1]), hf)
-
 
 class TestCaches:
     def test_ray_directions_shared_and_read_only(self):
@@ -525,6 +515,13 @@ def test_camera_model_validation():
             min_range=2.0,
             max_range=1.0,
         )
+    # a negative sigma0 still drew about 1 m of noise; a dropout of 1.5 kept
+    # no point and the run reported a NaN chamfer
+    for key, value in (("noise_sigma0", -1.0), ("noise_sigma0", float("inf")),
+                       ("noise_k", -0.1), ("dropout", 1.5), ("dropout", 1.0),
+                       ("dropout", -0.1), ("dropout", float("nan"))):
+        with pytest.raises(ValueError, match=key):
+            replace(default_front_camera(), **{key: value})
 
 
 def test_ray_directions_unit_and_counted():
