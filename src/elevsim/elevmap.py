@@ -107,14 +107,15 @@ class ElevationMap:
             return skipped
 
         pts = cloud.points[ok]
-        flat = idx[ok, 0] * self.n + idx[ok, 1]
         ranges = np.linalg.norm(pts - np.asarray(sensor_origin, dtype=float), axis=1)
         r_var = model.measurement_variance(ranges)
-        info_add = np.bincount(flat, weights=1.0 / r_var, minlength=self.n * self.n)
-        z_info = np.bincount(flat, weights=pts[:, 2] / r_var, minlength=self.n * self.n)
-        hit = info_add.reshape(self.n, self.n) > 0
-        info_add = info_add.reshape(self.n, self.n)[hit]
-        z_info = z_info.reshape(self.n, self.n)[hit]
+        # touched cells in row-major order; per-cell sums keep point order
+        cells, inv = np.unique(idx[ok, 0] * self.n + idx[ok, 1], return_inverse=True)
+        info_add = np.bincount(inv, weights=1.0 / r_var, minlength=len(cells))
+        z_info = np.bincount(inv, weights=pts[:, 2] / r_var, minlength=len(cells))
+        keep = info_add > 0
+        hit = np.unravel_index(cells[keep], (self.n, self.n))
+        info_add, z_info = info_add[keep], z_info[keep]
 
         prior_valid = self.valid[hit]
         prior_var = self.variance[hit] + model.time_variance_rate * np.maximum(
@@ -153,7 +154,7 @@ class ElevationMap:
         if len(diff) < min_points:
             return 0.0
         shift = float(diff.mean())
-        self.height[self.valid] += shift
+        np.add(self.height, shift, out=self.height, where=self.valid)
         self.total_shift += shift
         return shift
 
@@ -165,19 +166,16 @@ class ElevationMap:
         k = k.astype(int)
         if k[0] == 0 and k[1] == 0:
             return
-        for arr, fill in (
-            (self.height, 0.0),
-            (self.variance, 0.0),
-            (self.last_update, 0.0),
-            (self.valid, False),
-        ):
-            shifted = np.full_like(arr, fill)
-            src_x = slice(max(0, k[0]), self.n + min(0, k[0]))
-            dst_x = slice(max(0, -k[0]), self.n + min(0, -k[0]))
-            src_y = slice(max(0, k[1]), self.n + min(0, k[1]))
-            dst_y = slice(max(0, -k[1]), self.n + min(0, -k[1]))
-            shifted[dst_x, dst_y] = arr[src_x, src_y]
-            arr[:] = shifted
+        # a jump of n or more cells keeps nothing: clamped, it clears all
+        kx, ky = np.clip(k, -self.n, self.n)
+        src = slice(max(0, kx), self.n + min(0, kx)), slice(max(0, ky), self.n + min(0, ky))
+        dst = slice(max(0, -kx), self.n + min(0, -kx)), slice(max(0, -ky), self.n + min(0, -ky))
+        new_x = slice(self.n - kx, self.n) if kx > 0 else slice(0, -kx)
+        new_y = slice(self.n - ky, self.n) if ky > 0 else slice(0, -ky)
+        for arr in (self.height, self.variance, self.last_update, self.valid):
+            arr[dst] = arr[src]  # numpy buffers the overlapping copy
+            arr[new_x] = 0  # clear the strips that scrolled in (False in valid)
+            arr[:, new_y] = 0
         self.center = self.center + k * self.resolution
 
     def query_height(self, x: float, y: float) -> tuple[float, float] | None:
@@ -207,15 +205,23 @@ class ElevationMap:
         """Valid cell centers + heights inside the yaw-aligned region around
         the base, as an (M, 3) world-frame array.
         """
+        # only cells centred within the half-diagonal can be inside; floor and
+        # ceil keep at least half a cell beyond it. The window keeps the full
+        # grid's expressions and row-major order, the chamfer mean's sum order
+        reach = 0.5 * np.hypot(*region)
+        lo = np.floor((base_pose.position[:2] - reach - self.origin) / self.resolution)
+        hi = np.ceil((base_pose.position[:2] + reach - self.origin) / self.resolution)
+        # fmax/fmin map a NaN bound to 0: an undefined pose reads no cells
+        (i0, j0), (i1, j1) = np.fmin(np.fmax([lo, hi], 0), self.n).astype(int)
         cx, cy = self.cell_centers()
-        gx, gy = np.meshgrid(cx, cy, indexing="ij")
+        gx, gy = np.meshgrid(cx[i0:i1], cy[j0:j1], indexing="ij")
         rel = np.stack([gx.ravel() - base_pose.position[0], gy.ravel() - base_pose.position[1]], axis=1)
         R = rotz(base_pose.yaw)[:2, :2]
         local = rel @ R  # world -> base-aligned
         inside = (np.abs(local[:, 0]) <= region[0] / 2) & (np.abs(local[:, 1]) <= region[1] / 2)
-        inside &= self.valid.ravel()
+        inside &= self.valid[i0:i1, j0:j1].ravel()
         return np.column_stack(
-            [gx.ravel()[inside], gy.ravel()[inside], self.height.ravel()[inside]]
+            [gx.ravel()[inside], gy.ravel()[inside], self.height[i0:i1, j0:j1].ravel()[inside]]
         )
 
     def to_csv(self, path) -> None:

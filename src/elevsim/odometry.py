@@ -19,6 +19,14 @@ from .geometry import quat_mul, quat_normalize, quat_rotate
 from .sensorsim import RobotState, Trajectory
 
 
+def _check_non_negative(obj, *keys: str) -> None:
+    """Each named field must be finite and >= 0 (NaN fails too)."""
+    for key in keys:
+        value = np.asarray(getattr(obj, key), dtype=float)
+        if not ((value >= 0) & (value < np.inf)).all():
+            raise ValueError(f"{key} must be non-negative and finite: {getattr(obj, key)}")
+
+
 @dataclass
 class EstimatorErrors:
     vel_sigma: np.ndarray = field(default_factory=lambda: np.array([0.02, 0.02, 0.01]))
@@ -27,8 +35,9 @@ class EstimatorErrors:
     def __post_init__(self):
         self.vel_sigma = np.asarray(self.vel_sigma, dtype=float)
         self.bias = np.asarray(self.bias, dtype=float)
-        if (self.vel_sigma < 0).any():
-            raise ValueError("sigma must be non-negative")
+        _check_non_negative(self, "vel_sigma")
+        if not np.isfinite(self.bias).all():
+            raise ValueError(f"bias must be finite: {self.bias}")
 
 
 @dataclass
@@ -36,8 +45,7 @@ class ImuErrors:
     orient_sigma: float = 0.002  # rad, per-axis small-angle
 
     def __post_init__(self):
-        if self.orient_sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        _check_non_negative(self, "orient_sigma")
 
 
 @dataclass
@@ -47,8 +55,7 @@ class VioErrors:
     dropouts: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if self.walk_rate < 0 or self.sample_sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        _check_non_negative(self, "walk_rate", "sample_sigma")
         for w in self.dropouts:
             if len(w) != 2 or not (np.isfinite(w).all() and w[0] < w[1]):
                 raise ValueError(f"vio dropouts must be finite (t0, t1) pairs with t0 < t1: {w}")

@@ -63,6 +63,15 @@ class SuccessCriteria:
     max_fill_fraction: float = 0.0
     window_margin: float = 0.5  # meters before/after the obstacle footprint
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
+                raise ValueError(f"success {f.name} must be finite: {value}")
+        for key in ("chamfer_cm", "max_fill_fraction"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"success {key} must be non-negative: {getattr(self, key)}")
+
 
 @dataclass
 class ScenarioConfig:
@@ -99,6 +108,8 @@ class ScenarioConfig:
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer: {seed!r}")
         self.injected_drift = np.asarray(self.injected_drift, dtype=float).reshape(3)
+        if not np.isfinite(self.injected_drift).all():
+            raise ValueError(f"injected_drift must be finite: {self.injected_drift}")
         self.start_xy = tuple(self.start_xy)
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elevsim.elevmap import ElevationMap, SensorVarianceModel
-from elevsim.geometry import Pose, quat_from_yaw
+from elevsim.geometry import Pose, quat_from_yaw, rotz
 from elevsim.pointcloud import PointCloud
 
 
@@ -233,6 +233,15 @@ class TestRegionAndExport:
         assert np.abs(rel[:, 0]).max() <= 0.15 + 0.05
         assert np.abs(rel[:, 1]).max() <= 0.25 + 0.05
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("xy", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan), (1e300, 0.0)])
+    def test_non_finite_base_reads_no_cells(self, xy):
+        # as the full grid did, without an invalid-cast warning
+        emap = ElevationMap(resolution=0.025, size=5.0)
+        emap.valid[:] = True
+        pose = Pose(np.array([*xy, 0.3]), quat_from_yaw(0.3))
+        assert emap.region_points(pose).shape == (0, 3)
+
     def test_map_csv_export(self, tmp_path):
         emap = ElevationMap(resolution=0.1, size=1.0)
         emap.integrate_cloud(_cloud([[0.0, 0.0, 0.5]]), ORIGIN, _model(), 0.0)
@@ -240,3 +249,233 @@ class TestRegionAndExport:
         emap.to_csv(path)
         text = path.read_text()
         assert "height layer" in text and "variance layer" in text
+
+
+class FullGridMap(ElevationMap):
+    """The full-grid versions of the windowed map methods, kept as the
+    reference: every frame touched all n^2 cells, and the outputs must not
+    have changed by a bit."""
+
+    def integrate_cloud(self, cloud, sensor_origin, model, t):
+        if t < self.last_time - 1e-12:
+            raise ValueError("integrate_cloud called with a timestamp in the past")
+        self.last_time = max(self.last_time, t)
+        if len(cloud) == 0:
+            return 0
+        idx, ok = self.cell_indices(cloud.points[:, :2])
+        skipped = int((~ok).sum())
+        self.skipped_points += skipped
+        if not ok.any():
+            return skipped
+        pts = cloud.points[ok]
+        flat = idx[ok, 0] * self.n + idx[ok, 1]
+        ranges = np.linalg.norm(pts - np.asarray(sensor_origin, dtype=float), axis=1)
+        r_var = model.measurement_variance(ranges)
+        info_add = np.bincount(flat, weights=1.0 / r_var, minlength=self.n * self.n)
+        z_info = np.bincount(flat, weights=pts[:, 2] / r_var, minlength=self.n * self.n)
+        hit = info_add.reshape(self.n, self.n) > 0
+        info_add = info_add.reshape(self.n, self.n)[hit]
+        z_info = z_info.reshape(self.n, self.n)[hit]
+        prior_valid = self.valid[hit]
+        prior_var = self.variance[hit] + model.time_variance_rate * np.maximum(
+            0.0, t - self.last_update[hit]
+        )
+        prior_info = np.where(prior_valid, 1.0 / np.where(prior_var > 0, prior_var, 1.0), 0.0)
+        new_info = prior_info + info_add
+        self.height[hit] += (z_info - info_add * self.height[hit]) / new_info
+        self.variance[hit] = 1.0 / new_info
+        self.valid[hit] = True
+        self.last_update[hit] = t
+        return skipped
+
+    def drift_compensate(self, cloud, gate=0.03, min_points=20):
+        if len(cloud) == 0:
+            return 0.0
+        idx, ok = self.cell_indices(cloud.points[:, :2])
+        ok = ok.copy()
+        ok[ok] &= self.valid[idx[ok, 0], idx[ok, 1]]
+        if not ok.any():
+            return 0.0
+        diff = cloud.points[ok, 2] - self.height[idx[ok, 0], idx[ok, 1]]
+        diff = diff[np.abs(diff) <= gate]
+        if len(diff) < min_points:
+            return 0.0
+        shift = float(diff.mean())
+        self.height[self.valid] += shift
+        self.total_shift += shift
+        return shift
+
+    def recenter(self, robot_xy):
+        # raises for a jump of n to 2n - 1 cells; callers here avoid those
+        k = np.round((np.asarray(robot_xy, dtype=float) - self.center) / self.resolution)
+        k = k.astype(int)
+        if k[0] == 0 and k[1] == 0:
+            return
+        for arr, fill in (
+            (self.height, 0.0),
+            (self.variance, 0.0),
+            (self.last_update, 0.0),
+            (self.valid, False),
+        ):
+            shifted = np.full_like(arr, fill)
+            src_x = slice(max(0, k[0]), self.n + min(0, k[0]))
+            dst_x = slice(max(0, -k[0]), self.n + min(0, -k[0]))
+            src_y = slice(max(0, k[1]), self.n + min(0, k[1]))
+            dst_y = slice(max(0, -k[1]), self.n + min(0, -k[1]))
+            shifted[dst_x, dst_y] = arr[src_x, src_y]
+            arr[:] = shifted
+        self.center = self.center + k * self.resolution
+
+    def region_points(self, base_pose, region=(0.5, 0.3)):
+        cx, cy = self.cell_centers()
+        gx, gy = np.meshgrid(cx, cy, indexing="ij")
+        rel = np.stack([gx.ravel() - base_pose.position[0], gy.ravel() - base_pose.position[1]], axis=1)
+        R = rotz(base_pose.yaw)[:2, :2]
+        local = rel @ R
+        inside = (np.abs(local[:, 0]) <= region[0] / 2) & (np.abs(local[:, 1]) <= region[1] / 2)
+        inside &= self.valid.ravel()
+        return np.column_stack(
+            [gx.ravel()[inside], gy.ravel()[inside], self.height.ravel()[inside]]
+        )
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_state(a: ElevationMap, b: ElevationMap) -> bool:
+    layers = ("height", "variance", "valid", "last_update", "center")
+    return all(_same_bytes(getattr(a, k), getattr(b, k)) for k in layers) and (
+        (a.total_shift, a.last_time, a.skipped_points)
+        == (b.total_shift, b.last_time, b.skipped_points)
+    )
+
+
+# (resolution, size): 200^2, the sweep's 400^2 and an odd 133^2
+GRIDS = [(0.025, 5.0), (0.0125, 5.0), (0.0225, 3.0)]
+
+
+def _filled_pair(resolution, size, rng, center=(0.3, -0.2)):
+    """The windowed map and its full-grid reference, with the same random
+    layers, about 70% of the cells valid."""
+    maps = ElevationMap(resolution, size, center), FullGridMap(resolution, size, center)
+    n = maps[0].n
+    layers = (
+        rng.normal(0.1, 0.05, (n, n)),
+        rng.uniform(1e-5, 1e-3, (n, n)),
+        rng.random((n, n)) < 0.7,
+        rng.uniform(0.0, 1.0, (n, n)),
+    )
+    for emap in maps:
+        for name, layer in zip(("height", "variance", "valid", "last_update"), layers):
+            getattr(emap, name)[:] = layer
+    return maps
+
+
+def _edge_poses(emap: ElevationMap, region) -> list[tuple[float, float, float]]:
+    """Bases whose window the map edge clips to one row, one column or one
+    cell, plus bases on each edge and corner (x, y, yaw)."""
+    res, n = emap.resolution, emap.n
+    reach = 0.5 * np.hypot(*region)
+    lo, hi = emap.origin, emap.origin + n * res
+    # a window [floor((p - reach - o) / res), ceil((p + reach - o) / res))
+    # that the edge clips to its first or last index
+    first = lo - reach + 0.5 * res
+    last = hi + reach - 0.5 * res
+    poses = []
+    for x in (first[0], last[0], lo[0], hi[0], emap.center[0]):
+        for y in (first[1], last[1], lo[1], hi[1], emap.center[1]):
+            for yaw in (0.0, 0.7, -np.pi / 2):
+                poses.append((x, y, yaw))
+    return poses
+
+
+class TestWindowedMatchesFullGrid:
+    @pytest.mark.parametrize("resolution, size", GRIDS)
+    def test_region_points_same_bytes(self, resolution, size):
+        rng = np.random.default_rng(int(resolution * 1e4))
+        new, ref = _filled_pair(resolution, size, rng)
+        half = 0.5 * new.n * new.resolution
+        regions = [(0.5, 0.3), (0.25, 1.1), (0.5 * resolution, 0.3 * resolution)]
+        half = 0.5 * new.n * new.resolution
+        cases = [
+            (*(new.center + rng.uniform(-half - 0.6, half + 0.6, 2)), rng.uniform(-np.pi, np.pi),
+             regions[i % 3])
+            for i in range(300)
+        ]
+        cases += [(*p, r) for r in regions for p in _edge_poses(new, r)]
+        found = 0
+        for x, y, yaw, region in cases:
+            pose = Pose(np.array([x, y, 0.3]), quat_from_yaw(yaw))
+            got = new.region_points(pose, region)
+            assert _same_bytes(got, ref.region_points(pose, region)), (x, y, yaw, region)
+            found += len(got) > 0
+        assert found > 150
+
+    @pytest.mark.parametrize("resolution, size", GRIDS)
+    def test_edge_windows_clip_to_one_row_and_one_cell(self, resolution, size):
+        # the clipped windows exist: one index in x, in y, or both
+        emap = ElevationMap(resolution, size)
+        region = (0.5, 0.3)
+        reach = 0.5 * np.hypot(*region)
+        spans = set()
+        for x, y, _ in _edge_poses(emap, region):
+            p = np.array([x, y])
+            lo = np.floor((p - reach - emap.origin) / resolution)
+            hi = np.ceil((p + reach - emap.origin) / resolution)
+            spans.add(tuple(np.clip(hi, 0, emap.n) - np.clip(lo, 0, emap.n)))
+        assert any(s[0] == 1 and s[1] > 1 for s in spans)
+        assert any(s[1] == 1 and s[0] > 1 for s in spans)
+        assert (1, 1) in spans
+
+    @pytest.mark.parametrize("resolution, size", GRIDS)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_random_update_sequences_same_bytes(self, resolution, size):
+        rng = np.random.default_rng(7 + int(size))
+        new, ref = _filled_pair(resolution, size, rng, center=(0.0, 0.0))
+        model = _model(base=1e-4, range_coeff=1e-4, time_rate=3e-6)
+        n, t = new.n, 1.0
+        for step in range(120):
+            op = rng.integers(3)
+            if op == 0:
+                # mostly short moves, now and then a jump past the whole map
+                cells = rng.integers(-3, 4, 2)
+                if rng.random() < 0.1:
+                    cells = rng.choice([-1, 1], 2) * (2 * n + rng.integers(0, 5, 2))
+                target = new.center + (cells + rng.uniform(-0.45, 0.45, 2)) * resolution
+                for emap in (new, ref):
+                    emap.recenter(target)
+            else:
+                m = int(rng.integers(0, 400))
+                xy = new.center + rng.uniform(-0.6, 0.6, (m, 2)) * n * resolution
+                z = rng.normal(0.1, 0.02, m)
+                if m and rng.random() < 0.3:
+                    # points that carry no information (infinite range
+                    # variance) must not touch a cell
+                    z[rng.random(m) < 0.2] = 1e200
+                cloud = _cloud(np.column_stack([xy, z]), t)
+                origin = np.array([*new.center, 0.5])
+                for emap in (new, ref):
+                    if op == 1:
+                        emap.drift_compensate(cloud, 0.05, 5)
+                    emap.integrate_cloud(cloud, origin, model, t)
+                t += float(rng.uniform(0.0, 0.1))
+            # total_shift and skipped_points carry the two calls' returns
+            assert _same_state(new, ref), step
+        assert new.total_shift != 0 and new.skipped_points > 0
+
+
+class TestRecenterJumps:
+    @pytest.mark.parametrize("cells", [200, 201, 240, 399, 400, 480, -200, -240, -399])
+    def test_jump_of_n_or_more_cells_clears_every_layer(self, cells):
+        # a jump of n to 2n - 1 cells (240 is 6 m on this 5 m map) used to
+        # raise a numpy broadcast error
+        emap = ElevationMap(resolution=0.025, size=5.0)
+        xy = np.random.default_rng(0).uniform(-2.4, 2.4, (500, 2))
+        cloud = _cloud(np.column_stack([xy, np.full(500, 0.2)]))
+        emap.integrate_cloud(cloud, ORIGIN, _model(), 1.0)
+        emap.recenter(np.array([cells * 0.025, 0.0]))
+        assert not emap.valid.any()
+        assert not emap.height.any() and not emap.variance.any() and not emap.last_update.any()
+        np.testing.assert_allclose(emap.center, [cells * 0.025, 0.0], atol=1e-9)

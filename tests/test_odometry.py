@@ -320,3 +320,14 @@ def test_error_model_validation():
     for window in ((1.0,), (1.0, 0.5), (1.0, 1.0), (float("nan"), 1.0), (0.5, float("inf"))):
         with pytest.raises(ValueError, match="dropouts"):
             VioErrors(dropouts=(window,))
+    # NaN passed the old `< 0` checks; each error names its key
+    for value in (float("nan"), float("inf")):
+        for make, key in (
+            (lambda v: EstimatorErrors(vel_sigma=np.array([0.02, v, 0.01])), "vel_sigma"),
+            (lambda v: EstimatorErrors(bias=np.array([0.0, v, 0.0])), "bias"),
+            (lambda v: ImuErrors(orient_sigma=v), "orient_sigma"),
+            (lambda v: VioErrors(walk_rate=v), "walk_rate"),
+            (lambda v: VioErrors(sample_sigma=v), "sample_sigma"),
+        ):
+            with pytest.raises(ValueError, match=key):
+                make(value)

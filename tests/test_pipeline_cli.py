@@ -54,6 +54,8 @@ BAD_SCALARS = [
     ("drift_gate", -1.0),
     ("drift_gate", 0.0),
     ("drift_gate", NAN),
+    ("injected_drift", [NAN, 0.0, 0.0]),
+    ("injected_drift", [0.0, INF, 0.0]),
 ]
 
 STEP = {"type": "step", "x_start": 3.0, "height": 0.1, "depth": 0.8}
@@ -119,6 +121,22 @@ BAD_CONFIGS = {
     "k_negative": ({"sensor_noise": {"k": -0.1}}, "noise_k"),
     "dropout_above_one": ({"sensor_noise": {"dropout": 1.5}}, "dropout"),
     "dropout_one": ({"sensor_noise": {"dropout": 1.0}}, "dropout"),
+    # NaN noise used to pass a `< 0` check: the run died at the first cloud,
+    # or (orient_sigma) reported finite metrics with exit 0
+    "vel_sigma_nan": (
+        {"source_errors": {"estimator": {"vel_sigma": [NAN, 0.02, 0.01]}}},
+        "vel_sigma",
+    ),
+    "bias_inf": ({"source_errors": {"estimator": {"bias": [0.0, INF, 0.0]}}}, "bias"),
+    "orient_sigma_nan": ({"source_errors": {"imu": {"orient_sigma": NAN}}}, "orient_sigma"),
+    "walk_rate_nan": ({"source_errors": {"vio": {"walk_rate": NAN}}}, "walk_rate"),
+    "sample_sigma_inf": ({"source_errors": {"vio": {"sample_sigma": INF}}}, "sample_sigma"),
+    # a NaN threshold used to report success 0 with exit 0
+    "success_chamfer_nan": ({"success": {"chamfer_cm": NAN}}, "chamfer_cm"),
+    "success_chamfer_negative": ({"success": {"chamfer_cm": -1.0}}, "chamfer_cm"),
+    "success_fill_negative": ({"success": {"max_fill_fraction": -0.1}}, "max_fill_fraction"),
+    "success_fill_inf": ({"success": {"max_fill_fraction": INF}}, "max_fill_fraction"),
+    "success_margin_nan": ({"success": {"window_margin": NAN}}, "window_margin"),
 }
 
 
