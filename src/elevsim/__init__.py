@@ -33,7 +33,6 @@ from .scene import (
 from .sensorsim import (
     CameraModel,
     CommandProfile,
-    GaitParams,
     RobotState,
     Trajectory,
     inject_sensor_noise,

@@ -10,7 +10,7 @@ body's bounding box.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -76,7 +76,6 @@ class BodyModel:
     thigh_length: float = 0.213
     calf_length: float = 0.213
     leg_radius: float = 0.03
-    hip_offsets: np.ndarray = field(default_factory=lambda: HIP_OFFSETS.copy())
 
     def __post_init__(self):
         if self.trunk_radius <= 0 or self.leg_radius <= 0:
@@ -100,7 +99,7 @@ class BodyModel:
             )
         ]
         for f in range(4):
-            hip = self.hip_offsets[f]
+            hip = HIP_OFFSETS[f]
             roll, thigh_pitch, calf_pitch = state.q[3 * f : 3 * f + 3]
             cr, sr = np.cos(roll), np.sin(roll)
             rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])

@@ -28,10 +28,11 @@ class SensorVarianceModel:
     time_variance_rate: float = 3e-7  # m^2 per second of cell staleness
 
     def __post_init__(self):
-        if self.base_variance <= 0:
-            raise ValueError("base variance must be positive")
-        if self.range_coeff < 0 or self.time_variance_rate < 0:
-            raise ValueError("variance coefficients must be non-negative")
+        if not 0 < self.base_variance < np.inf:
+            raise ValueError(f"base_variance must be positive and finite: {self.base_variance}")
+        for key in ("range_coeff", "time_variance_rate"):
+            if not 0 <= getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be non-negative and finite: {getattr(self, key)}")
 
     def measurement_variance(self, ranges: np.ndarray) -> np.ndarray:
         return self.base_variance + self.range_coeff * np.asarray(ranges) ** 2
@@ -201,7 +202,7 @@ class ElevationMap:
         c = (np.arange(self.n) + 0.5) * self.resolution
         return self.origin[0] + c, self.origin[1] + c
 
-    def region_points(self, base_pose: Pose, region=(0.5, 0.3)) -> np.ndarray:
+    def region_points(self, base_pose: Pose, region: tuple[float, float]) -> np.ndarray:
         """Valid cell centers + heights inside the yaw-aligned region around
         the base, as an (M, 3) world-frame array.
         """

@@ -4,7 +4,6 @@ error over fixed-arc-length segments, and command-tracking RMS.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -14,7 +13,7 @@ from scipy.spatial import cKDTree
 from .elevmap import ElevationMap
 from .geometry import Pose, rotz, yaw_from_quat
 from .pointcloud import PointCloud
-from .scene import Heightfield, ground_truth_patch
+from .scene import SAMPLE_REGION, Heightfield, ground_truth_patch
 from .sensorsim import CommandProfile
 
 log = logging.getLogger(__name__)
@@ -25,27 +24,11 @@ TRACKING_SETTLE_S = 0.7
 
 @dataclass
 class MetricReport:
-    name: str
     values: list[float]
-    units: str
-    tag: str = ""
 
     @property
     def mean(self) -> float:
         return float(np.mean(self.values)) if self.values else float("nan")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "units": self.units,
-            "tag": self.tag,
-            "mean": self.mean,
-            "values": [float(v) for v in self.values],
-        }
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
 
 
 def _as_points(cloud) -> np.ndarray:
@@ -80,8 +63,6 @@ def map_vs_ground_truth(
     hf: Heightfield,
     base_pose: Pose,
     true_pose: Pose | None = None,
-    region: tuple[float, float] = (0.5, 0.3),
-    patch_resolution: float = 0.0175,
 ) -> float | None:
     """Chamfer distance (cm) between the map cells around the (estimated)
     base pose and the ground-truth patch around the true pose, with both
@@ -90,10 +71,10 @@ def map_vs_ground_truth(
     valid cells in the region (window excluded from run means).
     """
     true_pose = base_pose if true_pose is None else true_pose
-    map_pts = emap.region_points(base_pose, region)
+    map_pts = emap.region_points(base_pose, SAMPLE_REGION)
     if len(map_pts) == 0:
         return None
-    gt_cloud, _clipped = ground_truth_patch(hf, true_pose, region, patch_resolution)
+    gt_cloud, _clipped = ground_truth_patch(hf, true_pose, SAMPLE_REGION)
     if len(gt_cloud) == 0:
         return None
     return chamfer_one_way(_relative(map_pts, base_pose), _relative(gt_cloud.points, true_pose))
@@ -144,7 +125,6 @@ def rte(
     est: TrajectorySamples,
     gt: TrajectorySamples,
     segment_length: float = 1.0,
-    tag: str = "",
 ) -> MetricReport:
     """Relative trajectory error: partition ground truth into consecutive
     fixed-arc-length segments, align the estimate at each segment start
@@ -168,18 +148,17 @@ def rte(
         dyaw = float(np.interp(t0, gt.t, gt_yaw) - np.interp(t0, est.t, est_yaw))
         aligned_end = g0 + rotz(dyaw) @ (e1 - e0)
         errors.append(float(np.linalg.norm(aligned_end - g1)))
-    return MetricReport(name="rte_translation", values=errors, units="m", tag=tag)
+    return MetricReport(values=errors)
 
 
 def tracking_rms(
     times: np.ndarray,
     velocities: np.ndarray,
     profile: CommandProfile,
-    settle: float = TRACKING_SETTLE_S,
-    tag: str = "",
 ) -> tuple[np.ndarray, int]:
     """Per-axis RMS of (measured - commanded) body velocity, pooled over all
-    command segments with the first `settle` seconds of each discarded.
+    command segments with the first TRACKING_SETTLE_S seconds of each
+    discarded.
     Returns (rms per axis, number of skipped too-short segments).
     """
     times = np.asarray(times, dtype=float)
@@ -188,11 +167,11 @@ def tracking_rms(
     count = 0
     skipped = 0
     for t0, t1, cmd in profile.boundaries():
-        if t1 - t0 <= settle:
+        if t1 - t0 <= TRACKING_SETTLE_S:
             skipped += 1
             log.warning("command segment [%.2f, %.2f) shorter than settle time", t0, t1)
             continue
-        mask = (times >= t0 + settle) & (times < t1)
+        mask = (times >= t0 + TRACKING_SETTLE_S) & (times < t1)
         if not mask.any():
             continue
         err = velocities[mask] - cmd

@@ -15,6 +15,7 @@ import numpy as np
 
 from .elevmap import ElevationMap
 from .geometry import Pose, quat_conj, quat_rotate, yaw_aligned_grid
+from .sensorsim import TRUNK_HEIGHT
 
 HEIGHT_GRID = (11, 7)  # samples along forward (x) and lateral (y)
 HEIGHT_PITCH = 0.05
@@ -22,7 +23,7 @@ N_HEIGHT_SAMPLES = HEIGHT_GRID[0] * HEIGHT_GRID[1]  # 77
 FRAME_DIM = 3 + 12 + 12 + 3 + N_HEIGHT_SAMPLES  # 107
 HISTORY_STEPS = 10
 N_ESTIMATED = 3 + 1 + 4  # velocity, friction, contacts
-DEFAULT_RELATIVE_HEIGHT = -0.30  # minus the nominal trunk height
+DEFAULT_RELATIVE_HEIGHT = -TRUNK_HEIGHT
 BIAS_RESAMPLE_PERIOD = 7.0
 
 
@@ -57,14 +58,12 @@ def sample_grid_positions(base_pose: Pose) -> np.ndarray:
 
 
 def sample_heights(
-    emap: ElevationMap,
-    base_pose: Pose,
-    default_height: float = DEFAULT_RELATIVE_HEIGHT,
+    emap: ElevationMap, base_pose: Pose
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (77 relative heights, world xy positions, default-fill mask)."""
     positions = sample_grid_positions(base_pose)
     heights, valid = emap.query_heights(positions)
-    values = np.where(valid, heights - base_pose.position[2], default_height)
+    values = np.where(valid, heights - base_pose.position[2], DEFAULT_RELATIVE_HEIGHT)
     return values, positions, ~valid
 
 
@@ -96,7 +95,6 @@ def apply_height_noise(
     emap: ElevationMap,
     rng: np.random.Generator,
     base_z: float,
-    default_height: float = DEFAULT_RELATIVE_HEIGHT,
 ) -> np.ndarray:
     """Bias-shifted re-sampling of the map plus per-sample Gaussian noise.
 
@@ -108,7 +106,7 @@ def apply_height_noise(
         return np.asarray(samples, dtype=float).copy()
     shifted = np.asarray(positions, dtype=float) + state.bias[:2]
     heights, valid = emap.query_heights(shifted)
-    values = np.where(valid, heights - base_z, default_height)
+    values = np.where(valid, heights - base_z, DEFAULT_RELATIVE_HEIGHT)
     values = values + state.bias[2]
     values = values + rng.normal(0.0, 1.0, len(values)) * state.sample_sigma
     return values

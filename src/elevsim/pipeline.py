@@ -22,7 +22,6 @@ from . import cloudfilter, metrics, obsbuilder, reward, scene
 from .elevmap import MAX_SIZE, ElevationMap, SensorVarianceModel
 from .geometry import Pose, quat_normalize, quat_rotate, yaw_from_quat
 from .odometry import (
-    EkfConfig,
     EstimatorErrors,
     ImuErrors,
     SourceErrorModel,
@@ -32,9 +31,9 @@ from .odometry import (
     make_source_streams,
 )
 from .sensorsim import (
+    Q_STAND,
     CameraModel,
     CommandProfile,
-    GaitParams,
     Trajectory,
     default_front_camera,
     default_rear_camera,
@@ -84,10 +83,7 @@ class ScenarioConfig:
     injected_drift: np.ndarray = (0.0, 0.0, 0.0)  # m/s
     front_camera: CameraModel = field(default_factory=default_front_camera)
     rear_camera: CameraModel = field(default_factory=default_rear_camera)
-    gait: GaitParams = field(default_factory=GaitParams)
     source_errors: SourceErrorModel = field(default_factory=SourceErrorModel)
-    ekf: EkfConfig = field(default_factory=EkfConfig)
-    variance_model: SensorVarianceModel = field(default_factory=SensorVarianceModel)
     scene_resolution: float = 0.0175
     map_resolution: float = 0.025
     map_size: float = 5.0
@@ -240,7 +236,6 @@ def _estimate_odometry(cfg: ScenarioConfig, traj: Trajectory, rng_seed: int):
         fused = fuse_streams(
             streams,
             initial_state_from(traj.state(0)),
-            cfg.ekf,
             use_vio=(cfg.odometry == "ekf-vio"),
         )
         pos = metrics._interp_vec(ts, fused.t, fused.positions)
@@ -282,7 +277,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         cfg.profile,
         hf,
         dt=1.0 / SIM_RATE,
-        gait=cfg.gait,
         start_xy=cfg.start_xy,
         start_yaw=cfg.start_yaw,
     )
@@ -292,12 +286,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.use_rear_camera:
         cameras.append((cfg.rear_camera, rng_rear))
     body = cloudfilter.BodyModel()
+    variance_model = SensorVarianceModel()
     emap = ElevationMap(
         resolution=cfg.map_resolution,
         size=cfg.map_size,
         center=est_pos[0][:2],
     )
-    default_rel = -cfg.gait.trunk_height
     # per-rate results: the default-fill fraction of each control tick and
     # the chamfer (cm) of each chamfer tick, NaN where it was excluded
     fill = np.empty(len(traj.t[::CONTROL_EVERY]))
@@ -328,11 +322,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                     emap.drift_compensate(
                         world, cfg.drift_gate, cfg.drift_min_points
                     )
-                emap.integrate_cloud(world, cam_pose.position, cfg.variance_model, st.t)
+                emap.integrate_cloud(world, cam_pose.position, variance_model, st.t)
 
         if i % CONTROL_EVERY == 0:
             emap.recenter(est_pos[i][:2])
-            filled = obsbuilder.sample_heights(emap, est_pose, default_rel)[2]
+            filled = obsbuilder.sample_heights(emap, est_pose)[2]
             fill[i // CONTROL_EVERY] = filled.mean()
 
         if i % CHAMFER_EVERY == 0:
@@ -368,11 +362,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 def _reward_mean(cfg: ScenarioConfig, traj: Trajectory, hf: scene.Heightfield) -> float:
     """Mean reward over the control ticks. The reward reads only the
     trajectory and the terrain, never the map."""
-    rcfg = reward.RewardConfig(q_default=cfg.gait.q_default, h_default=cfg.gait.trunk_height)
+    rcfg = reward.RewardConfig()
     ticks = np.arange(0, len(traj), CONTROL_EVERY)
     terrain = hf.heights_at(traj.pos[ticks, :2], fill=0.0)
     commands = cfg.profile.at(traj.t[ticks])
-    prev_q, prev_dq = cfg.gait.q_default, np.zeros(12)
+    prev_q, prev_dq = Q_STAND, np.zeros(12)
     totals = []
     for i, terrain_h, cmd in zip(ticks, terrain, commands):
         st = traj.state(i)

@@ -25,8 +25,9 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    def transformed(self, pose: Pose, frame: str = "world") -> "PointCloud":
-        return replace(self, frame=frame, points=pose.transform(self.points))
+    def transformed(self, pose: Pose) -> "PointCloud":
+        """The points mapped through `pose`, tagged as world frame."""
+        return replace(self, frame="world", points=pose.transform(self.points))
 
     def select(self, mask: np.ndarray) -> "PointCloud":
         return replace(self, points=self.points[mask])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sensorsim import RobotState
+from .sensorsim import Q_STAND, TRUNK_HEIGHT, RobotState
 
 # Unitree Go1 joint torque limit (vendor spec, body joints)
 GO1_TORQUE_LIMIT = 23.7
@@ -39,10 +39,6 @@ class RewardConfig:
     tracking_sigma: float = 0.25
     air_time_target: float = 0.25
     negative_scale: float = 0.25
-    q_default: np.ndarray = field(
-        default_factory=lambda: np.array([0.0, 0.8, -1.5] * 4)
-    )
-    h_default: float = 0.30
     tau_limit: float = GO1_TORQUE_LIMIT
 
     def __post_init__(self):
@@ -50,7 +46,6 @@ class RewardConfig:
             raise ValueError("tracking sigma must be positive")
         if not (0 < self.negative_scale <= 1):
             raise ValueError("negative-total scale must be in (0, 1]")
-        self.q_default = np.asarray(self.q_default, dtype=float).reshape(12)
 
 
 def phi(x, sigma: float = 0.25) -> float:
@@ -102,12 +97,12 @@ def compute_terms(
         "feet_air_time": float(np.sum((td[td > 0] - cfg.air_time_target))),
         "lin_vel_z": float(v[2] ** 2),
         "ang_vel_xy": float(w[0] ** 2 + w[1] ** 2),
-        "joint_position": float(np.sum((state.q - cfg.q_default) ** 2)),
+        "joint_position": float(np.sum((state.q - Q_STAND) ** 2)),
         "joint_acceleration": float(qdd @ qdd),
         "joint_torques": float(torques @ torques),
         "action_rate": float(np.sum((action - prev_action) ** 2)),
         "collisions": float(collisions),
-        "trunk_height": float((state.position[2] - terrain_height - cfg.h_default) ** 2),
+        "trunk_height": float((state.position[2] - terrain_height - TRUNK_HEIGHT) ** 2),
         "torque_limits": float(np.sum(np.maximum(0.0, np.abs(torques) - cfg.tau_limit))),
     }
     weighted = {name: cfg.weights[name] * val for name, val in raw.items()}
@@ -124,15 +119,3 @@ def total(breakdown: RewardBreakdown, cfg: RewardConfig) -> float:
     """Weighted sum with the negative branch scaled down."""
     s = breakdown.pre_scale_sum
     return s if s >= 0 else cfg.negative_scale * s
-
-
-def breakdown_csv_row(t: float, b: RewardBreakdown) -> str:
-    cells = [f"{t:.6f}"]
-    for name in DEFAULT_WEIGHTS:
-        cells.append(f"{b.weighted.get(name, 0.0):.9g}")
-    cells.append(f"{b.total:.9g}")
-    return ",".join(cells)
-
-
-def breakdown_csv_header() -> str:
-    return ",".join(["t", *DEFAULT_WEIGHTS.keys(), "total"])

@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-import yaml
 
 from .geometry import Pose, yaw_aligned_grid
 from .pointcloud import PointCloud
@@ -151,26 +150,22 @@ class SceneSpec:
                 raise SceneError(f"unknown primitive type {kind!r}")
         return cls(primitives=prims, extent=tuple(d["extent"]))
 
-    @classmethod
-    def from_yaml(cls, path) -> "SceneSpec":
-        with open(path) as f:
-            return cls.from_dict(yaml.safe_load(f))
 
-
-def obstacle_scene(extent=(8.0, 3.0), x_start=3.0) -> SceneSpec:
-    """Two 0.10 m steps up to a 0.30 m platform, then a downward ramp."""
+def obstacle_scene() -> SceneSpec:
+    """Two 0.10 m steps up to a 0.30 m platform, then a downward ramp, on an
+    8 m x 3 m floor."""
     return SceneSpec(
         primitives=[
             FlatRegion(z=0.0),
             Platform(
-                x_start=x_start,
+                x_start=3.0,
                 rise_steps=((0.10, 0.30), (0.10, 0.30)),
                 platform_height=0.30,
                 platform_length=1.0,
                 ramp_slope=0.3,
             ),
         ],
-        extent=extent,
+        extent=(8.0, 3.0),
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,11 @@ HIP_OFFSETS = np.array(
     ]
 )
 TROT_PHASE_OFFSETS = np.array([0.0, np.pi, np.pi, 0.0])
+TROT_FREQUENCY = 2.0  # strides per second
+TROT_DUTY = 0.5  # stance fraction of the stride
+SWING_AMPLITUDE = 0.3  # rad, thigh/calf oscillation
+TRUNK_HEIGHT = 0.30  # nominal base height above terrain
+PITCH_TAU = 0.2  # s, terrain-slope low-pass time constant
 
 
 @dataclass
@@ -143,16 +148,6 @@ class CommandProfile:
 
 
 @dataclass
-class GaitParams:
-    frequency: float = 2.0  # strides per second
-    duty: float = 0.5  # stance fraction of the stride
-    swing_amplitude: float = 0.3  # rad, thigh/calf oscillation
-    trunk_height: float = 0.30  # nominal base height above terrain
-    pitch_tau: float = 0.2  # terrain-slope low-pass time constant
-    q_default: np.ndarray = field(default_factory=lambda: Q_STAND.copy())
-
-
-@dataclass
 class Trajectory:
     """Struct-of-arrays kinematic trajectory; row i is sim tick i."""
 
@@ -191,7 +186,6 @@ def simulate_trajectory(
     profile: CommandProfile,
     hf: Heightfield,
     dt: float,
-    gait: GaitParams,
     start_xy=(0.5, None),
     start_yaw: float = 0.0,
 ) -> Trajectory:
@@ -229,11 +223,11 @@ def simulate_trajectory(
         log.warning("trajectory left the heightfield at t=%.3f", t[n])
         t, cmd, yaw, xy, foot_h = t[:n], cmd[:n], yaw[:n], xy[:n], foot_h[:n]
 
-    z = foot_h.mean(axis=1) + gait.trunk_height
+    z = foot_h.mean(axis=1) + TRUNK_HEIGHT
     # terrain slope between front and rear hip pairs, low-passed into pitch
     front, rear = foot_h[:, :2].mean(axis=1), foot_h[:, 2:].mean(axis=1)
     pitch_target = -np.arctan2(front - rear, 2 * abs(HIP_OFFSETS[0, 0]))
-    alpha = min(1.0, dt / gait.pitch_tau)
+    alpha = min(1.0, dt / PITCH_TAU)
     pitch = np.empty(n)
     p = 0.0
     for i, target in enumerate(pitch_target.tolist()):
@@ -250,9 +244,9 @@ def simulate_trajectory(
 
     # trot oscillator: contacts, joints and air-time bookkeeping
     moving = np.linalg.norm(cmd, axis=1) > 1e-9
-    phase = (2 * np.pi * gait.frequency * t[:, None] + TROT_PHASE_OFFSETS) % (2 * np.pi)
+    phase = (2 * np.pi * TROT_FREQUENCY * t[:, None] + TROT_PHASE_OFFSETS) % (2 * np.pi)
     cycle = phase / (2 * np.pi)
-    contact = (cycle < gait.duty) | ~moving[:, None]
+    contact = (cycle < TROT_DUTY) | ~moving[:, None]
     air = np.empty((n, N_FEET))
     a = np.zeros(N_FEET)
     for i in range(n):
@@ -263,18 +257,17 @@ def simulate_trajectory(
     prev_air = np.concatenate([np.zeros((1, N_FEET)), air[:-1]])
     touchdown_air = np.where(contact & ~prev_contact, prev_air, 0.0)
 
-    q = np.tile(gait.q_default, (n, 1))
+    q = np.tile(Q_STAND, (n, 1))
     dq = np.zeros((n, N_JOINTS))
     # swing progress in [0, 1]; thigh/calf fold-unfold during swing
-    s = np.pi * np.clip((cycle - gait.duty) / (1 - gait.duty), 0.0, 1.0)
+    s = np.pi * np.clip((cycle - TROT_DUTY) / (1 - TROT_DUTY), 0.0, 1.0)
     swing = np.where(contact, 0.0, np.sin(s))[moving]
     dswing = np.where(
-        contact, 0.0, np.pi * np.cos(s) * gait.frequency / (1 - gait.duty)
+        contact, 0.0, np.pi * np.cos(s) * TROT_FREQUENCY / (1 - TROT_DUTY)
     )[moving]
-    amp = gait.swing_amplitude
-    q[moving, 1::3] -= amp * swing
-    q[moving, 2::3] += amp * swing
-    dq[moving, 1::3] = -amp * dswing
+    q[moving, 1::3] -= SWING_AMPLITUDE * swing
+    q[moving, 2::3] += SWING_AMPLITUDE * swing
+    dq[moving, 1::3] = -SWING_AMPLITUDE * dswing
     dq[moving, 2::3] = -dq[moving, 1::3]
 
     return Trajectory(

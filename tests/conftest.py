@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from elevsim.scene import build_scene, obstacle_scene
-from elevsim.sensorsim import (
-    CommandProfile,
-    GaitParams,
-    simulate_trajectory,
-)
+from elevsim.sensorsim import CommandProfile, simulate_trajectory
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +13,7 @@ def obstacle_hf():
 @pytest.fixture(scope="session")
 def short_trajectory(obstacle_hf):
     profile = CommandProfile.constant((0.5, 0.0, 0.0), 2.0)
-    return simulate_trajectory(profile, obstacle_hf, dt=1.0 / 300, gait=GaitParams())
+    return simulate_trajectory(profile, obstacle_hf, dt=1.0 / 300)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from elevsim.cloudfilter import (
 )
 from elevsim.geometry import quat_from_euler
 from elevsim.pointcloud import PointCloud
-from elevsim.sensorsim import Q_STAND, RobotState
+from elevsim.sensorsim import HIP_OFFSETS, Q_STAND, RobotState
 
 
 def _reference_voxel_downsample(cloud, resolution):
@@ -44,7 +44,7 @@ def _reference_capsules(body, state):
         def leg_dir(pitch):
             return rx @ np.array([np.sin(pitch), 0.0, -np.cos(pitch)])
 
-        hip = body.hip_offsets[f]
+        hip = HIP_OFFSETS[f]
         knee = hip + body.thigh_length * leg_dir(thigh)
         foot = knee + body.calf_length * leg_dir(thigh + calf)
         caps.append((pose.transform(hip), pose.transform(knee), body.leg_radius))

@@ -127,6 +127,13 @@ class TestIntegration:
         with pytest.raises(ValueError):
             ElevationMap(resolution=resolution, size=size)
 
+    @pytest.mark.parametrize("key", ["base_variance", "range_coeff", "time_variance_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-4])
+    def test_bad_variance_model_rejected(self, key, value):
+        # NaN fails every comparison: a NaN base_variance would drop every point
+        with pytest.raises(ValueError, match=key):
+            SensorVarianceModel(**{key: value})
+
 
 class TestDriftCompensation:
     def test_uniform_offset_recovered_exactly(self):
@@ -240,7 +247,7 @@ class TestRegionAndExport:
         emap = ElevationMap(resolution=0.025, size=5.0)
         emap.valid[:] = True
         pose = Pose(np.array([*xy, 0.3]), quat_from_yaw(0.3))
-        assert emap.region_points(pose).shape == (0, 3)
+        assert emap.region_points(pose, (0.5, 0.3)).shape == (0, 3)
 
     def test_map_csv_export(self, tmp_path):
         emap = ElevationMap(resolution=0.1, size=1.0)

@@ -4,7 +4,6 @@ import pytest
 from elevsim.elevmap import ElevationMap, SensorVarianceModel
 from elevsim.geometry import Pose, quat_from_yaw
 from elevsim.metrics import (
-    MetricReport,
     TrajectorySamples,
     chamfer_one_way,
     map_vs_ground_truth,
@@ -223,14 +222,3 @@ class TestChamferOracle:
             brute = _brute_chamfer_cm(p1, p2)
             assert abs(fast - brute) <= 1e-9 * max(1.0, abs(brute))
         assert time.perf_counter() - start < 5.0
-
-
-def test_metric_report_json(tmp_path):
-    r = MetricReport(name="demo", values=[1.0, 2.0, 3.0], units="cm", tag="x")
-    assert r.mean == 2.0
-    path = tmp_path / "r.json"
-    r.save_json(path)
-    import json
-
-    loaded = json.loads(path.read_text())
-    assert loaded["mean"] == 2.0 and loaded["units"] == "cm"

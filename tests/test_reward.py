@@ -5,13 +5,13 @@ from elevsim.reward import (
     DEFAULT_WEIGHTS,
     GO1_TORQUE_LIMIT,
     RewardConfig,
-    breakdown_csv_header,
-    breakdown_csv_row,
     compute_terms,
     phi,
     total,
 )
-from elevsim.sensorsim import Q_STAND, RobotState
+from elevsim.pipeline import CONTROL_EVERY, SIM_RATE
+from elevsim.scene import FlatRegion, SceneSpec, build_scene
+from elevsim.sensorsim import Q_STAND, CommandProfile, RobotState, simulate_trajectory
 
 
 def _state(**kw):
@@ -115,6 +115,14 @@ class TestTerms:
         b = _terms(state, (0, 0, 0), terrain_height=0.2)
         assert b.raw["trunk_height"] == pytest.approx((0.55 - 0.2 - 0.30) ** 2, rel=1e-12)
 
+    def test_gait_base_height_is_the_reward_trunk_height(self):
+        # the trajectory and the reward read one nominal trunk height
+        hf = build_scene(SceneSpec([FlatRegion(0.0)], extent=(8.0, 3.0)), 0.0175)
+        profile = CommandProfile([(1.0, (0.5, 0.0, 0.0)), (1.0, (0.0, 0.0, 0.0))])
+        traj = simulate_trajectory(profile, hf, dt=1.0 / SIM_RATE)
+        for i in range(0, len(traj), CONTROL_EVERY):
+            assert _terms(traj.state(i)).raw["trunk_height"] == 0.0, traj.t[i]
+
     def test_action_rate_term(self):
         b = _terms(_state(), (0, 0, 0), action=Q_STAND + 0.1, prev_action=Q_STAND)
         assert b.raw["action_rate"] == pytest.approx(12 * 0.01, rel=1e-12)
@@ -137,11 +145,3 @@ class TestConfig:
     def test_invalid_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             RewardConfig(negative_scale=0.0)
-
-
-def test_csv_row_matches_header():
-    b = _terms(_state(), (0, 0, 0))
-    header = breakdown_csv_header().split(",")
-    row = breakdown_csv_row(1.0, b).split(",")
-    assert len(header) == len(row)
-    assert header[0] == "t" and header[-1] == "total"

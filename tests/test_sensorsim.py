@@ -14,9 +14,14 @@ from elevsim.scene import (
 )
 from elevsim.sensorsim import (
     HIP_OFFSETS,
+    PITCH_TAU,
+    Q_STAND,
+    SWING_AMPLITUDE,
+    TROT_DUTY,
+    TROT_FREQUENCY,
+    TRUNK_HEIGHT,
     CameraModel,
     CommandProfile,
-    GaitParams,
     RobotState,
     default_front_camera,
     default_rear_camera,
@@ -32,10 +37,10 @@ def flat_hf():
 
 
 def _run(profile, hf, **kw):
-    return simulate_trajectory(profile, hf, dt=1.0 / 300, gait=GaitParams(), **kw)
+    return simulate_trajectory(profile, hf, dt=1.0 / 300, **kw)
 
 
-def _reference_trajectory(profile, hf, dt, gait, start_xy, start_yaw):
+def _reference_trajectory(profile, hf, dt, start_xy, start_yaw):
     """Tick-by-tick integration, the oracle for the array version.
 
     Returns the columns (t, pos, quat, v_body, w_body, q, dq, contacts, air,
@@ -51,26 +56,26 @@ def _reference_trajectory(profile, hf, dt, gait, start_xy, start_yaw):
         if not np.isfinite(foot_h).all():
             truncated = True
             break
-        z = float(foot_h.mean()) + gait.trunk_height
+        z = float(foot_h.mean()) + TRUNK_HEIGHT
         target = -np.arctan2(foot_h[:2].mean() - foot_h[2:].mean(), 2 * abs(HIP_OFFSETS[0, 0]))
-        pitch += min(1.0, dt / gait.pitch_tau) * (target - pitch)
+        pitch += min(1.0, dt / PITCH_TAU) * (target - pitch)
         quat = quat_from_euler(0.0, pitch, yaw)
         v_world = quat_rotate(quat, np.array([cmd[0], cmd[1], 0.0]))
         if prev_z is not None:
             v_world[2] = (z - prev_z) / dt
         moving = bool(np.linalg.norm(cmd) > 1e-9)
-        phase = (2 * np.pi * gait.frequency * t + np.array([0, np.pi, np.pi, 0])) % (2 * np.pi)
-        contact = phase / (2 * np.pi) < gait.duty if moving else np.ones(4, dtype=bool)
+        phase = (2 * np.pi * TROT_FREQUENCY * t + np.array([0, np.pi, np.pi, 0])) % (2 * np.pi)
+        contact = phase / (2 * np.pi) < TROT_DUTY if moving else np.ones(4, dtype=bool)
         touchdown_air = np.where(contact & ~prev_contact, air, 0.0)
         air = np.where(contact, 0.0, air + dt)
-        q, dq = gait.q_default.copy(), np.zeros(12)
+        q, dq = Q_STAND.copy(), np.zeros(12)
         if moving:
-            s = np.pi * np.clip((phase / (2 * np.pi) - gait.duty) / (1 - gait.duty), 0.0, 1.0)
+            s = np.pi * np.clip((phase / (2 * np.pi) - TROT_DUTY) / (1 - TROT_DUTY), 0.0, 1.0)
             swing = np.where(contact, 0.0, np.sin(s))
-            dswing = np.where(contact, 0.0, np.pi * np.cos(s) * gait.frequency / (1 - gait.duty))
-            q[1::3] -= gait.swing_amplitude * swing
-            q[2::3] += gait.swing_amplitude * swing
-            dq[1::3] = -gait.swing_amplitude * dswing
+            dswing = np.where(contact, 0.0, np.pi * np.cos(s) * TROT_FREQUENCY / (1 - TROT_DUTY))
+            q[1::3] -= SWING_AMPLITUDE * swing
+            q[2::3] += SWING_AMPLITUDE * swing
+            dq[1::3] = -SWING_AMPLITUDE * dswing
             dq[2::3] = -dq[1::3]
         v_body = quat_rotate(quat_conj(quat), v_world)
         w_body = np.array([0.0, 0.0, cmd[2]])
@@ -107,13 +112,8 @@ class TestTrajectory:
         self, profile, scene, start_xy, start_yaw, obstacle_hf, flat_hf
     ):
         hf = obstacle_hf if scene == "obstacle" else flat_hf
-        gait = GaitParams()
-        traj = simulate_trajectory(
-            profile, hf, 1.0 / 300, gait, start_xy=start_xy, start_yaw=start_yaw
-        )
-        columns, truncated = _reference_trajectory(
-            profile, hf, 1.0 / 300, gait, start_xy, start_yaw
-        )
+        traj = simulate_trajectory(profile, hf, 1.0 / 300, start_xy=start_xy, start_yaw=start_yaw)
+        columns, truncated = _reference_trajectory(profile, hf, 1.0 / 300, start_xy, start_yaw)
         assert traj.truncated == truncated
         fields = ("t", "pos", "quat", "v_body", "w_body", "q", "dq", "contacts", "air")
         for name, expected in zip(fields + ("touchdown_air",), columns):
@@ -137,7 +137,7 @@ class TestTrajectory:
 
     def test_base_height_on_flat_ground(self, flat_hf):
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 1.0), flat_hf)
-        assert traj.pos[:, 2] == pytest.approx(GaitParams().trunk_height)
+        assert traj.pos[:, 2] == pytest.approx(TRUNK_HEIGHT)
 
     def test_turn_in_place_integrates_yaw(self, flat_hf):
         traj = _run(CommandProfile.constant((0.0, 0.0, 0.5), 2.0), flat_hf)
@@ -158,7 +158,7 @@ class TestTrajectory:
 
     def test_base_climbs_obstacle(self, obstacle_hf):
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 9.0), obstacle_hf)
-        assert traj.pos[:, 2].max() == pytest.approx(0.30 + GaitParams().trunk_height, abs=0.02)
+        assert traj.pos[:, 2].max() == pytest.approx(0.30 + TRUNK_HEIGHT, abs=0.02)
 
     def test_pitch_responds_to_slope(self, obstacle_hf):
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 9.0), obstacle_hf)
@@ -178,9 +178,8 @@ class TestTrajectory:
         assert c[0] == c[3] and c[1] == c[2] and c[0] != c[1]
 
     def test_air_time_credit_granted_once_per_touchdown(self, flat_hf):
-        gait = GaitParams()
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 2.0), flat_hf)
-        swing_time = (1.0 - gait.duty) / gait.frequency
+        swing_time = (1.0 - TROT_DUTY) / TROT_FREQUENCY
         credits = traj.touchdown_air
         nonzero = credits[credits > 0]
         # every credit equals the swing duration (one sim tick of slack)
@@ -191,13 +190,12 @@ class TestTrajectory:
 
     def test_stride_interval_sum(self, flat_hf):
         # contact + air intervals over one stride add up to the stride duration
-        gait = GaitParams()
         traj = _run(CommandProfile.constant((0.5, 0.0, 0.0), 1.0), flat_hf)
         dt = 1.0 / 300
         contact0 = traj.contacts[:, 0]
-        stride_ticks = int(round(1.0 / gait.frequency / dt))
+        stride_ticks = int(round(1.0 / TROT_FREQUENCY / dt))
         one_stride = contact0[:stride_ticks]
-        assert abs(one_stride.sum() * dt + (~one_stride).sum() * dt - 1.0 / gait.frequency) <= dt
+        assert abs(one_stride.sum() * dt + (~one_stride).sum() * dt - 1.0 / TROT_FREQUENCY) <= dt
 
 
 class TestRenderDepth:
