@@ -13,10 +13,9 @@ from .obsbuilder import (
     HistoryBuffer,
     ObservationFrame,
     apply_height_noise,
-    assemble_inputs,
     sample_heights,
 )
-from .odometry import EkfConfig, EkfState, OdometryEkf, SourceErrorModel, fuse_streams, make_source_streams
+from .odometry import EkfConfig, OdometryEkf, SourceErrorModel, fuse_streams, make_source_streams
 from .pipeline import ScenarioConfig, compare_runs, run_scenario, run_step_sweep
 from .pointcloud import PointCloud
 from .reward import RewardConfig, compute_terms, phi, total

@@ -41,7 +41,7 @@ def remove_outliers(cloud: PointCloud, k: int = 8, std_ratio: float = 2.0) -> Po
     return cloud.select(keep)
 
 
-def voxel_downsample(cloud: PointCloud, resolution: float = 0.025) -> PointCloud:
+def voxel_downsample(cloud: PointCloud, resolution: float) -> PointCloud:
     """One centroid per occupied voxel of the world-aligned grid, in the order
     the voxels are first occupied in the input.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elevmap import ElevationMap
-from .geometry import Pose, quat_conj, quat_rotate, yaw_aligned_grid
+from .geometry import Pose, yaw_aligned_grid
 from .sensorsim import TRUNK_HEIGHT
 
 HEIGHT_GRID = (11, 7)  # samples along forward (x) and lateral (y)
@@ -22,7 +22,6 @@ HEIGHT_PITCH = 0.05
 N_HEIGHT_SAMPLES = HEIGHT_GRID[0] * HEIGHT_GRID[1]  # 77
 FRAME_DIM = 3 + 12 + 12 + 3 + N_HEIGHT_SAMPLES  # 107
 HISTORY_STEPS = 10
-N_ESTIMATED = 3 + 1 + 4  # velocity, friction, contacts
 DEFAULT_RELATIVE_HEIGHT = -TRUNK_HEIGHT
 BIAS_RESAMPLE_PERIOD = 7.0
 
@@ -46,10 +45,6 @@ class ObservationFrame:
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([self.command, self.q, self.dq, self.gravity, self.heights])
-
-
-def projected_gravity(quat: np.ndarray) -> np.ndarray:
-    return quat_rotate(quat_conj(quat), np.array([0.0, 0.0, -1.0]))
 
 
 def sample_grid_positions(base_pose: Pose) -> np.ndarray:
@@ -128,39 +123,3 @@ class HistoryBuffer:
         pad = [self.frames[0]] * (self.capacity - len(self.frames))
         return np.concatenate([f.flatten() for f in pad + self.frames])
 
-
-@dataclass
-class EstimationTargets:
-    lin_vel: np.ndarray  # (3,) body frame
-    friction: float
-    contacts: np.ndarray  # (4,) booleans
-
-    def __post_init__(self):
-        self.lin_vel = np.asarray(self.lin_vel, dtype=float).reshape(3)
-        self.contacts = np.asarray(self.contacts).astype(bool).reshape(4)
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.lin_vel, [self.friction], self.contacts.astype(float)]
-        )
-
-
-def assemble_inputs(
-    obs: np.ndarray, est: EstimationTargets, priv: EstimationTargets
-) -> dict[str, np.ndarray]:
-    """Actor gets observations + estimated variables, critic gets privileged
-    ones; the privileged vector is also the estimator's training target.
-    """
-    obs = np.asarray(obs, dtype=float)
-    if obs.shape != (HISTORY_STEPS * FRAME_DIM,):
-        raise ValueError(
-            f"expected flat observation of length {HISTORY_STEPS * FRAME_DIM}, got {obs.shape}"
-        )
-    ev, pv = est.vector(), priv.vector()
-    if ev.shape != (N_ESTIMATED,) or pv.shape != (N_ESTIMATED,):
-        raise ValueError("estimated/privileged vectors must have 8 entries")
-    return {
-        "actor": np.concatenate([obs, ev]),
-        "critic": np.concatenate([obs, pv]),
-        "estimator_target": pv,
-    }

@@ -11,12 +11,13 @@ skipping its update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import quat_mul, quat_normalize, quat_rotate
-from .sensorsim import RobotState, Trajectory
+from .sensorsim import Trajectory
 
 
 def _check_non_negative(obj, *keys: str) -> None:
@@ -155,29 +156,12 @@ class EkfConfig:
     gate: float = 9.0  # Mahalanobis rejection threshold
 
 
-@dataclass
-class EkfState:
-    """Fused position/velocity with a 6x6 covariance over (position,
-    velocity). `quat` is the latest IMU orientation; it rotates body-frame
-    velocity samples into the world frame and is not estimated."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    quat: np.ndarray
-    cov: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
-        self.quat = quat_normalize(self.quat)
-        self.cov = np.asarray(self.cov, dtype=float).reshape(6, 6)
-
-
 def _check_psd(P: np.ndarray, context: str) -> np.ndarray:
+    """Symmetrize a 2x2 covariance; its smaller eigenvalue must not be
+    below -1e-9."""
     P = 0.5 * (P + P.T)
-    w = np.linalg.eigvalsh(P)
-    if w.min() < -1e-9:
+    a, b, _, c = P.ravel().tolist()
+    if 0.5 * (a + c) - math.hypot(0.5 * (a - c), b) < -1e-9:
         raise RuntimeError(f"covariance lost positive semi-definiteness in {context}")
     return P
 
@@ -185,74 +169,72 @@ def _check_psd(P: np.ndarray, context: str) -> np.ndarray:
 class OdometryEkf:
     """Loosely-coupled fusion: IMU orientation in, velocity and optional
     pose measurement updates. Fixed per-tick order: predict, velocity, pose.
+
+    The state is world-frame position and velocity. Every model matrix is
+    isotropic, so the three axes share one 2x2 (position, velocity)
+    covariance `cov`, and the Mahalanobis gate couples them: a rejected
+    update skips all three. `quat` is the latest IMU orientation; it rotates
+    body-frame velocity samples into the world frame and is not estimated.
+
+    The fused bits are those of the full 6x6 filter. They depend on storing
+    every quaternion through `quat_normalize` (`quat_rotate` normalizes once
+    more, and a second normalization can change the last bit) and on
+    multiplying by 1 / s rather than dividing by s.
     """
 
-    def __init__(self, initial: EkfState, cfg: EkfConfig | None = None):
-        self.state = initial
+    def __init__(self, position, velocity, quat, t: float = 0.0, cfg: EkfConfig | None = None):
+        self.position = np.array(position, dtype=float).reshape(3)
+        self.velocity = np.array(velocity, dtype=float).reshape(3)
+        self.quat = quat_normalize(quat)
+        self.t = t
+        self.cov = np.eye(2) * INITIAL_COV
         self.cfg = cfg or EkfConfig()
         self.rejected_velocity = 0
         self.rejected_pose = 0
 
-    def predict(self, imu_quat: np.ndarray, dt: float) -> EkfState:
+    def predict(self, imu_quat: np.ndarray, dt: float) -> None:
         if dt <= 0:
             raise ValueError("dt must be positive")
-        s, c = self.state, self.cfg
-        F = np.eye(6)
-        F[0:3, 3:6] = dt * np.eye(3)
-        Q = np.zeros((6, 6))
-        Q[0:3, 0:3] = c.q_pos * dt * np.eye(3)
-        Q[3:6, 3:6] = c.q_vel * dt * np.eye(3)
-        P = F @ s.cov @ F.T + Q
-        P = _check_psd(P, "predict")
-        self.state = EkfState(
-            position=s.position + s.velocity * dt,
-            velocity=s.velocity,
-            quat=imu_quat,
-            cov=P,
-            t=s.t + dt,
-        )
-        return self.state
+        c = self.cfg
+        F = np.array([[1.0, dt], [0.0, 1.0]])
+        P = F @ self.cov @ F.T + np.diag([c.q_pos * dt, c.q_vel * dt])
+        self.cov = _check_psd(P, "predict")
+        self.position = self.position + self.velocity * dt
+        self.quat = quat_normalize(imu_quat)
+        self.t = self.t + dt
 
-    def _update(self, H: np.ndarray, innovation: np.ndarray, R: np.ndarray) -> bool:
-        s, c = self.state, self.cfg
-        S = H @ s.cov @ H.T + R
-        maha = float(innovation @ np.linalg.solve(S, innovation))
-        if maha > c.gate:
+    def _update(self, j: int, innovation: np.ndarray, r: float) -> bool:
+        """Measurement of state row `j` (0 position, 1 velocity) on every
+        axis, with variance `r` per axis."""
+        P = self.cov
+        inv_s = 1.0 / (P[j, j] + r)
+        if innovation @ (innovation * inv_s) > self.cfg.gate:
             return False
-        K = s.cov @ H.T @ np.linalg.inv(S)
-        dx = K @ innovation
-        I_KH = np.eye(6) - K @ H
-        P = I_KH @ s.cov @ I_KH.T + K @ R @ K.T  # Joseph form
-        P = _check_psd(P, "update")
-        self.state = replace(
-            s,
-            position=s.position + dx[0:3],
-            velocity=s.velocity + dx[3:6],
-            cov=P,
-        )
+        k = P[:, j : j + 1] * inv_s  # (2, 1) gain, the same on every axis
+        I_KH = np.eye(2)
+        I_KH[:, j] -= k[:, 0]
+        P = I_KH @ P @ I_KH.T + (k * r) @ k.T  # Joseph form
+        self.cov = _check_psd(P, "update")
+        dx = k * innovation  # row 0 position, row 1 velocity
+        self.position = self.position + dx[0]
+        self.velocity = self.velocity + dx[1]
         return True
 
     def update_velocity(self, v_body: np.ndarray) -> bool:
         """World-frame velocity update from a body-frame estimator sample."""
-        z = quat_rotate(self.state.quat, np.asarray(v_body, dtype=float))
-        H = np.zeros((3, 6))
-        H[:, 3:6] = np.eye(3)
-        ok = self._update(H, z - self.state.velocity, self.cfg.r_vel * np.eye(3))
-        if not ok:
-            self.rejected_velocity += 1
-        return ok
+        z = quat_rotate(self.quat, np.asarray(v_body, dtype=float))
+        if self._update(1, z - self.velocity, self.cfg.r_vel):
+            return True
+        self.rejected_velocity += 1
+        return False
 
     def update_pose(self, position: np.ndarray) -> bool:
         """Position update from the drifting pose (VIO stand-in) source."""
-        H = np.zeros((3, 6))
-        H[:, 0:3] = np.eye(3)
-        ok = self._update(
-            H, np.asarray(position, dtype=float) - self.state.position,
-            self.cfg.r_pos * np.eye(3),
-        )
-        if not ok:
-            self.rejected_pose += 1
-        return ok
+        innovation = np.asarray(position, dtype=float) - self.position
+        if self._update(0, innovation, self.cfg.r_pos):
+            return True
+        self.rejected_pose += 1
+        return False
 
 
 @dataclass
@@ -264,45 +246,41 @@ class FusedTrajectory:
 
 def fuse_streams(
     streams: SourceStreams,
-    initial: EkfState,
+    traj: Trajectory,
     cfg: EkfConfig | None = None,
     use_vio: bool = True,
 ) -> FusedTrajectory:
-    """Run the EKF over timestamp-merged streams. Within one tick, updates
-    are applied in the fixed order: predict, velocity, pose.
+    """Run the EKF from the trajectory's first row over the timestamp-merged
+    streams, one output row per event. Within one tick, events are applied
+    in the fixed order: IMU orientation (predict), velocity, pose.
     """
-    ekf = OdometryEkf(initial, cfg)
-    # (t, kind, row): IMU orientation, body velocity, VIO position
-    events = [(t, 0, q) for t, q in zip(streams.imu_t.tolist(), streams.imu_quat)]
-    events += [(t, 1, v) for t, v in zip(streams.est_t.tolist(), streams.est_v)]
-    if use_vio:
-        events += [(t, 2, p) for t, p in zip(streams.vio_t.tolist(), streams.vio_pos)]
-    events.sort(key=lambda e: (e[0], e[1]))
-
-    ts, ps, vs = [], [], []
-    for t, kind, row in events:
-        if kind == 0:
-            dt = t - ekf.state.t
-            if dt > 0:
-                ekf.predict(row, dt)
-            else:
-                ekf.state = replace(ekf.state, quat=row)
-        elif kind == 1:
-            ekf.update_velocity(row)
-        else:
-            ekf.update_pose(row)
-        ts.append(ekf.state.t)
-        ps.append(ekf.state.position.copy())
-        vs.append(ekf.state.velocity.copy())
-    return FusedTrajectory(t=np.array(ts), positions=np.array(ps), velocities=np.array(vs))
-
-
-def initial_state_from(state: RobotState) -> EkfState:
-    v_world = quat_rotate(state.quat, state.lin_vel_body)
-    return EkfState(
-        position=state.position.copy(),
-        velocity=v_world,
-        quat=state.quat.copy(),
-        cov=np.eye(6) * INITIAL_COV,
-        t=state.t,
+    ekf = OdometryEkf(
+        traj.pos[0], quat_rotate(traj.quat[0], traj.v_body[0]), traj.quat[0],
+        float(traj.t[0]), cfg,
     )
+    grids = [streams.imu_t, streams.est_t] + ([streams.vio_t] if use_vio else [])
+    sizes = [len(g) for g in grids]
+    t_all = np.concatenate(grids)
+    kind = np.repeat(np.arange(len(grids)), sizes)
+    order = np.lexsort((kind, t_all))
+    kinds = kind[order]
+    rows = order - np.cumsum([0] + sizes)[kinds]
+
+    ts = np.empty(len(order))
+    positions = np.empty((len(order), 3))
+    velocities = np.empty((len(order), 3))
+    for i, (t, k, row) in enumerate(zip(t_all[order].tolist(), kinds.tolist(), rows.tolist())):
+        if k == 0:
+            dt = t - ekf.t
+            if dt > 0:
+                ekf.predict(streams.imu_quat[row], dt)
+            else:
+                ekf.quat = quat_normalize(streams.imu_quat[row])
+        elif k == 1:
+            ekf.update_velocity(streams.est_v[row])
+        else:
+            ekf.update_pose(streams.vio_pos[row])
+        ts[i] = ekf.t
+        positions[i] = ekf.position
+        velocities[i] = ekf.velocity
+    return FusedTrajectory(t=ts, positions=positions, velocities=velocities)

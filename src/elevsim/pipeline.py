@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import cloudfilter, metrics, obsbuilder, reward, scene
-from .elevmap import MAX_SIZE, ElevationMap, SensorVarianceModel
+from .elevmap import DEFAULT_RESOLUTION, DEFAULT_SIZE, MAX_SIZE, ElevationMap, SensorVarianceModel
 from .geometry import Pose, quat_normalize, quat_rotate, yaw_from_quat
 from .odometry import (
     EstimatorErrors,
@@ -27,7 +27,6 @@ from .odometry import (
     SourceErrorModel,
     VioErrors,
     fuse_streams,
-    initial_state_from,
     make_source_streams,
 )
 from .sensorsim import (
@@ -84,9 +83,9 @@ class ScenarioConfig:
     front_camera: CameraModel = field(default_factory=default_front_camera)
     rear_camera: CameraModel = field(default_factory=default_rear_camera)
     source_errors: SourceErrorModel = field(default_factory=SourceErrorModel)
-    scene_resolution: float = 0.0175
-    map_resolution: float = 0.025
-    map_size: float = 5.0
+    scene_resolution: float = scene.GT_PATCH_RESOLUTION
+    map_resolution: float = DEFAULT_RESOLUTION
+    map_size: float = DEFAULT_SIZE
     drift_gate: float = 0.03
     drift_min_points: int = 20
     start_xy: tuple[float, float | None] = (0.8, None)
@@ -233,11 +232,7 @@ def _estimate_odometry(cfg: ScenarioConfig, traj: Trajectory, rng_seed: int):
         vel_world = quat_rotate(traj.quat, traj.v_body)
     else:
         streams = make_source_streams(traj, cfg.source_errors, rng_seed)
-        fused = fuse_streams(
-            streams,
-            initial_state_from(traj.state(0)),
-            use_vio=(cfg.odometry == "ekf-vio"),
-        )
+        fused = fuse_streams(streams, traj, use_vio=(cfg.odometry == "ekf-vio"))
         pos = metrics._interp_vec(ts, fused.t, fused.positions)
         vel_world = metrics._interp_vec(ts, fused.t, fused.velocities)
     yaws = yaw_from_quat(quat_normalize(traj.quat))

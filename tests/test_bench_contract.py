@@ -1,0 +1,55 @@
+"""The benchmark's tracer wraps names in `elevsim` by string and counts EKF
+rejections by `result is False`. A renamed wrap target or a non-`bool` update
+result would break its traced run or silently zero
+`odometry.ekf.rejected_ratio`; this test makes either fail here instead.
+
+`perfbench/tracer.py` is read and executed in memory, so no bytecode is
+written next to it.
+"""
+
+import types
+from pathlib import Path
+
+from elevsim import odometry
+from elevsim.pipeline import ScenarioConfig, run_scenario
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def test_traced_ekf_run_counts_every_rejection(monkeypatch):
+    tracer_mod = _load_tracer()
+    made = []
+
+    class Recorded(odometry.OdometryEkf):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    # a noisy velocity estimator, so that the gate rejects updates of both
+    # kinds
+    cfg = ScenarioConfig.from_dict(
+        {
+            "command": [[2.0, [0.5, 0.0, 0.0]]],
+            "odometry": "ekf-vio",
+            "use_rear_camera": False,
+            "source_errors": {"estimator": {"vel_sigma": [0.08, 0.08, 0.08]}},
+        }
+    )
+    tracer = tracer_mod.Tracer()
+    # raises TraceTargetError if a wrapped name is missing
+    with tracer.installed(tracer_mod.install_elevsim):
+        # after install: the tracer wraps methods in OdometryEkf's own dict,
+        # and the subclass inherits the wrapped ones
+        monkeypatch.setattr(odometry, "OdometryEkf", Recorded)
+        run_scenario(cfg)
+    (ekf,) = made
+    assert ekf.rejected_velocity > 0 and ekf.rejected_pose > 0
+    rejected = ekf.rejected_velocity + ekf.rejected_pose
+    assert tracer.counters["odometry.ekf.rejected"] == rejected
+    assert tracer.counters["odometry.ekf.updates"] > rejected

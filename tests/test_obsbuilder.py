@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elevsim.elevmap import ElevationMap, SensorVarianceModel
-from elevsim.geometry import Pose, quat_from_euler, quat_from_yaw
+from elevsim.geometry import Pose, quat_from_yaw
 from elevsim.obsbuilder import (
     BIAS_RESAMPLE_PERIOD,
     DEFAULT_RELATIVE_HEIGHT,
@@ -10,15 +10,11 @@ from elevsim.obsbuilder import (
     HEIGHT_GRID,
     HEIGHT_PITCH,
     HISTORY_STEPS,
-    N_ESTIMATED,
     N_HEIGHT_SAMPLES,
-    EstimationTargets,
     HeightNoiseState,
     HistoryBuffer,
     ObservationFrame,
     apply_height_noise,
-    assemble_inputs,
-    projected_gravity,
     sample_grid_positions,
     sample_heights,
 )
@@ -56,7 +52,6 @@ class TestGrid:
         assert N_HEIGHT_SAMPLES == 77
         assert FRAME_DIM == 107
         assert HISTORY_STEPS == 10
-        assert N_ESTIMATED == 8
 
     def test_grid_spans_region(self):
         pose = Pose(np.array([0.0, 0.0, 0.3]), quat_from_yaw(0.0))
@@ -212,11 +207,6 @@ class TestFrameAndHistory:
                 heights=np.zeros(77),
             )
 
-    def test_projected_gravity_tilted(self):
-        g = projected_gravity(quat_from_euler(0.0, np.deg2rad(30), 0.0))
-        np.testing.assert_allclose(g, [np.sin(np.deg2rad(30)), 0.0, -np.cos(np.deg2rad(30))], atol=1e-12)
-        assert np.linalg.norm(g) == pytest.approx(1.0)
-
     def test_history_warmup_replicates_earliest(self):
         buf = HistoryBuffer()
         flat = buf.push_and_flatten(_frame(1.0))
@@ -232,21 +222,3 @@ class TestFrameAndHistory:
         assert frames[0][0] == 2.0  # oldest retained
         assert frames[-1][0] == 11.0  # newest last
 
-
-class TestAssembly:
-    def test_actor_critic_dimensions(self):
-        obs = np.zeros(HISTORY_STEPS * FRAME_DIM)
-        est = EstimationTargets(lin_vel=[0.1, 0, 0], friction=0.8, contacts=[1, 0, 0, 1])
-        out = assemble_inputs(obs, est, est)
-        assert out["actor"].shape == (1078,)
-        assert out["critic"].shape == (1078,)
-        assert out["estimator_target"].shape == (8,)
-
-    def test_wrong_obs_length_hard_faults(self):
-        est = EstimationTargets(lin_vel=np.zeros(3), friction=0.5, contacts=np.zeros(4))
-        with pytest.raises(ValueError):
-            assemble_inputs(np.zeros(100), est, est)
-
-    def test_target_vector_layout(self):
-        est = EstimationTargets(lin_vel=[1, 2, 3], friction=0.5, contacts=[1, 0, 1, 0])
-        np.testing.assert_array_equal(est.vector(), [1, 2, 3, 0.5, 1, 0, 1, 0])

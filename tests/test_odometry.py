@@ -1,5 +1,3 @@
-from dataclasses import dataclass, replace
-
 import numpy as np
 import pytest
 
@@ -7,14 +5,12 @@ from elevsim import odometry
 from elevsim.geometry import quat_from_yaw, quat_mul, quat_normalize, quat_rotate
 from elevsim.odometry import (
     EkfConfig,
-    EkfState,
     EstimatorErrors,
     ImuErrors,
     OdometryEkf,
     SourceErrorModel,
     VioErrors,
     fuse_streams,
-    initial_state_from,
     make_source_streams,
 )
 
@@ -27,14 +23,12 @@ def _noiseless_model(bias=(0.0, 0.0, 0.0)):
     )
 
 
-def _initial(position=(0, 0, 0), velocity=(0, 0, 0), quat=None, cov=1e-6):
-    return EkfState(
-        position=np.asarray(position, dtype=float),
-        velocity=np.asarray(velocity, dtype=float),
-        quat=np.array([1.0, 0, 0, 0]) if quat is None else quat,
-        cov=np.eye(6) * cov,
-        t=0.0,
-    )
+def _ekf(position=(0, 0, 0), velocity=(0, 0, 0), quat=(1.0, 0, 0, 0), cov=None, cfg=None):
+    """A filter at t = 0; `cov` replaces the initial per-axis variances."""
+    ekf = OdometryEkf(position, velocity, np.asarray(quat, dtype=float), 0.0, cfg)
+    if cov is not None:
+        ekf.cov = np.eye(2) * cov
+    return ekf
 
 
 def _reference_streams(traj, model, seed):
@@ -72,67 +66,75 @@ def _reference_streams(traj, model, seed):
     return {name: np.array(col) for name, col in columns.items()}
 
 
-@dataclass
-class _NineState:
-    """EkfState with a 9x9 covariance over (position, velocity, attitude
-    error); like EkfState, it normalizes the quaternion on construction."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    quat: np.ndarray
-    cov: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        self.quat = quat_normalize(self.quat)
-
-
-class _NineStateEkf(OdometryEkf):
-    """The earlier nine-state filter, the oracle for the six-state one: its
-    attitude block is reset on every predict and read by no update."""
+class _NineStateEkf:
+    """The earlier nine-state filter over (position, velocity, attitude
+    error) with one 9x9 covariance, the oracle for the per-axis one. Its
+    attitude block is reset on every predict and read by no update. Like the
+    filter, it stores every quaternion normalized."""
 
     R_ATT = 1e-5  # attitude pseudo-measurement variance, rad^2
 
-    def __init__(self, initial, cfg=None):
-        # the IMU sample at t = 0 replaces the initial quaternion before any
-        # update reads it
-        super().__init__(_NineState(initial.position, initial.velocity, initial.quat,
-                                    np.eye(9) * odometry.INITIAL_COV, initial.t), cfg)
+    def __init__(self, position, velocity, quat, t=0.0, cfg=None):
+        self.x = np.concatenate([position, velocity, np.zeros(3)]).astype(float)
+        self.P = np.eye(9) * odometry.INITIAL_COV
+        self.quat = quat_normalize(quat)
+        self.t = t
+        self.cfg = cfg or EkfConfig()
+        self.rejected_velocity = 0
+        self.rejected_pose = 0
+
+    position = property(lambda self: self.x[0:3])
+    velocity = property(lambda self: self.x[3:6])
+
+    @staticmethod
+    def _psd(P):
+        P = 0.5 * (P + P.T)
+        if np.linalg.eigvalsh(P).min() < -1e-9:
+            raise RuntimeError("nine-state covariance lost positive semi-definiteness")
+        return P
 
     def predict(self, imu_quat, dt):
-        s, c = self.state, self.cfg
+        c = self.cfg
         F = np.eye(9)
         F[0:3, 3:6] = dt * np.eye(3)
         Q = np.zeros((9, 9))
         Q[0:3, 0:3] = c.q_pos * dt * np.eye(3)
         Q[3:6, 3:6] = c.q_vel * dt * np.eye(3)
-        P = F @ s.cov @ F.T + Q
+        P = F @ self.P @ F.T + Q
         P[6:9, 6:9] = np.eye(3) * self.R_ATT
         P[0:6, 6:9] = 0.0
         P[6:9, 0:6] = 0.0
-        P = odometry._check_psd(P, "predict")
-        self.state = _NineState(s.position + s.velocity * dt, s.velocity, imu_quat, P, s.t + dt)
-        return self.state
+        self.P = self._psd(P)
+        self.x = np.concatenate([self.position + self.velocity * dt, self.velocity, np.zeros(3)])
+        self.quat = quat_normalize(imu_quat)
+        self.t = self.t + dt
 
-    def _update(self, H, innovation, R):
-        s, c = self.state, self.cfg
-        H = np.hstack([H, np.zeros((3, 3))])
-        S = H @ s.cov @ H.T + R
-        maha = float(innovation @ np.linalg.solve(S, innovation))
-        if maha > c.gate:
+    def _update(self, rows, innovation, r):
+        H = np.zeros((3, 9))
+        H[:, rows] = np.eye(3)
+        R = r * np.eye(3)
+        S = H @ self.P @ H.T + R
+        if float(innovation @ np.linalg.solve(S, innovation)) > self.cfg.gate:
             return False
-        K = s.cov @ H.T @ np.linalg.inv(S)
-        dx = K @ innovation
+        K = self.P @ H.T @ np.linalg.inv(S)
         I_KH = np.eye(9) - K @ H
-        P = I_KH @ s.cov @ I_KH.T + K @ R @ K.T
-        P = odometry._check_psd(P, "update")
-        self.state = replace(
-            s, position=s.position + dx[0:3], velocity=s.velocity + dx[3:6], cov=P
-        )
+        self.P = self._psd(I_KH @ self.P @ I_KH.T + K @ R @ K.T)
+        self.x = self.x + K @ innovation
         return True
 
+    def update_velocity(self, v_body):
+        z = quat_rotate(self.quat, np.asarray(v_body, dtype=float))
+        ok = self._update(slice(3, 6), z - self.velocity, self.cfg.r_vel)
+        self.rejected_velocity += not ok
+        return ok
 
-def _fuse_with(monkeypatch, ekf_cls, streams, initial, use_vio):
+    def update_pose(self, position):
+        ok = self._update(slice(0, 3), np.asarray(position, dtype=float) - self.position, self.cfg.r_pos)
+        self.rejected_pose += not ok
+        return ok
+
+
+def _fuse_with(monkeypatch, ekf_cls, streams, traj, use_vio):
     """`fuse_streams` run with `ekf_cls` as its filter; returns the fused
     trajectory and the filter, for its reject counters."""
     made = []
@@ -143,7 +145,7 @@ def _fuse_with(monkeypatch, ekf_cls, streams, initial, use_vio):
             made.append(self)
 
     monkeypatch.setattr(odometry, "OdometryEkf", Recorded)
-    fused = fuse_streams(streams, initial, use_vio=use_vio)
+    fused = fuse_streams(streams, traj, use_vio=use_vio)
     return fused, made[0]
 
 
@@ -195,56 +197,63 @@ class TestEkfCore:
         # one velocity update on a still filter matches the scalar formula
         cfg = EkfConfig(q_vel=0.0)
         p0 = 0.04
-        ekf = OdometryEkf(_initial(cov=p0), cfg)
+        ekf = _ekf(cov=p0, cfg=cfg)
         z = np.array([0.3, 0.0, 0.0])
         ekf.update_velocity(z)
         k = p0 / (p0 + cfg.r_vel)
-        assert ekf.state.velocity[0] == pytest.approx(k * 0.3, rel=1e-12)
+        assert ekf.velocity[0] == pytest.approx(k * 0.3, rel=1e-12)
         # Joseph form posterior variance
         expect_var = (1 - k) ** 2 * p0 + k**2 * cfg.r_vel
-        assert ekf.state.cov[3, 3] == pytest.approx(expect_var, rel=1e-12)
+        assert ekf.cov[1, 1] == pytest.approx(expect_var, rel=1e-12)
 
     def test_predict_integrates_position(self):
-        ekf = OdometryEkf(_initial(velocity=(1.0, 0.0, 0.0)))
+        ekf = _ekf(velocity=(1.0, 0.0, 0.0))
         ekf.predict(np.array([1.0, 0, 0, 0]), dt=0.1)
-        np.testing.assert_allclose(ekf.state.position, [0.1, 0, 0], atol=1e-15)
-        assert ekf.state.t == pytest.approx(0.1)
+        np.testing.assert_allclose(ekf.position, [0.1, 0, 0], atol=1e-15)
+        assert ekf.t == pytest.approx(0.1)
 
     def test_predict_rejects_nonpositive_dt(self):
-        ekf = OdometryEkf(_initial())
+        ekf = _ekf()
         with pytest.raises(ValueError):
             ekf.predict(np.array([1.0, 0, 0, 0]), dt=0.0)
 
     def test_velocity_update_rotates_body_frame(self):
-        quat = quat_from_yaw(np.pi / 2)
-        ekf = OdometryEkf(_initial(quat=quat, cov=1.0), EkfConfig(r_vel=1e-12))
+        ekf = _ekf(quat=quat_from_yaw(np.pi / 2), cov=1.0, cfg=EkfConfig(r_vel=1e-12))
         ekf.update_velocity(np.array([1.0, 0.0, 0.0]))
         # body +x at yaw 90 degrees is world +y
-        np.testing.assert_allclose(ekf.state.velocity, [0, 1, 0], atol=1e-5)
+        np.testing.assert_allclose(ekf.velocity, [0, 1, 0], atol=1e-5)
 
     def test_mahalanobis_gate_rejects_outlier(self):
-        ekf = OdometryEkf(_initial(cov=1e-6))
+        ekf = _ekf(cov=1e-6)
         ok = ekf.update_pose(np.array([10.0, 0.0, 0.0]))
-        assert not ok
+        assert ok is False
         assert ekf.rejected_pose == 1
-        np.testing.assert_allclose(ekf.state.position, [0, 0, 0])
+        np.testing.assert_allclose(ekf.position, [0, 0, 0])
 
     def test_covariance_stays_psd_over_long_run(self, rng):
-        ekf = OdometryEkf(_initial())
+        ekf = _ekf()
         for i in range(500):
             ekf.predict(np.array([1.0, 0, 0, 0]), dt=0.005)
             if i % 4 == 0:
                 ekf.update_velocity(rng.normal(0.0, 0.1, 3))
             if i % 9 == 0:
-                ekf.update_pose(ekf.state.position + rng.normal(0.0, 0.01, 3))
-        w = np.linalg.eigvalsh(ekf.state.cov)
+                ekf.update_pose(ekf.position + rng.normal(0.0, 0.01, 3))
+        assert ekf.cov.shape == (2, 2)
+        w = np.linalg.eigvalsh(ekf.cov)
         assert w.min() >= -1e-9
+
+    def test_psd_guard_fires_on_negative_variance(self):
+        # a negative process noise density drives the velocity variance
+        # below zero on the first predict
+        ekf = _ekf(cfg=EkfConfig(q_vel=-1.0))
+        with pytest.raises(RuntimeError, match="positive semi-definiteness in predict"):
+            ekf.predict(np.array([1.0, 0, 0, 0]), dt=0.005)
 
 
 class TestFusion:
     def test_zero_noise_fusion_tracks_ground_truth(self, short_trajectory):
         streams = make_source_streams(short_trajectory, _noiseless_model(), seed=0)
-        fused = fuse_streams(streams, initial_state_from(short_trajectory.state(0)))
+        fused = fuse_streams(streams, short_trajectory)
         ts = short_trajectory.t
         gt_pos = short_trajectory.pos
         est = np.stack(
@@ -257,9 +266,7 @@ class TestFusion:
         streams = make_source_streams(
             short_trajectory, _noiseless_model(bias=(0.05, 0.0, 0.0)), seed=0
         )
-        fused = fuse_streams(
-            streams, initial_state_from(short_trajectory.state(0)), use_vio=False
-        )
+        fused = fuse_streams(streams, short_trajectory, use_vio=False)
         t_end = short_trajectory.t[-1]
         drift = fused.positions[-1] - short_trajectory.pos[-1]
         assert drift[0] == pytest.approx(0.05 * t_end, rel=0.15)
@@ -268,12 +275,8 @@ class TestFusion:
         streams = make_source_streams(
             short_trajectory, _noiseless_model(bias=(0.05, 0.0, 0.0)), seed=0
         )
-        with_vio = fuse_streams(
-            streams, initial_state_from(short_trajectory.state(0)), use_vio=True
-        )
-        without = fuse_streams(
-            streams, initial_state_from(short_trajectory.state(0)), use_vio=False
-        )
+        with_vio = fuse_streams(streams, short_trajectory, use_vio=True)
+        without = fuse_streams(streams, short_trajectory, use_vio=False)
         gt_end = short_trajectory.pos[-1]
         assert np.linalg.norm(with_vio.positions[-1] - gt_end) < np.linalg.norm(
             without.positions[-1] - gt_end
@@ -281,12 +284,15 @@ class TestFusion:
 
     def test_fusion_is_deterministic(self, short_trajectory):
         streams = make_source_streams(short_trajectory, SourceErrorModel(), seed=3)
-        a = fuse_streams(streams, initial_state_from(short_trajectory.state(0)))
-        b = fuse_streams(streams, initial_state_from(short_trajectory.state(0)))
+        a = fuse_streams(streams, short_trajectory)
+        b = fuse_streams(streams, short_trajectory)
         np.testing.assert_array_equal(a.positions, b.positions)
 
 
 class TestSixStateMatchesNineState:
+    """The per-axis filter (six states, one 2x2 covariance that the axes
+    share) against the nine-state oracle, bit for bit."""
+
     @pytest.mark.parametrize("use_vio", [True, False])
     def test_same_bits_and_rejects(self, monkeypatch, short_trajectory, use_vio):
         # noisy enough that the gate rejects about a quarter of the velocity
@@ -295,18 +301,19 @@ class TestSixStateMatchesNineState:
             estimator=EstimatorErrors(vel_sigma=np.full(3, 0.08)),
             vio=VioErrors(walk_rate=0.02, sample_sigma=0.01, dropouts=((0.6, 1.2),)),
         )
-        streams = make_source_streams(short_trajectory, model, seed=11)
-        initial = initial_state_from(short_trajectory.state(0))
-        six, ekf6 = _fuse_with(monkeypatch, OdometryEkf, streams, initial, use_vio)
-        nine, ekf9 = _fuse_with(monkeypatch, _NineStateEkf, streams, initial, use_vio)
-        assert ekf6.state.cov.shape == (6, 6) and ekf9.state.cov.shape == (9, 9)
-        for name in ("t", "positions", "velocities"):
-            assert getattr(six, name).tobytes() == getattr(nine, name).tobytes(), name
-        assert ekf6.rejected_velocity == ekf9.rejected_velocity > 0
-        assert ekf6.rejected_pose == ekf9.rejected_pose
-        if use_vio:
-            assert ekf6.rejected_pose > 0
-
+        # on seed 24 a quaternion normalized once, not on every store, moves
+        # the fused bits
+        for seed in (11, 24):
+            streams = make_source_streams(short_trajectory, model, seed=seed)
+            six, ekf6 = _fuse_with(monkeypatch, OdometryEkf, streams, short_trajectory, use_vio)
+            nine, ekf9 = _fuse_with(monkeypatch, _NineStateEkf, streams, short_trajectory, use_vio)
+            assert ekf6.cov.shape == (2, 2) and ekf9.P.shape == (9, 9)
+            for name in ("t", "positions", "velocities"):
+                assert getattr(six, name).tobytes() == getattr(nine, name).tobytes(), (seed, name)
+            assert ekf6.rejected_velocity == ekf9.rejected_velocity > 0
+            assert ekf6.rejected_pose == ekf9.rejected_pose
+            if use_vio:
+                assert ekf6.rejected_pose > 0
 
 def test_error_model_validation():
     with pytest.raises(ValueError):
