@@ -56,28 +56,29 @@ def cmd_run(args) -> int:
         cfg = replace(cfg, **overrides)
     except Exception as e:  # config errors get a diagnostic, nonzero exit
         return _config_error(args.config, e)
-    try:
-        if cfg.sweep_step_heights:
-            for row in pipeline.run_step_sweep(cfg):
-                print(
-                    f"step {row['step_height_m']:.3f} m: success={int(row.get('success', 0))}"
-                    f" chamfer={row.get('window_chamfer_mean_cm', float('nan')):.3f} cm"
-                )
-        else:
-            result = pipeline.run_scenario(cfg)
-            for k, v in result.metrics.items():
-                print(f"{k} = {v:.6g}")
-            if result.truncated:
-                print("warning: trajectory left the terrain and was truncated", file=sys.stderr)
-    except scene.OutOfBoundsError as e:  # an off-terrain start, found as the run starts
-        return _config_error(args.config, e)
+    if cfg.sweep_step_heights:
+        for row in pipeline.run_step_sweep(cfg):
+            print(
+                f"step {row['step_height_m']:.3f} m: success={int(row.get('success', 0))}"
+                f" chamfer={row.get('window_chamfer_mean_cm', float('nan')):.3f} cm"
+            )
+    else:
+        result = pipeline.run_scenario(cfg)
+        for k, v in result.metrics.items():
+            print(f"{k} = {v:.6g}")
+        if result.truncated:
+            print("warning: trajectory left the terrain and was truncated", file=sys.stderr)
     print(f"reports written to {cfg.out_dir}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    table = pipeline.compare_runs(args.reports)
-    width = max(len(name) for name, _, _ in table)
+    try:
+        table = pipeline.compare_runs(args.reports)
+    except (OSError, ValueError) as e:  # too few reports, or one unreadable
+        print(f"compare error: {e}", file=sys.stderr)
+        return 2
+    width = max((len(name) for name, _, _ in table), default=len("metric"))
     header = " | ".join(p.parent.name or str(p) for p in args.reports)
     # one delta column per run but the last, each relative to the last run
     delta_header = " | ".join(["delta%"] * (len(args.reports) - 1))

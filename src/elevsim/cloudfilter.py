@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import rotation_matrix
+from .geometry import Pose
 from .pointcloud import PointCloud
-from .sensorsim import HIP_OFFSETS, RobotState
+from .sensorsim import HIP_OFFSETS
 
 log = logging.getLogger(__name__)
 
@@ -81,16 +81,10 @@ class BodyModel:
         if self.trunk_radius <= 0 or self.leg_radius <= 0:
             raise ValueError("capsule radii must be positive")
 
-    def capsules(self, state: RobotState) -> list[tuple[np.ndarray, np.ndarray, float]]:
-        """World-frame (p0, p1, radius) capsules posed by forward kinematics."""
-        pose = state.pose
-        # one rotation matrix for every endpoint; `pose.transform` would
-        # rebuild the same matrix per point
-        R = rotation_matrix(pose.quat)
-
-        def to_world(p):
-            return R @ p + pose.position
-
+    def capsules(self, pose: Pose, q: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
+        """World-frame (p0, p1, radius) capsules of the base at `pose` with
+        joint angles `q`, posed by forward kinematics."""
+        to_world = pose.transform
         caps = [
             (
                 to_world(np.array([self.trunk_half_length, 0.0, 0.0])),
@@ -100,7 +94,7 @@ class BodyModel:
         ]
         for f in range(4):
             hip = HIP_OFFSETS[f]
-            roll, thigh_pitch, calf_pitch = state.q[3 * f : 3 * f + 3]
+            roll, thigh_pitch, calf_pitch = q[3 * f : 3 * f + 3]
             cr, sr = np.cos(roll), np.sin(roll)
             rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
 
@@ -127,8 +121,9 @@ def _point_segment_dist(points: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> n
     return np.linalg.norm(points - closest, axis=1)
 
 
-def body_filter(cloud: PointCloud, state: RobotState, body: BodyModel) -> PointCloud:
-    """Remove every world-frame point inside an inflated body capsule.
+def body_filter(cloud: PointCloud, caps: list, margin: float) -> PointCloud:
+    """Remove every world-frame point within `margin` of a body capsule
+    (`BodyModel.capsules`, posed once per tick for all its clouds).
 
     Only points inside the capsules' bounding box, grown by radius + margin
     and a slack, get the distance test; every point outside it is farther
@@ -136,9 +131,8 @@ def body_filter(cloud: PointCloud, state: RobotState, body: BodyModel) -> PointC
     """
     if len(cloud) == 0:
         return cloud
-    caps = body.capsules(state)
     # 1 um lies far above the rounding error of the distance test
-    grow = body.margin + 1e-6
+    grow = margin + 1e-6
     box_lo = np.min([np.minimum(p0, p1) - r for p0, p1, r in caps], axis=0) - grow
     box_hi = np.max([np.maximum(p0, p1) + r for p0, p1, r in caps], axis=0) + grow
     pts = cloud.points
@@ -150,7 +144,7 @@ def body_filter(cloud: PointCloud, state: RobotState, body: BodyModel) -> PointC
     sub = pts[near]
     keep_sub = np.ones(len(sub), dtype=bool)
     for p0, p1, r in caps:
-        keep_sub &= _point_segment_dist(sub, p0, p1) > r + body.margin
+        keep_sub &= _point_segment_dist(sub, p0, p1) > r + margin
     keep = np.ones(len(cloud), dtype=bool)
     keep[near] = keep_sub
     return cloud.select(keep)

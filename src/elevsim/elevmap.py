@@ -168,13 +168,20 @@ class ElevationMap:
         if k[0] == 0 and k[1] == 0:
             return
         # a jump of n or more cells keeps nothing: clamped, it clears all
-        kx, ky = np.clip(k, -self.n, self.n)
-        src = slice(max(0, kx), self.n + min(0, kx)), slice(max(0, ky), self.n + min(0, ky))
-        dst = slice(max(0, -kx), self.n + min(0, -kx)), slice(max(0, -ky), self.n + min(0, -ky))
-        new_x = slice(self.n - kx, self.n) if kx > 0 else slice(0, -kx)
-        new_y = slice(self.n - ky, self.n) if ky > 0 else slice(0, -ky)
+        n = self.n
+        kx, ky = np.clip(k, -n, n)
+        # each layer scrolls through its flat view: cell (i, j) takes cell
+        # (i + kx, j + ky), row-major s cells on. A copy from a cell that
+        # wraps into the next or previous row lands in a strip cleared below
+        s = int(kx) * n + int(ky)
+        new_x = slice(n - kx, n) if kx > 0 else slice(0, -kx)
+        new_y = slice(n - ky, n) if ky > 0 else slice(0, -ky)
         for arr in (self.height, self.variance, self.last_update, self.valid):
-            arr[dst] = arr[src]  # numpy buffers the overlapping copy
+            flat = arr.reshape(-1)
+            if s > 0:
+                flat[:-s] = flat[s:]
+            elif s < 0:
+                flat[-s:] = flat[:s]
             arr[new_x] = 0  # clear the strips that scrolled in (False in valid)
             arr[:, new_y] = 0
         self.center = self.center + k * self.resolution

@@ -3,12 +3,14 @@
 Quaternions are (w, x, y, z), always kept normalized. Vectorized functions
 accept either a single (3,) vector or an (N, 3) array. The quaternion and
 rotation helpers also take a stack of N quaternions or angles and then
-return one result per row, with the same bits as N single calls.
+return one result per row, with the same bits as N single calls; so does a
+`Pose` that holds a stack of N poses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,15 +67,20 @@ def rotation_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector(s) v by quaternion q; with (N, 4) q, row i of v by q[i]."""
-    R = rotation_matrix(q)
+def _apply(R: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotate vector(s) v by matrix R; with (N, 3, 3) R, row i of v (or a
+    single v) by R[i]."""
     v = np.asarray(v, dtype=float)
     if R.ndim == 3:
         return (R @ np.ascontiguousarray(v)[..., None])[..., 0]
     if v.ndim == 1:
         return R @ v
     return v @ R.T
+
+
+def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotate vector(s) v by quaternion q; with (N, 4) q, row i of v by q[i]."""
+    return _apply(rotation_matrix(q), v)
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -108,26 +115,52 @@ def rotz(yaw: float) -> np.ndarray:
 
 @dataclass
 class Pose:
-    """Rigid transform: world point = R(quat) @ p + position."""
+    """Rigid transform: world point = R(quat) @ p + position.
+
+    One pose, or a stack of N with (N, 3) positions and (N, 4) quaternions
+    that acts row by row; `poses[i]` is row i. The rotation matrices and the
+    yaw are built on first use and kept, so a pose is never changed once
+    made.
+    """
 
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     quat: np.ndarray = field(default_factory=lambda: np.array([1.0, 0, 0, 0]))
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
         self.quat = quat_normalize(self.quat)
+        self.position = np.asarray(self.position, dtype=float).reshape(self.quat.shape[:-1] + (3,))
+
+    def __getitem__(self, i) -> "Pose":
+        """Row(s) i of a stack, with the stack's bits: the quaternion is not
+        normalized again, and the matrices are rows of the stack's, built in
+        one stacked call when the first row is taken."""
+        row = object.__new__(Pose)
+        row.position, row.quat = self.position[i], self.quat[i]
+        row.rotation, row.inverse_rotation = self.rotation[i], self.inverse_rotation[i]
+        return row
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        return rotation_matrix(self.quat)
+
+    @cached_property
+    def inverse_rotation(self) -> np.ndarray:
+        return rotation_matrix(quat_conj(self.quat))
+
+    def rotate(self, v: np.ndarray) -> np.ndarray:
+        return _apply(self.rotation, v)
 
     def transform(self, points: np.ndarray) -> np.ndarray:
-        return quat_rotate(self.quat, points) + self.position
+        return self.rotate(points) + self.position
 
     def inverse_transform(self, points: np.ndarray) -> np.ndarray:
-        return quat_rotate(quat_conj(self.quat), np.asarray(points) - self.position)
+        return _apply(self.inverse_rotation, np.asarray(points) - self.position)
 
     def compose(self, other: "Pose") -> "Pose":
         """This pose followed by `other` expressed in this pose's frame."""
         return Pose(self.transform(other.position), quat_mul(self.quat, other.quat))
 
-    @property
+    @cached_property
     def yaw(self) -> float:
         return float(yaw_from_quat(self.quat))
 

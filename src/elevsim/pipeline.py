@@ -34,6 +34,7 @@ from .sensorsim import (
     CameraModel,
     CommandProfile,
     Trajectory,
+    check_start,
     default_front_camera,
     default_rear_camera,
     inject_sensor_noise,
@@ -122,6 +123,10 @@ class ScenarioConfig:
             raise ValueError(f"start_xy must be finite: {self.start_xy}")
         if not np.isfinite(self.start_yaw):
             raise ValueError(f"start_yaw must be finite: {self.start_yaw}")
+        # the start footprint must lie on the grid that build_scene will make
+        nx, ny = scene.grid_shape(self.scene_spec, self.scene_resolution)
+        grid = scene.Heightfield(self.scene_resolution, (0.0, 0.0), np.zeros(nx), ny)
+        check_start(grid, self.start_xy, self.start_yaw)
         if self.snapshot_every is not None and not 0 < self.snapshot_every < np.inf:
             raise ValueError(f"snapshot_every must be positive and finite: {self.snapshot_every}")
         if self.sweep_step_heights:
@@ -295,29 +300,39 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.out_dir is not None:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
+    # the cloud ticks' true and estimated base poses and each camera's, in
+    # stacked calls; the estimate keeps the true orientation
+    cloud_true = Pose(traj.pos[::CLOUD_EVERY], traj.quat[::CLOUD_EVERY])
+    cloud_est = Pose(est_pos[::CLOUD_EVERY], traj.quat[::CLOUD_EVERY])
+    views = [
+        (cam, rng, cloud_true.compose(cam.mount), cloud_est.compose(cam.mount))
+        for cam, rng in cameras
+    ]
+
     # map loop: only the stages that read or write the map run per tick
     for i in range(len(traj)):
-        snapshot = next_snapshot is not None and traj.t[i] >= next_snapshot
+        t = traj.t[i]
+        snapshot = next_snapshot is not None and t >= next_snapshot
         if i % CLOUD_EVERY and i % CONTROL_EVERY and i % CHAMFER_EVERY and not snapshot:
             continue
-        st = traj.state(i)
         est_pose = Pose(est_pos[i], traj.quat[i])
 
         if i % CLOUD_EVERY == 0:
-            est_state = replace(st, position=est_pos[i])
-            for cam, rng in cameras:
-                cloud = render_depth(cam, st, hf)
+            k = i // CLOUD_EVERY
+            caps = body.capsules(cloud_est[k], traj.q[i])
+            for cam, rng, cam_true, cam_est in views:
+                cloud = render_depth(cam, cam_true[k], hf, t)
                 cloud = inject_sensor_noise(cloud, cam, rng)
-                cam_pose = est_pose.compose(cam.mount)
+                cam_pose = cam_est[k]
                 world = cloud.transformed(cam_pose)
                 world = cloudfilter.remove_outliers(world)
-                world = cloudfilter.body_filter(world, est_state, body)
+                world = cloudfilter.body_filter(world, caps, body.margin)
                 world = cloudfilter.voxel_downsample(world, cfg.map_resolution)
                 if cfg.drift_compensation:
                     emap.drift_compensate(
                         world, cfg.drift_gate, cfg.drift_min_points
                     )
-                emap.integrate_cloud(world, cam_pose.position, variance_model, st.t)
+                emap.integrate_cloud(world, cam_pose.position, variance_model, t)
 
         if i % CONTROL_EVERY == 0:
             emap.recenter(est_pos[i][:2])
@@ -325,12 +340,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             fill[i // CONTROL_EVERY] = filled.mean()
 
         if i % CHAMFER_EVERY == 0:
-            c = metrics.map_vs_ground_truth(emap, hf, est_pose, true_pose=st.pose)
+            true_pose = Pose(traj.pos[i], traj.quat[i])
+            c = metrics.map_vs_ground_truth(emap, hf, est_pose, true_pose=true_pose)
             if c is not None:
                 chamfer[i // CHAMFER_EVERY] = c
 
         if snapshot:
-            emap.to_csv(cfg.out_dir / f"map_{st.t:07.3f}.csv")
+            emap.to_csv(cfg.out_dir / f"map_{t:07.3f}.csv")
             next_snapshot += cfg.snapshot_every
 
     gt_traj = metrics.TrajectorySamples(t=traj.t, positions=traj.pos, quats=traj.quat)
@@ -472,7 +488,8 @@ def write_metrics(out_dir: Path, values: dict[str, float], tag: str) -> None:
 def read_metrics_csv(path) -> dict[str, float]:
     out: dict[str, float] = {}
     with open(path) as f:
-        next(f)
+        if next(f, None) is None:
+            raise ValueError(f"{path} is empty, not a metrics report")
         for line in f:
             parts = line.rstrip("\n").split(",")
             if len(parts) >= 2 and parts[0] != "sweep":

@@ -229,12 +229,16 @@ class Heightfield:
             np.savetxt(f, grid, delimiter=",", fmt="%.9g")
 
 
-def build_scene(spec: SceneSpec, resolution: float) -> Heightfield:
-    """Sample the scene's analytic profile at cell centers."""
+def grid_shape(spec: SceneSpec, resolution: float) -> tuple[int, int]:
+    """Cells along x and y of the heightfield that `build_scene` makes."""
     if resolution <= 0:
         raise SceneError("resolution must be positive")
-    nx = max(1, int(round(spec.extent[0] / resolution)))
-    ny = max(1, int(round(spec.extent[1] / resolution)))
+    return tuple(max(1, int(round(e / resolution))) for e in spec.extent)
+
+
+def build_scene(spec: SceneSpec, resolution: float) -> Heightfield:
+    """Sample the scene's analytic profile at cell centers."""
+    nx, ny = grid_shape(spec, resolution)
     xc = (np.arange(nx) + 0.5) * resolution
     return Heightfield(resolution, (0.0, 0.0), profile=spec.profile_height(xc), ny=ny)
 

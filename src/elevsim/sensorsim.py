@@ -201,23 +201,19 @@ def simulate_trajectory(
     t = np.arange(n) * dt
     cmd = profile.at(t)
 
-    sx, sy = start_xy
-    if sy is None:
-        sy = hf.size[1] / 2.0
+    sx, sy = _start_xy(hf, start_xy)
     # tick i holds the start plus the body-frame command of ticks < i rotated
     # by yaw; cumsum adds the steps in the same order as a running total
     yaw = np.cumsum(np.concatenate([[start_yaw], cmd[:-1, 2] * dt]))
     rot = rotz(yaw)[:, :2, :2]
     step = (rot[:-1] @ np.ascontiguousarray(cmd[:-1, :2])[..., None])[..., 0] * dt
     xy = np.cumsum(np.concatenate([[[sx, sy]], step]), axis=0)
-    feet = HIP_OFFSETS[:, :2] @ np.swapaxes(rot, -1, -2) + xy[:, None, :]
-    foot_h = hf.heights_at(feet.reshape(-1, 2)).reshape(n, N_FEET)
+    foot_h = hf.heights_at(_hips_xy(xy, rot).reshape(-1, 2)).reshape(n, N_FEET)
 
     off_map = ~np.isfinite(foot_h).all(axis=1)
     truncated = bool(off_map.any())
     if off_map[0]:
-        msg = f"start pose (x={sx}, y={sy}, yaw={start_yaw}) has its footprint off the terrain"
-        raise OutOfBoundsError(msg)
+        raise _off_terrain(sx, sy, start_yaw)
     if truncated:
         n = int(np.argmax(off_map))
         log.warning("trajectory left the heightfield at t=%.3f", t[n])
@@ -285,23 +281,52 @@ def simulate_trajectory(
     )
 
 
-def render_depth(camera: CameraModel, base_state: RobotState, hf: Heightfield) -> PointCloud:
-    """Ray-cast one depth frame. Points are returned in the sensor frame."""
-    cam_pose = base_state.pose.compose(camera.mount)
+def _start_xy(hf: Heightfield, start_xy) -> tuple[float, float]:
+    """The start position; a y of None is the middle of the terrain."""
+    sx, sy = start_xy
+    return sx, hf.size[1] / 2.0 if sy is None else sy
+
+
+def _hips_xy(xy: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """World xy of the four hips, (N, 4, 2), at N base positions with their
+    (N, 2, 2) yaw rotations."""
+    return HIP_OFFSETS[:, :2] @ np.swapaxes(rot, -1, -2) + xy[:, None, :]
+
+
+def _off_terrain(sx: float, sy: float, yaw: float) -> OutOfBoundsError:
+    return OutOfBoundsError(
+        f"start pose (x={sx}, y={sy}, yaw={yaw}) has its footprint off the terrain"
+    )
+
+
+def check_start(hf: Heightfield, start_xy, start_yaw: float) -> None:
+    """Raise the OutOfBoundsError of `simulate_trajectory` if the start
+    footprint is off the heightfield, without integrating a trajectory: the
+    same footprint, one row instead of a stack. Only the grid of `hf`
+    matters, so a flat one of the same shape stands in for a scene not yet
+    built."""
+    sx, sy = _start_xy(hf, start_xy)
+    rot = rotz(np.array([start_yaw], dtype=float))[:, :2, :2]
+    if not np.isfinite(hf.heights_at(_hips_xy(np.array([[sx, sy]]), rot)[0])).all():
+        raise _off_terrain(sx, sy, start_yaw)
+
+
+def render_depth(camera: CameraModel, cam_pose: Pose, hf: Heightfield, t: float) -> PointCloud:
+    """Ray-cast one depth frame at time t from the camera's world pose (the
+    base pose composed with `camera.mount`). Points are returned in the
+    sensor frame."""
     origin = cam_pose.position
     try_h = hf.heights_at(origin[:2].reshape(1, 2), fill=-np.inf)[0]
     if np.isfinite(try_h) and origin[2] <= try_h:
         log.warning("camera %s below terrain; returning empty cloud", camera.name)
-        return empty_cloud(base_state.t, camera.name)
+        return empty_cloud(t, camera.name)
 
-    dirs = quat_rotate(cam_pose.quat, camera.ray_directions())
+    dirs = cam_pose.rotate(camera.ray_directions())
     t_hit = _first_hits(hf, origin, dirs, camera.max_range)
     # a hit nearer than min_range blocks the ray, as in a real sensor
     keep = (t_hit >= camera.min_range) & (t_hit <= camera.max_range)
     world = origin + dirs[keep] * t_hit[keep, None]
-    return PointCloud(
-        t=base_state.t, frame=camera.name, points=cam_pose.inverse_transform(world)
-    )
+    return PointCloud(t=t, frame=camera.name, points=cam_pose.inverse_transform(world))
 
 
 # an axis-parallel ray gets this component in place of 0, signed so that the

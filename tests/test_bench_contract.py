@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps names in `elevsim` by string and counts EKF
 rejections by `result is False`. A renamed wrap target or a non-`bool` update
 result would break its traced run or silently zero
-`odometry.ekf.rejected_ratio`; this test makes either fail here instead.
+`odometry.ekf.rejected_ratio`; these tests make either fail here instead, and
+so does a call that moves out of the tracer's reach (its span count drops).
 
 `perfbench/tracer.py` is read and executed in memory, so no bytecode is
 written next to it.
@@ -11,7 +12,13 @@ import types
 from pathlib import Path
 
 from elevsim import odometry
-from elevsim.pipeline import ScenarioConfig, run_scenario
+from elevsim.pipeline import (
+    CHAMFER_EVERY,
+    CLOUD_EVERY,
+    CONTROL_EVERY,
+    ScenarioConfig,
+    run_scenario,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -53,3 +60,39 @@ def test_traced_ekf_run_counts_every_rejection(monkeypatch):
     rejected = ekf.rejected_velocity + ekf.rejected_pose
     assert tracer.counters["odometry.ekf.rejected"] == rejected
     assert tracer.counters["odometry.ekf.updates"] > rejected
+
+
+def test_traced_two_camera_run_counts_every_stage_call():
+    tracer_mod = _load_tracer()
+    cfg = ScenarioConfig.from_dict(
+        {
+            "command": [[1.0, [0.5, 0.0, 0.0]]],
+            "sensor_noise": {"sigma0": 0.003, "k": 0.005, "dropout": 0.02},
+        }
+    )
+    assert cfg.use_rear_camera and cfg.drift_compensation
+    tracer = tracer_mod.Tracer()
+    with tracer.installed(tracer_mod.install_elevsim):
+        result = run_scenario(cfg)
+    calls = {name: n for name, (n, _) in tracer.self_times().items()}
+    ticks = len(result.gt_trajectory.t)
+    cloud_ticks = len(range(0, ticks, CLOUD_EVERY))
+    per_tick = {
+        **dict.fromkeys(
+            [
+                "sensorsim.render_depth",
+                "sensorsim.inject_sensor_noise",
+                "cloudfilter.remove_outliers",
+                "cloudfilter.body_filter",
+                "cloudfilter.voxel_downsample",
+                "elevmap.drift_compensate",
+                "elevmap.integrate_cloud",
+            ],
+            2 * cloud_ticks,
+        ),
+        "elevmap.recenter": len(range(0, ticks, CONTROL_EVERY)),
+        "obsbuilder.sample_heights": len(range(0, ticks, CONTROL_EVERY)),
+        "metrics.map_vs_ground_truth": len(range(0, ticks, CHAMFER_EVERY)),
+        "scene.ground_truth_patch": len(range(0, ticks, CHAMFER_EVERY)),
+    }
+    assert {name: calls.get(name, 0) for name in per_tick} == per_tick

@@ -10,7 +10,7 @@ from elevsim.cloudfilter import (
     remove_outliers,
     voxel_downsample,
 )
-from elevsim.geometry import quat_from_euler
+from elevsim.geometry import Pose, quat_from_euler
 from elevsim.pointcloud import PointCloud
 from elevsim.sensorsim import HIP_OFFSETS, Q_STAND, RobotState
 
@@ -58,6 +58,10 @@ def _reference_body_filter(points, state, body):
     for p0, p1, r in _reference_capsules(body, state):
         keep &= _point_segment_dist(points, p0, p1) > r + body.margin
     return points[keep]
+
+
+def _body_filter(cloud, state, body):
+    return body_filter(cloud, body.capsules(state.pose, state.q), body.margin)
 
 
 def _cloud(points, t=0.0, frame="world"):
@@ -195,7 +199,7 @@ class TestBodyFilter:
         state = _standing_state()
         inside = np.array([[0.0, 0.0, 0.30], [0.1, 0.0, 0.32]])
         far = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        out = body_filter(_cloud(np.vstack([inside, far])), state, BodyModel())
+        out = _body_filter(_cloud(np.vstack([inside, far])), state, BodyModel())
         assert len(out) == 2
         np.testing.assert_array_equal(out.points, far)
 
@@ -203,17 +207,17 @@ class TestBodyFilter:
         state = _standing_state()
         body = BodyModel()
         # midpoints of each leg capsule must be masked
-        leg_caps = body.capsules(state)[1:]
+        leg_caps = body.capsules(state.pose, state.q)[1:]
         mids = np.array([(p0 + p1) / 2 for p0, p1, _ in leg_caps])
-        out = body_filter(_cloud(mids), state, body)
+        out = _body_filter(_cloud(mids), state, body)
         assert len(out) == 0
 
     def test_matches_capsule_distance_oracle(self, rng):
         state = _standing_state(position=(0.5, 0.2, 0.35))
         body = BodyModel()
         pts = rng.uniform(-0.6, 0.6, (400, 3)) + state.position
-        out = body_filter(_cloud(pts), state, body)
-        caps = body.capsules(state)
+        out = _body_filter(_cloud(pts), state, body)
+        caps = body.capsules(state.pose, state.q)
 
         def min_dist(p):
             best = np.inf
@@ -232,7 +236,7 @@ class TestBodyFilter:
         ground = np.column_stack(
             [rng.uniform(-0.5, 0.5, 200), rng.uniform(-0.5, 0.5, 200), np.zeros(200)]
         )
-        out = body_filter(_cloud(ground), state, BodyModel())
+        out = _body_filter(_cloud(ground), state, BodyModel())
         # feet reach the ground; only a few points under the feet may go
         assert len(out) >= 190
 
@@ -247,9 +251,14 @@ class TestBodyFilter:
         position, (roll, pitch, yaw) = self.POSES[pose]
         state = _standing_state(position, quat_from_euler(roll, pitch, yaw))
         body = BodyModel()
-        for got, ref in zip(body.capsules(state), _reference_capsules(body, state), strict=True):
-            assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
-            assert got[2] == ref[2]
+        ref = _reference_capsules(body, state)
+        # the pipeline poses the capsules from a row of a stack of base poses
+        row = Pose(np.tile(state.position, (3, 1)), np.tile(state.quat, (3, 1)))[1]
+        for pose in (state.pose, row):
+            for got, want in zip(body.capsules(pose, state.q), ref, strict=True):
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                assert got[2] == want[2]
 
     @pytest.mark.parametrize("pose", sorted(POSES))
     def test_same_points_as_unculled_filter(self, pose, rng):
@@ -259,7 +268,7 @@ class TestBodyFilter:
         pts = [rng.uniform(-0.7, 0.7, (600, 3)) + state.position]
         # for each capsule, points at radius + margin times (1 -+ 1e-9)
         # from its axis and beyond its ends (just inside, just outside)
-        for p0, p1, r in body.capsules(state):
+        for p0, p1, r in body.capsules(state.pose, state.q):
             axis = (p1 - p0) / np.linalg.norm(p1 - p0)
             side = np.cross(axis, rng.normal(size=(40, 3)))
             side /= np.linalg.norm(side, axis=1, keepdims=True)
@@ -277,7 +286,7 @@ class TestBodyFilter:
                     d = r + body.margin + np.array([-1e-9, 1e-9, 5e-7, 2e-6])
                     pts.append(tip + sgn * unit * d[:, None])
         pts = np.vstack(pts)
-        out = body_filter(_cloud(pts), state, body)
+        out = _body_filter(_cloud(pts), state, body)
         expect = _reference_body_filter(pts, state, body)
         assert 0 < len(expect) < len(pts)
         assert out.points.tobytes() == expect.tobytes()
@@ -296,7 +305,7 @@ class TestBodyFilter:
         ):
             near = np.array([float.fromhex(v) for v in near])
             for pts in (np.vstack([far, near]), near[None, :]):
-                out = body_filter(_cloud(pts), state, body)
+                out = _body_filter(_cloud(pts), state, body)
                 assert out.points.tobytes() == _reference_body_filter(pts, state, body).tobytes()
 
     def test_point_segment_dist_degenerate_segment(self):

@@ -227,6 +227,40 @@ class TestRecenter:
         np.testing.assert_array_equal(before[0][both], after[0][both])
 
 
+    def test_flat_scroll_matches_slice_copy_oracle(self):
+        # the oracle is the 2-D slice copy that the flat scroll replaced;
+        # every (kx, ky) in [-n-1, n+1]^2 covers s < 0, s > 0 and jumps of
+        # n or more cells
+        n, res = 6, 0.5
+        rng = np.random.default_rng(12)
+
+        def oracle(layers, kx, ky):
+            kx, ky = np.clip([kx, ky], -n, n)
+            src = slice(max(0, kx), n + min(0, kx)), slice(max(0, ky), n + min(0, ky))
+            dst = slice(max(0, -kx), n + min(0, -kx)), slice(max(0, -ky), n + min(0, -ky))
+            new_x = slice(n - kx, n) if kx > 0 else slice(0, -kx)
+            new_y = slice(n - ky, n) if ky > 0 else slice(0, -ky)
+            for arr in layers:
+                arr[dst] = arr[src]
+                arr[new_x] = 0
+                arr[:, new_y] = 0
+
+        for kx in range(-n - 1, n + 2):
+            for ky in range(-n - 1, n + 2):
+                emap = ElevationMap(resolution=res, size=n * res)
+                emap.height[:] = rng.normal(size=(n, n))
+                emap.variance[:] = rng.uniform(0.1, 1.0, (n, n))
+                emap.last_update[:] = rng.uniform(0.0, 5.0, (n, n))
+                emap.valid[:] = rng.random((n, n)) < 0.7
+                layers = (emap.height, emap.variance, emap.last_update, emap.valid)
+                expect = [arr.copy() for arr in layers]
+                oracle(expect, kx, ky)
+                emap.recenter(emap.center + np.array([kx, ky]) * res)
+                for got, ref in zip(layers, expect, strict=True):
+                    assert got.tobytes() == ref.tobytes(), (kx, ky)
+                np.testing.assert_array_equal(emap.center, np.array([kx, ky]) * res)
+
+
 class TestRegionAndExport:
     def test_region_points_yaw_aligned(self):
         emap = ElevationMap(resolution=0.05, size=2.0)

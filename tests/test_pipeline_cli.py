@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import yaml
 
+from elevsim import scene
 from elevsim.cli import main
+from elevsim.geometry import rotz
 from elevsim.pipeline import (
     CHAMFER_EVERY,
     CLOUD_EVERY,
@@ -19,6 +21,7 @@ from elevsim.pipeline import (
     run_step_sweep,
     write_metrics,
 )
+from elevsim.sensorsim import HIP_OFFSETS, CommandProfile, simulate_trajectory
 
 SHORT = {
     "scene": "obstacle",
@@ -370,9 +373,50 @@ class TestScenario:
         assert not list(tmp_path.iterdir())
 
     def test_off_map_start_rejected(self):
-        cfg = ScenarioConfig.from_dict({**SHORT, "start_xy": [-1.0, 1.5]})
+        # at config time, before the scene is built
         with pytest.raises(ValueError, match="start pose"):
-            run_scenario(cfg)
+            ScenarioConfig.from_dict({**SHORT, "start_xy": [-1.0, 1.5]})
+
+    def test_start_off_the_built_grid_rejected(self):
+        # 8 m at 0.0175 m rounds to 457 cells, 7.9975 m: a front hip at
+        # x = 7.999 is inside the spec's extent but off the grid
+        x = 7.999 - HIP_OFFSETS[0, 0]
+        assert x + HIP_OFFSETS[0, 0] < 8.0
+        with pytest.raises(ValueError, match="start pose"):
+            ScenarioConfig.from_dict({**SHORT, "start_xy": [x, 1.5]})
+        ScenarioConfig.from_dict({**SHORT, "start_xy": [x - 0.002, 1.5]})
+
+    @pytest.mark.parametrize("yaw", [0.0, 0.3, -2.0, np.pi / 2])
+    def test_config_check_agrees_with_trajectory_at_the_edge(self, yaw):
+        # starts whose footprint straddles each grid edge, by a millimetre
+        # down to single ulps: a config is accepted iff the trajectory starts
+        spec = scene.SceneSpec([scene.FlatRegion(0.0)], (8.0, 3.0))
+        hf = scene.build_scene(spec, 0.0175)
+        hips = HIP_OFFSETS[:, :2] @ rotz(yaw)[:2, :2].T
+        starts = []
+        for lo, hi, axis in ((0.0, hf.size[0], 0), (0.0, hf.size[1], 1)):
+            for edge, reach in ((lo, -hips[:, axis].min()), (hi, -hips[:, axis].max())):
+                at = edge + reach
+                for d in (-1e-3, 1e-3, *(k * np.spacing(at) for k in range(-4, 5))):
+                    xy = [4.0, 1.5]
+                    xy[axis] = at + d
+                    starts.append(xy)
+        profile = CommandProfile.constant((0.5, 0.0, 0.0), 1.0)
+        outcomes = set()
+        for xy in starts:
+            try:
+                simulate_trajectory(profile, hf, 1.0 / SIM_RATE, start_xy=xy, start_yaw=yaw)
+                starts_ok = True
+            except scene.OutOfBoundsError:
+                starts_ok = False
+            try:
+                ScenarioConfig(spec, profile, start_xy=xy, start_yaw=yaw)
+                config_ok = True
+            except scene.OutOfBoundsError:
+                config_ok = False
+            assert config_ok == starts_ok, xy
+            outcomes.add(starts_ok)
+        assert outcomes == {True, False}
 
     def test_injected_drift_reported_via_rte(self):
         cfg = ScenarioConfig.from_dict({**SHORT, "injected_drift": [0.0, 0.0, 0.01]})
@@ -478,7 +522,6 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_run_off_map_start_exits_2(self, tmp_path, capsys):
-        # found as the run starts, after the scene is built
         cfg = self._write_cfg(tmp_path, {"start_xy": [-1.0, 1.5]})
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
@@ -555,6 +598,24 @@ class TestCli:
         header, row = capsys.readouterr().out.splitlines()
         assert header.endswith("| a | b | c | delta% | delta%")
         assert row.endswith("| 1.5 | 3 | 2 | -25.00% | +50.00%")
+
+    def test_compare_verb_one_report_is_an_error(self, tmp_path, capsys):
+        write_metrics(tmp_path, {"chamfer_mean_cm": 1.5}, "")
+        assert main(["compare", str(tmp_path / "metrics.csv")]) == 2
+        assert "need at least two reports" in capsys.readouterr().err
+
+    def test_compare_verb_missing_report_is_an_error(self, tmp_path, capsys):
+        write_metrics(tmp_path, {"chamfer_mean_cm": 1.5}, "")
+        missing = tmp_path / "missing" / "metrics.csv"
+        assert main(["compare", str(tmp_path / "metrics.csv"), str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_compare_verb_empty_report_is_an_error(self, tmp_path, capsys):
+        write_metrics(tmp_path, {"chamfer_mean_cm": 1.5}, "")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert main(["compare", str(tmp_path / "metrics.csv"), str(empty)]) == 2
+        assert "empty" in capsys.readouterr().err
 
     def test_export_scene_verb(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from elevsim.geometry import Pose, quat_conj, quat_from_euler, quat_rotate, rotz
+from elevsim.geometry import Pose, quat_conj, quat_from_euler, quat_rotate, rotation_matrix, rotz
 from elevsim.scene import (
     FlatRegion,
     Heightfield,
@@ -198,18 +198,23 @@ class TestTrajectory:
         assert abs(one_stride.sum() * dt + (~one_stride).sum() * dt - 1.0 / TROT_FREQUENCY) <= dt
 
 
+def _render(cam, st, hf):
+    """`render_depth` from the state's base pose composed with the mount."""
+    return render_depth(cam, st.pose.compose(cam.mount), hf, st.t)
+
+
 class TestRenderDepth:
     def test_points_lie_on_terrain_flat(self, flat_hf, short_trajectory):
         cam = default_front_camera()
         st = short_trajectory.state(0)
-        cloud = render_depth(cam, st, flat_hf)
+        cloud = _render(cam, st, flat_hf)
         assert len(cloud) > 0
         world = cloud.transformed(st.pose.compose(cam.mount))
         np.testing.assert_allclose(world.points[:, 2], 0.0, atol=1e-6)
 
     def test_ranges_within_camera_limits(self, flat_hf, short_trajectory):
         cam = default_front_camera()
-        cloud = render_depth(cam, short_trajectory.state(0), flat_hf)
+        cloud = _render(cam, short_trajectory.state(0), flat_hf)
         r = np.linalg.norm(cloud.points, axis=1)
         assert (r >= cam.min_range).all() and (r <= cam.max_range).all()
 
@@ -239,7 +244,7 @@ class TestRenderDepth:
             foot_air_times=np.zeros(4),
             foot_touchdown_air=np.zeros(4),
         )
-        cloud = render_depth(cam, st, obstacle_hf)
+        cloud = _render(cam, st, obstacle_hf)
         assert len(cloud) > 0
         world = cloud.transformed(st.pose.compose(cam.mount)).points
 
@@ -282,7 +287,7 @@ class TestRenderDepth:
             foot_air_times=np.zeros(4),
             foot_touchdown_air=np.zeros(4),
         )
-        cloud = render_depth(default_front_camera(), st, obstacle_hf)
+        cloud = _render(default_front_camera(), st, obstacle_hf)
         assert len(cloud) == 0
 
 
@@ -365,7 +370,7 @@ def _march_ranges(cam, st, hf, step=1e-3):
 
 def _cast_ranges(cam, st, hf):
     """Per ray, the range of its `render_depth` point; inf where none."""
-    points = render_depth(cam, st, hf).points
+    points = _render(cam, st, hf).points
     rays = np.argmax(points @ cam.ray_directions().T, axis=1)
     assert len(np.unique(rays)) == len(rays)
     out = np.full(cam.width * cam.height, np.inf)
@@ -386,6 +391,49 @@ def _on_surface(hf, world, tol=1e-6):
             solid.append(q[:, 2] <= hf.heights_at(q[:, :2], fill=-np.inf))
     solid = np.array(solid)
     return solid.any(axis=0) & ~solid.all(axis=0)
+
+
+class TestStackedCameraPoses:
+    """`run_scenario` composes every cloud tick's camera poses in one stacked
+    call; each row must have the bits of the per-tick `Pose.compose` that
+    `render_depth` did before, and act like it through `quat_rotate`."""
+
+    def test_rows_match_per_tick_compose(self, rng):
+        n = 90
+        t = np.linspace(0.0, 1.0, n)
+        quat = quat_from_euler(0.25 * np.sin(7 * t), -0.3 * np.cos(5 * t), 3.0 * t - 1.5)
+        pos = rng.uniform(-3.0, 3.0, (n, 3))
+        est_pos = pos + rng.normal(0.0, 0.05, (n, 3))
+        points = rng.uniform(-2.0, 2.0, (50, 3))
+        ticks = range(0, n, 3)
+        for cam in (default_front_camera(), default_rear_camera()):
+            true_base = Pose(pos, quat)[::3]
+            est_base = Pose(est_pos, quat)[::3]
+            stacked, stacked_est = true_base.compose(cam.mount), est_base.compose(cam.mount)
+            dirs = cam.ray_directions()
+            for k, i in enumerate(ticks):
+                base = Pose(pos[i], quat[i])
+                ref = base.compose(cam.mount)
+                ref_est = Pose(est_pos[i], quat[i]).compose(cam.mount)
+                row, row_est = stacked[k], stacked_est[k]
+                for got, want in (
+                    (row.position, ref.position),
+                    (row.quat, ref.quat),
+                    (row_est.position, ref_est.position),
+                    (row_est.quat, ref_est.quat),
+                    (est_base[k].rotation, rotation_matrix(base.quat)),
+                    (row.rotate(dirs), quat_rotate(ref.quat, dirs)),
+                    (
+                        row.inverse_transform(points),
+                        quat_rotate(quat_conj(ref.quat), points - ref.position),
+                    ),
+                    (
+                        row_est.transform(points),
+                        quat_rotate(ref_est.quat, points) + ref_est.position,
+                    ),
+                    (row_est.rotation, row.rotation),
+                ):
+                    assert got.tobytes() == want.tobytes(), (cam.name, i)
 
 
 class TestRenderDepthMatchesReference:
@@ -428,14 +476,14 @@ class TestRenderDepthMatchesReference:
         cam = default_front_camera()
         for case in ("near_x_edge_looking_out", "shifted_origin_near_edge", "corner_looking_out"):
             name, pose = RENDER_CASES[case]
-            assert 0 < len(render_depth(cam, _posed_state(*pose), scenes[name])) < 768
+            assert 0 < len(_render(cam, _posed_state(*pose), scenes[name])) < 768
 
     def test_thin_step_in_view(self, scenes):
         # a 2 mm march puts 224 of the 768 front rays on the 2 cm deep step,
         # 32 of them above 10 cm; a cast that steps over the step finds fewer
         st = _posed_state(*RENDER_CASES["thin_step"][1])
         cam = default_front_camera()
-        world = render_depth(cam, st, scenes["thin"]).transformed(st.pose.compose(cam.mount))
+        world = _render(cam, st, scenes["thin"]).transformed(st.pose.compose(cam.mount))
         assert (world.points[:, 2] > 1e-6).sum() >= 224
         assert (world.points[:, 2] > 0.1).sum() >= 32
 
@@ -453,7 +501,7 @@ class TestCaches:
 class TestSensorNoise:
     def test_noiseless_camera_returns_cloud_unchanged(self, flat_hf, short_trajectory, rng):
         cam = default_front_camera()
-        cloud = render_depth(cam, short_trajectory.state(0), flat_hf)
+        cloud = _render(cam, short_trajectory.state(0), flat_hf)
         out = inject_sensor_noise(cloud, cam, rng)
         np.testing.assert_array_equal(out.points, cloud.points)
 
@@ -461,7 +509,7 @@ class TestSensorNoise:
         from dataclasses import replace
 
         cam = replace(default_front_camera(), noise_sigma0=0.01)
-        cloud = render_depth(cam, short_trajectory.state(0), flat_hf)
+        cloud = _render(cam, short_trajectory.state(0), flat_hf)
         out = inject_sensor_noise(cloud, cam, np.random.default_rng(0))
         assert len(out) == len(cloud)
         dr = np.linalg.norm(out.points, axis=1) - np.linalg.norm(cloud.points, axis=1)
@@ -475,7 +523,7 @@ class TestSensorNoise:
         from dataclasses import replace
 
         cam = replace(default_front_camera(), dropout=0.3)
-        cloud = render_depth(cam, short_trajectory.state(0), flat_hf)
+        cloud = _render(cam, short_trajectory.state(0), flat_hf)
         out = inject_sensor_noise(cloud, cam, np.random.default_rng(0))
         frac = 1.0 - len(out) / len(cloud)
         assert 0.15 < frac < 0.45
@@ -484,7 +532,7 @@ class TestSensorNoise:
         from dataclasses import replace
 
         cam = replace(default_front_camera(), noise_sigma0=0.01, dropout=0.1)
-        cloud = render_depth(cam, short_trajectory.state(0), flat_hf)
+        cloud = _render(cam, short_trajectory.state(0), flat_hf)
         a = inject_sensor_noise(cloud, cam, np.random.default_rng(42))
         b = inject_sensor_noise(cloud, cam, np.random.default_rng(42))
         np.testing.assert_array_equal(a.points, b.points)
