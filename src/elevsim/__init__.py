@@ -4,7 +4,7 @@ elevation mapping with drift compensation, odometry fusion, observation and
 reward machinery, and the associated evaluation metrics.
 """
 
-from .cloudfilter import BodyModel, body_filter, remove_outliers, voxel_downsample
+from .cloudfilter import body_capsules, body_filter, remove_outliers, voxel_downsample
 from .elevmap import ElevationMap, SensorVarianceModel
 from .geometry import Pose
 from .metrics import MetricReport, TrajectorySamples, chamfer_one_way, map_vs_ground_truth, rte, tracking_rms

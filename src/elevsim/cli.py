@@ -66,7 +66,7 @@ def cmd_run(args) -> int:
         result = pipeline.run_scenario(cfg)
         for k, v in result.metrics.items():
             print(f"{k} = {v:.6g}")
-        if result.truncated:
+        if result.metrics["truncated"]:
             print("warning: trajectory left the terrain and was truncated", file=sys.stderr)
     print(f"reports written to {cfg.out_dir}")
     return 0
@@ -95,7 +95,7 @@ def cmd_export_scene(args) -> int:
         cfg = pipeline.ScenarioConfig.from_yaml(args.config)
     except Exception as e:
         return _config_error(args.config, e)
-    hf = scene.build_scene(cfg.scene_spec, cfg.scene_resolution)
+    hf = scene.build_scene(cfg.scene_spec, scene.GT_PATCH_RESOLUTION)
     hf.to_csv(args.out)
     print(f"heightfield {hf.extent[0]}x{hf.extent[1]} written to {args.out}")
     return 0

@@ -10,7 +10,6 @@ body's bounding box.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -66,49 +65,44 @@ def voxel_downsample(cloud: PointCloud, resolution: float) -> PointCloud:
     return PointCloud(t=cloud.t, frame=cloud.frame, points=centroids[np.argsort(first)])
 
 
-@dataclass
-class BodyModel:
-    """Joint-posed capsule approximation of the trunk and legs."""
+# joint-posed capsule approximation of the trunk and legs, and the clearance
+# kept around it
+BODY_MARGIN = 0.02
+TRUNK_HALF_LENGTH = 0.13
+TRUNK_RADIUS = 0.09
+THIGH_LENGTH = 0.213
+CALF_LENGTH = 0.213
+LEG_RADIUS = 0.03
 
-    margin: float = 0.02
-    trunk_half_length: float = 0.13
-    trunk_radius: float = 0.09
-    thigh_length: float = 0.213
-    calf_length: float = 0.213
-    leg_radius: float = 0.03
 
-    def __post_init__(self):
-        if self.trunk_radius <= 0 or self.leg_radius <= 0:
-            raise ValueError("capsule radii must be positive")
+def body_capsules(pose: Pose, q: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """World-frame (p0, p1, radius) capsules of the base at `pose` with joint
+    angles `q`, posed by forward kinematics."""
+    to_world = pose.transform
+    caps = [
+        (
+            to_world(np.array([TRUNK_HALF_LENGTH, 0.0, 0.0])),
+            to_world(np.array([-TRUNK_HALF_LENGTH, 0.0, 0.0])),
+            TRUNK_RADIUS,
+        )
+    ]
+    for f in range(4):
+        hip = HIP_OFFSETS[f]
+        roll, thigh_pitch, calf_pitch = q[3 * f : 3 * f + 3]
+        cr, sr = np.cos(roll), np.sin(roll)
+        rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
 
-    def capsules(self, pose: Pose, q: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
-        """World-frame (p0, p1, radius) capsules of the base at `pose` with
-        joint angles `q`, posed by forward kinematics."""
-        to_world = pose.transform
-        caps = [
-            (
-                to_world(np.array([self.trunk_half_length, 0.0, 0.0])),
-                to_world(np.array([-self.trunk_half_length, 0.0, 0.0])),
-                self.trunk_radius,
-            )
-        ]
-        for f in range(4):
-            hip = HIP_OFFSETS[f]
-            roll, thigh_pitch, calf_pitch = q[3 * f : 3 * f + 3]
-            cr, sr = np.cos(roll), np.sin(roll)
-            rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
+        def leg_dir(pitch):
+            # leg segment direction in the hip frame, nominally downward
+            d = np.array([np.sin(pitch), 0.0, -np.cos(pitch)])
+            return rx @ d
 
-            def leg_dir(pitch):
-                # leg segment direction in the hip frame, nominally downward
-                d = np.array([np.sin(pitch), 0.0, -np.cos(pitch)])
-                return rx @ d
-
-            knee = hip + self.thigh_length * leg_dir(thigh_pitch)
-            foot = knee + self.calf_length * leg_dir(thigh_pitch + calf_pitch)
-            knee_w = to_world(knee)
-            caps.append((to_world(hip), knee_w, self.leg_radius))
-            caps.append((knee_w, to_world(foot), self.leg_radius))
-        return caps
+        knee = hip + THIGH_LENGTH * leg_dir(thigh_pitch)
+        foot = knee + CALF_LENGTH * leg_dir(thigh_pitch + calf_pitch)
+        knee_w = to_world(knee)
+        caps.append((to_world(hip), knee_w, LEG_RADIUS))
+        caps.append((knee_w, to_world(foot), LEG_RADIUS))
+    return caps
 
 
 def _point_segment_dist(points: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
@@ -121,9 +115,9 @@ def _point_segment_dist(points: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> n
     return np.linalg.norm(points - closest, axis=1)
 
 
-def body_filter(cloud: PointCloud, caps: list, margin: float) -> PointCloud:
-    """Remove every world-frame point within `margin` of a body capsule
-    (`BodyModel.capsules`, posed once per tick for all its clouds).
+def body_filter(cloud: PointCloud, caps: list) -> PointCloud:
+    """Remove every world-frame point within `BODY_MARGIN` of a body capsule
+    (`body_capsules`, posed once per tick for all its clouds).
 
     Only points inside the capsules' bounding box, grown by radius + margin
     and a slack, get the distance test; every point outside it is farther
@@ -132,7 +126,7 @@ def body_filter(cloud: PointCloud, caps: list, margin: float) -> PointCloud:
     if len(cloud) == 0:
         return cloud
     # 1 um lies far above the rounding error of the distance test
-    grow = margin + 1e-6
+    grow = BODY_MARGIN + 1e-6
     box_lo = np.min([np.minimum(p0, p1) - r for p0, p1, r in caps], axis=0) - grow
     box_hi = np.max([np.maximum(p0, p1) + r for p0, p1, r in caps], axis=0) + grow
     pts = cloud.points
@@ -144,7 +138,7 @@ def body_filter(cloud: PointCloud, caps: list, margin: float) -> PointCloud:
     sub = pts[near]
     keep_sub = np.ones(len(sub), dtype=bool)
     for p0, p1, r in caps:
-        keep_sub &= _point_segment_dist(sub, p0, p1) > r + margin
+        keep_sub &= _point_segment_dist(sub, p0, p1) > r + BODY_MARGIN
     keep = np.ones(len(cloud), dtype=bool)
     keep[near] = keep_sub
     return cloud.select(keep)

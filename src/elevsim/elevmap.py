@@ -19,6 +19,10 @@ from .pointcloud import PointCloud
 DEFAULT_RESOLUTION = 0.025
 DEFAULT_SIZE = 5.0
 MAX_SIZE = 5.0
+# drift compensation: the largest measurement-vs-map discrepancy (m) that
+# counts, and the fewest gated points that move the map
+DRIFT_GATE = 0.03
+DRIFT_MIN_POINTS = 20
 
 
 @dataclass
@@ -132,7 +136,7 @@ class ElevationMap:
         return skipped
 
     def drift_compensate(
-        self, cloud: PointCloud, gate: float = 0.03, min_points: int = 20
+        self, cloud: PointCloud, gate: float = DRIFT_GATE, min_points: int = DRIFT_MIN_POINTS
     ) -> float:
         """Global z-shift from the mean gated measurement-vs-map discrepancy.
         Run before integrating the same frame. Returns the applied shift.

@@ -111,11 +111,6 @@ class TrajectorySamples:
                     f"{q[0]:.9g},{q[1]:.9g},{q[2]:.9g},{q[3]:.9g}\n"
                 )
 
-    @classmethod
-    def load_csv(cls, path) -> "TrajectorySamples":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(t=data[:, 0], positions=data[:, 1:4], quats=data[:, 4:8])
-
 
 def _interp_vec(t: np.ndarray, ts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.stack([np.interp(t, ts, values[:, i]) for i in range(values.shape[1])], axis=-1)

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import cloudfilter, metrics, obsbuilder, reward, scene
-from .elevmap import DEFAULT_RESOLUTION, DEFAULT_SIZE, MAX_SIZE, ElevationMap, SensorVarianceModel
+from .elevmap import DEFAULT_RESOLUTION, DEFAULT_SIZE, ElevationMap, SensorVarianceModel
 from .geometry import Pose, quat_normalize, quat_rotate, yaw_from_quat
 from .odometry import (
     EstimatorErrors,
@@ -50,26 +50,13 @@ CHAMFER_EVERY = SIM_RATE // 20
 ODOMETRY_MODES = ("gt", "ekf-vio", "ekf-novio")
 
 
-@dataclass
-class SuccessCriteria:
-    """Map-quality proxy for step traversal: the run counts as a success if
-    the mean chamfer error during the crossing window stays under a threshold
-    and no height sample falls back to the default fill. This is a perception
-    proxy, not a fall-based criterion (the simulator has no dynamics).
-    """
-
-    chamfer_cm: float = 3.0
-    max_fill_fraction: float = 0.0
-    window_margin: float = 0.5  # meters before/after the obstacle footprint
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not np.isfinite(value):
-                raise ValueError(f"success {f.name} must be finite: {value}")
-        for key in ("chamfer_cm", "max_fill_fraction"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"success {key} must be non-negative: {getattr(self, key)}")
+# Map-quality proxy for step traversal: the run counts as a success if the
+# mean chamfer error during the crossing window stays under a threshold and no
+# height sample falls back to the default fill. This is a perception proxy,
+# not a fall-based criterion (the simulator has no dynamics).
+SUCCESS_CHAMFER_CM = 3.0
+SUCCESS_MAX_FILL_FRACTION = 0.0
+STEP_WINDOW_MARGIN = 0.5  # meters before/after the obstacle footprint
 
 
 @dataclass
@@ -84,14 +71,9 @@ class ScenarioConfig:
     front_camera: CameraModel = field(default_factory=default_front_camera)
     rear_camera: CameraModel = field(default_factory=default_rear_camera)
     source_errors: SourceErrorModel = field(default_factory=SourceErrorModel)
-    scene_resolution: float = scene.GT_PATCH_RESOLUTION
     map_resolution: float = DEFAULT_RESOLUTION
-    map_size: float = DEFAULT_SIZE
-    drift_gate: float = 0.03
-    drift_min_points: int = 20
     start_xy: tuple[float, float | None] = (0.8, None)
     start_yaw: float = 0.0
-    success: SuccessCriteria = field(default_factory=SuccessCriteria)
     sweep_step_heights: list[float] | None = None
     out_dir: Path | None = None
     snapshot_every: float | None = None
@@ -109,23 +91,20 @@ class ScenarioConfig:
         self.start_xy = tuple(self.start_xy)
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
-        for key in ("scene_resolution", "map_resolution", "drift_gate"):
-            if not 0 < getattr(self, key) < np.inf:
-                raise ValueError(f"{key} must be positive and finite: {getattr(self, key)}")
-        if not 0 < self.map_size <= MAX_SIZE + 1e-9:
-            raise ValueError(f"map_size must be in (0, {MAX_SIZE}] m: {self.map_size}")
-        if self.map_size < self.map_resolution:
-            raise ValueError(f"map_size {self.map_size} m is smaller than one map_resolution cell")
-        if self.drift_min_points < 1:
-            raise ValueError(f"drift_min_points must be at least 1: {self.drift_min_points}")
+        # one cell may not outgrow the map
+        if not 0 < self.map_resolution <= DEFAULT_SIZE:
+            raise ValueError(
+                f"map_resolution must be in (0, {DEFAULT_SIZE}] m: {self.map_resolution}"
+            )
         sx, sy = self.start_xy
         if not np.isfinite([sx, 0.0 if sy is None else sy]).all():
             raise ValueError(f"start_xy must be finite: {self.start_xy}")
         if not np.isfinite(self.start_yaw):
             raise ValueError(f"start_yaw must be finite: {self.start_yaw}")
         # the start footprint must lie on the grid that build_scene will make
-        nx, ny = scene.grid_shape(self.scene_spec, self.scene_resolution)
-        grid = scene.Heightfield(self.scene_resolution, (0.0, 0.0), np.zeros(nx), ny)
+        res = scene.GT_PATCH_RESOLUTION
+        nx, ny = scene.grid_shape(self.scene_spec, res)
+        grid = scene.Heightfield(res, (0.0, 0.0), np.zeros(nx), ny)
         check_start(grid, self.start_xy, self.start_yaw)
         if self.snapshot_every is not None and not 0 < self.snapshot_every < np.inf:
             raise ValueError(f"snapshot_every must be positive and finite: {self.snapshot_every}")
@@ -194,8 +173,6 @@ class ScenarioConfig:
                     }
                 ),
             )
-        if "success" in d:
-            kwargs["success"] = SuccessCriteria(**d.pop("success"))
         if d:
             raise ValueError(f"unknown config keys: {sorted(d)}")
         return cls(scene_spec=spec, profile=profile, **kwargs)
@@ -223,7 +200,6 @@ class ScenarioResult:
     est_trajectory: metrics.TrajectorySamples
     gt_trajectory: metrics.TrajectorySamples
     emap: ElevationMap
-    truncated: bool
 
 
 def _estimate_odometry(cfg: ScenarioConfig, traj: Trajectory, rng_seed: int):
@@ -254,11 +230,11 @@ def _estimate_odometry(cfg: ScenarioConfig, traj: Trajectory, rng_seed: int):
     return pos, v_track
 
 
-def _step_window(spec: scene.SceneSpec, margin: float) -> tuple[float, float] | None:
+def _step_window(spec: scene.SceneSpec) -> tuple[float, float] | None:
     for p in spec.primitives:
         if isinstance(p, (scene.Step, scene.Platform)):
             a, b = p.x_interval()
-            return (a - margin, b + margin)
+            return (a - STEP_WINDOW_MARGIN, b + STEP_WINDOW_MARGIN)
     return None
 
 
@@ -272,7 +248,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     rng_front, rng_rear = (np.random.default_rng(s) for s in seeds[:2])
     odom_seed = int(seeds[3].generate_state(1)[0])
 
-    hf = scene.build_scene(cfg.scene_spec, cfg.scene_resolution)
+    hf = scene.build_scene(cfg.scene_spec, scene.GT_PATCH_RESOLUTION)
     traj = simulate_trajectory(
         cfg.profile,
         hf,
@@ -285,13 +261,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     cameras = [(cfg.front_camera, rng_front)]
     if cfg.use_rear_camera:
         cameras.append((cfg.rear_camera, rng_rear))
-    body = cloudfilter.BodyModel()
     variance_model = SensorVarianceModel()
-    emap = ElevationMap(
-        resolution=cfg.map_resolution,
-        size=cfg.map_size,
-        center=est_pos[0][:2],
-    )
+    emap = ElevationMap(resolution=cfg.map_resolution, center=est_pos[0][:2])
     # per-rate results: the default-fill fraction of each control tick and
     # the chamfer (cm) of each chamfer tick, NaN where it was excluded
     fill = np.empty(len(traj.t[::CONTROL_EVERY]))
@@ -319,19 +290,17 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
         if i % CLOUD_EVERY == 0:
             k = i // CLOUD_EVERY
-            caps = body.capsules(cloud_est[k], traj.q[i])
+            caps = cloudfilter.body_capsules(cloud_est[k], traj.q[i])
             for cam, rng, cam_true, cam_est in views:
                 cloud = render_depth(cam, cam_true[k], hf, t)
                 cloud = inject_sensor_noise(cloud, cam, rng)
                 cam_pose = cam_est[k]
                 world = cloud.transformed(cam_pose)
                 world = cloudfilter.remove_outliers(world)
-                world = cloudfilter.body_filter(world, caps, body.margin)
+                world = cloudfilter.body_filter(world, caps)
                 world = cloudfilter.voxel_downsample(world, cfg.map_resolution)
                 if cfg.drift_compensation:
-                    emap.drift_compensate(
-                        world, cfg.drift_gate, cfg.drift_min_points
-                    )
+                    emap.drift_compensate(world)
                 emap.integrate_cloud(world, cam_pose.position, variance_model, t)
 
         if i % CONTROL_EVERY == 0:
@@ -366,7 +335,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         est_trajectory=est_traj,
         gt_trajectory=gt_traj,
         emap=emap,
-        truncated=traj.truncated,
     )
 
 
@@ -400,7 +368,7 @@ def _report(cfg: ScenarioConfig, traj: Trajectory, gt_traj: metrics.TrajectorySa
     out["chamfer_mean_cm"] = float(np.mean(chamfer[scored])) if scored.any() else np.nan
     out["chamfer_windows"] = float(scored.sum())
     out["chamfer_excluded"] = float((~scored).sum())
-    window = _step_window(cfg.scene_spec, cfg.success.window_margin)
+    window = _step_window(cfg.scene_spec)
     if window is not None:
         x = traj.pos[:, 0]
         inside = (window[0] <= x) & (x <= window[1])
@@ -429,8 +397,8 @@ def _report(cfg: ScenarioConfig, traj: Trajectory, gt_traj: metrics.TrajectorySa
     if window is not None:
         # a missing window value is NaN, which fails its comparison
         out["success"] = float(
-            out.get("window_chamfer_mean_cm", np.nan) <= cfg.success.chamfer_cm
-            and out.get("window_fill_fraction_max", np.nan) <= cfg.success.max_fill_fraction
+            out.get("window_chamfer_mean_cm", np.nan) <= SUCCESS_CHAMFER_CM
+            and out.get("window_fill_fraction_max", np.nan) <= SUCCESS_MAX_FILL_FRACTION
         )
     return out
 
@@ -492,7 +460,9 @@ def read_metrics_csv(path) -> dict[str, float]:
             raise ValueError(f"{path} is empty, not a metrics report")
         for line in f:
             parts = line.rstrip("\n").split(",")
-            if len(parts) >= 2 and parts[0] != "sweep":
+            if parts[0] == "sweep":
+                raise ValueError(f"{path} is a step-sweep report, not a metrics report")
+            if len(parts) >= 2:
                 out[parts[0]] = float(parts[1])
     return out
 

@@ -4,8 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elevsim.cloudfilter import (
-    BodyModel,
+    BODY_MARGIN,
+    CALF_LENGTH,
+    LEG_RADIUS,
+    THIGH_LENGTH,
+    TRUNK_HALF_LENGTH,
+    TRUNK_RADIUS,
     _point_segment_dist,
+    body_capsules,
     body_filter,
     remove_outliers,
     voxel_downsample,
@@ -27,14 +33,14 @@ def _reference_voxel_downsample(cloud, resolution):
     return (sums / counts[:, None])[np.argsort(first)]
 
 
-def _reference_capsules(body, state):
+def _reference_capsules(state):
     """Capsules with every endpoint through `Pose.transform`."""
     pose = state.pose
     caps = [
         (
-            pose.transform(np.array([body.trunk_half_length, 0.0, 0.0])),
-            pose.transform(np.array([-body.trunk_half_length, 0.0, 0.0])),
-            body.trunk_radius,
+            pose.transform(np.array([TRUNK_HALF_LENGTH, 0.0, 0.0])),
+            pose.transform(np.array([-TRUNK_HALF_LENGTH, 0.0, 0.0])),
+            TRUNK_RADIUS,
         )
     ]
     for f in range(4):
@@ -45,23 +51,23 @@ def _reference_capsules(body, state):
             return rx @ np.array([np.sin(pitch), 0.0, -np.cos(pitch)])
 
         hip = HIP_OFFSETS[f]
-        knee = hip + body.thigh_length * leg_dir(thigh)
-        foot = knee + body.calf_length * leg_dir(thigh + calf)
-        caps.append((pose.transform(hip), pose.transform(knee), body.leg_radius))
-        caps.append((pose.transform(knee), pose.transform(foot), body.leg_radius))
+        knee = hip + THIGH_LENGTH * leg_dir(thigh)
+        foot = knee + CALF_LENGTH * leg_dir(thigh + calf)
+        caps.append((pose.transform(hip), pose.transform(knee), LEG_RADIUS))
+        caps.append((pose.transform(knee), pose.transform(foot), LEG_RADIUS))
     return caps
 
 
-def _reference_body_filter(points, state, body):
+def _reference_body_filter(points, state):
     """Distance test of every point against every capsule, no cull."""
     keep = np.ones(len(points), dtype=bool)
-    for p0, p1, r in _reference_capsules(body, state):
-        keep &= _point_segment_dist(points, p0, p1) > r + body.margin
+    for p0, p1, r in _reference_capsules(state):
+        keep &= _point_segment_dist(points, p0, p1) > r + BODY_MARGIN
     return points[keep]
 
 
-def _body_filter(cloud, state, body):
-    return body_filter(cloud, body.capsules(state.pose, state.q), body.margin)
+def _body_filter(cloud, state):
+    return body_filter(cloud, body_capsules(state.pose, state.q))
 
 
 def _cloud(points, t=0.0, frame="world"):
@@ -199,25 +205,23 @@ class TestBodyFilter:
         state = _standing_state()
         inside = np.array([[0.0, 0.0, 0.30], [0.1, 0.0, 0.32]])
         far = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        out = _body_filter(_cloud(np.vstack([inside, far])), state, BodyModel())
+        out = _body_filter(_cloud(np.vstack([inside, far])), state)
         assert len(out) == 2
         np.testing.assert_array_equal(out.points, far)
 
     def test_points_near_legs_removed(self):
         state = _standing_state()
-        body = BodyModel()
         # midpoints of each leg capsule must be masked
-        leg_caps = body.capsules(state.pose, state.q)[1:]
+        leg_caps = body_capsules(state.pose, state.q)[1:]
         mids = np.array([(p0 + p1) / 2 for p0, p1, _ in leg_caps])
-        out = _body_filter(_cloud(mids), state, body)
+        out = _body_filter(_cloud(mids), state)
         assert len(out) == 0
 
     def test_matches_capsule_distance_oracle(self, rng):
         state = _standing_state(position=(0.5, 0.2, 0.35))
-        body = BodyModel()
         pts = rng.uniform(-0.6, 0.6, (400, 3)) + state.position
-        out = _body_filter(_cloud(pts), state, body)
-        caps = body.capsules(state.pose, state.q)
+        out = _body_filter(_cloud(pts), state)
+        caps = body_capsules(state.pose, state.q)
 
         def min_dist(p):
             best = np.inf
@@ -228,7 +232,7 @@ class TestBodyFilter:
                 best = min(best, float(np.linalg.norm(p - (p0 + u * seg))) - r)
             return best
 
-        keep = np.array([min_dist(p) > body.margin for p in pts])
+        keep = np.array([min_dist(p) > BODY_MARGIN for p in pts])
         np.testing.assert_array_equal(out.points, pts[keep])
 
     def test_ground_points_survive(self, rng):
@@ -236,7 +240,7 @@ class TestBodyFilter:
         ground = np.column_stack(
             [rng.uniform(-0.5, 0.5, 200), rng.uniform(-0.5, 0.5, 200), np.zeros(200)]
         )
-        out = _body_filter(_cloud(ground), state, BodyModel())
+        out = _body_filter(_cloud(ground), state)
         # feet reach the ground; only a few points under the feet may go
         assert len(out) >= 190
 
@@ -250,12 +254,11 @@ class TestBodyFilter:
     def test_capsules_same_bits_as_pose_transform(self, pose):
         position, (roll, pitch, yaw) = self.POSES[pose]
         state = _standing_state(position, quat_from_euler(roll, pitch, yaw))
-        body = BodyModel()
-        ref = _reference_capsules(body, state)
+        ref = _reference_capsules(state)
         # the pipeline poses the capsules from a row of a stack of base poses
         row = Pose(np.tile(state.position, (3, 1)), np.tile(state.quat, (3, 1)))[1]
         for pose in (state.pose, row):
-            for got, want in zip(body.capsules(pose, state.q), ref, strict=True):
+            for got, want in zip(body_capsules(pose, state.q), ref, strict=True):
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
                 assert got[2] == want[2]
@@ -264,15 +267,14 @@ class TestBodyFilter:
     def test_same_points_as_unculled_filter(self, pose, rng):
         position, (roll, pitch, yaw) = self.POSES[pose]
         state = _standing_state(position, quat_from_euler(roll, pitch, yaw))
-        body = BodyModel()
         pts = [rng.uniform(-0.7, 0.7, (600, 3)) + state.position]
         # for each capsule, points at radius + margin times (1 -+ 1e-9)
         # from its axis and beyond its ends (just inside, just outside)
-        for p0, p1, r in body.capsules(state.pose, state.q):
+        for p0, p1, r in body_capsules(state.pose, state.q):
             axis = (p1 - p0) / np.linalg.norm(p1 - p0)
             side = np.cross(axis, rng.normal(size=(40, 3)))
             side /= np.linalg.norm(side, axis=1, keepdims=True)
-            reach = (r + body.margin) * np.array([1 - 1e-9, 1 + 1e-9])
+            reach = (r + BODY_MARGIN) * np.array([1 - 1e-9, 1 + 1e-9])
             along = p0 + rng.uniform(0.0, 1.0, (40, 1)) * (p1 - p0)
             pts += [along + side * s for s in reach]
             for end, out in ((p0, -axis), (p1, axis)):
@@ -283,11 +285,11 @@ class TestBodyFilter:
                 unit = np.eye(3)[k]
                 for sgn in (-1.0, 1.0):
                     tip = max((p0, p1), key=lambda p: sgn * p[k])
-                    d = r + body.margin + np.array([-1e-9, 1e-9, 5e-7, 2e-6])
+                    d = r + BODY_MARGIN + np.array([-1e-9, 1e-9, 5e-7, 2e-6])
                     pts.append(tip + sgn * unit * d[:, None])
         pts = np.vstack(pts)
-        out = _body_filter(_cloud(pts), state, body)
-        expect = _reference_body_filter(pts, state, body)
+        out = _body_filter(_cloud(pts), state)
+        expect = _reference_body_filter(pts, state)
         assert 0 < len(expect) < len(pts)
         assert out.points.tobytes() == expect.tobytes()
 
@@ -297,7 +299,6 @@ class TestBodyFilter:
         # where a one-row distance test can decide otherwise than the
         # whole-cloud test
         state = _standing_state((2.5, 1.2, 0.35), quat_from_euler(0.2, -0.3, 2.2))
-        body = BodyModel()
         far = np.array([[9.0, 0.0, 0.0], [0.0, -4.0, 1.0]])
         for near in (
             ["0x1.377440cacbbf7p+1", "0x1.174b3a19b465cp+0", "0x1.312828ecbc5d7p-2"],
@@ -305,8 +306,8 @@ class TestBodyFilter:
         ):
             near = np.array([float.fromhex(v) for v in near])
             for pts in (np.vstack([far, near]), near[None, :]):
-                out = _body_filter(_cloud(pts), state, body)
-                assert out.points.tobytes() == _reference_body_filter(pts, state, body).tobytes()
+                out = _body_filter(_cloud(pts), state)
+                assert out.points.tobytes() == _reference_body_filter(pts, state).tobytes()
 
     def test_point_segment_dist_degenerate_segment(self):
         p0 = np.array([1.0, 0.0, 0.0])

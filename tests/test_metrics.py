@@ -166,8 +166,10 @@ class TestRte:
         gt = self._straight(n=50)
         path = tmp_path / "traj.csv"
         gt.save_csv(path)
-        back = TrajectorySamples.load_csv(path)
-        np.testing.assert_allclose(back.positions, gt.positions, atol=1e-6)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_allclose(back[:, 0], gt.t, atol=1e-6)
+        np.testing.assert_allclose(back[:, 1:4], gt.positions, atol=1e-6)
+        np.testing.assert_allclose(back[:, 4:8], gt.quats, atol=1e-6)
 
 
 class TestTrackingRms:

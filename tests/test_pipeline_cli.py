@@ -39,7 +39,9 @@ HEIGHT_NOISE = {"sample_sigma": 0.005, "bias_sigma": [0.01, 0.01, 0.01]}
 
 NAN, INF = float("nan"), float("inf")
 # scalar keys whose bad values used to fail deep in the run, or to finish with
-# a NaN chamfer (a 0.01 m map_size held no 0.025 m cell)
+# a NaN chamfer (a 0.01 m map_size held no 0.025 m cell). scene_resolution,
+# map_size, drift_gate and drift_min_points are module constants now, so a
+# config that still sets one fails as an unknown key, which names it too
 BAD_SCALARS = [
     ("scene_resolution", 0),
     ("scene_resolution", -0.01),
@@ -59,6 +61,8 @@ BAD_SCALARS = [
     ("drift_gate", NAN),
     ("injected_drift", [NAN, 0.0, 0.0]),
     ("injected_drift", [0.0, INF, 0.0]),
+    # one cell larger than the 5 m map
+    ("map_resolution", 6.0),
 ]
 
 STEP = {"type": "step", "x_start": 3.0, "height": 0.1, "depth": 0.8}
@@ -76,6 +80,8 @@ def _scene(prim, extent=(8.0, 3.0)) -> dict:
     """An inline scene: flat ground plus `prim`."""
     return {"extent": list(extent), "primitives": [{"type": "flat", "z": 0.0}, prim]}
 
+
+NO_SUCCESS = "unknown config keys: ['success']"
 
 # config values that used to fail only once the run had started (or, for
 # the NaN step start, silently drop the step), each with the text its
@@ -134,12 +140,13 @@ BAD_CONFIGS = {
     "orient_sigma_nan": ({"source_errors": {"imu": {"orient_sigma": NAN}}}, "orient_sigma"),
     "walk_rate_nan": ({"source_errors": {"vio": {"walk_rate": NAN}}}, "walk_rate"),
     "sample_sigma_inf": ({"source_errors": {"vio": {"sample_sigma": INF}}}, "sample_sigma"),
-    # a NaN threshold used to report success 0 with exit 0
-    "success_chamfer_nan": ({"success": {"chamfer_cm": NAN}}, "chamfer_cm"),
-    "success_chamfer_negative": ({"success": {"chamfer_cm": -1.0}}, "chamfer_cm"),
-    "success_fill_negative": ({"success": {"max_fill_fraction": -0.1}}, "max_fill_fraction"),
-    "success_fill_inf": ({"success": {"max_fill_fraction": INF}}, "max_fill_fraction"),
-    "success_margin_nan": ({"success": {"window_margin": NAN}}, "window_margin"),
+    # a NaN threshold used to report success 0 with exit 0; the success
+    # thresholds are pipeline constants now, so the section is unknown
+    "success_chamfer_nan": ({"success": {"chamfer_cm": NAN}}, NO_SUCCESS),
+    "success_chamfer_negative": ({"success": {"chamfer_cm": -1.0}}, NO_SUCCESS),
+    "success_fill_negative": ({"success": {"max_fill_fraction": -0.1}}, NO_SUCCESS),
+    "success_fill_inf": ({"success": {"max_fill_fraction": INF}}, NO_SUCCESS),
+    "success_margin_nan": ({"success": {"window_margin": NAN}}, NO_SUCCESS),
 }
 
 
@@ -173,9 +180,11 @@ class TestRates:
 
 class TestConfig:
     def test_unknown_keys_rejected(self):
-        # fields without a plain default are not scalar knobs
+        # fields without a plain default are not scalar knobs, and the
+        # resolutions, drift gate and success thresholds are constants
         for key in ("bogus", "sweep_duration", "gait", "ekf", "variance_model",
-                    "front_camera", "scene_spec", "profile"):
+                    "front_camera", "scene_spec", "profile", "drift_gate",
+                    "drift_min_points", "map_size", "scene_resolution", "success"):
             with pytest.raises(ValueError, match="unknown config keys"):
                 ScenarioConfig.from_dict({**SHORT, key: 1})
         # misspelled keys inside a section are named too
@@ -609,6 +618,23 @@ class TestCli:
         missing = tmp_path / "missing" / "metrics.csv"
         assert main(["compare", str(tmp_path / "metrics.csv"), str(missing)]) == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_compare_verb_sweep_reports_are_an_error(self, tmp_path, capsys):
+        # a sweep report holds only `sweep` rows, which used to read as an
+        # empty report and print an empty table with exit 0
+        paths = []
+        for name, rows in (("a", ("0.075,1,1.2,0.9", "0.125,0,3.4,1.1")),
+                           ("b", ("0.075,1,1.5,1.0", "0.125,1,2.8,1.2"))):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(
+                "metric,step_height_m,success,window_chamfer_mean_cm,chamfer_mean_cm\n"
+                + "".join(f"sweep,{row}\n" for row in rows)
+            )
+            paths.append(str(path))
+        assert main(["compare", *paths]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("compare error:")
+        assert f"{paths[0]} is a step-sweep report" in err
 
     def test_compare_verb_empty_report_is_an_error(self, tmp_path, capsys):
         write_metrics(tmp_path, {"chamfer_mean_cm": 1.5}, "")
