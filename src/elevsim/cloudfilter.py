@@ -73,62 +73,66 @@ TRUNK_RADIUS = 0.09
 THIGH_LENGTH = 0.213
 CALF_LENGTH = 0.213
 LEG_RADIUS = 0.03
+TRUNK_ENDS = np.array([[TRUNK_HALF_LENGTH, 0.0, 0.0], [-TRUNK_HALF_LENGTH, 0.0, 0.0]])
+CAPSULE_RADII = np.array([TRUNK_RADIUS] + [LEG_RADIUS] * 8)
+TRUNK_ENDS.setflags(write=False)
+CAPSULE_RADII.setflags(write=False)
 
 
-def body_capsules(pose: Pose, q: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """World-frame (p0, p1, radius) capsules of the base at `pose` with joint
-    angles `q`, posed by forward kinematics."""
-    to_world = pose.transform
-    caps = [
-        (
-            to_world(np.array([TRUNK_HALF_LENGTH, 0.0, 0.0])),
-            to_world(np.array([-TRUNK_HALF_LENGTH, 0.0, 0.0])),
-            TRUNK_RADIUS,
+def _leg_dirs(roll: np.ndarray, pitch: np.ndarray) -> np.ndarray:
+    """Unit leg-segment directions in the hip frames, nominally downward:
+    (..., 4, 3) from (..., 4) hip rolls and segment pitches."""
+    cr, sr = np.cos(roll), np.sin(roll)
+    zero, one = np.zeros_like(cr), np.ones_like(cr)
+    rx = np.stack([one, zero, zero, zero, cr, -sr, zero, sr, cr], axis=-1)
+    d = np.stack([np.sin(pitch), zero, -np.cos(pitch)], axis=-1)
+    return (rx.reshape(cr.shape + (3, 3)) @ d[..., None])[..., 0]
+
+
+def body_capsules(pose: Pose, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """World-frame capsules of the base at `pose` with joint angles `q`,
+    posed by forward kinematics: axis ends `p0` and `p1`, each (9, 3), and
+    the (9,) radii; the trunk first, then each leg's thigh and calf. A
+    stack of N poses with (N, 12) `q` gives (N, 9, 3) ends whose row k has
+    the bits of pose k alone."""
+    q = np.asarray(q, dtype=float)
+    # contiguous angles take the same cos/sin loops as one tick's scalars
+    roll, thigh, calf = (np.ascontiguousarray(q[..., k::3]) for k in range(3))
+    knee = HIP_OFFSETS + THIGH_LENGTH * _leg_dirs(roll, thigh)
+    foot = knee + CALF_LENGTH * _leg_dirs(roll, thigh + calf)
+    lead = knee.shape[:-2]
+    hip = np.broadcast_to(HIP_OFFSETS, knee.shape)
+    # body-frame ends, then one matrix-vector product per end, the BLAS
+    # path of `Pose.transform` on one point
+    ends = (
+        np.concatenate(
+            [np.broadcast_to(trunk, lead + (1, 3)), np.stack(leg, axis=-2).reshape(lead + (8, 3))],
+            axis=-2,
         )
-    ]
-    for f in range(4):
-        hip = HIP_OFFSETS[f]
-        roll, thigh_pitch, calf_pitch = q[3 * f : 3 * f + 3]
-        cr, sr = np.cos(roll), np.sin(roll)
-        rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-
-        def leg_dir(pitch):
-            # leg segment direction in the hip frame, nominally downward
-            d = np.array([np.sin(pitch), 0.0, -np.cos(pitch)])
-            return rx @ d
-
-        knee = hip + THIGH_LENGTH * leg_dir(thigh_pitch)
-        foot = knee + CALF_LENGTH * leg_dir(thigh_pitch + calf_pitch)
-        knee_w = to_world(knee)
-        caps.append((to_world(hip), knee_w, LEG_RADIUS))
-        caps.append((knee_w, to_world(foot), LEG_RADIUS))
-    return caps
+        for trunk, leg in zip(TRUNK_ENDS, ((hip, knee), (knee, foot)))
+    )
+    R = pose.rotation[..., None, :, :]
+    p0, p1 = ((R @ e[..., None])[..., 0] + pose.position[..., None, :] for e in ends)
+    return p0, p1, CAPSULE_RADII
 
 
-def _point_segment_dist(points: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    seg = p1 - p0
-    L2 = float(seg @ seg)
-    if L2 == 0.0:
-        return np.linalg.norm(points - p0, axis=1)
-    u = np.clip((points - p0) @ seg / L2, 0.0, 1.0)
-    closest = p0 + u[:, None] * seg
-    return np.linalg.norm(points - closest, axis=1)
-
-
-def body_filter(cloud: PointCloud, caps: list) -> PointCloud:
-    """Remove every world-frame point within `BODY_MARGIN` of a body capsule
-    (`body_capsules`, posed once per tick for all its clouds).
+def body_filter(cloud: PointCloud, caps: tuple[np.ndarray, np.ndarray, np.ndarray]) -> PointCloud:
+    """Remove every world-frame point within `BODY_MARGIN` of a body capsule.
+    `caps` is `body_capsules` of one pose, or row k of a stacked call's ends
+    with its radii.
 
     Only points inside the capsules' bounding box, grown by radius + margin
-    and a slack, get the distance test; every point outside it is farther
-    than radius + margin from each capsule and is kept.
+    and a slack, get the distance test, all nine capsules in one pass; every
+    point outside it is farther than radius + margin from each capsule and
+    is kept.
     """
     if len(cloud) == 0:
         return cloud
+    p0, p1, r = caps
     # 1 um lies far above the rounding error of the distance test
     grow = BODY_MARGIN + 1e-6
-    box_lo = np.min([np.minimum(p0, p1) - r for p0, p1, r in caps], axis=0) - grow
-    box_hi = np.max([np.maximum(p0, p1) + r for p0, p1, r in caps], axis=0) + grow
+    box_lo = (np.minimum(p0, p1) - r[:, None]).min(axis=0) - grow
+    box_hi = (np.maximum(p0, p1) + r[:, None]).max(axis=0) + grow
     pts = cloud.points
     near = ((pts >= box_lo) & (pts <= box_hi)).all(axis=1)
     if near.sum() == 1 and len(pts) > 1:
@@ -136,9 +140,15 @@ def body_filter(cloud: PointCloud, caps: list) -> PointCloud:
         # the multi-row path the whole cloud takes; test one more point
         near[np.argmin(near)] = True
     sub = pts[near]
-    keep_sub = np.ones(len(sub), dtype=bool)
-    for p0, p1, r in caps:
-        keep_sub &= _point_segment_dist(sub, p0, p1) > r + BODY_MARGIN
+    # each point's distance to each capsule axis, as (9, M): the projection
+    # onto the axis clipped to its ends; a zero-length axis leaves u = 0,
+    # the distance to its one end
+    seg = p1 - p0
+    L2 = np.vecdot(seg, seg)
+    u = (sub - p0[:, None]) @ seg[:, :, None]
+    u = np.clip(u[..., 0] / np.where(L2 > 0, L2, 1.0)[:, None], 0.0, 1.0)
+    closest = p0[:, None] + u[..., None] * seg[:, None]
+    dist = np.linalg.norm(sub - closest, axis=-1)
     keep = np.ones(len(cloud), dtype=bool)
-    keep[near] = keep_sub
+    keep[near] = (dist > (r + BODY_MARGIN)[:, None]).all(axis=0)
     return cloud.select(keep)

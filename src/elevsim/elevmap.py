@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, rotz
+from .geometry import Pose
 from .pointcloud import PointCloud
 
 DEFAULT_RESOLUTION = 0.025
@@ -228,7 +228,7 @@ class ElevationMap:
         cx, cy = self.cell_centers()
         gx, gy = np.meshgrid(cx[i0:i1], cy[j0:j1], indexing="ij")
         rel = np.stack([gx.ravel() - base_pose.position[0], gy.ravel() - base_pose.position[1]], axis=1)
-        R = rotz(base_pose.yaw)[:2, :2]
+        R = base_pose.yaw_rotation[:2, :2]
         local = rel @ R  # world -> base-aligned
         inside = (np.abs(local[:, 0]) <= region[0] / 2) & (np.abs(local[:, 1]) <= region[1] / 2)
         inside &= self.valid[i0:i1, j0:j1].ravel()

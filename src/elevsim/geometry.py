@@ -10,7 +10,7 @@ return one result per row, with the same bits as N single calls; so does a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -118,9 +118,9 @@ class Pose:
     """Rigid transform: world point = R(quat) @ p + position.
 
     One pose, or a stack of N with (N, 3) positions and (N, 4) quaternions
-    that acts row by row; `poses[i]` is row i. The rotation matrices and the
-    yaw are built on first use and kept, so a pose is never changed once
-    made.
+    that acts row by row; `poses[i]` is row i. The rotation matrices, the
+    yaw (a float, or an (N,) array for a stack) and its rotation about z are
+    built on first use and kept, so a pose is never changed once made.
     """
 
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -132,11 +132,12 @@ class Pose:
 
     def __getitem__(self, i) -> "Pose":
         """Row(s) i of a stack, with the stack's bits: the quaternion is not
-        normalized again, and the matrices are rows of the stack's, built in
-        one stacked call when the first row is taken."""
+        normalized again, and the matrices and the yaw are rows of the
+        stack's, built in one stacked call when the first row is taken."""
         row = object.__new__(Pose)
         row.position, row.quat = self.position[i], self.quat[i]
         row.rotation, row.inverse_rotation = self.rotation[i], self.inverse_rotation[i]
+        row.yaw, row.yaw_rotation = self.yaw[i], self.yaw_rotation[i]
         return row
 
     @cached_property
@@ -161,16 +162,30 @@ class Pose:
         return Pose(self.transform(other.position), quat_mul(self.quat, other.quat))
 
     @cached_property
-    def yaw(self) -> float:
-        return float(yaw_from_quat(self.quat))
+    def yaw(self) -> float | np.ndarray:
+        yaw = yaw_from_quat(self.quat)
+        return float(yaw) if yaw.ndim == 0 else yaw
+
+    @cached_property
+    def yaw_rotation(self) -> np.ndarray:
+        """`rotz(yaw)`: (3, 3), or (N, 3, 3) for a stack."""
+        return rotz(self.yaw)
+
+
+@lru_cache(maxsize=16)
+def _local_grid(nx: int, ny: int, pitch: float) -> np.ndarray:
+    """The (nx * ny, 2) grid of `yaw_aligned_grid` in the pose's frame;
+    read-only and shared by every call with the same shape and pitch."""
+    xs = (np.arange(nx) - (nx - 1) / 2) * pitch
+    ys = (np.arange(ny) - (ny - 1) / 2) * pitch
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    local = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    local.setflags(write=False)
+    return local
 
 
 def yaw_aligned_grid(pose: Pose, nx: int, ny: int, pitch: float) -> np.ndarray:
     """World xy of an nx x ny grid with the given pitch, centred on the pose
     and rotated by its yaw; x (forward) is the slow axis of the rows."""
-    xs = (np.arange(nx) - (nx - 1) / 2) * pitch
-    ys = (np.arange(ny) - (ny - 1) / 2) * pitch
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    local = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    R = rotz(pose.yaw)[:2, :2]
-    return local @ R.T + pose.position[:2]
+    R = pose.yaw_rotation[:2, :2]
+    return _local_grid(nx, ny, pitch) @ R.T + pose.position[:2]

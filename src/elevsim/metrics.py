@@ -54,8 +54,7 @@ def chamfer_one_way(s1, s2) -> float:
 def _relative(points: np.ndarray, pose: Pose) -> np.ndarray:
     """Express world points in the yaw-aligned frame anchored at the pose."""
     rel = points - pose.position
-    R = rotz(pose.yaw)
-    return rel @ R  # rows rotated by R^T
+    return rel @ pose.yaw_rotation  # rows rotated by R^T
 
 
 def map_vs_ground_truth(

@@ -271,14 +271,20 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.out_dir is not None:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    # the cloud ticks' true and estimated base poses and each camera's, in
-    # stacked calls; the estimate keeps the true orientation
+    # every tick's poses in stacked calls, row k for the rate's tick k: the
+    # cloud ticks' true and estimated base poses, each camera's and the body
+    # capsules; the control ticks' estimate; the chamfer ticks' estimate and
+    # truth. The estimate keeps the true orientation
     cloud_true = Pose(traj.pos[::CLOUD_EVERY], traj.quat[::CLOUD_EVERY])
     cloud_est = Pose(est_pos[::CLOUD_EVERY], traj.quat[::CLOUD_EVERY])
     views = [
         (cam, rng, cloud_true.compose(cam.mount), cloud_est.compose(cam.mount))
         for cam, rng in cameras
     ]
+    cap_p0, cap_p1, cap_r = cloudfilter.body_capsules(cloud_est, traj.q[::CLOUD_EVERY])
+    control_est = Pose(est_pos[::CONTROL_EVERY], traj.quat[::CONTROL_EVERY])
+    chamfer_est = Pose(est_pos[::CHAMFER_EVERY], traj.quat[::CHAMFER_EVERY])
+    chamfer_true = Pose(traj.pos[::CHAMFER_EVERY], traj.quat[::CHAMFER_EVERY])
 
     # map loop: only the stages that read or write the map run per tick
     for i in range(len(traj)):
@@ -286,11 +292,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         snapshot = next_snapshot is not None and t >= next_snapshot
         if i % CLOUD_EVERY and i % CONTROL_EVERY and i % CHAMFER_EVERY and not snapshot:
             continue
-        est_pose = Pose(est_pos[i], traj.quat[i])
-
         if i % CLOUD_EVERY == 0:
             k = i // CLOUD_EVERY
-            caps = cloudfilter.body_capsules(cloud_est[k], traj.q[i])
+            caps = (cap_p0[k], cap_p1[k], cap_r)
             for cam, rng, cam_true, cam_est in views:
                 cloud = render_depth(cam, cam_true[k], hf, t)
                 cloud = inject_sensor_noise(cloud, cam, rng)
@@ -305,14 +309,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
         if i % CONTROL_EVERY == 0:
             emap.recenter(est_pos[i][:2])
-            filled = obsbuilder.sample_heights(emap, est_pose)[2]
-            fill[i // CONTROL_EVERY] = filled.mean()
+            k = i // CONTROL_EVERY
+            fill[k] = obsbuilder.sample_heights(emap, control_est[k])[2].mean()
 
         if i % CHAMFER_EVERY == 0:
-            true_pose = Pose(traj.pos[i], traj.quat[i])
-            c = metrics.map_vs_ground_truth(emap, hf, est_pose, true_pose=true_pose)
+            k = i // CHAMFER_EVERY
+            c = metrics.map_vs_ground_truth(emap, hf, chamfer_est[k], true_pose=chamfer_true[k])
             if c is not None:
-                chamfer[i // CHAMFER_EVERY] = c
+                chamfer[k] = c
 
         if snapshot:
             emap.to_csv(cfg.out_dir / f"map_{t:07.3f}.csv")

@@ -30,7 +30,11 @@ class PointCloud:
         return replace(self, frame="world", points=pose.transform(self.points))
 
     def select(self, mask: np.ndarray) -> "PointCloud":
-        return replace(self, points=self.points[mask])
+        """The points at `mask`; a subset of a checked cloud needs no
+        second finite check."""
+        sub = object.__new__(PointCloud)
+        sub.t, sub.frame, sub.points = self.t, self.frame, self.points[mask]
+        return sub
 
 
 def empty_cloud(t: float, frame: str) -> PointCloud:

@@ -10,7 +10,6 @@ from elevsim.cloudfilter import (
     THIGH_LENGTH,
     TRUNK_HALF_LENGTH,
     TRUNK_RADIUS,
-    _point_segment_dist,
     body_capsules,
     body_filter,
     remove_outliers,
@@ -56,6 +55,17 @@ def _reference_capsules(state):
         caps.append((pose.transform(hip), pose.transform(knee), LEG_RADIUS))
         caps.append((pose.transform(knee), pose.transform(foot), LEG_RADIUS))
     return caps
+
+
+def _point_segment_dist(points, p0, p1):
+    """Distance of each point to the segment p0-p1, one capsule at a time."""
+    seg = p1 - p0
+    L2 = float(seg @ seg)
+    if L2 == 0.0:
+        return np.linalg.norm(points - p0, axis=1)
+    u = np.clip((points - p0) @ seg / L2, 0.0, 1.0)
+    closest = p0 + u[:, None] * seg
+    return np.linalg.norm(points - closest, axis=1)
 
 
 def _reference_body_filter(points, state):
@@ -212,8 +222,8 @@ class TestBodyFilter:
     def test_points_near_legs_removed(self):
         state = _standing_state()
         # midpoints of each leg capsule must be masked
-        leg_caps = body_capsules(state.pose, state.q)[1:]
-        mids = np.array([(p0 + p1) / 2 for p0, p1, _ in leg_caps])
+        p0, p1, _ = body_capsules(state.pose, state.q)
+        mids = (p0[1:] + p1[1:]) / 2
         out = _body_filter(_cloud(mids), state)
         assert len(out) == 0
 
@@ -221,7 +231,8 @@ class TestBodyFilter:
         state = _standing_state(position=(0.5, 0.2, 0.35))
         pts = rng.uniform(-0.6, 0.6, (400, 3)) + state.position
         out = _body_filter(_cloud(pts), state)
-        caps = body_capsules(state.pose, state.q)
+        caps = list(zip(*body_capsules(state.pose, state.q), strict=True))
+        assert len(caps) == 9
 
         def min_dist(p):
             best = np.inf
@@ -250,18 +261,43 @@ class TestBodyFilter:
         "pitched_rolled": ((-1.0, 0.4, 0.45), (0.2, -0.3, -0.7)),
     }
 
+    @staticmethod
+    def _assert_same_bits(caps, ref):
+        p0, p1, r = caps
+        assert p0.shape == p1.shape == (9, 3) and r.shape == (9,)
+        for got, want in zip(zip(p0, p1, r, strict=True), ref, strict=True):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
+
     @pytest.mark.parametrize("pose", sorted(POSES))
     def test_capsules_same_bits_as_pose_transform(self, pose):
         position, (roll, pitch, yaw) = self.POSES[pose]
         state = _standing_state(position, quat_from_euler(roll, pitch, yaw))
         ref = _reference_capsules(state)
-        # the pipeline poses the capsules from a row of a stack of base poses
         row = Pose(np.tile(state.position, (3, 1)), np.tile(state.quat, (3, 1)))[1]
         for pose in (state.pose, row):
-            for got, want in zip(body_capsules(pose, state.q), ref, strict=True):
-                assert got[0].tobytes() == want[0].tobytes()
-                assert got[1].tobytes() == want[1].tobytes()
-                assert got[2] == want[2]
+            self._assert_same_bits(body_capsules(pose, state.q), ref)
+        # the pipeline poses every cloud tick in one call: an N-stack of
+        # poses near this one, each with its own joint angles
+        rng = np.random.default_rng(5)
+        n = 40
+        quat = quat_from_euler(
+            roll + rng.normal(0, 0.2, n), pitch + rng.normal(0, 0.2, n), yaw + rng.normal(0, 1, n)
+        )
+        pos = state.position + rng.normal(0.0, 0.5, (n, 3))
+        q = Q_STAND + rng.normal(0.0, 0.4, (n, 12))
+        stack = Pose(pos, quat)
+        p0, p1, r = body_capsules(stack, q)
+        assert p0.shape == p1.shape == (n, 9, 3)
+        for k in range(n):
+            st_k = _standing_state(pos[k], quat[k])
+            st_k.q = q[k]
+            self._assert_same_bits((p0[k], p1[k], r), _reference_capsules(st_k))
+        # strided rows of the poses and the angles, as the pipeline takes them
+        strided = body_capsules(stack[::3], np.repeat(q, 2, axis=1)[::3, ::2])
+        assert strided[0].tobytes() == p0[::3].tobytes()
+        assert strided[1].tobytes() == p1[::3].tobytes()
 
     @pytest.mark.parametrize("pose", sorted(POSES))
     def test_same_points_as_unculled_filter(self, pose, rng):
@@ -270,7 +306,7 @@ class TestBodyFilter:
         pts = [rng.uniform(-0.7, 0.7, (600, 3)) + state.position]
         # for each capsule, points at radius + margin times (1 -+ 1e-9)
         # from its axis and beyond its ends (just inside, just outside)
-        for p0, p1, r in body_capsules(state.pose, state.q):
+        for p0, p1, r in zip(*body_capsules(state.pose, state.q), strict=True):
             axis = (p1 - p0) / np.linalg.norm(p1 - p0)
             side = np.cross(axis, rng.normal(size=(40, 3)))
             side /= np.linalg.norm(side, axis=1, keepdims=True)
@@ -309,7 +345,47 @@ class TestBodyFilter:
                 out = _body_filter(_cloud(pts), state)
                 assert out.points.tobytes() == _reference_body_filter(pts, state).tobytes()
 
+    def test_degenerate_capsule_removes_points_within_reach(self, rng):
+        # a zero-length axis is a ball: it removes exactly the points within
+        # radius + margin of its one end, and no NaN distance drops others
+        state = _standing_state((2.5, 1.2, 0.35), quat_from_euler(0.2, -0.3, 2.2))
+        p0, p1, r = body_capsules(state.pose, state.q)
+        p1 = p1.copy()
+        p1[3] = p0[3]
+        caps = (p0, p1, r)
+        ball = p0[3]
+        direction = rng.normal(size=(200, 3))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        reach = r[3] + BODY_MARGIN
+        pts = ball + direction * reach * rng.uniform(0.5, 1.5, (200, 1))
+        out = body_filter(_cloud(pts), caps)
+        keep = np.ones(len(pts), dtype=bool)
+        for a, b, rad in zip(p0, p1, r):
+            keep &= _point_segment_dist(pts, a, b) > rad + BODY_MARGIN
+        assert out.points.tobytes() == pts[keep].tobytes()
+        # the ball alone decides for the points that the rest of the body
+        # does not reach
+        others = np.ones(len(pts), dtype=bool)
+        for k in set(range(9)) - {3}:
+            others &= _point_segment_dist(pts, p0[k], p1[k]) > r[k] + BODY_MARGIN
+        in_ball = np.linalg.norm(pts - ball, axis=1) <= reach
+        assert in_ball[others].any() and (~in_ball[others]).any()
+        np.testing.assert_array_equal(keep[others], ~in_ball[others])
+
     def test_point_segment_dist_degenerate_segment(self):
         p0 = np.array([1.0, 0.0, 0.0])
         d = _point_segment_dist(np.array([[2.0, 0.0, 0.0]]), p0, p0)
         assert d[0] == pytest.approx(1.0)
+
+
+class TestPointCloud:
+    def test_select_keeps_time_and_frame(self):
+        cloud = _cloud([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0]], t=1.25, frame="front")
+        sub = cloud.select(np.array([True, False, True]))
+        assert (sub.t, sub.frame) == (1.25, "front")
+        np.testing.assert_array_equal(sub.points, cloud.points[[0, 2]])
+        assert len(cloud.select(np.zeros(3, dtype=bool))) == 0
+
+    def test_non_finite_cloud_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            _cloud([[0.0, 0.0, 0.0], [np.nan, 1.0, 2.0]])

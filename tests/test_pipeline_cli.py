@@ -8,7 +8,7 @@ import yaml
 
 from elevsim import scene
 from elevsim.cli import main
-from elevsim.geometry import rotz
+from elevsim.geometry import Pose, rotz
 from elevsim.pipeline import (
     CHAMFER_EVERY,
     CLOUD_EVERY,
@@ -373,6 +373,28 @@ class TestScenario:
         second = run_scenario(cfg).metrics
         first.pop("wall_time_s"), second.pop("wall_time_s")
         assert first == second
+
+    def test_poses_built_once_per_run_not_per_tick(self, monkeypatch):
+        # every tick's pose is a row of a stack built before the map loop,
+        # so a run twice as long constructs no more poses
+        built = []
+        post_init = Pose.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        counts = []
+        for seconds in (1.0, 2.0):
+            cfg = ScenarioConfig.from_dict(
+                {**SHORT, "command": [[seconds, [0.5, 0.0, 0.2]]], "odometry": "ekf-vio"}
+            )
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(Pose, "__post_init__", counted)
+                run_scenario(cfg)
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
 
     def test_snapshot_every_without_out_dir_rejected(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
