@@ -47,7 +47,7 @@ def chamfer_one_way(s1, s2) -> float:
     if len(p1) == 0:
         log.warning("chamfer source cloud empty; returning 0")
         return 0.0
-    d, _ = cKDTree(p2).query(p1)
+    d, _ = cKDTree(p2, balanced_tree=False).query(p1)
     return float(d.mean()) * 100.0
 
 

@@ -8,7 +8,11 @@ with the heightfield surface in closed form: the heightfield is one
 x-profile extruded along y (`Heightfield.profile`), so a ray's first hit is
 the earliest entry into one box per run of equal height
 (`Heightfield.x_runs`), with no march step or refinement tolerance. A ray
-that leaves the grid never hits.
+that leaves the grid never hits. A ray tests only a band of two runs at a
+time, from the first run of its x order whose top comes within reach of it
+(a slope bound per run, read with one `searchsorted`), so a frame's cost
+follows its rays rather than the runs in view; the ranges keep the bits of
+a test of every run.
 """
 
 from __future__ import annotations
@@ -333,6 +337,12 @@ def render_depth(camera: CameraModel, cam_pose: Pose, hf: Heightfield, t: float)
 # cell semantics hold: a ray on a cell's upper x or y bound is outside the
 # cell, and a ray level with a cell's top is on it
 _AXIS_TINY = np.array([1e-300, 1e-300, -1e-300])
+# a run whose top is more than this under a ray's lowest point over the
+# run's x slab holds no hit of that ray; far above the rounding of the exact
+# test, so the runs that the search passes over fail that test too
+_SLACK = 1e-6
+# runs that a ray tests in one round of the run search
+_BAND = 2
 
 
 def _first_hits(hf: Heightfield, o: np.ndarray, dirs: np.ndarray, t_max: float) -> np.ndarray:
@@ -343,11 +353,27 @@ def _first_hits(hf: Heightfield, o: np.ndarray, dirs: np.ndarray, t_max: float) 
     x_end) times the grid's y extent times z <= height. A ray enters a box
     at the latest of its slab entries (the run's x face, the top crossing
     t = (height - o_z) / d_z, the grid's y face, t = 0) if that comes before
-    the earliest slab exit; the first hit is the earliest entry over the
-    boxes.
+    the earliest slab exit (`_box_hits`).
+
+    Runs are disjoint in x, so a ray enters a later run of its x order only
+    after it leaves an earlier one: the first run it enters holds its first
+    hit. Rather than test every run, each ray tests a band of `_BAND` runs,
+    starting at the first run of its x order that can hold a hit, and the
+    next band only if it missed. A run can hold a hit only if its top is at
+    most `_SLACK` under the ray's lowest point over the run's x slab, which
+    is at one of the slab's ends (or the origin, in its own run); per run
+    that is a bound on the ray's slope d_z / |d_x|. The running max of the
+    bounds along the x order is sorted, so one `searchsorted` finds every
+    ray's first candidate run. A run that the rule passes over fails the
+    exact test too, so the ranges are those of a test of every run, to the
+    bit.
+
+    A frame whose rays reach at most two bands of runs (`k0..k1`, from the
+    reach of the rays over the lowest run) tests those runs on every ray:
+    there the search costs more than it saves.
     """
     runs = hf.x_runs
-    edges = np.append(runs[:, 0], runs[-1, 1])
+    edges = np.concatenate([runs[:, 0], runs[-1:, 1]])
     dx, dy, dz = np.where(dirs == 0, _AXIS_TINY, dirs).T
     y0 = hf.origin[1]
     # the span of each ray inside the grid's xy box
@@ -363,20 +389,64 @@ def _first_hits(hf: Heightfield, o: np.ndarray, dirs: np.ndarray, t_max: float) 
     # hit comes no later than there; cull the runs beyond every ray's reach
     t_low = np.where(dz < 0, (runs[:, 2].min() - o[2]) / dz, np.inf)
     reach = np.minimum(hi, np.maximum(lo, t_low))
-    x = o[0] + dx[live] * np.stack([lo[live], reach[live]])
+    x = o[0] + dx[live] * np.array([lo[live], reach[live]])
     # one cell of slack on each side absorbs rounding at the reach's ends
-    k0, k1 = np.clip(
-        np.searchsorted(edges, [x.min() - hf.resolution, x.max() + hf.resolution], "right") - 1,
-        0,
-        len(runs) - 1,
-    )
+    span = [x.min() - hf.resolution, x.max() + hf.resolution]
+    k0, k1 = (min(max(k, 0), len(runs) - 1) for k in np.searchsorted(edges, span, "right") - 1)
+    box = functools.partial(_box_hits, o, edges, runs[:, 2])
+    if k1 - k0 < 2 * _BAND:
+        return box(np.arange(k0, k1 + 1)[:, None], dx, dz, lo, hi)
 
-    # (runs, rays): entry and exit of each run's x slab and z half-space
-    tx = (edges[k0 : k1 + 2, None] - o[0]) / dx
-    tz = (runs[k0 : k1 + 1, 2:3] - o[2]) / dz
+    out = np.full(len(dirs), np.inf)
+    j0 = np.searchsorted(edges, o[0], "right") - 1  # the origin's run
+    for sign in (1.0, -1.0):
+        rays = np.flatnonzero(live & (dx * sign > 0))
+        # the window's runs in the rays' x order, from the origin's run out
+        if sign > 0:
+            order = np.arange(max(j0, k0), k1 + 1)
+        else:
+            order = np.arange(min(j0, k1), k0 - 1, -1)
+        if not (rays.size and order.size):
+            continue
+        # per run, the largest slope d_z / |d_x| whose lowest point over the
+        # run's x slab is at most `rise` above the origin: that point is at
+        # one of the slab's `ends` (their x distance from the origin along
+        # the rays), or at the origin if an end is at or behind it, which
+        # admits every slope or none
+        ends = (edges[order + [[0], [1]]] - o[0]) * sign
+        rise = runs[order, 2] + _SLACK - o[2]
+        at_origin = np.where(rise >= 0, np.inf, -np.inf)
+        bound = np.divide(rise, ends, out=np.array([at_origin, at_origin]), where=ends > 0)
+        key = np.maximum.accumulate(bound.max(axis=0))
+        last = len(order) - 1
+        # a ray past every bound can hit no run of the window, and gets inf
+        # from the last one
+        pos = np.searchsorted(key, dz[rays] / (dx[rays] * sign))
+        while rays.size:
+            ray_dx = dx[rays]
+            band = order[np.minimum(pos + np.arange(_BAND)[:, None], last)]
+            out[rays] = t = box(band, ray_dx, dz[rays], lo[rays], hi[rays])
+            # a ray that misses its band goes on while the next band starts
+            # in the window and within the ray's span
+            pos = pos + _BAND
+            go = np.isinf(t) & (pos <= last)
+            if go.any():
+                near = ends.min(axis=0)[pos[go]]
+                go[go] = near / (ray_dx[go] * sign) < hi[rays[go]]
+            rays, pos = rays[go], pos[go]
+    return out
+
+
+def _box_hits(o, edges, heights, j, dx, dz, lo, hi):
+    """Earliest entry of each ray into the boxes of runs `j`: (runs, 1)
+    shared by every ray, or (runs, rays), one column per ray; inf where it
+    enters none."""
+    tx0 = (edges[j] - o[0]) / dx
+    tx1 = (edges[j + 1] - o[0]) / dx
+    tz = (heights[j] - o[2]) / dz
     down = dz < 0
-    t_in = np.maximum(np.minimum(tx[:-1], tx[1:]), np.where(down, tz, lo))
-    t_out = np.minimum(np.maximum(tx[:-1], tx[1:]), np.where(down, hi, tz))
+    t_in = np.maximum(np.minimum(tx0, tx1), np.where(down, tz, lo))
+    t_out = np.minimum(np.maximum(tx0, tx1), np.where(down, hi, tz))
     t_in = np.maximum(t_in, lo)
     t_out = np.minimum(t_out, hi)
     return np.where(t_in < t_out, t_in, np.inf).min(axis=0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from elevsim.elevmap import ElevationMap, SensorVarianceModel
 from elevsim.geometry import Pose, quat_from_yaw
@@ -47,6 +48,18 @@ class TestChamfer:
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
             chamfer_one_way(np.zeros((5, 3)), np.zeros((0, 3)))
+
+    def test_unbalanced_tree_keeps_the_bits(self, rng):
+        # a ground-truth-like grid target with a 10 cm step; the queries at
+        # cell centres tie between grid points
+        gx, gy = np.meshgrid(np.arange(0.0, 1.2, 0.0175), np.arange(0.0, 0.8, 0.0175))
+        target = np.column_stack([gx.ravel(), gy.ravel(), np.where(gx.ravel() < 0.6, 0.0, 0.1)])
+        picks = target[rng.choice(len(target), 400)]
+        source = np.vstack([picks + rng.normal(0.0, 0.01, (400, 3)), picks + [0.00875, 0.00875, 0]])
+        balanced, _ = cKDTree(target).query(source)
+        unbalanced, _ = cKDTree(target, balanced_tree=False).query(source)
+        assert unbalanced.tobytes() == balanced.tobytes()
+        assert chamfer_one_way(source, target) == float(balanced.mean()) * 100.0
 
 
 class TestMapVsGroundTruth:

@@ -1,8 +1,12 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from elevsim import sensorsim
 from elevsim.geometry import Pose, quat_conj, quat_from_euler, quat_rotate, rotation_matrix, rotz
 from elevsim.scene import (
     FlatRegion,
@@ -486,6 +490,222 @@ class TestRenderDepthMatchesReference:
         world = _render(cam, st, scenes["thin"]).transformed(st.pose.compose(cam.mount))
         assert (world.points[:, 2] > 1e-6).sum() >= 224
         assert (world.points[:, 2] > 0.1).sum() >= 32
+
+
+def _all_runs_hits(hf, o, dirs, t_max):
+    """The dense oracle of `_first_hits`: the exact entry test of every run
+    for every ray, on one (runs, rays) grid."""
+    runs = hf.x_runs
+    edges = np.append(runs[:, 0], runs[-1, 1])
+    dx, dy, dz = np.where(dirs == 0, sensorsim._AXIS_TINY, dirs).T
+    y0 = hf.origin[1]
+    tx0, tx1 = (edges[[0, -1], None] - o[0]) / dx
+    ty0, ty1 = (np.array([[y0], [y0 + hf.size[1]]]) - o[1]) / dy
+    lo = np.maximum(np.maximum(np.minimum(tx0, tx1), np.minimum(ty0, ty1)), 0.0)
+    hi = np.minimum(np.minimum(np.maximum(tx0, tx1), np.maximum(ty0, ty1)), t_max)
+    tx = (edges[:, None] - o[0]) / dx
+    tz = (runs[:, 2:3] - o[2]) / dz
+    down = dz < 0
+    t_in = np.maximum(np.maximum(np.minimum(tx[:-1], tx[1:]), np.where(down, tz, lo)), lo)
+    t_out = np.minimum(np.minimum(np.maximum(tx[:-1], tx[1:]), np.where(down, hi, tz)), hi)
+    return np.where(t_in < t_out, t_in, np.inf).min(axis=0)
+
+
+def _cast(hf, o, dirs, t_max, band=None):
+    """`_first_hits`, optionally with another band width, and whether it
+    searched (tested runs per ray rather than the frame's runs on every
+    ray)."""
+    searched = []
+
+    def spy(o, edges, heights, j, *rest):
+        searched.append(j.shape[1] > 1)
+        return box_hits(o, edges, heights, j, *rest)
+
+    box_hits = sensorsim._box_hits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sensorsim, "_box_hits", spy)
+        if band is not None:
+            mp.setattr(sensorsim, "_BAND", band)
+        return sensorsim._first_hits(hf, np.asarray(o, dtype=float), dirs, t_max), any(searched)
+
+
+def _assert_matches_all_runs(hf, o, dirs, t_max=4.0):
+    """Every band width casts the bytes of the dense oracle; returns the
+    ranges and whether the default band searched."""
+    want = _all_runs_hits(hf, np.asarray(o, dtype=float), dirs, t_max)
+    for band in (1, None):
+        got, searched = _cast(hf, o, dirs, t_max, band)
+        assert got.tobytes() == want.tobytes(), (band, o)
+    return got, searched
+
+
+def _profile_hf(profile, resolution=0.0175, origin=(0.0, 0.0), ny=120):
+    return Heightfield(resolution, origin, np.asarray(profile, dtype=float), ny)
+
+
+def _ramp(cells, top=1.0, flat=20):
+    """A flat floor, then a ramp down from `top` in `cells` one-cell runs,
+    then the floor again."""
+    ramp = top * (1.0 - np.arange(cells) / cells)
+    return np.concatenate([np.zeros(flat), ramp, np.zeros(flat)])
+
+
+def _stairs(n=12, rise=0.05, tread=6):
+    return np.repeat(np.arange(n + 1) * rise, tread)
+
+
+def _sphere_rays(rng, n, zero_frac=0.0):
+    """Unit rays spread over the sphere; each component is exactly 0 with
+    probability `zero_frac`."""
+    d = rng.normal(size=(n, 3))
+    d[rng.random((n, 3)) < zero_frac] = 0.0
+    d = d[np.linalg.norm(d, axis=1) > 0]
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+# a profile piece: (kind, cells, height, slope per cell)
+_PIECES = st.tuples(
+    st.sampled_from(["flat", "step", "ramp"]),
+    st.integers(1, 40),
+    st.floats(-0.3, 0.5),
+    st.floats(-0.03, 0.03),
+)
+
+
+def _pieces_profile(pieces):
+    out = []
+    for kind, cells, height, slope in pieces:
+        if kind == "flat":
+            out.append(np.zeros(cells))
+        elif kind == "step":
+            out.append(np.full(cells, height))
+        else:
+            out.append(height + slope * np.arange(cells))
+    return np.concatenate(out)
+
+
+class TestFirstHitsMatchAllRuns:
+    """The run search casts the bytes of the exact test of every run, with
+    its own band width and with a band of one run, which sends most rays on
+    through more bands."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        pieces=st.lists(_PIECES, min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        origin=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    )
+    def test_random_profiles_and_poses(self, pieces, seed, origin):
+        rng = np.random.default_rng(seed)
+        hf = _profile_hf(_pieces_profile(pieces), origin=origin, ny=int(rng.integers(1, 200)))
+        (x0, y0), (sx, sy) = hf.origin, hf.size
+        top = hf.profile.max()
+        for _ in range(4):
+            o = [
+                rng.uniform(x0 - 0.5, x0 + sx + 0.5),
+                rng.uniform(y0 - 0.5, y0 + sy + 0.5),
+                rng.uniform(hf.profile.min() - 0.1, top + 1.0),
+            ]
+            rays = _sphere_rays(rng, 300, zero_frac=0.05)
+            # down to a range that cuts some rays short of their hit
+            _assert_matches_all_runs(hf, o, rays, rng.uniform(0.05, 6.0))
+
+    def test_single_run(self, rng):
+        hf = _profile_hf(np.full(50, 0.2))
+        assert len(hf.x_runs) == 1
+        got, _ = _assert_matches_all_runs(hf, [0.4, 1.0, 0.5], _sphere_rays(rng, 500))
+        assert np.isfinite(got).any()
+
+    def test_up_rays_hit_stair_risers(self, rng):
+        hf = _profile_hf(_stairs())
+        rays = _sphere_rays(rng, 2000)
+        rays = rays[(rays[:, 0] > 0) & (rays[:, 2] > 0)]
+        got, searched = _assert_matches_all_runs(hf, [0.05, 1.0, 0.02], rays)
+        assert searched and np.isfinite(got).sum() > 100
+
+    def test_rays_with_exact_zero_components(self, rng):
+        hf = _profile_hf(_ramp(120, top=0.6))
+        axes = np.array(
+            [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1],
+             [1, 0, -1], [-1, 0, -1], [0, 1, -1], [0, -1, -1], [1, 1, 0], [-1, 1, 0]],
+            dtype=float,
+        )
+        rays = np.vstack([axes / np.linalg.norm(axes, axis=1, keepdims=True),
+                          _sphere_rays(rng, 800, zero_frac=0.3)])
+        searched = False
+        for x in (0.1, 0.6, 1.2, 2.0, 2.4):
+            got, s = _assert_matches_all_runs(hf, [x, 1.0, 0.8], rays)
+            searched |= s
+            assert np.isfinite(got).any()
+        assert searched
+
+    def test_origin_on_a_run_edge(self, rng):
+        hf = _profile_hf(_ramp(80, top=0.5))
+        edges = np.append(hf.x_runs[:, 0], hf.x_runs[-1, 1])
+        rays = _sphere_rays(rng, 1000, zero_frac=0.1)
+        for j in (0, 1, 2, 40, 41, 80, 81, len(edges) - 1):
+            for z in (hf.x_runs[min(j, len(hf.x_runs) - 1), 2], 0.6, 1.5):
+                _assert_matches_all_runs(hf, [edges[j], 1.0, z], rays)
+
+    def test_camera_within_a_micron_of_a_run_top(self, rng):
+        hf = _profile_hf(_ramp(80, top=0.5))
+        runs = hf.x_runs
+        rays = _sphere_rays(rng, 1000, zero_frac=0.1)
+        for j in (0, 10, 40, 79):
+            x0, x1, h = runs[j]
+            for x in (x0, 0.5 * (x0 + x1)):
+                for dz in (0.0, 2.5e-7, 5e-7, 1e-6, 1.5e-6):
+                    _assert_matches_all_runs(hf, [x, 1.0, h + dz], rays)
+                    _assert_matches_all_runs(hf, [x, 1.0, h - dz], rays)
+
+    def test_camera_off_the_grid(self, rng):
+        hf = _profile_hf(_ramp(100, top=0.4), origin=(-0.3, 0.2), ny=60)
+        (x0, y0), (sx, sy) = hf.origin, hf.size
+        rays = _sphere_rays(rng, 1500, zero_frac=0.05)
+        hit = 0
+        for o in ([x0 - 0.7, y0 + 0.5, 0.6], [x0 + sx + 0.7, y0 + 0.5, 0.6],
+                  [x0 + 1.0, y0 - 0.4, 0.6], [x0 + 1.0, y0 + sy + 0.4, 0.6],
+                  [x0 - 0.5, y0 - 0.5, 0.2]):
+            got, _ = _assert_matches_all_runs(hf, o, rays)
+            hit += np.isfinite(got).sum()
+        assert hit > 0
+
+    def test_rays_level_with_a_run_top(self, rng):
+        hf = _profile_hf(_stairs(n=20, rise=0.03, tread=4))
+        yaw = rng.uniform(-np.pi, np.pi, 400)
+        for dz in (0.0, 1e-12, -1e-12):
+            rays = np.column_stack([np.cos(yaw), np.sin(yaw), np.full(400, dz)])
+            rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+            for j in (0, 5, 10, 20):
+                x0, x1, h = hf.x_runs[j]
+                _assert_matches_all_runs(hf, [0.5 * (x0 + x1), 1.0, h], rays)
+
+    def test_400_run_ramp(self, rng):
+        hf = _profile_hf(_ramp(400))
+        assert len(hf.x_runs) > 400
+        cam = default_front_camera()
+        for x, yaw in ((0.2, 0.0), (2.0, 0.3), (5.0, np.pi), (7.5, 2.8)):
+            st_ = _posed_state(x, 1.0, float(hf.heights_at([[x, 1.0]])[0]) + 0.35, yaw)
+            pose = st_.pose.compose(cam.mount)
+            rays = pose.rotate(cam.ray_directions())
+            got, searched = _assert_matches_all_runs(hf, pose.position, rays, cam.max_range)
+            assert searched and np.isfinite(got).all()
+
+    def test_allocates_less_than_one_runs_by_rays_array(self):
+        # a dense test of this frame's window would hold several
+        # (runs, rays) float arrays at once
+        hf = _profile_hf(_ramp(400))
+        cam = default_front_camera()
+        pose = _posed_state(0.2, 1.0, 1.35).pose.compose(cam.mount)
+        rays = pose.rotate(cam.ray_directions())
+        sensorsim._first_hits(hf, pose.position, rays, cam.max_range)  # warm the caches
+        tracemalloc.start()
+        try:
+            sensorsim._first_hits(hf, pose.position, rays, cam.max_range)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(hf.x_runs) * len(rays) * 8
 
 
 class TestCaches:
