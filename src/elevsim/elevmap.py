@@ -76,15 +76,26 @@ class ElevationMap:
         return self.center - 0.5 * self.n * self.resolution
 
     def cell_indices(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, 2) cell index of each point and the mask of those in the window."""
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         idx = np.floor((xy - self.origin) / self.resolution).astype(int)
-        ok = (
-            (idx[:, 0] >= 0)
-            & (idx[:, 0] < self.n)
-            & (idx[:, 1] >= 0)
-            & (idx[:, 1] < self.n)
-        )
+        # as unsigned, a negative index is out of range too, so the larger
+        # of the two tests both bounds of both axes
+        u = idx.view(np.uint64)
+        ok = np.maximum(u[:, 0], u[:, 1]) < self.n
         return idx, ok
+
+    def _flat_cells(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row-major flat index into the layers of each in-window point's
+        cell, in point order, and the in-window mask."""
+        idx, ok = self.cell_indices(xy)
+        idx = idx[ok]
+        return idx[:, 0] * self.n + idx[:, 1], ok
+
+    def _flat_layers(self) -> tuple[np.ndarray, ...]:
+        """Flat views of the height, variance, valid and last_update layers."""
+        layers = (self.height, self.variance, self.valid, self.last_update)
+        return tuple(layer.reshape(-1) for layer in layers)
 
     def integrate_cloud(
         self,
@@ -105,34 +116,34 @@ class ElevationMap:
         self.last_time = max(self.last_time, t)
         if len(cloud) == 0:
             return 0
-        idx, ok = self.cell_indices(cloud.points[:, :2])
-        skipped = int((~ok).sum())
+        flat, ok = self._flat_cells(cloud.points[:, :2])
+        skipped = len(ok) - len(flat)
         self.skipped_points += skipped
-        if not ok.any():
+        if not len(flat):
             return skipped
 
         pts = cloud.points[ok]
         ranges = np.linalg.norm(pts - np.asarray(sensor_origin, dtype=float), axis=1)
         r_var = model.measurement_variance(ranges)
         # touched cells in row-major order; per-cell sums keep point order
-        cells, inv = np.unique(idx[ok, 0] * self.n + idx[ok, 1], return_inverse=True)
+        cells, inv = np.unique(flat, return_inverse=True)
         info_add = np.bincount(inv, weights=1.0 / r_var, minlength=len(cells))
         z_info = np.bincount(inv, weights=pts[:, 2] / r_var, minlength=len(cells))
         keep = info_add > 0
-        hit = np.unravel_index(cells[keep], (self.n, self.n))
+        hit = cells[keep]
         info_add, z_info = info_add[keep], z_info[keep]
 
-        prior_valid = self.valid[hit]
-        prior_var = self.variance[hit] + model.time_variance_rate * np.maximum(
-            0.0, t - self.last_update[hit]
+        height, variance, valid, last_update = self._flat_layers()
+        prior_var = variance[hit] + model.time_variance_rate * np.maximum(
+            0.0, t - last_update[hit]
         )
-        prior_info = np.where(prior_valid, 1.0 / np.where(prior_var > 0, prior_var, 1.0), 0.0)
+        prior_info = np.where(valid[hit], 1.0 / np.where(prior_var > 0, prior_var, 1.0), 0.0)
         new_info = prior_info + info_add
         # residual form: a measurement equal to the estimate leaves it bit-exact
-        self.height[hit] += (z_info - info_add * self.height[hit]) / new_info
-        self.variance[hit] = 1.0 / new_info
-        self.valid[hit] = True
-        self.last_update[hit] = t
+        height[hit] += (z_info - info_add * height[hit]) / new_info
+        variance[hit] = 1.0 / new_info
+        valid[hit] = True
+        last_update[hit] = t
         return skipped
 
     def drift_compensate(
@@ -149,16 +160,17 @@ class ElevationMap:
             )
         if len(cloud) == 0:
             return 0.0
-        idx, ok = self.cell_indices(cloud.points[:, :2])
-        ok = ok.copy()
-        ok[ok] &= self.valid[idx[ok, 0], idx[ok, 1]]
-        if not ok.any():
+        flat, ok = self._flat_cells(cloud.points[:, :2])
+        height, _, valid, _ = self._flat_layers()
+        on_map = valid[flat]
+        if not on_map.any():
             return 0.0
-        diff = cloud.points[ok, 2] - self.height[idx[ok, 0], idx[ok, 1]]
+        diff = cloud.points[ok, 2][on_map] - height[flat[on_map]]
         diff = diff[np.abs(diff) <= gate]
         if len(diff) < min_points:
             return 0.0
         shift = float(diff.mean())
+        # the masked add beats a flat index here: the valid cells lie in runs
         np.add(self.height, shift, out=self.height, where=self.valid)
         self.total_shift += shift
         return shift
@@ -202,11 +214,13 @@ class ElevationMap:
 
     def query_heights(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized query: (heights with NaN for missing, valid mask)."""
-        idx, ok = self.cell_indices(xy)
-        out = np.full(len(idx), np.nan)
+        flat, ok = self._flat_cells(xy)
+        height, _, valid, _ = self._flat_layers()
+        on_map = valid[flat]
         mask = ok.copy()
-        mask[ok] &= self.valid[idx[ok, 0], idx[ok, 1]]
-        out[mask] = self.height[idx[mask, 0], idx[mask, 1]]
+        mask[ok] = on_map
+        out = np.full(len(ok), np.nan)
+        out[mask] = height[flat[on_map]]
         return out, mask
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:

@@ -54,17 +54,21 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def _rotation_entries(w, x, y, z) -> list[list]:
+    return [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
+
+
 def rotation_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = _rows(quat_normalize(q))
-    return _matrices(
-        np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-    )
+    q = quat_normalize(q)
+    if q.ndim == 1:
+        # one quaternion on Python floats: the same IEEE operations as the
+        # stacked arrays, without an array per operation
+        return np.array(_rotation_entries(*q.tolist()))
+    return _matrices(np.array(_rotation_entries(*_rows(q))))
 
 
 def _apply(R: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -156,14 +156,15 @@ class EkfConfig:
     gate: float = 9.0  # Mahalanobis rejection threshold
 
 
-def _check_psd(P: np.ndarray, context: str) -> np.ndarray:
-    """Symmetrize a 2x2 covariance; its smaller eigenvalue must not be
-    below -1e-9."""
-    P = 0.5 * (P + P.T)
-    a, b, _, c = P.ravel().tolist()
+def _check_psd(P, context: str) -> np.ndarray:
+    """Symmetrize a 2x2 covariance, given as an array or as nested lists;
+    its smaller eigenvalue must not be below -1e-9. Returns an array with
+    the bits of 0.5 * (P + P.T), computed on scalars."""
+    (a, b), (b_t, c) = P
+    a, b, c = 0.5 * (a + a), 0.5 * (b + b_t), 0.5 * (c + c)
     if 0.5 * (a + c) - math.hypot(0.5 * (a - c), b) < -1e-9:
         raise RuntimeError(f"covariance lost positive semi-definiteness in {context}")
-    return P
+    return np.array([[a, b], [b, c]])
 
 
 class OdometryEkf:
@@ -177,9 +178,14 @@ class OdometryEkf:
     body-frame velocity samples into the world frame and is not estimated.
 
     The fused bits are those of the full 6x6 filter. They depend on storing
-    every quaternion through `quat_normalize` (`quat_rotate` normalizes once
-    more, and a second normalization can change the last bit) and on
-    multiplying by 1 / s rather than dividing by s.
+    every quaternion through `quat_normalize` exactly once (`quat_rotate`
+    normalizes once more, and a second normalization can change the last
+    bit): the constructor normalizes its quaternion, and `predict` stores a
+    unit quaternion as given, which `fuse_streams` normalizes with the rest
+    of the IMU stream. They also depend on multiplying by 1 / s rather than
+    dividing by s, and on keeping the 2x2 products and the gate's dot in
+    numpy, whose BLAS may fuse a multiply and an add where scalar arithmetic
+    rounds twice; the rest of the bookkeeping is on Python floats.
     """
 
     def __init__(self, position, velocity, quat, t: float = 0.0, cfg: EkfConfig | None = None):
@@ -193,31 +199,39 @@ class OdometryEkf:
         self.rejected_pose = 0
 
     def predict(self, imu_quat: np.ndarray, dt: float) -> None:
+        """Advance by dt and take `imu_quat`, a unit quaternion, as the
+        orientation."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         c = self.cfg
         F = np.array([[1.0, dt], [0.0, 1.0]])
-        P = F @ self.cov @ F.T + np.diag([c.q_pos * dt, c.q_vel * dt])
+        (a, b), (b_t, d) = (F @ self.cov @ F.T).tolist()
+        # + Q = diag(q_pos dt, q_vel dt); its zeros turn a -0.0 into +0.0
+        P = [[a + c.q_pos * dt, b + 0.0], [b_t + 0.0, d + c.q_vel * dt]]
         self.cov = _check_psd(P, "predict")
         self.position = self.position + self.velocity * dt
-        self.quat = quat_normalize(imu_quat)
+        self.quat = imu_quat
         self.t = self.t + dt
 
     def _update(self, j: int, innovation: np.ndarray, r: float) -> bool:
         """Measurement of state row `j` (0 position, 1 velocity) on every
         axis, with variance `r` per axis."""
         P = self.cov
-        inv_s = 1.0 / (P[j, j] + r)
+        rows = P.tolist()
+        inv_s = 1.0 / (rows[j][j] + r)
         if innovation @ (innovation * inv_s) > self.cfg.gate:
             return False
-        k = P[:, j : j + 1] * inv_s  # (2, 1) gain, the same on every axis
-        I_KH = np.eye(2)
-        I_KH[:, j] -= k[:, 0]
+        # the gain, the same on every axis: k0 for position, k1 for velocity
+        k0, k1 = rows[0][j] * inv_s, rows[1][j] * inv_s
+        I_KH = [[1.0, 0.0], [0.0, 1.0]]
+        I_KH[0][j] -= k0
+        I_KH[1][j] -= k1
+        I_KH = np.array(I_KH)
+        k = np.array([[k0], [k1]])
         P = I_KH @ P @ I_KH.T + (k * r) @ k.T  # Joseph form
-        self.cov = _check_psd(P, "update")
-        dx = k * innovation  # row 0 position, row 1 velocity
-        self.position = self.position + dx[0]
-        self.velocity = self.velocity + dx[1]
+        self.cov = _check_psd(P.tolist(), "update")
+        self.position = self.position + k0 * innovation
+        self.velocity = self.velocity + k1 * innovation
         return True
 
     def update_velocity(self, v_body: np.ndarray) -> bool:
@@ -258,6 +272,8 @@ def fuse_streams(
         traj.pos[0], quat_rotate(traj.quat[0], traj.v_body[0]), traj.quat[0],
         float(traj.t[0]), cfg,
     )
+    # each row normalizes to the bits of a single call
+    imu_quat = quat_normalize(streams.imu_quat)
     grids = [streams.imu_t, streams.est_t] + ([streams.vio_t] if use_vio else [])
     sizes = [len(g) for g in grids]
     t_all = np.concatenate(grids)
@@ -273,9 +289,9 @@ def fuse_streams(
         if k == 0:
             dt = t - ekf.t
             if dt > 0:
-                ekf.predict(streams.imu_quat[row], dt)
+                ekf.predict(imu_quat[row], dt)
             else:
-                ekf.quat = quat_normalize(streams.imu_quat[row])
+                ekf.quat = imu_quat[row]
         elif k == 1:
             ekf.update_velocity(streams.est_v[row])
         else:

@@ -219,6 +219,16 @@ class Heightfield:
         out[ok] = self.profile[cell[ok, 0].astype(int)]
         return out
 
+    def height_at(self, x: float, y: float) -> float:
+        """`heights_at` of one point on Python floats; NaN off the grid."""
+        cx = (x - self.origin[0]) / self.resolution
+        cy = (y - self.origin[1]) / self.resolution
+        nx, ny = self.extent
+        # bounds first: a NaN or infinite coordinate fails them, never floor
+        if 0 <= cx < nx and 0 <= cy < ny:
+            return float(self.profile[math.floor(cx)])
+        return math.nan
+
     def to_csv(self, path) -> None:
         """The (nx, ny) grid, one row per x cell, under a header line."""
         with open(path, "w") as f:

@@ -123,7 +123,15 @@ class CommandProfile:
 
     def __post_init__(self):
         for d, cmd in self.segments:
-            if not (np.isfinite(d) and np.isfinite(np.asarray(cmd, dtype=float)).all()):
+            try:
+                c = np.asarray(cmd, dtype=float)
+            except (TypeError, ValueError):
+                c = None
+            if c is None or c.shape != (3,):
+                raise ValueError(
+                    f"segment ({d}, {cmd}) needs a command of three numbers (v_x, v_y, w_z)"
+                )
+            if not (np.isfinite(d) and np.isfinite(c).all()):
                 raise ValueError(f"segment ({d}, {cmd}) is not finite")
             if d <= 0:
                 raise ValueError("segment durations must be positive")
@@ -320,8 +328,9 @@ def render_depth(camera: CameraModel, cam_pose: Pose, hf: Heightfield, t: float)
     base pose composed with `camera.mount`). Points are returned in the
     sensor frame."""
     origin = cam_pose.position
-    try_h = hf.heights_at(origin[:2].reshape(1, 2), fill=-np.inf)[0]
-    if np.isfinite(try_h) and origin[2] <= try_h:
+    x, y, z = origin.tolist()
+    # off the grid the height is NaN and the comparison false
+    if z <= hf.height_at(x, y):
         log.warning("camera %s below terrain; returning empty cloud", camera.name)
         return empty_cloud(t, camera.name)
 

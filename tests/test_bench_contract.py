@@ -11,7 +11,7 @@ written next to it.
 import types
 from pathlib import Path
 
-from elevsim import odometry
+from elevsim import odometry, pipeline
 from elevsim.pipeline import (
     CHAMFER_EVERY,
     CLOUD_EVERY,
@@ -48,18 +48,30 @@ def test_traced_ekf_run_counts_every_rejection(monkeypatch):
             "source_errors": {"estimator": {"vel_sigma": [0.08, 0.08, 0.08]}},
         }
     )
+    fed = []
     tracer = tracer_mod.Tracer()
     # raises TraceTargetError if a wrapped name is missing
     with tracer.installed(tracer_mod.install_elevsim):
         # after install: the tracer wraps methods in OdometryEkf's own dict,
         # and the subclass inherits the wrapped ones
         monkeypatch.setattr(odometry, "OdometryEkf", Recorded)
+        traced_fuse = pipeline.fuse_streams
+
+        def fuse(streams, traj, use_vio):
+            fed.append(len(streams.est_t) + (len(streams.vio_t) if use_vio else 0))
+            return traced_fuse(streams, traj, use_vio=use_vio)
+
+        monkeypatch.setattr(pipeline, "fuse_streams", fuse)
         run_scenario(cfg)
-    (ekf,) = made
+        # restore the tracer's wrappers before it removes them
+        monkeypatch.undo()
+    (ekf,), (samples,) = made, fed
     assert ekf.rejected_velocity > 0 and ekf.rejected_pose > 0
     rejected = ekf.rejected_velocity + ekf.rejected_pose
     assert tracer.counters["odometry.ekf.rejected"] == rejected
-    assert tracer.counters["odometry.ekf.updates"] > rejected
+    # every velocity and pose sample goes through a traced update call
+    assert tracer.counters["odometry.ekf.updates"] == samples > rejected
+    assert pipeline.fuse_streams is odometry.fuse_streams
 
 
 def test_traced_two_camera_run_counts_every_stage_call():

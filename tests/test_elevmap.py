@@ -346,6 +346,14 @@ class FullGridMap(ElevationMap):
         self.total_shift += shift
         return shift
 
+    def query_heights(self, xy):
+        idx, ok = self.cell_indices(xy)
+        out = np.full(len(idx), np.nan)
+        mask = ok.copy()
+        mask[ok] &= self.valid[idx[ok, 0], idx[ok, 1]]
+        out[mask] = self.height[idx[mask, 0], idx[mask, 1]]
+        return out, mask
+
     def recenter(self, robot_xy):
         # raises for a jump of n to 2n - 1 cells; callers here avoid those
         k = np.round((np.asarray(robot_xy, dtype=float) - self.center) / self.resolution)
@@ -505,6 +513,69 @@ class TestWindowedMatchesFullGrid:
             # total_shift and skipped_points carry the two calls' returns
             assert _same_state(new, ref), step
         assert new.total_shift != 0 and new.skipped_points > 0
+
+
+class TestFlatLookupsMatchFullGrid:
+    """`integrate_cloud`, `drift_compensate` and `query_heights` address the
+    layers through flat cell indices; `FullGridMap`'s 2-D fancy indexing is
+    the oracle."""
+
+    @pytest.mark.parametrize("resolution, size", GRIDS)
+    @pytest.mark.parametrize("valid_frac", [0.0, 0.7, 1.0])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    def test_same_bytes(self, resolution, size, valid_frac):
+        rng = np.random.default_rng(int(resolution * 1e4) + int(10 * valid_frac))
+        new, ref = _filled_pair(resolution, size, rng)
+        valid = rng.random((new.n, new.n)) < valid_frac
+        new.valid[:], ref.valid[:] = valid, valid
+        model = _model(base=1e-4, range_coeff=1e-4, time_rate=3e-6)
+        span = new.n * resolution
+        origin = np.array([*new.center, 0.5])
+        # about a third of the points fall outside the window; clouds draw
+        # from one pool, so that later ones meet cells that earlier ones set
+        pool = new.center + rng.uniform(-0.75, 0.75, (600, 2)) * span
+        shifts, t = 0, 1.0
+        for step in range(25):
+            m = int(rng.integers(1, 400))
+            xy = pool[rng.integers(0, len(pool), m)]
+            heights, _ = ref.query_heights(xy)
+            z = np.where(np.isnan(heights), 0.1, heights) + rng.normal(0.0, 0.01, m)
+            cloud = _cloud(np.column_stack([xy, z]), t)
+            query = np.vstack([
+                new.center + rng.uniform(-0.75, 0.75, (50, 2)) * span,
+                [[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan]],
+            ])
+            if step == 0:
+                assert new.valid.all() == (valid_frac == 1.0)
+                assert new.valid.any() == (valid_frac > 0.0)
+            got, expect = new.query_heights(query), ref.query_heights(query)
+            assert all(_same_bytes(a, b) for a, b in zip(got, expect)), step
+            shift = new.drift_compensate(cloud, 0.05, 5)
+            assert shift == ref.drift_compensate(cloud, 0.05, 5), step
+            shifts += shift != 0.0
+            skipped = new.integrate_cloud(cloud, origin, model, t)
+            assert skipped == ref.integrate_cloud(cloud, origin, model, t), step
+            assert _same_state(new, ref), step
+            t += float(rng.uniform(0.0, 0.1))
+        assert shifts > 0 and new.skipped_points > 0
+
+    def test_no_valid_cell_reads_nothing(self):
+        emap = ElevationMap(resolution=0.1, size=1.0)
+        xy = np.random.default_rng(3).uniform(-0.6, 0.6, (40, 2))
+        h, mask = emap.query_heights(xy)
+        assert np.isnan(h).all() and not mask.any()
+        assert emap.drift_compensate(_cloud(np.column_stack([xy, np.zeros(40)])), 0.05, 1) == 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    def test_cell_indices_bounds(self):
+        emap = ElevationMap(resolution=0.1, size=1.0)
+        lo, hi = emap.origin, emap.origin + 1.0
+        xs = [lo[0] - 0.05, lo[0], lo[0] + 0.05, hi[0] - 1e-12, hi[0], np.nan, np.inf, -np.inf, -1e30, 1e30]
+        xy = np.array([[x, y] for x in xs for y in xs])
+        idx, ok = emap.cell_indices(xy)
+        expect = (idx >= 0).all(axis=1) & (idx < emap.n).all(axis=1)
+        np.testing.assert_array_equal(ok, expect)
+        assert ok.sum() == 9 and idx.shape == (len(xy), 2)
 
 
 class TestRecenterJumps:

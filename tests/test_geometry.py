@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elevsim.geometry import Pose, _local_grid, quat_from_euler, rotz, yaw_aligned_grid
+from elevsim.geometry import (
+    Pose,
+    _local_grid,
+    quat_from_euler,
+    quat_rotate,
+    rotation_matrix,
+    rotz,
+    yaw_aligned_grid,
+)
 
 
 def _poses(n=200, seed=3):
@@ -62,3 +72,23 @@ def test_cached_grid_same_bits_and_read_only(shape):
         local[0, 0] = 1.0
     # the caller's result is its own
     assert yaw_aligned_grid(stack[0], *shape).flags.writeable
+
+
+# finite, not all zero, and not so small or large that the norm underflows
+# or overflows
+_component = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda c: c == 0 or abs(c) > 1e-100)
+_quats = st.lists(st.tuples(*[_component] * 4).filter(any), min_size=1, max_size=12)
+_vectors = st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(quats=_quats, data=st.data())
+def test_one_quaternion_same_bits_as_its_stack_row(quats, data):
+    # a single quaternion is evaluated on Python floats, a stack on arrays
+    quat = np.array(quats)
+    vecs = np.array(data.draw(st.lists(_vectors, min_size=len(quats), max_size=len(quats))))
+    stacked = rotation_matrix(quat)
+    rotated = quat_rotate(quat, vecs)
+    for k in range(len(quat)):
+        assert rotation_matrix(quat[k]).tobytes() == stacked[k].tobytes()
+        assert quat_rotate(quat[k], vecs[k]).tobytes() == rotated[k].tobytes()

@@ -70,7 +70,8 @@ class _NineStateEkf:
     """The earlier nine-state filter over (position, velocity, attitude
     error) with one 9x9 covariance, the oracle for the per-axis one. Its
     attitude block is reset on every predict and read by no update. Like the
-    filter, it stores every quaternion normalized."""
+    filter, it normalizes the quaternion it starts from and stores the unit
+    quaternion that `predict` gets as given."""
 
     R_ATT = 1e-5  # attitude pseudo-measurement variance, rad^2
 
@@ -106,7 +107,7 @@ class _NineStateEkf:
         P[6:9, 0:6] = 0.0
         self.P = self._psd(P)
         self.x = np.concatenate([self.position + self.velocity * dt, self.velocity, np.zeros(3)])
-        self.quat = quat_normalize(imu_quat)
+        self.quat = imu_quat
         self.t = self.t + dt
 
     def _update(self, rows, innovation, r):
@@ -242,6 +243,28 @@ class TestEkfCore:
         w = np.linalg.eigvalsh(ekf.cov)
         assert w.min() >= -1e-9
 
+    def test_psd_guard_same_bits_as_matrix_symmetrization(self, rng):
+        # the guard works on scalars; its result must keep the matrix bits
+        mats = [rng.normal(0.0, 1.0, (2, 2)) * 10.0 ** rng.uniform(-12, 2) for _ in range(2000)]
+        mats += [np.array([[1e-6, -0.0], [-0.0, 1e-6]]), np.array([[0.0, 0.0], [0.0, 0.0]])]
+        checked = 0
+        for P in mats:
+            ref = 0.5 * (P + P.T)
+            if np.linalg.eigvalsh(ref).min() < -1e-9:
+                continue
+            for given in (P, P.tolist()):
+                got = odometry._check_psd(given, "test")
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize(
+        "P", [[[1.0, 2.0], [2.0, 1.0]], [[-1e-6, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -2e-9]]]
+    )
+    def test_psd_guard_raises_on_indefinite_matrix(self, P):
+        with pytest.raises(RuntimeError, match="positive semi-definiteness in test"):
+            odometry._check_psd(np.array(P), "test")
+
     def test_psd_guard_fires_on_negative_variance(self):
         # a negative process noise density drives the velocity variance
         # below zero on the first predict
@@ -314,6 +337,26 @@ class TestSixStateMatchesNineState:
             assert ekf6.rejected_pose == ekf9.rejected_pose
             if use_vio:
                 assert ekf6.rejected_pose > 0
+
+def test_predict_gets_each_imu_row_normalized_once(monkeypatch, short_trajectory):
+    # fuse_streams normalizes the stream in one stacked call; predict must
+    # get the bits of one quat_normalize per row, neither fewer nor more
+    streams = make_source_streams(short_trajectory, SourceErrorModel(), seed=24)
+    streams.imu_quat = streams.imu_quat * np.linspace(0.5, 2.0, len(streams.imu_quat))[:, None]
+    got = []
+
+    class Recorded(OdometryEkf):
+        def predict(self, imu_quat, dt):
+            got.append(imu_quat)
+            super().predict(imu_quat, dt)
+
+    monkeypatch.setattr(odometry, "OdometryEkf", Recorded)
+    fuse_streams(streams, short_trajectory)
+    # the first IMU sample shares the filter's start time and predicts nothing
+    assert len(got) == len(streams.imu_quat) - 1
+    for q, raw in zip(got, streams.imu_quat[1:]):
+        assert q.tobytes() == quat_normalize(raw).tobytes()
+
 
 def test_error_model_validation():
     with pytest.raises(ValueError):

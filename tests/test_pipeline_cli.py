@@ -102,6 +102,15 @@ BAD_CONFIGS = {
     "ramp_slope_inf": (
         {"scene": _scene({**PLATFORM, "ramp_slope": INF})}, "ramp_slope=inf"
     ),
+    # a short command died in simulate_trajectory, a long one in the reward
+    # after the whole map loop, each with exit 1
+    "command_two_components": (
+        {"command": [[2.0, [0.5, 0.0]]]}, "segment (2.0, (0.5, 0.0)) needs a command of three"
+    ),
+    "command_four_components": (
+        {"command": [[2.0, [0.5, 0.0, 0.0, 9.0]]]},
+        "segment (2.0, (0.5, 0.0, 0.0, 9.0)) needs a command of three",
+    ),
     "seed_negative": ({"seed": -1}, "seed"),
     "seed_float": ({"seed": 1.5}, "seed"),
     "seed_bool": ({"seed": True}, "seed"),

@@ -87,6 +87,23 @@ def test_heights_at_fill_value():
     assert out[0] == 0.0 and out[1] == -9.0
 
 
+def test_height_at_matches_heights_at():
+    # one point on Python floats, against the vectorized lookup; off the
+    # grid, NaN or infinite, both give NaN
+    hf = Heightfield(0.0175, (-0.3, 0.2), np.linspace(0.0, 0.4, 57), 31)
+    rng = np.random.default_rng(5)
+    (x0, y0), (sx, sy) = hf.origin, hf.size
+    xs = list(rng.uniform(x0 - 0.2, x0 + sx + 0.2, 60)) + [x0, x0 + sx, np.nextafter(x0 + sx, 0)]
+    ys = list(rng.uniform(y0 - 0.2, y0 + sy + 0.2, 60)) + [y0, y0 + sy, np.nextafter(y0, 0)]
+    xs += [np.nan, np.inf, -np.inf, 1e300]
+    ys += [np.nan, np.inf, -np.inf, -1e300]
+    pts = [(x, y) for x in xs for y in ys]
+    expect = hf.heights_at(np.array(pts))
+    got = np.array([hf.height_at(float(x), float(y)) for x, y in pts])
+    assert got.tobytes() == expect.tobytes()
+    assert np.isfinite(got).sum() > 1000 and np.isnan(got).sum() > 1000
+
+
 def test_heightfield_is_immutable():
     hf = build_scene(SceneSpec([FlatRegion(0.0)], extent=(1.0, 1.0)), 0.1)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -276,7 +277,7 @@ class TestRenderDepth:
         d, _ = cKDTree(expected).query(world)
         assert d.max() < 2e-3
 
-    def test_camera_below_terrain_returns_empty(self, obstacle_hf):
+    def test_camera_below_terrain_returns_empty(self, obstacle_hf, caplog):
         from elevsim.sensorsim import RobotState
 
         st = RobotState(
@@ -291,8 +292,54 @@ class TestRenderDepth:
             foot_air_times=np.zeros(4),
             foot_touchdown_air=np.zeros(4),
         )
-        cloud = _render(default_front_camera(), st, obstacle_hf)
-        assert len(cloud) == 0
+        with caplog.at_level(logging.WARNING, logger="elevsim.sensorsim"):
+            cloud = _render(default_front_camera(), st, obstacle_hf)
+        assert len(cloud) == 0 and cloud.t == 0.0 and cloud.frame == "front"
+        assert "camera front below terrain" in caplog.text
+
+
+class TestBelowTerrainCheck:
+    """A camera at or under the terrain top at its xy renders an empty cloud
+    with a warning; anywhere else, off the grid too, the rays are cast."""
+
+    HF = Heightfield(0.0175, (0.0, 0.0), np.repeat(np.arange(13) * 0.05, 6), 120)
+
+    @staticmethod
+    def _render(x, y, z, yaw=0.0):
+        # pitched down, so that from above the terrain most rays hit it
+        pose = Pose(np.array([x, y, z]), quat_from_euler(0.0, 0.6, yaw))
+        return render_depth(default_front_camera(), pose, TestBelowTerrainCheck.HF, 0.5)
+
+    def test_exactly_at_a_run_top(self, caplog):
+        for x0, x1, h in self.HF.x_runs:
+            for x in (x0, 0.5 * (x0 + x1)):
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="elevsim.sensorsim"):
+                    assert len(self._render(x, 1.0, h)) == 0, (x, h)
+                assert "below terrain" in caplog.text
+                # one ulp above the top the rays are cast (and blocked, this
+                # close, by the minimum range)
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="elevsim.sensorsim"):
+                    self._render(x, 1.0, np.nextafter(h, np.inf))
+                assert "below terrain" not in caplog.text, (x, h)
+
+    def test_off_the_grid_casts(self, caplog):
+        (sx, sy), top = self.HF.size, self.HF.profile.max()
+        with caplog.at_level(logging.WARNING, logger="elevsim.sensorsim"):
+            # beside the grid, at or under heights the terrain has
+            for x, y, z, yaw in ((-0.3, 1.0, -0.5, 0.0), (sx + 0.3, 1.0, top - 0.01, np.pi),
+                                 (0.5, -0.3, -0.5, np.pi / 2), (0.5, sy + 0.3, -0.5, -np.pi / 2)):
+                # rays that reach the grid's side face enter the solid there
+                assert len(self._render(x, y, z, yaw)) > 0, (x, y, z)
+                assert len(self._render(x, y, z + 0.4, yaw)) > 0, (x, y)
+        assert "below terrain" not in caplog.text
+
+    def test_non_finite_origin_casts_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="elevsim.sensorsim"):
+            for origin in ((np.nan, 1.0, 0.3), (0.5, np.inf, 0.3), (0.5, 1.0, np.nan)):
+                assert len(self._render(*origin)) == 0, origin
+        assert "below terrain" not in caplog.text
 
 
 def _posed_state(x, y, z, yaw=0.0, pitch=0.0, roll=0.0):
@@ -796,6 +843,16 @@ def test_ray_directions_unit_and_counted():
         assert dirs.shape == (cam.width * cam.height, 3)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
         assert (dirs[:, 0] > 0).all()  # sensor x is forward
+
+
+@pytest.mark.parametrize(
+    "cmd", [(0.5, 0.0), (0.5, 0.0, 0.0, 9.0), (), 0.5, "abc", (0.5, (0.0, 0.0), 0.1)]
+)
+def test_command_profile_needs_three_components(cmd):
+    # a short command used to fail in simulate_trajectory and a long one in
+    # the reward, after the whole map loop
+    with pytest.raises(ValueError, match=r"segment \(2.0, .*three numbers \(v_x, v_y, w_z\)"):
+        CommandProfile([(1.0, (0.5, 0.0, 0.0)), (2.0, cmd)])
 
 
 def test_command_profile_segments():
