@@ -52,15 +52,18 @@ def voxel_downsample(cloud: PointCloud, resolution: float) -> PointCloud:
         raise ValueError("resolution must be positive")
     if len(cloud) == 0:
         return cloud
-    keys = np.floor(cloud.points / resolution).astype(np.int64)
-    low, high = keys.min(axis=0), keys.max(axis=0)
-    span = [int(b) - int(a) + 1 for a, b in zip(low, high)]
+    # one contiguous row per axis: each row's min and max is a fast
+    # contiguous reduction, where a column's is numpy's strided short-axis one
+    coords = cloud.points.T.copy()
+    keys = np.floor(coords / resolution).astype(np.int64)
+    low = [int(row.min()) for row in keys]
+    span = [int(row.max()) - a + 1 for row, a in zip(keys, low)]
     if span[0] * span[1] * span[2] > np.iinfo(np.int64).max:
         raise ValueError("cloud spans too many voxels to index at this resolution")
-    keys -= low
-    packed = (keys[:, 0] * span[1] + keys[:, 1]) * span[2] + keys[:, 2]
+    kx, ky, kz = (row - a for row, a in zip(keys, low))
+    packed = (kx * span[1] + ky) * span[2] + kz
     _, first, inv = np.unique(packed, return_index=True, return_inverse=True)
-    sums = np.stack([np.bincount(inv, weights=cloud.points[:, k]) for k in range(3)], axis=1)
+    sums = np.stack([np.bincount(inv, weights=row) for row in coords], axis=1)
     centroids = sums / np.bincount(inv)[:, None]
     return PointCloud(t=cloud.t, frame=cloud.frame, points=centroids[np.argsort(first)])
 
@@ -134,12 +137,15 @@ def body_filter(cloud: PointCloud, caps: tuple[np.ndarray, np.ndarray, np.ndarra
     box_lo = (np.minimum(p0, p1) - r[:, None]).min(axis=0) - grow
     box_hi = (np.maximum(p0, p1) + r[:, None]).max(axis=0) + grow
     pts = cloud.points
-    near = ((pts >= box_lo) & (pts <= box_hi)).all(axis=1)
+    x, y, z = pts.T
+    near = (x >= box_lo[0]) & (x <= box_hi[0])
+    near &= (y >= box_lo[1]) & (y <= box_hi[1])
+    near &= (z >= box_lo[2]) & (z <= box_hi[2])
     if near.sum() == 1 and len(pts) > 1:
         # matmul takes a dot path for one row, whose rounding can differ from
         # the multi-row path the whole cloud takes; test one more point
         near[np.argmin(near)] = True
-    sub = pts[near]
+    sub = pts.compress(near, axis=0)
     # each point's distance to each capsule axis, as (9, M): the projection
     # onto the axis clipped to its ends; a zero-length axis leaves u = 0,
     # the distance to its one end
@@ -147,8 +153,9 @@ def body_filter(cloud: PointCloud, caps: tuple[np.ndarray, np.ndarray, np.ndarra
     L2 = np.vecdot(seg, seg)
     u = (sub - p0[:, None]) @ seg[:, :, None]
     u = np.clip(u[..., 0] / np.where(L2 > 0, L2, 1.0)[:, None], 0.0, 1.0)
-    closest = p0[:, None] + u[..., None] * seg[:, None]
-    dist = np.linalg.norm(sub - closest, axis=-1)
+    # the distance per axis, as `norm` sums it: ((dx² + dy²) + dz²)
+    dx, dy, dz = (col - (p0[:, k, None] + u * seg[:, k, None]) for k, col in enumerate(sub.T))
+    dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
     keep = np.ones(len(cloud), dtype=bool)
     keep[near] = (dist > (r + BODY_MARGIN)[:, None]).all(axis=0)
     return cloud.select(keep)

@@ -78,9 +78,12 @@ class ElevationMap:
     def cell_indices(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, 2) cell index of each point and the mask of those in the window."""
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        idx = np.floor((xy - self.origin) / self.resolution).astype(int)
-        # as unsigned, a negative index is out of range too, so the larger
-        # of the two tests both bounds of both axes
+        cell = np.floor((xy - self.origin) / self.resolution)
+        # clamped to [-1, n] before the cast, so that a NaN, infinite or huge
+        # coordinate casts to an out-of-range index, never undefined; fmin
+        # maps NaN to n. As unsigned, a negative index is out of range too,
+        # so the larger of the two tests both bounds of both axes
+        idx = np.fmax(np.fmin(cell, self.n), -1).astype(int)
         u = idx.view(np.uint64)
         ok = np.maximum(u[:, 0], u[:, 1]) < self.n
         return idx, ok
@@ -89,7 +92,7 @@ class ElevationMap:
         """Row-major flat index into the layers of each in-window point's
         cell, in point order, and the in-window mask."""
         idx, ok = self.cell_indices(xy)
-        idx = idx[ok]
+        idx = idx.compress(ok, axis=0)
         return idx[:, 0] * self.n + idx[:, 1], ok
 
     def _flat_layers(self) -> tuple[np.ndarray, ...]:
@@ -122,8 +125,10 @@ class ElevationMap:
         if not len(flat):
             return skipped
 
-        pts = cloud.points[ok]
-        ranges = np.linalg.norm(pts - np.asarray(sensor_origin, dtype=float), axis=1)
+        pts = cloud.points.compress(ok, axis=0)
+        # the range as `np.linalg.norm` sums it: ((dx² + dy²) + dz²)
+        dx, dy, dz = (pts - np.asarray(sensor_origin, dtype=float)).T
+        ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)
         r_var = model.measurement_variance(ranges)
         # touched cells in row-major order; per-cell sums keep point order
         cells, inv = np.unique(flat, return_inverse=True)
@@ -240,15 +245,15 @@ class ElevationMap:
         # fmax/fmin map a NaN bound to 0: an undefined pose reads no cells
         (i0, j0), (i1, j1) = np.fmin(np.fmax([lo, hi], 0), self.n).astype(int)
         cx, cy = self.cell_centers()
-        gx, gy = np.meshgrid(cx[i0:i1], cy[j0:j1], indexing="ij")
-        rel = np.stack([gx.ravel() - base_pose.position[0], gy.ravel() - base_pose.position[1]], axis=1)
+        # the window's cell centres, x the slow axis
+        gx = np.repeat(cx[i0:i1], j1 - j0)
+        gy = np.tile(cy[j0:j1], i1 - i0)
+        rel = np.column_stack([gx - base_pose.position[0], gy - base_pose.position[1]])
         R = base_pose.yaw_rotation[:2, :2]
         local = rel @ R  # world -> base-aligned
         inside = (np.abs(local[:, 0]) <= region[0] / 2) & (np.abs(local[:, 1]) <= region[1] / 2)
         inside &= self.valid[i0:i1, j0:j1].ravel()
-        return np.column_stack(
-            [gx.ravel()[inside], gy.ravel()[inside], self.height[i0:i1, j0:j1].ravel()[inside]]
-        )
+        return np.column_stack([gx[inside], gy[inside], self.height[i0:i1, j0:j1].ravel()[inside]])
 
     def to_csv(self, path) -> None:
         with open(path, "w") as f:

@@ -133,6 +133,13 @@ class ScenarioConfig:
         else:
             raise ValueError(f"unknown scene {sc!r}")
         cmd = d.pop("command", [[12.0, [0.5, 0.0, 0.0]]])
+        pair = "a (duration, [v_x, v_y, w_z]) pair"
+        if not isinstance(cmd, (list, tuple)):
+            raise ValueError(f"command must be a list of segments, each {pair}: {cmd!r}")
+        for i, seg in enumerate(cmd):
+            two = isinstance(seg, (list, tuple)) and len(seg) == 2
+            if not (two and isinstance(seg[1], (list, tuple))):
+                raise ValueError(f"command segment {i} is not {pair}: {seg!r}")
         profile = CommandProfile([(float(dur), tuple(c)) for dur, c in cmd])
         # scalar knobs: the fields with a plain default, coerced in __post_init__
         scalars = {f.name for f in fields(cls) if f.default is not MISSING}

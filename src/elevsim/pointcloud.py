@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +27,14 @@ class PointCloud:
 
     def transformed(self, pose: Pose) -> "PointCloud":
         """The points mapped through `pose`, tagged as world frame."""
-        return replace(self, frame="world", points=pose.transform(self.points))
+        return PointCloud(t=self.t, frame="world", points=pose.transform(self.points))
 
     def select(self, mask: np.ndarray) -> "PointCloud":
-        """The points at `mask`; a subset of a checked cloud needs no
-        second finite check."""
+        """The points at boolean `mask`; a subset of a checked cloud needs no
+        second finite check. `compress` copies whole rows, where a boolean
+        index of a 2-D array takes numpy's much slower generic path."""
         sub = object.__new__(PointCloud)
-        sub.t, sub.frame, sub.points = self.t, self.frame, self.points[mask]
+        sub.t, sub.frame, sub.points = self.t, self.frame, self.points.compress(mask, axis=0)
         return sub
 
 

@@ -214,9 +214,12 @@ class Heightfield:
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         # bounds are checked before the cast, so NaN is off the grid too
         cell = np.floor((xy - np.asarray(self.origin)) / self.resolution)
-        ok = ((cell >= 0) & (cell < self.extent)).all(axis=1)
+        nx, ny = self.extent
+        cx, cy = cell.T
+        ok = (cx >= 0) & (cx < nx)
+        ok &= (cy >= 0) & (cy < ny)
         out = np.full(len(xy), fill, dtype=float)
-        out[ok] = self.profile[cell[ok, 0].astype(int)]
+        out[ok] = self.profile[cx[ok].astype(int)]
         return out
 
     def height_at(self, x: float, y: float) -> float:
@@ -268,5 +271,5 @@ def ground_truth_patch(
     z = hf.heights_at(world)
     ok = np.isfinite(z)
     clipped = int((~ok).sum())
-    pts = np.column_stack([world[ok], z[ok]])
+    pts = np.column_stack([world.compress(ok, axis=0), z[ok]])
     return PointCloud(t=0.0, frame="world", points=pts), clipped

@@ -338,7 +338,7 @@ def render_depth(camera: CameraModel, cam_pose: Pose, hf: Heightfield, t: float)
     t_hit = _first_hits(hf, origin, dirs, camera.max_range)
     # a hit nearer than min_range blocks the ray, as in a real sensor
     keep = (t_hit >= camera.min_range) & (t_hit <= camera.max_range)
-    world = origin + dirs[keep] * t_hit[keep, None]
+    world = origin + dirs.compress(keep, axis=0) * t_hit[keep][:, None]
     return PointCloud(t=t, frame=camera.name, points=cam_pose.inverse_transform(world))
 
 
@@ -469,13 +469,15 @@ def inject_sensor_noise(
         return cloud
     if camera.noise_sigma0 == 0 and camera.noise_k == 0 and camera.dropout == 0:
         return cloud
-    ranges = np.linalg.norm(cloud.points, axis=1)
+    # the range as `np.linalg.norm` sums it: ((x² + y²) + z²)
+    x, y, z = cloud.points.T
+    ranges = np.sqrt((x * x + y * y) + z * z)
     rays = cloud.points / ranges[:, None]
     sigma = camera.noise_sigma0 + camera.noise_k * ranges**2
     noisy_r = ranges + rng.normal(0.0, 1.0, len(cloud)) * sigma
     pts = rays * noisy_r[:, None]
     keep = rng.random(len(cloud)) >= camera.dropout
-    return PointCloud(t=cloud.t, frame=cloud.frame, points=pts[keep])
+    return PointCloud(t=cloud.t, frame=cloud.frame, points=pts.compress(keep, axis=0))
 
 
 def default_front_camera() -> CameraModel:

@@ -1,0 +1,56 @@
+"""One seed-3 pass of each benchmark workload must give the outputs digest
+that `perfbench/run.py` prints for it. A change that means to alter the
+outputs' bits updates the digests here and says so.
+
+`perfbench/workloads.py` is read and executed in memory, so no bytecode is
+written next to it. `digest` is a copy of the one in `perfbench/run.py`,
+which pins BLAS threads through the environment when it is imported.
+"""
+
+import hashlib
+import json
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from elevsim.pipeline import ScenarioConfig, run_scenario, run_step_sweep
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+SEED = 3
+DIGESTS = {
+    "perception_gt": "580445c29f850803",
+    "fusion_vio_noisy": "79d4f496af3397bf",
+    "sweep_fine_map": "c16f1c22679615c6",
+}
+
+
+def digest(rows: list[dict]) -> str:
+    exact = [{k: float(v).hex() for k, v in sorted(r.items())} for r in rows]
+    return hashlib.sha256(json.dumps(exact).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    module = types.ModuleType("perfbench_workloads")
+    # dataclasses looks up the defining module while it builds a class
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_seed3_pass_digest(workloads, name, tmp_path):
+    wl = workloads[name]
+    if wl.sweep:
+        rows = run_step_sweep(ScenarioConfig.from_dict(wl.config(SEED, str(tmp_path))))
+    else:
+        rows = [run_scenario(ScenarioConfig.from_dict(wl.config(SEED))).metrics]
+    outputs = [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
+    assert len(outputs) == wl.scenarios_per_pass()
+    assert digest(outputs) == DIGESTS[name]

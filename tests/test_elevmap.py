@@ -522,7 +522,6 @@ class TestFlatLookupsMatchFullGrid:
 
     @pytest.mark.parametrize("resolution, size", GRIDS)
     @pytest.mark.parametrize("valid_frac", [0.0, 0.7, 1.0])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
     def test_same_bytes(self, resolution, size, valid_frac):
         rng = np.random.default_rng(int(resolution * 1e4) + int(10 * valid_frac))
         new, ref = _filled_pair(resolution, size, rng)
@@ -566,7 +565,6 @@ class TestFlatLookupsMatchFullGrid:
         assert np.isnan(h).all() and not mask.any()
         assert emap.drift_compensate(_cloud(np.column_stack([xy, np.zeros(40)])), 0.05, 1) == 0.0
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
     def test_cell_indices_bounds(self):
         emap = ElevationMap(resolution=0.1, size=1.0)
         lo, hi = emap.origin, emap.origin + 1.0
@@ -576,6 +574,25 @@ class TestFlatLookupsMatchFullGrid:
         expect = (idx >= 0).all(axis=1) & (idx < emap.n).all(axis=1)
         np.testing.assert_array_equal(ok, expect)
         assert ok.sum() == 9 and idx.shape == (len(xy), 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_and_huge_points_read_and_write_nothing(self):
+        # cell_indices clamps before its cast to int, so these coordinates
+        # fall out of range without an undefined cast and its warning
+        emap = ElevationMap(resolution=0.1, size=1.0)
+        emap.integrate_cloud(_cloud([[0.0, 0.0, 0.2]] * 25), ORIGIN, _model(), 0.0)
+        before = {k: getattr(emap, k).copy() for k in ("height", "variance", "valid")}
+        bad = [np.nan, np.inf, -np.inf, 1e30, -1e30]
+        xy = np.array([[x, 0.0] for x in bad] + [[0.0, y] for y in bad])
+        h, mask = emap.query_heights(xy)
+        assert np.isnan(h).all() and not mask.any()
+        # a cloud checks its points for finiteness when it is built; these
+        # are set after that check
+        cloud = _cloud([[0.0, 0.0, 0.0]], t=1.0)
+        cloud.points = np.column_stack([xy, np.full(len(xy), 0.2)])
+        assert emap.drift_compensate(cloud, 0.05, 1) == 0.0
+        assert emap.integrate_cloud(cloud, ORIGIN, _model(), 1.0) == len(xy)
+        assert all(_same_bytes(getattr(emap, k), v) for k, v in before.items())
 
 
 class TestRecenterJumps:

@@ -279,6 +279,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="settle time"):
             ScenarioConfig.from_dict({**SHORT, "command": command})
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ([[2.0, 0.5]], "command segment 0 is not"),
+            ([[2.0]], "command segment 0 is not"),
+            ([[1.0, [0.5, 0.0, 0.0]], [2.0, 0.5, 0.0, 0.0]], "command segment 1 is not"),
+            (2.0, "command must be a list of segments"),
+            ({"v_x": 0.5}, "command must be a list of segments"),
+        ],
+    )
+    def test_malformed_command_rejected(self, command, text):
+        # these used to fail on unpacking, with a message that named no segment
+        with pytest.raises(ValueError, match=text):
+            ScenarioConfig.from_dict({**SHORT, "command": command})
+
     def test_one_segment_past_settle_time_accepted(self):
         command = [[0.5, [0.5, 0.0, 0.0]], [0.75, [0.5, 0.0, 0.0]]]
         cfg = ScenarioConfig.from_dict({**SHORT, "command": command})
@@ -552,6 +567,21 @@ class TestCli:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ([[2.0, 0.5]], "command segment 0 is not"),
+            ([[2.0]], "command segment 0 is not"),
+            (2.0, "command must be a list of segments"),
+        ],
+    )
+    def test_run_malformed_command_exits_2(self, tmp_path, capsys, command, text):
+        cfg = self._write_cfg(tmp_path, {"command": command})
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert text in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_run_command_within_settle_time_exits_2(self, tmp_path, capsys):
