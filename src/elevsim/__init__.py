@@ -15,7 +15,7 @@ from .obsbuilder import (
     apply_height_noise,
     sample_heights,
 )
-from .odometry import EkfConfig, OdometryEkf, SourceErrorModel, fuse_streams, make_source_streams
+from .odometry import OdometryEkf, SourceErrorModel, fuse_streams, make_source_streams
 from .pipeline import ScenarioConfig, compare_runs, run_scenario, run_step_sweep
 from .pointcloud import PointCloud
 from .reward import RewardConfig, compute_terms, phi, total

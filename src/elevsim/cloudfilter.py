@@ -20,23 +20,27 @@ from .sensorsim import HIP_OFFSETS
 
 log = logging.getLogger(__name__)
 
+# statistical outlier removal: the neighbors averaged per point, and the
+# cut-off in standard deviations above the mean
+OUTLIER_K = 8
+OUTLIER_STD_RATIO = 2.0
 
-def remove_outliers(cloud: PointCloud, k: int = 8, std_ratio: float = 2.0) -> PointCloud:
+
+def remove_outliers(cloud: PointCloud) -> PointCloud:
     """Statistical outlier removal: keep a point iff its mean distance to its
-    k nearest neighbors is within (global mean + std_ratio * global std).
+    OUTLIER_K nearest neighbors is within (global mean + OUTLIER_STD_RATIO *
+    global std).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     n = len(cloud)
-    if n < k + 1:
-        log.debug("cloud of %d points too small for k=%d; returned unchanged", n, k)
+    if n < OUTLIER_K + 1:
+        log.debug("cloud of %d points too small for k=%d; returned unchanged", n, OUTLIER_K)
         return cloud
     # the median-split build is cheaper than the balanced one and gives the
     # same neighbor distances
     tree = cKDTree(cloud.points, balanced_tree=False)
-    dists, _ = tree.query(cloud.points, k=k + 1)  # first neighbor is the point itself
+    dists, _ = tree.query(cloud.points, k=OUTLIER_K + 1)  # first neighbor is the point itself
     mean_d = dists[:, 1:].mean(axis=1)
-    keep = mean_d <= mean_d.mean() + std_ratio * mean_d.std()
+    keep = mean_d <= mean_d.mean() + OUTLIER_STD_RATIO * mean_d.std()
     return cloud.select(keep)
 
 
@@ -48,19 +52,26 @@ def voxel_downsample(cloud: PointCloud, resolution: float) -> PointCloud:
     coordinate sums accumulate its points in input order, so a centroid has
     the same bits as a running sum over its points divided by their count.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < np.inf:
+        raise ValueError(f"resolution must be positive and finite: {resolution}")
     if len(cloud) == 0:
         return cloud
     # one contiguous row per axis: each row's min and max is a fast
     # contiguous reduction, where a column's is numpy's strided short-axis one
     coords = cloud.points.T.copy()
-    keys = np.floor(coords / resolution).astype(np.int64)
-    low = [int(row.min()) for row in keys]
-    span = [int(row.max()) - a + 1 for row, a in zip(keys, low)]
+    keys = np.floor(coords / resolution)
+    low = [row.min() for row in keys]
+    high = [row.max() for row in keys]
+    # the int64 cast is undefined beyond its range, so the float keys are
+    # checked before it; inside it, each bound is exact as a Python int
+    too_many = "cloud spans too many voxels to index at this resolution"
+    if not (-(2.0**63) <= min(low) and max(high) < 2.0**63):
+        raise ValueError(too_many)
+    low = [int(a) for a in low]
+    span = [int(b) - a + 1 for b, a in zip(high, low)]
     if span[0] * span[1] * span[2] > np.iinfo(np.int64).max:
-        raise ValueError("cloud spans too many voxels to index at this resolution")
-    kx, ky, kz = (row - a for row, a in zip(keys, low))
+        raise ValueError(too_many)
+    kx, ky, kz = (row - a for row, a in zip(keys.astype(np.int64), low))
     packed = (kx * span[1] + ky) * span[2] + kz
     _, first, inv = np.unique(packed, return_index=True, return_inverse=True)
     sums = np.stack([np.bincount(inv, weights=row) for row in coords], axis=1)

@@ -17,8 +17,7 @@ from .geometry import Pose
 from .pointcloud import PointCloud
 
 DEFAULT_RESOLUTION = 0.025
-DEFAULT_SIZE = 5.0
-MAX_SIZE = 5.0
+DEFAULT_SIZE = 5.0  # also the largest map
 # drift compensation: the largest measurement-vs-map discrepancy (m) that
 # counts, and the fewest gated points that move the map
 DRIFT_GATE = 0.03
@@ -55,8 +54,8 @@ class ElevationMap:
     ):
         if not 0 < resolution < np.inf:
             raise ValueError("resolution must be positive and finite")
-        if not 0 < size <= MAX_SIZE + 1e-9:
-            raise ValueError(f"map size must be in (0, {MAX_SIZE}] m")
+        if not 0 < size <= DEFAULT_SIZE + 1e-9:
+            raise ValueError(f"map size must be in (0, {DEFAULT_SIZE}] m")
         self.resolution = float(resolution)
         self.n = int(round(size / resolution))
         if self.n < 1:
@@ -151,18 +150,12 @@ class ElevationMap:
         last_update[hit] = t
         return skipped
 
-    def drift_compensate(
-        self, cloud: PointCloud, gate: float = DRIFT_GATE, min_points: int = DRIFT_MIN_POINTS
-    ) -> float:
-        """Global z-shift from the mean gated measurement-vs-map discrepancy.
-        Run before integrating the same frame. Returns the applied shift.
-        The gate must be positive and finite and min_points at least 1, so
-        the mean is never taken over an empty set.
+    def drift_compensate(self, cloud: PointCloud) -> float:
+        """Global z-shift from the mean discrepancy of the measurements within
+        DRIFT_GATE of the map, applied only when at least DRIFT_MIN_POINTS
+        count. Run before integrating the same frame. Returns the applied
+        shift.
         """
-        if not 0 < gate < np.inf or min_points < 1:
-            raise ValueError(
-                f"need a positive finite gate and min_points >= 1: {gate}, {min_points}"
-            )
         if len(cloud) == 0:
             return 0.0
         flat, ok = self._flat_cells(cloud.points[:, :2])
@@ -171,8 +164,8 @@ class ElevationMap:
         if not on_map.any():
             return 0.0
         diff = cloud.points[ok, 2][on_map] - height[flat[on_map]]
-        diff = diff[np.abs(diff) <= gate]
-        if len(diff) < min_points:
+        diff = diff[np.abs(diff) <= DRIFT_GATE]
+        if len(diff) < DRIFT_MIN_POINTS:
             return 0.0
         shift = float(diff.mean())
         # the masked add beats a flat index here: the valid cells lie in runs

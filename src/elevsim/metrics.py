@@ -58,22 +58,18 @@ def _relative(points: np.ndarray, pose: Pose) -> np.ndarray:
 
 
 def map_vs_ground_truth(
-    emap: ElevationMap,
-    hf: Heightfield,
-    base_pose: Pose,
-    true_pose: Pose | None = None,
+    emap: ElevationMap, hf: Heightfield, base_pose: Pose, true_pose: Pose
 ) -> float | None:
-    """Chamfer distance (cm) between the map cells around the (estimated)
+    """Chamfer distance (cm) between the map cells around the estimated
     base pose and the ground-truth patch around the true pose, with both
     point sets expressed robot-centrically. Mirrors aligning the robot pose
     to the reference scan before comparing. Returns None when the map has no
     valid cells in the region (window excluded from run means).
     """
-    true_pose = base_pose if true_pose is None else true_pose
     map_pts = emap.region_points(base_pose, SAMPLE_REGION)
     if len(map_pts) == 0:
         return None
-    gt_cloud, _clipped = ground_truth_patch(hf, true_pose, SAMPLE_REGION)
+    gt_cloud = ground_truth_patch(hf, true_pose)
     if len(gt_cloud) == 0:
         return None
     return chamfer_one_way(_relative(map_pts, base_pose), _relative(gt_cloud.points, true_pose))

@@ -66,18 +66,15 @@ def sample_heights(
 class HeightNoiseState:
     sample_sigma: float = 0.01
     bias_sigma: np.ndarray = field(default_factory=lambda: np.array([0.02, 0.02, 0.02]))
-    period: float = BIAS_RESAMPLE_PERIOD
     bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
     last_resample: float | None = None
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("bias resample period must be positive")
         self.bias_sigma = np.asarray(self.bias_sigma, dtype=float).reshape(3)
         self.bias = np.asarray(self.bias, dtype=float).reshape(3)
 
     def maybe_resample(self, t: float, rng: np.random.Generator) -> None:
-        if self.last_resample is None or t - self.last_resample >= self.period:
+        if self.last_resample is None or t - self.last_resample >= BIAS_RESAMPLE_PERIOD:
             self.bias = rng.normal(0.0, 1.0, 3) * self.bias_sigma
             self.last_resample = t
 
@@ -108,18 +105,17 @@ def apply_height_noise(
 
 
 class HistoryBuffer:
-    """Ring of the last 10 frames; flattens oldest-first. Before the buffer
-    is warm, missing slots replicate the earliest frame.
+    """Ring of the last HISTORY_STEPS frames; flattens oldest-first. Before
+    the buffer is warm, missing slots replicate the earliest frame.
     """
 
-    def __init__(self, capacity: int = HISTORY_STEPS):
-        self.capacity = capacity
+    def __init__(self):
         self.frames: list[ObservationFrame] = []
 
     def push_and_flatten(self, frame: ObservationFrame) -> np.ndarray:
         self.frames.append(frame)
-        if len(self.frames) > self.capacity:
+        if len(self.frames) > HISTORY_STEPS:
             self.frames.pop(0)
-        pad = [self.frames[0]] * (self.capacity - len(self.frames))
+        pad = [self.frames[0]] * (HISTORY_STEPS - len(self.frames))
         return np.concatenate([f.flatten() for f in pad + self.frames])
 

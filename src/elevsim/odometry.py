@@ -83,6 +83,11 @@ class SourceStreams:
 
 SOURCE_RATES = (50.0, 200.0, 90.0)  # Hz: velocity estimator, IMU, VIO
 INITIAL_COV = 1e-6  # per-state variance of the filter's initial covariance
+Q_POS = 1e-8  # process noise densities (per second)
+Q_VEL = 1e-3
+R_VEL = 2.5e-3  # velocity measurement variance, m^2/s^2
+R_POS = 1e-4  # pose measurement variance, m^2
+GATE = 9.0  # Mahalanobis rejection threshold
 
 
 def _nearest_states(ts: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -147,15 +152,6 @@ def make_source_streams(
     )
 
 
-@dataclass
-class EkfConfig:
-    q_pos: float = 1e-8  # process noise densities (per second)
-    q_vel: float = 1e-3
-    r_vel: float = 2.5e-3  # velocity measurement variance, m^2/s^2
-    r_pos: float = 1e-4  # pose measurement variance, m^2
-    gate: float = 9.0  # Mahalanobis rejection threshold
-
-
 def _check_psd(P, context: str) -> np.ndarray:
     """Symmetrize a 2x2 covariance, given as an array or as nested lists;
     its smaller eigenvalue must not be below -1e-9. Returns an array with
@@ -188,13 +184,12 @@ class OdometryEkf:
     rounds twice; the rest of the bookkeeping is on Python floats.
     """
 
-    def __init__(self, position, velocity, quat, t: float = 0.0, cfg: EkfConfig | None = None):
+    def __init__(self, position, velocity, quat, t: float = 0.0):
         self.position = np.array(position, dtype=float).reshape(3)
         self.velocity = np.array(velocity, dtype=float).reshape(3)
         self.quat = quat_normalize(quat)
         self.t = t
         self.cov = np.eye(2) * INITIAL_COV
-        self.cfg = cfg or EkfConfig()
         self.rejected_velocity = 0
         self.rejected_pose = 0
 
@@ -203,11 +198,10 @@ class OdometryEkf:
         orientation."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        c = self.cfg
         F = np.array([[1.0, dt], [0.0, 1.0]])
         (a, b), (b_t, d) = (F @ self.cov @ F.T).tolist()
         # + Q = diag(q_pos dt, q_vel dt); its zeros turn a -0.0 into +0.0
-        P = [[a + c.q_pos * dt, b + 0.0], [b_t + 0.0, d + c.q_vel * dt]]
+        P = [[a + Q_POS * dt, b + 0.0], [b_t + 0.0, d + Q_VEL * dt]]
         self.cov = _check_psd(P, "predict")
         self.position = self.position + self.velocity * dt
         self.quat = imu_quat
@@ -219,7 +213,7 @@ class OdometryEkf:
         P = self.cov
         rows = P.tolist()
         inv_s = 1.0 / (rows[j][j] + r)
-        if innovation @ (innovation * inv_s) > self.cfg.gate:
+        if innovation @ (innovation * inv_s) > GATE:
             return False
         # the gain, the same on every axis: k0 for position, k1 for velocity
         k0, k1 = rows[0][j] * inv_s, rows[1][j] * inv_s
@@ -237,7 +231,7 @@ class OdometryEkf:
     def update_velocity(self, v_body: np.ndarray) -> bool:
         """World-frame velocity update from a body-frame estimator sample."""
         z = quat_rotate(self.quat, np.asarray(v_body, dtype=float))
-        if self._update(1, z - self.velocity, self.cfg.r_vel):
+        if self._update(1, z - self.velocity, R_VEL):
             return True
         self.rejected_velocity += 1
         return False
@@ -245,7 +239,7 @@ class OdometryEkf:
     def update_pose(self, position: np.ndarray) -> bool:
         """Position update from the drifting pose (VIO stand-in) source."""
         innovation = np.asarray(position, dtype=float) - self.position
-        if self._update(0, innovation, self.cfg.r_pos):
+        if self._update(0, innovation, R_POS):
             return True
         self.rejected_pose += 1
         return False
@@ -259,18 +253,14 @@ class FusedTrajectory:
 
 
 def fuse_streams(
-    streams: SourceStreams,
-    traj: Trajectory,
-    cfg: EkfConfig | None = None,
-    use_vio: bool = True,
+    streams: SourceStreams, traj: Trajectory, use_vio: bool = True
 ) -> FusedTrajectory:
     """Run the EKF from the trajectory's first row over the timestamp-merged
     streams, one output row per event. Within one tick, events are applied
     in the fixed order: IMU orientation (predict), velocity, pose.
     """
     ekf = OdometryEkf(
-        traj.pos[0], quat_rotate(traj.quat[0], traj.v_body[0]), traj.quat[0],
-        float(traj.t[0]), cfg,
+        traj.pos[0], quat_rotate(traj.quat[0], traj.v_body[0]), traj.quat[0], float(traj.t[0])
     )
     # each row normalizes to the bits of a single call
     imu_quat = quat_normalize(streams.imu_quat)

@@ -82,6 +82,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.odometry not in ODOMETRY_MODES:
             raise ValueError(f"odometry mode must be one of {ODOMETRY_MODES}")
+        for key in ("use_rear_camera", "drift_compensation"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValueError(f"{key} must be true or false: {getattr(self, key)!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer: {seed!r}")
@@ -321,7 +324,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
         if i % CHAMFER_EVERY == 0:
             k = i // CHAMFER_EVERY
-            c = metrics.map_vs_ground_truth(emap, hf, chamfer_est[k], true_pose=chamfer_true[k])
+            c = metrics.map_vs_ground_truth(emap, hf, chamfer_est[k], chamfer_true[k])
             if c is not None:
                 chamfer[k] = c
 

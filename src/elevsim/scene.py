@@ -256,20 +256,15 @@ def build_scene(spec: SceneSpec, resolution: float) -> Heightfield:
     return Heightfield(resolution, (0.0, 0.0), profile=spec.profile_height(xc), ny=ny)
 
 
-def ground_truth_patch(
-    hf: Heightfield,
-    base_pose: Pose,
-    region: tuple[float, float] = SAMPLE_REGION,
-    resolution: float = GT_PATCH_RESOLUTION,
-) -> tuple[PointCloud, int]:
-    """One point per ground-truth cell center in the yaw-aligned region
-    around the base. Returns (cloud in world frame, clipped point count).
+def ground_truth_patch(hf: Heightfield, base_pose: Pose) -> PointCloud:
+    """One point per GT_PATCH_RESOLUTION grid point of the yaw-aligned
+    SAMPLE_REGION around the base that lies on the heightfield, as a
+    world-frame cloud.
     """
-    nx = math.ceil(region[0] / resolution)
-    ny = math.ceil(region[1] / resolution)
-    world = yaw_aligned_grid(base_pose, nx, ny, resolution)
+    nx = math.ceil(SAMPLE_REGION[0] / GT_PATCH_RESOLUTION)
+    ny = math.ceil(SAMPLE_REGION[1] / GT_PATCH_RESOLUTION)
+    world = yaw_aligned_grid(base_pose, nx, ny, GT_PATCH_RESOLUTION)
     z = hf.heights_at(world)
     ok = np.isfinite(z)
-    clipped = int((~ok).sum())
     pts = np.column_stack([world.compress(ok, axis=0), z[ok]])
-    return PointCloud(t=0.0, frame="world", points=pts), clipped
+    return PointCloud(t=0.0, frame="world", points=pts)

@@ -472,6 +472,8 @@ def inject_sensor_noise(
     # the range as `np.linalg.norm` sums it: ((x² + y²) + z²)
     x, y, z = cloud.points.T
     ranges = np.sqrt((x * x + y * y) + z * z)
+    if not ranges.all():
+        raise ValueError("a point at the sensor origin has no ray to add range noise along")
     rays = cloud.points / ranges[:, None]
     sigma = camera.noise_sigma0 + camera.noise_k * ranges**2
     noisy_r = ranges + rng.normal(0.0, 1.0, len(cloud)) * sigma

@@ -7,6 +7,8 @@ from elevsim.cloudfilter import (
     BODY_MARGIN,
     CALF_LENGTH,
     LEG_RADIUS,
+    OUTLIER_K,
+    OUTLIER_STD_RATIO,
     THIGH_LENGTH,
     TRUNK_HALF_LENGTH,
     TRUNK_RADIUS,
@@ -111,23 +113,18 @@ class TestOutlierRemoval:
     def test_matches_brute_force_oracle(self, rng):
         pts = rng.normal(0.0, 0.3, (150, 3))
         cloud = _cloud(pts)
-        k, std_ratio = 8, 2.0
         # O(n^2) oracle
         d2 = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         np.fill_diagonal(d2, np.inf)
-        knn_mean = np.sort(d2, axis=1)[:, :k].mean(axis=1)
-        keep = knn_mean <= knn_mean.mean() + std_ratio * knn_mean.std()
-        out = remove_outliers(cloud, k=k, std_ratio=std_ratio)
+        knn_mean = np.sort(d2, axis=1)[:, :OUTLIER_K].mean(axis=1)
+        keep = knn_mean <= knn_mean.mean() + OUTLIER_STD_RATIO * knn_mean.std()
+        out = remove_outliers(cloud)
         np.testing.assert_array_equal(out.points, pts[keep])
 
     def test_small_cloud_unchanged(self):
-        cloud = _cloud([[0, 0, 0], [1, 0, 0]])
-        out = remove_outliers(cloud, k=8)
+        cloud = _cloud(np.arange(3.0 * OUTLIER_K).reshape(OUTLIER_K, 3))
+        out = remove_outliers(cloud)
         assert out is cloud
-
-    def test_invalid_k_rejected(self):
-        with pytest.raises(ValueError):
-            remove_outliers(_cloud([[0, 0, 0]]), k=0)
 
 
 class TestVoxelDownsample:
@@ -165,6 +162,12 @@ class TestVoxelDownsample:
         with pytest.raises(ValueError):
             voxel_downsample(_cloud([[0, 0, 0]]), 0.0)
 
+    @pytest.mark.parametrize("resolution", [np.inf, np.nan])
+    def test_non_finite_resolution_rejected(self, resolution):
+        # an infinite pitch put points 50 m apart into one voxel
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            voxel_downsample(_cloud([[1.0, 0, 0], [-50.0, 3, 0]]), resolution)
+
     @pytest.mark.parametrize(
         "case",
         ["negative", "duplicates", "single_voxel", "single_point", "spread", "on_voxel_faces"],
@@ -201,6 +204,28 @@ class TestVoxelDownsample:
     def test_too_many_voxels_rejected(self):
         with pytest.raises(ValueError, match="too many voxels"):
             voxel_downsample(_cloud([[-1e6, -1e6, -1e6], [1e6, 1e6, 1e6]]), 1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[1e150, 0, 0], [-1e150, 0, 0], [2e150, 0, 0]],
+            [[1e150, 0, 0]],
+            [[0, 0, 0], [0, -1e150, 0]],
+        ],
+    )
+    def test_keys_beyond_int64_rejected_before_the_cast(self, pts):
+        # an int64 cast of such a key is undefined: it warns and can group
+        # points that lie 3e150 m apart into one centroid
+        with pytest.raises(ValueError, match="too many voxels"):
+            voxel_downsample(_cloud(pts), 0.025)
+
+    @pytest.mark.filterwarnings("error")
+    def test_keys_at_the_int64_edge_kept(self):
+        # the largest key below 2**63 still casts exactly
+        edge = np.nextafter(2.0**63, 0.0)
+        out = voxel_downsample(_cloud([[edge, 0, 0], [edge, 1, 0], [edge, 1.5, 0]]), 1.0)
+        np.testing.assert_array_equal(out.points, [[edge, 0, 0], [edge, 1.25, 0]])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))

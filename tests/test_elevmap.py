@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elevsim.elevmap import ElevationMap, SensorVarianceModel
+from elevsim.elevmap import DRIFT_GATE, DRIFT_MIN_POINTS, ElevationMap, SensorVarianceModel
 from elevsim.geometry import Pose, quat_from_yaw, rotz
 from elevsim.pointcloud import PointCloud
 
@@ -143,7 +143,7 @@ class TestDriftCompensation:
         emap.integrate_cloud(_cloud(flat), ORIGIN, _model(), t=0.0)
         shifted = flat.copy()
         shifted[:, 2] += 0.012
-        applied = emap.drift_compensate(_cloud(shifted), gate=0.03, min_points=20)
+        applied = emap.drift_compensate(_cloud(shifted))
         assert applied == pytest.approx(0.012, rel=1e-9)
         assert emap.total_shift == pytest.approx(0.012, rel=1e-9)
         h, _ = emap.query_height(*xy[0])
@@ -158,25 +158,16 @@ class TestDriftCompensation:
         probe = flat.copy()
         probe[:, 2] += 0.005
         probe[50:, 2] += 0.2
-        applied = emap.drift_compensate(_cloud(probe), gate=0.03, min_points=20)
+        applied = emap.drift_compensate(_cloud(probe))
         assert applied == pytest.approx(0.005, rel=1e-9)
 
     def test_min_points_guard(self):
         emap = ElevationMap(resolution=0.05, size=2.0)
         emap.integrate_cloud(_cloud([[0, 0, 0.2]]), ORIGIN, _model(), t=0.0)
-        applied = emap.drift_compensate(_cloud([[0, 0, 0.21]]), gate=0.03, min_points=20)
+        applied = emap.drift_compensate(_cloud([[0, 0, 0.21]] * (DRIFT_MIN_POINTS - 1)))
         assert applied == 0.0
-
-    @pytest.mark.parametrize(
-        "gate, min_points", [(0.03, 0), (-1.0, 20), (0.0, 20), (float("nan"), 20), (np.inf, 20)]
-    )
-    def test_settings_that_average_nothing_rejected(self, gate, min_points):
-        # min_points 0 with an empty gated set would add NaN to every cell
-        emap = ElevationMap(resolution=0.05, size=2.0)
-        emap.integrate_cloud(_cloud([[0, 0, 0.2]]), ORIGIN, _model(), t=0.0)
-        with pytest.raises(ValueError, match="min_points"):
-            emap.drift_compensate(_cloud([[0, 0, 0.5]]), gate=gate, min_points=min_points)
-        assert emap.query_height(0, 0)[0] == 0.2
+        applied = emap.drift_compensate(_cloud([[0, 0, 0.21]] * DRIFT_MIN_POINTS))
+        assert applied == pytest.approx(0.01, rel=1e-9)
 
     def test_unmapped_cloud_gives_zero_shift(self):
         emap = ElevationMap(resolution=0.05, size=2.0)
@@ -329,7 +320,7 @@ class FullGridMap(ElevationMap):
         self.last_update[hit] = t
         return skipped
 
-    def drift_compensate(self, cloud, gate=0.03, min_points=20):
+    def drift_compensate(self, cloud):
         if len(cloud) == 0:
             return 0.0
         idx, ok = self.cell_indices(cloud.points[:, :2])
@@ -338,8 +329,8 @@ class FullGridMap(ElevationMap):
         if not ok.any():
             return 0.0
         diff = cloud.points[ok, 2] - self.height[idx[ok, 0], idx[ok, 1]]
-        diff = diff[np.abs(diff) <= gate]
-        if len(diff) < min_points:
+        diff = diff[np.abs(diff) <= DRIFT_GATE]
+        if len(diff) < DRIFT_MIN_POINTS:
             return 0.0
         shift = float(diff.mean())
         self.height[self.valid] += shift
@@ -507,7 +498,7 @@ class TestWindowedMatchesFullGrid:
                 origin = np.array([*new.center, 0.5])
                 for emap in (new, ref):
                     if op == 1:
-                        emap.drift_compensate(cloud, 0.05, 5)
+                        emap.drift_compensate(cloud)
                     emap.integrate_cloud(cloud, origin, model, t)
                 t += float(rng.uniform(0.0, 0.1))
             # total_shift and skipped_points carry the two calls' returns
@@ -549,8 +540,8 @@ class TestFlatLookupsMatchFullGrid:
                 assert new.valid.any() == (valid_frac > 0.0)
             got, expect = new.query_heights(query), ref.query_heights(query)
             assert all(_same_bytes(a, b) for a, b in zip(got, expect)), step
-            shift = new.drift_compensate(cloud, 0.05, 5)
-            assert shift == ref.drift_compensate(cloud, 0.05, 5), step
+            shift = new.drift_compensate(cloud)
+            assert shift == ref.drift_compensate(cloud), step
             shifts += shift != 0.0
             skipped = new.integrate_cloud(cloud, origin, model, t)
             assert skipped == ref.integrate_cloud(cloud, origin, model, t), step
@@ -563,7 +554,7 @@ class TestFlatLookupsMatchFullGrid:
         xy = np.random.default_rng(3).uniform(-0.6, 0.6, (40, 2))
         h, mask = emap.query_heights(xy)
         assert np.isnan(h).all() and not mask.any()
-        assert emap.drift_compensate(_cloud(np.column_stack([xy, np.zeros(40)])), 0.05, 1) == 0.0
+        assert emap.drift_compensate(_cloud(np.column_stack([xy, np.zeros(40)]))) == 0.0
 
     def test_cell_indices_bounds(self):
         emap = ElevationMap(resolution=0.1, size=1.0)
@@ -590,7 +581,7 @@ class TestFlatLookupsMatchFullGrid:
         # are set after that check
         cloud = _cloud([[0.0, 0.0, 0.0]], t=1.0)
         cloud.points = np.column_stack([xy, np.full(len(xy), 0.2)])
-        assert emap.drift_compensate(cloud, 0.05, 1) == 0.0
+        assert emap.drift_compensate(cloud) == 0.0
         assert emap.integrate_cloud(cloud, ORIGIN, _model(), 1.0) == len(xy)
         assert all(_same_bytes(getattr(emap, k), v) for k, v in before.items())
 

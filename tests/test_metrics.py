@@ -81,20 +81,20 @@ class TestMapVsGroundTruth:
     def test_perfect_map_small_error(self, obstacle_hf):
         pose = Pose(np.array([3.2, 1.5, 0.4]), quat_from_yaw(0.0))
         emap = self._filled_map(obstacle_hf, pose.position)
-        c = map_vs_ground_truth(emap, obstacle_hf, pose)
+        c = map_vs_ground_truth(emap, obstacle_hf, pose, pose)
         # bounded by grid quantization around step edges
         assert c is not None and c < 1.5
 
     def test_uniform_z_error_measured(self, obstacle_hf):
         pose = Pose(np.array([1.5, 1.5, 0.3]), quat_from_yaw(0.0))
         emap = self._filled_map(obstacle_hf, pose.position, z_offset=0.04)
-        c = map_vs_ground_truth(emap, obstacle_hf, pose)
+        c = map_vs_ground_truth(emap, obstacle_hf, pose, pose)
         assert c == pytest.approx(4.0, abs=0.3)
 
     def test_empty_region_returns_none(self, obstacle_hf):
         pose = Pose(np.array([3.2, 1.5, 0.4]), quat_from_yaw(0.0))
         emap = ElevationMap(resolution=0.025, size=4.0, center=pose.position[:2])
-        assert map_vs_ground_truth(emap, obstacle_hf, pose) is None
+        assert map_vs_ground_truth(emap, obstacle_hf, pose, pose) is None
 
     def test_estimated_vs_true_pose_alignment_cancels_offset(self, obstacle_hf):
         # map built around a shifted estimate: comparing robot-centrically
@@ -112,8 +112,8 @@ class TestMapVsGroundTruth:
             SensorVarianceModel(),
             0.0,
         )
-        c_offset = map_vs_ground_truth(emap, obstacle_hf, est_pose, true_pose=true_pose)
-        c_aligned = map_vs_ground_truth(emap, obstacle_hf, est_pose, true_pose=est_pose)
+        c_offset = map_vs_ground_truth(emap, obstacle_hf, est_pose, true_pose)
+        c_aligned = map_vs_ground_truth(emap, obstacle_hf, est_pose, est_pose)
         # both reduce to grid-vs-grid quantization residue; the 0.2 m estimate
         # offset itself must not show up
         assert c_offset is not None and c_aligned is not None

@@ -4,7 +4,6 @@ import pytest
 from elevsim import odometry
 from elevsim.geometry import quat_from_yaw, quat_mul, quat_normalize, quat_rotate
 from elevsim.odometry import (
-    EkfConfig,
     EstimatorErrors,
     ImuErrors,
     OdometryEkf,
@@ -23,9 +22,9 @@ def _noiseless_model(bias=(0.0, 0.0, 0.0)):
     )
 
 
-def _ekf(position=(0, 0, 0), velocity=(0, 0, 0), quat=(1.0, 0, 0, 0), cov=None, cfg=None):
+def _ekf(position=(0, 0, 0), velocity=(0, 0, 0), quat=(1.0, 0, 0, 0), cov=None):
     """A filter at t = 0; `cov` replaces the initial per-axis variances."""
-    ekf = OdometryEkf(position, velocity, np.asarray(quat, dtype=float), 0.0, cfg)
+    ekf = OdometryEkf(position, velocity, np.asarray(quat, dtype=float), 0.0)
     if cov is not None:
         ekf.cov = np.eye(2) * cov
     return ekf
@@ -71,16 +70,16 @@ class _NineStateEkf:
     error) with one 9x9 covariance, the oracle for the per-axis one. Its
     attitude block is reset on every predict and read by no update. Like the
     filter, it normalizes the quaternion it starts from and stores the unit
-    quaternion that `predict` gets as given."""
+    quaternion that `predict` gets as given. It reads the filter's noise
+    constants from the module at each call."""
 
     R_ATT = 1e-5  # attitude pseudo-measurement variance, rad^2
 
-    def __init__(self, position, velocity, quat, t=0.0, cfg=None):
+    def __init__(self, position, velocity, quat, t=0.0):
         self.x = np.concatenate([position, velocity, np.zeros(3)]).astype(float)
         self.P = np.eye(9) * odometry.INITIAL_COV
         self.quat = quat_normalize(quat)
         self.t = t
-        self.cfg = cfg or EkfConfig()
         self.rejected_velocity = 0
         self.rejected_pose = 0
 
@@ -95,12 +94,11 @@ class _NineStateEkf:
         return P
 
     def predict(self, imu_quat, dt):
-        c = self.cfg
         F = np.eye(9)
         F[0:3, 3:6] = dt * np.eye(3)
         Q = np.zeros((9, 9))
-        Q[0:3, 0:3] = c.q_pos * dt * np.eye(3)
-        Q[3:6, 3:6] = c.q_vel * dt * np.eye(3)
+        Q[0:3, 0:3] = odometry.Q_POS * dt * np.eye(3)
+        Q[3:6, 3:6] = odometry.Q_VEL * dt * np.eye(3)
         P = F @ self.P @ F.T + Q
         P[6:9, 6:9] = np.eye(3) * self.R_ATT
         P[0:6, 6:9] = 0.0
@@ -115,7 +113,7 @@ class _NineStateEkf:
         H[:, rows] = np.eye(3)
         R = r * np.eye(3)
         S = H @ self.P @ H.T + R
-        if float(innovation @ np.linalg.solve(S, innovation)) > self.cfg.gate:
+        if float(innovation @ np.linalg.solve(S, innovation)) > odometry.GATE:
             return False
         K = self.P @ H.T @ np.linalg.inv(S)
         I_KH = np.eye(9) - K @ H
@@ -125,12 +123,13 @@ class _NineStateEkf:
 
     def update_velocity(self, v_body):
         z = quat_rotate(self.quat, np.asarray(v_body, dtype=float))
-        ok = self._update(slice(3, 6), z - self.velocity, self.cfg.r_vel)
+        ok = self._update(slice(3, 6), z - self.velocity, odometry.R_VEL)
         self.rejected_velocity += not ok
         return ok
 
     def update_pose(self, position):
-        ok = self._update(slice(0, 3), np.asarray(position, dtype=float) - self.position, self.cfg.r_pos)
+        innovation = np.asarray(position, dtype=float) - self.position
+        ok = self._update(slice(0, 3), innovation, odometry.R_POS)
         self.rejected_pose += not ok
         return ok
 
@@ -196,15 +195,14 @@ class TestSourceStreams:
 class TestEkfCore:
     def test_scalar_kalman_oracle_single_axis(self):
         # one velocity update on a still filter matches the scalar formula
-        cfg = EkfConfig(q_vel=0.0)
         p0 = 0.04
-        ekf = _ekf(cov=p0, cfg=cfg)
+        ekf = _ekf(cov=p0)
         z = np.array([0.3, 0.0, 0.0])
         ekf.update_velocity(z)
-        k = p0 / (p0 + cfg.r_vel)
+        k = p0 / (p0 + odometry.R_VEL)
         assert ekf.velocity[0] == pytest.approx(k * 0.3, rel=1e-12)
         # Joseph form posterior variance
-        expect_var = (1 - k) ** 2 * p0 + k**2 * cfg.r_vel
+        expect_var = (1 - k) ** 2 * p0 + k**2 * odometry.R_VEL
         assert ekf.cov[1, 1] == pytest.approx(expect_var, rel=1e-12)
 
     def test_predict_integrates_position(self):
@@ -218,8 +216,9 @@ class TestEkfCore:
         with pytest.raises(ValueError):
             ekf.predict(np.array([1.0, 0, 0, 0]), dt=0.0)
 
-    def test_velocity_update_rotates_body_frame(self):
-        ekf = _ekf(quat=quat_from_yaw(np.pi / 2), cov=1.0, cfg=EkfConfig(r_vel=1e-12))
+    def test_velocity_update_rotates_body_frame(self, monkeypatch):
+        monkeypatch.setattr(odometry, "R_VEL", 1e-12)
+        ekf = _ekf(quat=quat_from_yaw(np.pi / 2), cov=1.0)
         ekf.update_velocity(np.array([1.0, 0.0, 0.0]))
         # body +x at yaw 90 degrees is world +y
         np.testing.assert_allclose(ekf.velocity, [0, 1, 0], atol=1e-5)
@@ -266,9 +265,10 @@ class TestEkfCore:
             odometry._check_psd(np.array(P), "test")
 
     def test_psd_guard_fires_on_negative_variance(self):
-        # a negative process noise density drives the velocity variance
-        # below zero on the first predict
-        ekf = _ekf(cfg=EkfConfig(q_vel=-1.0))
+        # from an indefinite covariance the predicted velocity variance stays
+        # below zero, whatever the process noise adds
+        ekf = _ekf()
+        ekf.cov = np.array([[1e-6, 0.0], [0.0, -1.0]])
         with pytest.raises(RuntimeError, match="positive semi-definiteness in predict"):
             ekf.predict(np.array([1.0, 0, 0, 0]), dt=0.005)
 

@@ -63,6 +63,13 @@ BAD_SCALARS = [
     ("injected_drift", [0.0, INF, 0.0]),
     # one cell larger than the 5 m map
     ("map_resolution", 6.0),
+    # the switches take a YAML bool: a string such as "false" is truthy, so
+    # it used to run the rear camera or the compensation silently
+    ("use_rear_camera", "false"),
+    ("use_rear_camera", 0),
+    ("use_rear_camera", None),
+    ("drift_compensation", "no"),
+    ("drift_compensation", 2),
 ]
 
 STEP = {"type": "step", "x_start": 3.0, "height": 0.1, "depth": 0.8}

@@ -159,8 +159,7 @@ def test_scene_spec_yaml_round_trip(tmp_path):
 
 def test_ground_truth_patch_counts_and_heights(obstacle_hf):
     pose = Pose(np.array([3.2, 1.5, 0.4]), quat_from_yaw(0.0))
-    cloud, clipped = ground_truth_patch(obstacle_hf, pose)
-    assert clipped == 0
+    cloud = ground_truth_patch(obstacle_hf, pose)
     # 0.5/0.0175 -> 29 x 18 grid
     assert len(cloud) == 29 * 18
     # every patch z equals the exact heightfield lookup
@@ -170,14 +169,15 @@ def test_ground_truth_patch_counts_and_heights(obstacle_hf):
 
 def test_ground_truth_patch_clips_at_border(obstacle_hf):
     pose = Pose(np.array([0.1, 1.5, 0.4]), quat_from_yaw(0.0))
-    cloud, clipped = ground_truth_patch(obstacle_hf, pose)
-    assert clipped > 0
-    assert len(cloud) + clipped == 29 * 18
+    cloud = ground_truth_patch(obstacle_hf, pose)
+    # the grid points off the heightfield's x >= 0 edge are dropped
+    assert 0 < len(cloud) < 29 * 18
+    assert (cloud.points[:, 0] >= 0).all()
 
 
 def test_ground_truth_patch_rotates_with_yaw(obstacle_hf):
     pose = Pose(np.array([3.2, 1.5, 0.4]), quat_from_yaw(np.pi / 2))
-    cloud, _ = ground_truth_patch(obstacle_hf, pose)
+    cloud = ground_truth_patch(obstacle_hf, pose)
     rel = cloud.points[:, :2] - pose.position[:2]
     # long axis now along y: x spread < y spread
     assert np.ptp(rel[:, 0]) < np.ptp(rel[:, 1])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from elevsim import sensorsim
 from elevsim.geometry import Pose, quat_conj, quat_from_euler, quat_rotate, rotation_matrix, rotz
+from elevsim.pointcloud import PointCloud
 from elevsim.scene import (
     FlatRegion,
     Heightfield,
@@ -803,6 +804,15 @@ class TestSensorNoise:
         a = inject_sensor_noise(cloud, cam, np.random.default_rng(42))
         b = inject_sensor_noise(cloud, cam, np.random.default_rng(42))
         np.testing.assert_array_equal(a.points, b.points)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_point_at_sensor_origin_rejected_whatever_the_draw(self, seed):
+        # the dropout takes the zero row in about half of these draws
+        cam = replace(default_front_camera(), noise_sigma0=0.01, dropout=0.5)
+        cloud = PointCloud(t=0.0, frame="front", points=np.array([[1.0, 0, 0], [0.0, 0, 0]]))
+        with pytest.raises(ValueError, match="sensor origin"):
+            inject_sensor_noise(cloud, cam, np.random.default_rng(seed))
 
 
 def test_camera_model_validation():
