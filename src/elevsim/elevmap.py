@@ -41,6 +41,16 @@ class SensorVarianceModel:
         return self.base_variance + self.range_coeff * np.asarray(ranges) ** 2
 
 
+def _public_layer(i: int) -> property:
+    """Layer i in logical order: reading it re-aligns the storage first."""
+
+    def read(emap: ElevationMap) -> np.ndarray:
+        emap._realign()
+        return emap._layers[i]
+
+    return property(read)
+
+
 class ElevationMap:
     """Square grid of {height, variance, valid, last_update} cells that
     scrolls with the robot. Single writer; reads are safe between writes.
@@ -60,15 +70,44 @@ class ElevationMap:
         self.n = int(round(size / resolution))
         if self.n < 1:
             raise ValueError(f"map size {size} m rounds to zero {resolution} m cells")
+        center = np.asarray(center, dtype=float)
+        if not np.isfinite(center).all():
+            raise ValueError(f"map center must be finite: {center}")
         # center snapped to the grid so recentering moves whole cells
-        self.center = np.round(np.asarray(center, dtype=float) / resolution) * resolution
-        self.height = np.zeros((self.n, self.n))
-        self.variance = np.zeros((self.n, self.n))
-        self.valid = np.zeros((self.n, self.n), dtype=bool)
-        self.last_update = np.zeros((self.n, self.n))
+        self.center = np.round(center / resolution) * resolution
+        # the layers are a ring: logical cell (i, j) is stored at
+        # ((i + ox) % n, (j + oy) % n), so recenter moves the offset (ox, oy)
+        # and clears the strips that scrolled in, and copies no layer
+        self._layers = (
+            np.zeros((self.n, self.n)),
+            np.zeros((self.n, self.n)),
+            np.zeros((self.n, self.n), dtype=bool),
+            np.zeros((self.n, self.n)),
+        )
+        self._offset = (0, 0)
+        # ring position p < 2n is stored at p mod n: _ring[o:][i] is
+        # (i + o) % n for an offset o, without a modulo per lookup
+        self._ring = np.arange(2 * self.n) % self.n
         self.total_shift = 0.0
         self.last_time = 0.0
         self.skipped_points = 0
+
+    def _realign(self) -> None:
+        """Roll every layer in place back to offset (0, 0)."""
+        if self._offset != (0, 0):
+            for layer in self._layers:
+                layer[:] = self._logical(layer)
+            self._offset = (0, 0)
+
+    def _logical(self, layer: np.ndarray) -> np.ndarray:
+        """A copy of a stored layer (or one of its shape) in logical order."""
+        return np.roll(layer, (-self._offset[0], -self._offset[1]), axis=(0, 1))
+
+    # a layer held across a recenter is in storage order
+    height = _public_layer(0)
+    variance = _public_layer(1)
+    valid = _public_layer(2)
+    last_update = _public_layer(3)
 
     @property
     def origin(self) -> np.ndarray:
@@ -88,16 +127,17 @@ class ElevationMap:
         return idx, ok
 
     def _flat_cells(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row-major flat index into the layers of each in-window point's
-        cell, in point order, and the in-window mask."""
+        """Flat index into the stored layers of each in-window point's cell,
+        in point order, and the in-window mask."""
         idx, ok = self.cell_indices(xy)
         idx = idx.compress(ok, axis=0)
-        return idx[:, 0] * self.n + idx[:, 1], ok
+        ox, oy = self._offset
+        return self._ring[ox:][idx[:, 0]] * self.n + self._ring[oy:][idx[:, 1]], ok
 
     def _flat_layers(self) -> tuple[np.ndarray, ...]:
-        """Flat views of the height, variance, valid and last_update layers."""
-        layers = (self.height, self.variance, self.valid, self.last_update)
-        return tuple(layer.reshape(-1) for layer in layers)
+        """Flat views of the stored height, variance, valid and last_update
+        layers, which `_flat_cells` indexes."""
+        return tuple(layer.reshape(-1) for layer in self._layers)
 
     def integrate_cloud(
         self,
@@ -129,7 +169,7 @@ class ElevationMap:
         dx, dy, dz = (pts - np.asarray(sensor_origin, dtype=float)).T
         ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)
         r_var = model.measurement_variance(ranges)
-        # touched cells in row-major order; per-cell sums keep point order
+        # touched cells in storage order; per-cell sums keep point order
         cells, inv = np.unique(flat, return_inverse=True)
         info_add = np.bincount(inv, weights=1.0 / r_var, minlength=len(cells))
         z_info = np.bincount(inv, weights=pts[:, 2] / r_var, minlength=len(cells))
@@ -168,8 +208,10 @@ class ElevationMap:
         if len(diff) < DRIFT_MIN_POINTS:
             return 0.0
         shift = float(diff.mean())
-        # the masked add beats a flat index here: the valid cells lie in runs
-        np.add(self.height, shift, out=self.height, where=self.valid)
+        # the masked add beats a flat index here: the valid cells lie in
+        # runs. It moves every valid cell alike, so it needs no offset
+        height, _, valid, _ = self._layers
+        np.add(height, shift, out=height, where=valid)
         self.total_shift += shift
         return shift
 
@@ -177,38 +219,37 @@ class ElevationMap:
         """Scroll the window so the robot is centered; cells scrolling out
         are invalidated, retained cells keep their state bit-exactly.
         """
-        k = np.round((np.asarray(robot_xy, dtype=float) - self.center) / self.resolution)
-        k = k.astype(int)
+        robot_xy = np.asarray(robot_xy, dtype=float)
+        k = np.round((robot_xy - self.center) / self.resolution)
+        if not np.isfinite(k).all():
+            raise ValueError(f"robot position must be finite and near the map: {robot_xy}")
         if k[0] == 0 and k[1] == 0:
             return
         # a jump of n or more cells keeps nothing: clamped, it clears all
         n = self.n
-        kx, ky = np.clip(k, -n, n)
-        # each layer scrolls through its flat view: cell (i, j) takes cell
-        # (i + kx, j + ky), row-major s cells on. A copy from a cell that
-        # wraps into the next or previous row lands in a strip cleared below
-        s = int(kx) * n + int(ky)
-        new_x = slice(n - kx, n) if kx > 0 else slice(0, -kx)
-        new_y = slice(n - ky, n) if ky > 0 else slice(0, -ky)
-        for arr in (self.height, self.variance, self.last_update, self.valid):
-            flat = arr.reshape(-1)
-            if s > 0:
-                flat[:-s] = flat[s:]
-            elif s < 0:
-                flat[-s:] = flat[:s]
-            arr[new_x] = 0  # clear the strips that scrolled in (False in valid)
-            arr[:, new_y] = 0
+        kx, ky = (int(v) for v in np.clip(k, -n, n))
+        # cell (i, j) takes cell (i + kx, j + ky): the offset moves by the
+        # jump, and the stored rows and columns between the old and the new
+        # offset are the strips that scrolled in
+        ox, oy = self._offset
+        new_ox, new_oy = (ox + kx) % n, (oy + ky) % n
+        rows = _ring_slices(ox if kx > 0 else new_ox, abs(kx), n)
+        cols = _ring_slices(oy if ky > 0 else new_oy, abs(ky), n)
+        for layer in self._layers:
+            for r in rows:
+                layer[r] = 0  # False in valid
+            for c in cols:
+                layer[:, c] = 0
+        self._offset = (new_ox, new_oy)
         self.center = self.center + k * self.resolution
 
     def query_height(self, x: float, y: float) -> tuple[float, float] | None:
         """Valid in-window cell state as (height, variance), else None."""
-        idx, ok = self.cell_indices(np.array([[x, y]]))
-        if not ok[0]:
+        flat, ok = self._flat_cells(np.array([[x, y]]))
+        height, variance, valid, _ = self._flat_layers()
+        if not ok[0] or not valid[flat[0]]:
             return None
-        ix, iy = idx[0]
-        if not self.valid[ix, iy]:
-            return None
-        return float(self.height[ix, iy]), float(self.variance[ix, iy])
+        return float(height[flat[0]]), float(variance[flat[0]])
 
     def query_heights(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized query: (heights with NaN for missing, valid mask)."""
@@ -245,8 +286,13 @@ class ElevationMap:
         R = base_pose.yaw_rotation[:2, :2]
         local = rel @ R  # world -> base-aligned
         inside = (np.abs(local[:, 0]) <= region[0] / 2) & (np.abs(local[:, 1]) <= region[1] / 2)
-        inside &= self.valid[i0:i1, j0:j1].ravel()
-        return np.column_stack([gx[inside], gy[inside], self.height[i0:i1, j0:j1].ravel()[inside]])
+        # the window's stored cells, gathered in logical row-major order
+        ox, oy = self._offset
+        rows = self._ring[ox + i0:ox + i1] * self.n
+        cells = (rows[:, None] + self._ring[oy + j0:oy + j1]).ravel()
+        height, _, valid, _ = self._flat_layers()
+        inside &= valid[cells]
+        return np.column_stack([gx[inside], gy[inside], height[cells[inside]]])
 
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
@@ -255,8 +301,17 @@ class ElevationMap:
                 f" shift={self.total_shift}\n"
             )
             f.write("# height layer\n")
-            h = np.where(self.valid, self.height, np.nan)
+            height, variance, valid, _ = self._layers
+            h = self._logical(np.where(valid, height, np.nan))
             np.savetxt(f, h, delimiter=",", fmt="%.9g")
             f.write("# variance layer\n")
-            v = np.where(self.valid, self.variance, np.nan)
+            v = self._logical(np.where(valid, variance, np.nan))
             np.savetxt(f, v, delimiter=",", fmt="%.9g")
+
+
+def _ring_slices(start: int, length: int, n: int) -> tuple[slice, ...]:
+    """Slices of the `length` (at most n) ring positions from `start` on."""
+    end = start + length
+    if end <= n:
+        return (slice(start, end),)
+    return slice(start, n), slice(0, end - n)

@@ -72,6 +72,11 @@ class HeightNoiseState:
     def __post_init__(self):
         self.bias_sigma = np.asarray(self.bias_sigma, dtype=float).reshape(3)
         self.bias = np.asarray(self.bias, dtype=float).reshape(3)
+        # NaN fails both comparisons, so it is rejected too
+        for key in ("sample_sigma", "bias_sigma"):
+            value = np.asarray(getattr(self, key))
+            if not ((value >= 0) & (value < np.inf)).all():
+                raise ValueError(f"{key} must be non-negative and finite: {getattr(self, key)}")
 
     def maybe_resample(self, t: float, rng: np.random.Generator) -> None:
         if self.last_resample is None or t - self.last_resample >= BIAS_RESAMPLE_PERIOD:

@@ -42,10 +42,16 @@ class RewardConfig:
     tau_limit: float = GO1_TORQUE_LIMIT
 
     def __post_init__(self):
+        values = {f"weights[{name!r}]": w for name, w in self.weights.items()}
+        for key in ("tracking_sigma", "air_time_target", "negative_scale", "tau_limit"):
+            values[key] = getattr(self, key)
+        for key, value in values.items():
+            if not np.isfinite(value):
+                raise ValueError(f"{key} must be finite: {value}")
         if self.tracking_sigma <= 0:
-            raise ValueError("tracking sigma must be positive")
+            raise ValueError(f"tracking_sigma must be positive: {self.tracking_sigma}")
         if not (0 < self.negative_scale <= 1):
-            raise ValueError("negative-total scale must be in (0, 1]")
+            raise ValueError(f"negative_scale must be in (0, 1]: {self.negative_scale}")
 
 
 def phi(x, sigma: float = 0.25) -> float:

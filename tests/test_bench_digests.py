@@ -1,5 +1,6 @@
-"""One seed-3 pass of each benchmark workload must give the outputs digest
-that `perfbench/run.py` prints for it. A change that means to alter the
+"""One seed-3 pass of each benchmark workload, and a seed-0 and a seed-11
+pass of `sweep_fine_map`, must give the outputs digest that
+`perfbench/run.py` prints for it. A change that means to alter the
 outputs' bits updates the digests here and says so.
 
 `perfbench/workloads.py` is read and executed in memory, so no bytecode is
@@ -25,6 +26,8 @@ DIGESTS = {
     "fusion_vio_noisy": "79d4f496af3397bf",
     "sweep_fine_map": "c16f1c22679615c6",
 }
+# the workload whose map scrolls on nearly every control tick, at two more seeds
+SWEEP_DIGESTS = {0: "082bd424049b6841", 11: "b90ccd869e580b01"}
 
 
 def digest(rows: list[dict]) -> str:
@@ -44,13 +47,21 @@ def workloads():
     return module.WORKLOADS
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_seed3_pass_digest(workloads, name, tmp_path):
-    wl = workloads[name]
+def _pass_digest(wl, seed: int, tmp_path) -> str:
     if wl.sweep:
-        rows = run_step_sweep(ScenarioConfig.from_dict(wl.config(SEED, str(tmp_path))))
+        rows = run_step_sweep(ScenarioConfig.from_dict(wl.config(seed, str(tmp_path))))
     else:
-        rows = [run_scenario(ScenarioConfig.from_dict(wl.config(SEED))).metrics]
+        rows = [run_scenario(ScenarioConfig.from_dict(wl.config(seed))).metrics]
     outputs = [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
     assert len(outputs) == wl.scenarios_per_pass()
-    assert digest(outputs) == DIGESTS[name]
+    return digest(outputs)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_seed3_pass_digest(workloads, name, tmp_path):
+    assert _pass_digest(workloads[name], SEED, tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("seed", sorted(SWEEP_DIGESTS))
+def test_sweep_fine_map_digest(workloads, seed, tmp_path):
+    assert _pass_digest(workloads["sweep_fine_map"], seed, tmp_path) == SWEEP_DIGESTS[seed]

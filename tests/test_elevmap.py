@@ -243,10 +243,12 @@ class TestRecenter:
                 emap.variance[:] = rng.uniform(0.1, 1.0, (n, n))
                 emap.last_update[:] = rng.uniform(0.0, 5.0, (n, n))
                 emap.valid[:] = rng.random((n, n)) < 0.7
-                layers = (emap.height, emap.variance, emap.last_update, emap.valid)
-                expect = [arr.copy() for arr in layers]
+                names = ("height", "variance", "last_update", "valid")
+                expect = [getattr(emap, k).copy() for k in names]
                 oracle(expect, kx, ky)
                 emap.recenter(emap.center + np.array([kx, ky]) * res)
+                # read after the call: a layer held across it is in storage order
+                layers = [getattr(emap, k) for k in names]
                 for got, ref in zip(layers, expect, strict=True):
                     assert got.tobytes() == ref.tobytes(), (kx, ky)
                 np.testing.assert_array_equal(emap.center, np.array([kx, ky]) * res)
@@ -599,3 +601,37 @@ class TestRecenterJumps:
         assert not emap.valid.any()
         assert not emap.height.any() and not emap.variance.any() and not emap.last_update.any()
         np.testing.assert_allclose(emap.center, [cells * 0.025, 0.0], atol=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("xy", [(np.nan, 0.0), (0.0, -np.inf), (np.inf, np.nan)])
+    def test_non_finite_robot_position_rejected(self, xy):
+        # a NaN used to cast to int with a warning and move the center to -2.3e17
+        emap = ElevationMap(resolution=0.025, size=5.0)
+        with pytest.raises(ValueError, match="robot position"):
+            emap.recenter(np.array(xy))
+        np.testing.assert_array_equal(emap.center, [0.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_jump_that_overflows_rejected(self):
+        # 1e308 m is finite, but its jump in cells is not
+        emap = ElevationMap(resolution=0.025, size=5.0)
+        with pytest.raises(ValueError, match="robot position"):
+            emap.recenter(np.array([1e308, 0.0]))
+        np.testing.assert_array_equal(emap.center, [0.0, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [1e300, -1e300, 1e20])
+    def test_huge_jump_clears_and_moves_the_center_by_the_whole_jump(self, x):
+        # the jump is clamped to the map width only after the float round,
+        # so no cast warns, and the center moves by the unclamped jump (1e300
+        # used to move it to -2.3e17, the wrong direction)
+        emap = ElevationMap(resolution=0.025, size=5.0)
+        emap.integrate_cloud(_cloud([[0.0, 0.0, 0.2]]), ORIGIN, _model(), 1.0)
+        emap.recenter(np.array([x, 0.0]))
+        assert not emap.valid.any()
+        assert emap.center[0] == np.round(x / 0.025) * 0.025 and emap.center[1] == 0.0
+
+    @pytest.mark.parametrize("center", [(np.nan, 0.0), (0.0, np.inf)])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValueError, match="map center"):
+            ElevationMap(resolution=0.025, size=5.0, center=center)

@@ -163,6 +163,12 @@ BAD_CONFIGS = {
     "success_fill_negative": ({"success": {"max_fill_fraction": -0.1}}, NO_SUCCESS),
     "success_fill_inf": ({"success": {"max_fill_fraction": INF}}, NO_SUCCESS),
     "success_margin_nan": ({"success": {"window_margin": NAN}}, NO_SUCCESS),
+    # the height noise is validated and then discarded: these used to pass
+    "height_sample_sigma_nan": ({"height_noise": {"sample_sigma": NAN}}, "sample_sigma"),
+    "height_sample_sigma_negative": (
+        {"height_noise": {"sample_sigma": -1.0}}, "sample_sigma must be non-negative"
+    ),
+    "height_bias_sigma_inf": ({"height_noise": {"bias_sigma": [INF, 0, 0]}}, "bias_sigma"),
 }
 
 

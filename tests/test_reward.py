@@ -145,3 +145,28 @@ class TestConfig:
     def test_invalid_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             RewardConfig(negative_scale=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            # NaN passed the `<= 0` test; the target and the limit were not checked
+            ({"tracking_sigma": float("nan")}, "tracking_sigma"),
+            ({"tracking_sigma": float("inf")}, "tracking_sigma"),
+            ({"air_time_target": float("nan")}, "air_time_target"),
+            ({"air_time_target": float("-inf")}, "air_time_target"),
+            ({"negative_scale": float("nan")}, "negative_scale"),
+            ({"tau_limit": float("inf")}, "tau_limit"),
+            ({"tau_limit": float("nan")}, "tau_limit"),
+            ({"weights": {**DEFAULT_WEIGHTS, "collisions": float("nan")}}, "collisions"),
+            ({"weights": {**DEFAULT_WEIGHTS, "lin_vel_track": float("-inf")}}, "lin_vel_track"),
+        ],
+    )
+    def test_non_finite_field_rejected(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"{key}.*must be finite"):
+            RewardConfig(**kwargs)
+
+    def test_sign_rules_name_the_field(self):
+        with pytest.raises(ValueError, match="tracking_sigma must be positive"):
+            RewardConfig(tracking_sigma=-0.25)
+        with pytest.raises(ValueError, match="negative_scale must be in"):
+            RewardConfig(negative_scale=1.5)
