@@ -41,18 +41,14 @@ def _config_error(path: Path, e: Exception) -> int:
 def cmd_run(args) -> int:
     try:
         cfg = pipeline.ScenarioConfig.from_yaml(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
+        flags = {"seed": args.seed, "odometry": args.odometry,
+                 "snapshot_every": args.snapshot_every}
+        overrides = {key: value for key, value in flags.items() if value is not None}
         if args.out is not None or cfg.out_dir is None:
             overrides["out_dir"] = args.out or Path("elevsim_out")
         if args.no_rear_camera:
             overrides["use_rear_camera"] = False
             overrides["tag"] = (cfg.tag + "+no-rear") if cfg.tag else "no-rear"
-        if args.odometry is not None:
-            overrides["odometry"] = args.odometry
-        if args.snapshot_every is not None:
-            overrides["snapshot_every"] = args.snapshot_every
         cfg = replace(cfg, **overrides)
     except Exception as e:  # config errors get a diagnostic, nonzero exit
         return _config_error(args.config, e)

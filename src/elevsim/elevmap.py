@@ -9,12 +9,14 @@ between the incoming cloud and the map, applied before integration.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Pose
 from .pointcloud import PointCloud
+from .schema import FINITE, NON_NEGATIVE, POSITIVE, Validated, check, rule
 
 DEFAULT_RESOLUTION = 0.025
 DEFAULT_SIZE = 5.0  # also the largest map
@@ -24,18 +26,11 @@ DRIFT_GATE = 0.03
 DRIFT_MIN_POINTS = 20
 
 
-@dataclass
-class SensorVarianceModel:
-    base_variance: float = 1e-4  # m^2 at zero range
-    range_coeff: float = 1e-4  # m^2 per m^2 of range
-    time_variance_rate: float = 3e-7  # m^2 per second of cell staleness
-
-    def __post_init__(self):
-        if not 0 < self.base_variance < np.inf:
-            raise ValueError(f"base_variance must be positive and finite: {self.base_variance}")
-        for key in ("range_coeff", "time_variance_rate"):
-            if not 0 <= getattr(self, key) < np.inf:
-                raise ValueError(f"{key} must be non-negative and finite: {getattr(self, key)}")
+@dataclass(frozen=True)
+class SensorVarianceModel(Validated):
+    base_variance: float = rule(POSITIVE, default=1e-4)  # m^2 at zero range
+    range_coeff: float = rule(NON_NEGATIVE, default=1e-4)  # m^2 per m^2 of range
+    time_variance_rate: float = rule(NON_NEGATIVE, default=3e-7)  # m^2 per s of staleness
 
     def measurement_variance(self, ranges: np.ndarray) -> np.ndarray:
         return self.base_variance + self.range_coeff * np.asarray(ranges) ** 2
@@ -62,17 +57,13 @@ class ElevationMap:
         size: float = DEFAULT_SIZE,
         center=(0.0, 0.0),
     ):
-        if not 0 < resolution < np.inf:
-            raise ValueError("resolution must be positive and finite")
+        self.resolution = check("resolution", resolution, POSITIVE)
         if not 0 < size <= DEFAULT_SIZE + 1e-9:
             raise ValueError(f"map size must be in (0, {DEFAULT_SIZE}] m")
-        self.resolution = float(resolution)
         self.n = int(round(size / resolution))
         if self.n < 1:
             raise ValueError(f"map size {size} m rounds to zero {resolution} m cells")
-        center = np.asarray(center, dtype=float)
-        if not np.isfinite(center).all():
-            raise ValueError(f"map center must be finite: {center}")
+        center = check("map center", center, FINITE, 2)
         # center snapped to the grid so recentering moves whole cells
         self.center = np.round(center / resolution) * resolution
         # the layers are a ring: logical cell (i, j) is stored at
@@ -220,9 +211,10 @@ class ElevationMap:
         are invalidated, retained cells keep their state bit-exactly.
         """
         robot_xy = np.asarray(robot_xy, dtype=float)
-        k = np.round((robot_xy - self.center) / self.resolution)
-        if not np.isfinite(k).all():
+        jump = robot_xy - self.center  # bounded before the divide, which it could overflow
+        if not (np.abs(jump) < self.resolution * sys.float_info.max).all():
             raise ValueError(f"robot position must be finite and near the map: {robot_xy}")
+        k = np.round(jump / self.resolution)
         if k[0] == 0 and k[1] == 0:
             return
         # a jump of n or more cells keeps nothing: clamped, it clears all

@@ -9,12 +9,13 @@ redrawn on a fixed period. Frames are concatenated through a 10-step history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .elevmap import ElevationMap
 from .geometry import Pose, yaw_aligned_grid
+from .schema import FINITE, NON_NEGATIVE, Validated, rule
 from .sensorsim import TRUNK_HEIGHT
 
 HEIGHT_GRID = (11, 7)  # samples along forward (x) and lateral (y)
@@ -63,20 +64,11 @@ def sample_heights(
 
 
 @dataclass
-class HeightNoiseState:
-    sample_sigma: float = 0.01
-    bias_sigma: np.ndarray = field(default_factory=lambda: np.array([0.02, 0.02, 0.02]))
-    bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
+class HeightNoiseState(Validated):
+    sample_sigma: float = rule(NON_NEGATIVE, default=0.01)
+    bias_sigma: np.ndarray = rule(NON_NEGATIVE, 3, default=(0.02, 0.02, 0.02))
+    bias: np.ndarray = rule(FINITE, 3, default=(0.0, 0.0, 0.0))
     last_resample: float | None = None
-
-    def __post_init__(self):
-        self.bias_sigma = np.asarray(self.bias_sigma, dtype=float).reshape(3)
-        self.bias = np.asarray(self.bias, dtype=float).reshape(3)
-        # NaN fails both comparisons, so it is rejected too
-        for key in ("sample_sigma", "bias_sigma"):
-            value = np.asarray(getattr(self, key))
-            if not ((value >= 0) & (value < np.inf)).all():
-                raise ValueError(f"{key} must be non-negative and finite: {getattr(self, key)}")
 
     def maybe_resample(self, t: float, rng: np.random.Generator) -> None:
         if self.last_resample is None or t - self.last_resample >= BIAS_RESAMPLE_PERIOD:

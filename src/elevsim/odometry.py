@@ -17,52 +17,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import quat_mul, quat_normalize, quat_rotate
+from .schema import FINITE, NON_NEGATIVE, Validated, rule
 from .sensorsim import Trajectory
 
 
-def _check_non_negative(obj, *keys: str) -> None:
-    """Each named field must be finite and >= 0 (NaN fails too)."""
-    for key in keys:
-        value = np.asarray(getattr(obj, key), dtype=float)
-        if not ((value >= 0) & (value < np.inf)).all():
-            raise ValueError(f"{key} must be non-negative and finite: {getattr(obj, key)}")
+@dataclass(frozen=True)
+class EstimatorErrors(Validated):
+    vel_sigma: np.ndarray = rule(NON_NEGATIVE, 3, default=(0.02, 0.02, 0.01))
+    bias: np.ndarray = rule(FINITE, 3, default=(0.03, 0.02, 0.02))
 
 
-@dataclass
-class EstimatorErrors:
-    vel_sigma: np.ndarray = field(default_factory=lambda: np.array([0.02, 0.02, 0.01]))
-    bias: np.ndarray = field(default_factory=lambda: np.array([0.03, 0.02, 0.02]))
-
-    def __post_init__(self):
-        self.vel_sigma = np.asarray(self.vel_sigma, dtype=float)
-        self.bias = np.asarray(self.bias, dtype=float)
-        _check_non_negative(self, "vel_sigma")
-        if not np.isfinite(self.bias).all():
-            raise ValueError(f"bias must be finite: {self.bias}")
+@dataclass(frozen=True)
+class ImuErrors(Validated):
+    orient_sigma: float = rule(NON_NEGATIVE, default=0.002)  # rad, per-axis small-angle
 
 
-@dataclass
-class ImuErrors:
-    orient_sigma: float = 0.002  # rad, per-axis small-angle
-
-    def __post_init__(self):
-        _check_non_negative(self, "orient_sigma")
-
-
-@dataclass
-class VioErrors:
-    walk_rate: float = 0.005  # m / sqrt(s) position random walk
-    sample_sigma: float = 0.01  # m per-sample noise
+@dataclass(frozen=True)
+class VioErrors(Validated):
+    walk_rate: float = rule(NON_NEGATIVE, default=0.005)  # m / sqrt(s) position random walk
+    sample_sigma: float = rule(NON_NEGATIVE, default=0.01)  # m per-sample noise
     dropouts: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        _check_non_negative(self, "walk_rate", "sample_sigma")
+        super().__post_init__()
+        object.__setattr__(self, "dropouts", tuple(tuple(w) for w in self.dropouts))
         for w in self.dropouts:
             if len(w) != 2 or not (np.isfinite(w).all() and w[0] < w[1]):
                 raise ValueError(f"vio dropouts must be finite (t0, t1) pairs with t0 < t1: {w}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceErrorModel:
     estimator: EstimatorErrors = field(default_factory=EstimatorErrors)
     imu: ImuErrors = field(default_factory=ImuErrors)

@@ -29,6 +29,7 @@ from .odometry import (
     fuse_streams,
     make_source_streams,
 )
+from .schema import BOOL, COUNT, FINITE, POSITIVE, Validated, check, interval, rule
 from .sensorsim import (
     Q_STAND,
     CameraModel,
@@ -48,6 +49,8 @@ CLOUD_EVERY = SIM_RATE // 30
 CHAMFER_EVERY = SIM_RATE // 20
 
 ODOMETRY_MODES = ("gt", "ekf-vio", "ekf-novio")
+# one cell may not outgrow the map
+MAP_RESOLUTION = interval(f"in (0, {DEFAULT_SIZE}] m", 0.0, DEFAULT_SIZE, hi_closed=True)
 
 
 # Map-quality proxy for step traversal: the run counts as a success if the
@@ -59,58 +62,37 @@ SUCCESS_MAX_FILL_FRACTION = 0.0
 STEP_WINDOW_MARGIN = 0.5  # meters before/after the obstacle footprint
 
 
-@dataclass
-class ScenarioConfig:
+@dataclass(frozen=True)
+class ScenarioConfig(Validated):
     scene_spec: scene.SceneSpec
     profile: CommandProfile
-    seed: int = 0
+    seed: int = rule(COUNT, default=0)
     odometry: str = "gt"
-    use_rear_camera: bool = True
-    drift_compensation: bool = True
-    injected_drift: np.ndarray = (0.0, 0.0, 0.0)  # m/s
+    use_rear_camera: bool = rule(BOOL, default=True)
+    drift_compensation: bool = rule(BOOL, default=True)
+    injected_drift: np.ndarray = rule(FINITE, 3, default=(0.0, 0.0, 0.0))  # m/s
     front_camera: CameraModel = field(default_factory=default_front_camera)
     rear_camera: CameraModel = field(default_factory=default_rear_camera)
     source_errors: SourceErrorModel = field(default_factory=SourceErrorModel)
-    map_resolution: float = DEFAULT_RESOLUTION
-    start_xy: tuple[float, float | None] = (0.8, None)
-    start_yaw: float = 0.0
+    map_resolution: float = rule(MAP_RESOLUTION, default=DEFAULT_RESOLUTION)
+    start_xy: tuple[float, float | None] = rule(coerce=tuple, default=(0.8, None))
+    start_yaw: float = rule(FINITE, default=0.0)
     sweep_step_heights: list[float] | None = None
-    out_dir: Path | None = None
-    snapshot_every: float | None = None
+    out_dir: Path | None = rule(coerce=Path, optional=True, default=None)
+    snapshot_every: float | None = rule(POSITIVE, optional=True, default=None)
     tag: str = ""
 
     def __post_init__(self):
+        super().__post_init__()
         if self.odometry not in ODOMETRY_MODES:
             raise ValueError(f"odometry mode must be one of {ODOMETRY_MODES}")
-        for key in ("use_rear_camera", "drift_compensation"):
-            if not isinstance(getattr(self, key), bool):
-                raise ValueError(f"{key} must be true or false: {getattr(self, key)!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer: {seed!r}")
-        self.injected_drift = np.asarray(self.injected_drift, dtype=float).reshape(3)
-        if not np.isfinite(self.injected_drift).all():
-            raise ValueError(f"injected_drift must be finite: {self.injected_drift}")
-        self.start_xy = tuple(self.start_xy)
-        if self.out_dir is not None:
-            self.out_dir = Path(self.out_dir)
-        # one cell may not outgrow the map
-        if not 0 < self.map_resolution <= DEFAULT_SIZE:
-            raise ValueError(
-                f"map_resolution must be in (0, {DEFAULT_SIZE}] m: {self.map_resolution}"
-            )
         sx, sy = self.start_xy
-        if not np.isfinite([sx, 0.0 if sy is None else sy]).all():
-            raise ValueError(f"start_xy must be finite: {self.start_xy}")
-        if not np.isfinite(self.start_yaw):
-            raise ValueError(f"start_yaw must be finite: {self.start_yaw}")
+        check("start_xy", (sx, 0.0 if sy is None else sy), FINITE, 2)
         # the start footprint must lie on the grid that build_scene will make
         res = scene.GT_PATCH_RESOLUTION
         nx, ny = scene.grid_shape(self.scene_spec, res)
         grid = scene.Heightfield(res, (0.0, 0.0), np.zeros(nx), ny)
         check_start(grid, self.start_xy, self.start_yaw)
-        if self.snapshot_every is not None and not 0 < self.snapshot_every < np.inf:
-            raise ValueError(f"snapshot_every must be positive and finite: {self.snapshot_every}")
         if self.sweep_step_heights:
             if self.snapshot_every is not None:
                 raise ValueError("snapshot_every is not supported in a step sweep")
@@ -144,44 +126,27 @@ class ScenarioConfig:
             if not (two and isinstance(seg[1], (list, tuple))):
                 raise ValueError(f"command segment {i} is not {pair}: {seg!r}")
         profile = CommandProfile([(float(dur), tuple(c)) for dur, c in cmd])
-        # scalar knobs: the fields with a plain default, coerced in __post_init__
+        # scalar knobs: the fields with a plain default, coerced by their rules
         scalars = {f.name for f in fields(cls) if f.default is not MISSING}
         kwargs = {key: d.pop(key) for key in scalars & d.keys()}
         if "sensor_noise" in d:
             sn = _section(d, "sensor_noise", ("sigma0", "k", "dropout"))
-            for cam_key in ("front_camera", "rear_camera"):
-                cam = (
-                    default_front_camera()
-                    if cam_key == "front_camera"
-                    else default_rear_camera()
-                )
-                kwargs[cam_key] = replace(
-                    cam,
-                    noise_sigma0=float(sn.get("sigma0", 0.0)),
-                    noise_k=float(sn.get("k", 0.0)),
-                    dropout=float(sn.get("dropout", 0.0)),
-                )
+            for key, camera in (("front_camera", default_front_camera),
+                                ("rear_camera", default_rear_camera)):
+                kwargs[key] = replace(camera(), noise_sigma0=sn.get("sigma0", 0.0),
+                                      noise_k=sn.get("k", 0.0), dropout=sn.get("dropout", 0.0))
         if "height_noise" in d:
             # the policy's observation noise: no run output reads it, so the
             # section is validated and then discarded
             hn = _section(d, "height_noise", ("sample_sigma", "bias_sigma"))
-            obsbuilder.HeightNoiseState(
-                sample_sigma=float(hn.get("sample_sigma", 0.0)),
-                bias_sigma=np.asarray(hn.get("bias_sigma", [0, 0, 0]), dtype=float),
-            )
+            obsbuilder.HeightNoiseState(sample_sigma=hn.get("sample_sigma", 0.0),
+                                        bias_sigma=hn.get("bias_sigma", (0.0, 0.0, 0.0)))
         if "source_errors" in d:
             se = _section(d, "source_errors", ("estimator", "imu", "vio"))
             kwargs["source_errors"] = SourceErrorModel(
                 estimator=EstimatorErrors(**se.get("estimator", {})),
                 imu=ImuErrors(**se.get("imu", {})),
-                vio=VioErrors(
-                    **{
-                        **se.get("vio", {}),
-                        "dropouts": tuple(
-                            tuple(w) for w in se.get("vio", {}).get("dropouts", ())
-                        ),
-                    }
-                ),
+                vio=VioErrors(**se.get("vio", {})),
             )
         if d:
             raise ValueError(f"unknown config keys: {sorted(d)}")

@@ -8,10 +8,11 @@ tracking objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .schema import FINITE, POSITIVE, Validated, interval, rule
 from .sensorsim import Q_STAND, TRUNK_HEIGHT, RobotState
 
 # Unitree Go1 joint torque limit (vendor spec, body joints)
@@ -33,25 +34,13 @@ DEFAULT_WEIGHTS = {
 }
 
 
-@dataclass
-class RewardConfig:
-    weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
-    tracking_sigma: float = 0.25
-    air_time_target: float = 0.25
-    negative_scale: float = 0.25
-    tau_limit: float = GO1_TORQUE_LIMIT
-
-    def __post_init__(self):
-        values = {f"weights[{name!r}]": w for name, w in self.weights.items()}
-        for key in ("tracking_sigma", "air_time_target", "negative_scale", "tau_limit"):
-            values[key] = getattr(self, key)
-        for key, value in values.items():
-            if not np.isfinite(value):
-                raise ValueError(f"{key} must be finite: {value}")
-        if self.tracking_sigma <= 0:
-            raise ValueError(f"tracking_sigma must be positive: {self.tracking_sigma}")
-        if not (0 < self.negative_scale <= 1):
-            raise ValueError(f"negative_scale must be in (0, 1]: {self.negative_scale}")
+@dataclass(frozen=True)
+class RewardConfig(Validated):
+    weights: dict[str, float] = rule(FINITE, dict, default_factory=lambda: dict(DEFAULT_WEIGHTS))
+    tracking_sigma: float = rule(POSITIVE, default=0.25)
+    air_time_target: float = rule(FINITE, default=0.25)
+    negative_scale: float = rule(interval("in (0, 1]", 0.0, 1.0, hi_closed=True), default=0.25)
+    tau_limit: float = rule(FINITE, default=GO1_TORQUE_LIMIT)
 
 
 def phi(x, sigma: float = 0.25) -> float:

@@ -63,17 +63,15 @@ class Platform:
 
 
 Primitive = FlatRegion | Step | Platform
+PRIMITIVE_TYPES = {"flat": FlatRegion, "step": Step, "platform": Platform}  # scene dict `type`s
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
     primitives: list[Primitive]
     extent: tuple[float, float]  # world size in x and y, base height z = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if len(self.extent) != 2 or not all(0 < e < math.inf for e in self.extent):
             raise SceneError(f"scene extent must be two positive finite sizes: {self.extent}")
         intervals = []
@@ -139,15 +137,11 @@ class SceneSpec:
         for pd in d.get("primitives", []):
             pd = dict(pd)
             kind = pd.pop("type")
-            if kind == "flat":
-                prims.append(FlatRegion(**pd))
-            elif kind == "step":
-                prims.append(Step(**pd))
-            elif kind == "platform":
-                pd["rise_steps"] = tuple(tuple(r) for r in pd["rise_steps"])
-                prims.append(Platform(**pd))
-            else:
+            if kind not in PRIMITIVE_TYPES:
                 raise SceneError(f"unknown primitive type {kind!r}")
+            if kind == "platform":
+                pd["rise_steps"] = tuple(tuple(r) for r in pd["rise_steps"])
+            prims.append(PRIMITIVE_TYPES[kind](**pd))
         return cls(primitives=prims, extent=tuple(d["extent"]))
 
 

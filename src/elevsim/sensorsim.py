@@ -26,6 +26,7 @@ import numpy as np
 from .geometry import Pose, quat_conj, quat_from_euler, quat_rotate, rotz
 from .pointcloud import PointCloud, empty_cloud
 from .scene import Heightfield, OutOfBoundsError
+from .schema import NON_NEGATIVE, POSITIVE, UNIT, Validated, check, interval, rule
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +50,7 @@ TROT_DUTY = 0.5  # stance fraction of the stride
 SWING_AMPLITUDE = 0.3  # rad, thigh/calf oscillation
 TRUNK_HEIGHT = 0.30  # nominal base height above terrain
 PITCH_TAU = 0.2  # s, terrain-slope low-pass time constant
+FOV = interval("in (0, pi)", 0.0, np.pi)  # a camera's horizontal and vertical field of view
 
 
 @dataclass
@@ -71,30 +73,24 @@ class RobotState:
         return Pose(self.position, self.quat)
 
 
-@dataclass
-class CameraModel:
+@dataclass(frozen=True)
+class CameraModel(Validated):
     name: str
     mount: Pose  # relative to base
-    h_fov: float  # radians
-    v_fov: float
+    h_fov: float = rule(FOV)  # radians
+    v_fov: float = rule(FOV)
     width: int
     height: int
     min_range: float
     max_range: float
-    noise_sigma0: float = 0.0  # range noise: sigma(r) = sigma0 + k * r^2
-    noise_k: float = 0.0
-    dropout: float = 0.0
+    noise_sigma0: float = rule(NON_NEGATIVE, default=0.0)  # sigma(r) = sigma0 + k * r^2
+    noise_k: float = rule(NON_NEGATIVE, default=0.0)
+    dropout: float = rule(UNIT, default=0.0)
 
     def __post_init__(self):
-        if not (0 < self.h_fov < np.pi and 0 < self.v_fov < np.pi):
-            raise ValueError("fov must lie in (0, pi)")
+        super().__post_init__()
         if not (0 <= self.min_range < self.max_range):
             raise ValueError("need 0 <= min_range < max_range")
-        for key in ("noise_sigma0", "noise_k"):
-            if not 0 <= getattr(self, key) < np.inf:
-                raise ValueError(f"{key} must be non-negative and finite: {getattr(self, key)}")
-        if not 0 <= self.dropout < 1:
-            raise ValueError(f"dropout must lie in [0, 1): {self.dropout}")
 
     def ray_directions(self) -> np.ndarray:
         """Unit ray directions in the sensor frame (x forward, y left, z up);
@@ -115,7 +111,7 @@ def _unit_rays(h_fov: float, v_fov: float, width: int, height: int) -> np.ndarra
     return dirs
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommandProfile:
     """Piecewise-constant (v_x, v_y, w_z) command segments."""
 
@@ -207,8 +203,7 @@ def simulate_trajectory(
     and flagged; a start pose whose footprint is off the heightfield is an
     OutOfBoundsError (a ValueError).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dt = check("dt", dt, POSITIVE)
     n = int(round(profile.total_duration / dt)) + 1
     t = np.arange(n) * dt
     cmd = profile.at(t)

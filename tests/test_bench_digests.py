@@ -18,6 +18,9 @@ import pytest
 
 from elevsim.pipeline import ScenarioConfig, run_scenario, run_step_sweep
 
+# a failure also reports this host's BLAS core and SIMD targets (conftest.py)
+pytestmark = pytest.mark.host_bits
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 SEED = 3

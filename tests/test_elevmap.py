@@ -611,9 +611,10 @@ class TestRecenterJumps:
             emap.recenter(np.array(xy))
         np.testing.assert_array_equal(emap.center, [0.0, 0.0])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_jump_that_overflows_rejected(self):
-        # 1e308 m is finite, but its jump in cells is not
+        # 1e308 m is finite, but its jump in cells is not; the jump is bounded
+        # before the divide, which used to warn about the overflow first
         emap = ElevationMap(resolution=0.025, size=5.0)
         with pytest.raises(ValueError, match="robot position"):
             emap.recenter(np.array([1e308, 0.0]))

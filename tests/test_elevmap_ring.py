@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from elevsim.elevmap import ElevationMap, SensorVarianceModel
@@ -162,7 +162,10 @@ def _operations(n: int):
     )
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+# no shrink phase: shrinking 30-operation sequences on maps of up to 400 cells
+# took minutes and about 800 MB to report a failure
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(data=st.data(), n=st.integers(6, 20), seed=st.integers(0, 2**32 - 1))
 def test_ring_matches_flat_scroll_oracle(data, n, seed):
     seq = Sequence(n, seed)

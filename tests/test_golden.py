@@ -23,6 +23,9 @@ import pytest
 
 from elevsim.pipeline import ScenarioConfig, run_scenario, run_step_sweep
 
+# a failure also reports this host's BLAS core and SIMD targets (conftest.py)
+pytestmark = pytest.mark.host_bits
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 SENSOR_NOISE = {"sigma0": 0.003, "k": 0.005, "dropout": 0.02}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,11 @@ def _noiseless_model(bias=(0.0, 0.0, 0.0)):
         imu=ImuErrors(orient_sigma=0.0),
         vio=VioErrors(walk_rate=0.0, sample_sigma=0.0),
     )
+
+
+def _with_dropouts(model, dropouts):
+    """`model` with its VIO dropout windows replaced; configs are frozen."""
+    return replace(model, vio=replace(model.vio, dropouts=dropouts))
 
 
 def _ekf(position=(0, 0, 0), velocity=(0, 0, 0), quat=(1.0, 0, 0, 0), cov=None):
@@ -153,7 +160,7 @@ class TestSourceStreams:
     @pytest.mark.parametrize("noisy", [True, False])
     def test_matches_sample_by_sample_reference(self, short_trajectory, noisy):
         model = SourceErrorModel() if noisy else _noiseless_model(bias=(0.01, 0.0, 0.0))
-        model.vio.dropouts = ((0.5, 1.0),)
+        model = _with_dropouts(model, ((0.5, 1.0),))
         streams = make_source_streams(short_trajectory, model, seed=7)
         for name, expected in _reference_streams(short_trajectory, model, seed=7).items():
             got = getattr(streams, name)
@@ -184,8 +191,7 @@ class TestSourceStreams:
         np.testing.assert_allclose(errs, np.broadcast_to(bias, errs.shape), atol=1e-12)
 
     def test_vio_dropout_windows_excluded(self, short_trajectory):
-        model = _noiseless_model()
-        model.vio.dropouts = ((0.5, 1.0),)
+        model = _with_dropouts(_noiseless_model(), ((0.5, 1.0),))
         streams = make_source_streams(short_trajectory, model, seed=0)
         ts = streams.vio_t
         assert len(ts) == len(streams.vio_pos)

@@ -93,6 +93,13 @@ def _reference_trajectory(profile, hf, dt, start_xy, start_yaw):
 
 
 class TestTrajectory:
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
+    def test_bad_step_rejected(self, flat_hf, dt):
+        # NaN passed the old `dt <= 0` test and failed with an unnamed int
+        # cast; an infinite step gave a one-tick trajectory
+        with pytest.raises(ValueError, match="dt must be"):
+            simulate_trajectory(CommandProfile.constant((0.5, 0.0, 0.0), 1.0), flat_hf, dt=dt)
+
     @pytest.mark.parametrize(
         "profile, scene, start_xy, start_yaw",
         [
