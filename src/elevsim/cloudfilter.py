@@ -39,9 +39,17 @@ def remove_outliers(cloud: PointCloud) -> PointCloud:
     # same neighbor distances
     tree = cKDTree(cloud.points, balanced_tree=False)
     dists, _ = tree.query(cloud.points, k=OUTLIER_K + 1)  # first neighbor is the point itself
-    mean_d = dists[:, 1:].mean(axis=1)
+    mean_d = _neighbor_mean(dists)
     keep = mean_d <= mean_d.mean() + OUTLIER_STD_RATIO * mean_d.std()
     return cloud.select(keep)
+
+
+def _neighbor_mean(dists: np.ndarray) -> np.ndarray:
+    """`dists[:, 1:].mean(axis=1)` for OUTLIER_K = 8, as a sum of columns in
+    the order of numpy's 8-wide pairwise block, which gives its bits without
+    its strided short-axis reduction."""
+    _, c1, c2, c3, c4, c5, c6, c7, c8 = dists.T
+    return (((c1 + c2) + (c3 + c4)) + ((c5 + c6) + (c7 + c8))) / 8
 
 
 def voxel_downsample(cloud: PointCloud, resolution: float) -> PointCloud:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import Pose
 from .pointcloud import PointCloud
-from .schema import FINITE, NON_NEGATIVE, POSITIVE, Validated, check, rule
+from .schema import NON_NEGATIVE, POSITIVE, Validated, check, interval, rule
 
 DEFAULT_RESOLUTION = 0.025
 DEFAULT_SIZE = 5.0  # also the largest map
@@ -63,7 +63,12 @@ class ElevationMap:
         self.n = int(round(size / resolution))
         if self.n < 1:
             raise ValueError(f"map size {size} m rounds to zero {resolution} m cells")
-        center = check("map center", center, FINITE, 2)
+        # a center and a robot position within this reach of the origin keep
+        # center / resolution, the jump between them and the jump in cells
+        # finite; recenter moves the center at most half a cell past it
+        self._reach = reach = min(1.0, self.resolution) * sys.float_info.max / 4
+        within = interval(f"within {reach:.3g} m of the origin", -reach, reach, True, True)
+        center = check("map center", center, within, 2)
         # center snapped to the grid so recentering moves whole cells
         self.center = np.round(center / resolution) * resolution
         # the layers are a ring: logical cell (i, j) is stored at
@@ -79,6 +84,13 @@ class ElevationMap:
         # ring position p < 2n is stored at p mod n: _ring[o:][i] is
         # (i + o) % n for an offset o, without a modulo per lookup
         self._ring = np.arange(2 * self.n) % self.n
+        # integrate_cloud's per-cell slots: only the touched ones, each
+        # written before it is read, so np.empty's untouched pages stay free
+        self._slot = np.empty(self.n * self.n, dtype=np.int32)
+        # (points, flat cells, in-window mask) of the last cloud that
+        # drift_compensate looked up, for integrate_cloud of the same points
+        # array; recenter and _realign drop it when they move the cells
+        self._cells = None
         self.total_shift = 0.0
         self.last_time = 0.0
         self.skipped_points = 0
@@ -89,6 +101,7 @@ class ElevationMap:
             for layer in self._layers:
                 layer[:] = self._logical(layer)
             self._offset = (0, 0)
+            self._cells = None
 
     def _logical(self, layer: np.ndarray) -> np.ndarray:
         """A copy of a stored layer (or one of its shape) in logical order."""
@@ -149,7 +162,11 @@ class ElevationMap:
         self.last_time = max(self.last_time, t)
         if len(cloud) == 0:
             return 0
-        flat, ok = self._flat_cells(cloud.points[:, :2])
+        cells, self._cells = self._cells, None
+        if cells is not None and cells[0] is cloud.points:
+            flat, ok = cells[1:]
+        else:
+            flat, ok = self._flat_cells(cloud.points[:, :2])
         skipped = len(ok) - len(flat)
         self.skipped_points += skipped
         if not len(flat):
@@ -160,13 +177,19 @@ class ElevationMap:
         dx, dy, dz = (pts - np.asarray(sensor_origin, dtype=float)).T
         ranges = np.sqrt((dx * dx + dy * dy) + dz * dz)
         r_var = model.measurement_variance(ranges)
-        # touched cells in storage order; per-cell sums keep point order
-        cells, inv = np.unique(flat, return_inverse=True)
-        info_add = np.bincount(inv, weights=1.0 / r_var, minlength=len(cells))
-        z_info = np.bincount(inv, weights=pts[:, 2] / r_var, minlength=len(cells))
+        # each point's group is the index of one point in its cell, the one
+        # whose slot write stood: all of a cell's points read it back. So the
+        # cells group without a sort, and each cell's sums keep point order
+        m = len(flat)
+        self._slot[flat] = np.arange(m, dtype=np.int32)
+        group = self._slot[flat]
+        info_add = np.bincount(group, weights=1.0 / r_var, minlength=m)
+        z_info = np.bincount(group, weights=pts[:, 2] / r_var, minlength=m)
+        # the groups that are no cell's, and cells whose points carry no
+        # information, have info_add 0
         keep = info_add > 0
-        hit = cells[keep]
-        info_add, z_info = info_add[keep], z_info[keep]
+        hit = flat.compress(keep)
+        info_add, z_info = info_add.compress(keep), z_info.compress(keep)
 
         height, variance, valid, last_update = self._flat_layers()
         prior_var = variance[hit] + model.time_variance_rate * np.maximum(
@@ -184,17 +207,18 @@ class ElevationMap:
     def drift_compensate(self, cloud: PointCloud) -> float:
         """Global z-shift from the mean discrepancy of the measurements within
         DRIFT_GATE of the map, applied only when at least DRIFT_MIN_POINTS
-        count. Run before integrating the same frame. Returns the applied
-        shift.
+        count. Run before integrating the same frame, which then reuses the
+        cloud's cell lookup. Returns the applied shift.
         """
         if len(cloud) == 0:
             return 0.0
         flat, ok = self._flat_cells(cloud.points[:, :2])
+        self._cells = cloud.points, flat, ok
         height, _, valid, _ = self._flat_layers()
         on_map = valid[flat]
         if not on_map.any():
             return 0.0
-        diff = cloud.points[ok, 2][on_map] - height[flat[on_map]]
+        diff = cloud.points[:, 2].compress(ok).compress(on_map) - height[flat.compress(on_map)]
         diff = diff[np.abs(diff) <= DRIFT_GATE]
         if len(diff) < DRIFT_MIN_POINTS:
             return 0.0
@@ -211,10 +235,12 @@ class ElevationMap:
         are invalidated, retained cells keep their state bit-exactly.
         """
         robot_xy = np.asarray(robot_xy, dtype=float)
-        jump = robot_xy - self.center  # bounded before the divide, which it could overflow
-        if not (np.abs(jump) < self.resolution * sys.float_info.max).all():
-            raise ValueError(f"robot position must be finite and near the map: {robot_xy}")
-        k = np.round(jump / self.resolution)
+        if not (np.abs(robot_xy) <= self._reach).all():
+            raise ValueError(
+                f"robot position must be finite and within {self._reach:.3g} m of the"
+                f" origin: {robot_xy.tolist()}"
+            )
+        k = np.round((robot_xy - self.center) / self.resolution)
         if k[0] == 0 and k[1] == 0:
             return
         # a jump of n or more cells keeps nothing: clamped, it clears all
@@ -234,6 +260,8 @@ class ElevationMap:
                 layer[:, c] = 0
         self._offset = (new_ox, new_oy)
         self.center = self.center + k * self.resolution
+        # a jump of n cells leaves the offset as it was, but not the cells
+        self._cells = None
 
     def query_height(self, x: float, y: float) -> tuple[float, float] | None:
         """Valid in-window cell state as (height, variance), else None."""

@@ -16,7 +16,6 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import cloudfilter, metrics, obsbuilder, reward, scene
 from .elevmap import DEFAULT_RESOLUTION, DEFAULT_SIZE, ElevationMap, SensorVarianceModel
@@ -154,6 +153,8 @@ class ScenarioConfig(Validated):
 
     @classmethod
     def from_yaml(cls, path) -> "ScenarioConfig":
+        import yaml  # only YAML configs pay its import
+
         with open(path) as f:
             return cls.from_dict(yaml.safe_load(f) or {})
 
@@ -397,10 +398,9 @@ def run_step_sweep(cfg: ScenarioConfig) -> list[dict[str, float]]:
             out_dir=None,
             tag=f"{cfg.tag}step{h:.3f}",
         )
-        result = run_scenario(sub)
-        row = {"step_height_m": h}
-        row.update(result.metrics)
-        rows.append(row)
+        # only the metrics are kept, so that a sub-run's map is freed before
+        # the next one builds its own
+        rows.append({"step_height_m": h, **run_scenario(sub).metrics})
     if cfg.out_dir is not None:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         keys = ["step_height_m", "success", "window_chamfer_mean_cm", "chamfer_mean_cm"]

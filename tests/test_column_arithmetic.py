@@ -1,7 +1,8 @@
 """The per-frame path does its short-axis reductions as arithmetic on
 columns or rows: range norms as `sqrt((x*x + y*y) + z*z)`, bounds tests as
-column ANDs, voxel key bounds from contiguous rows, and the chamfer window
-from repeated cell centres. It selects the rows of a cloud with `compress`
+column ANDs, voxel key bounds from contiguous rows, the outlier filter's
+neighbour mean as a sum of columns, and the chamfer window from repeated
+cell centres. It selects the rows of a cloud with `compress`
 in place of a boolean index. Each must give the bits of the numpy form it
 replaced; those forms are kept here as the oracles.
 """
@@ -14,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from elevsim.cloudfilter import BODY_MARGIN, body_capsules, body_filter, voxel_downsample
+from elevsim.cloudfilter import (
+    BODY_MARGIN,
+    OUTLIER_K,
+    _neighbor_mean,
+    body_capsules,
+    body_filter,
+    voxel_downsample,
+)
 from elevsim.elevmap import ElevationMap, SensorVarianceModel
 from elevsim.geometry import Pose, quat_from_euler, quat_from_yaw
 from elevsim.pointcloud import PointCloud
@@ -275,6 +283,48 @@ def test_region_points_match_meshgrid_window(seed, resolution, valid_frac, offse
         emap.height[:], emap.valid[:] = layers
     pose = Pose(np.array([*(new.center + offset * 0.75), 0.3]), quat_from_yaw(yaw))
     assert _same_bytes(new.region_points(pose, region), ref.region_points(pose, region))
+
+
+def _neighbor_rows(rng, m, scale, spread, tie_frac, zero_frac):
+    """(m, OUTLIER_K + 1) rows as `cKDTree.query` returns them: sorted,
+    non-negative, the first 0 (the point itself). Some rows hold ties
+    (values on a coarse grid), some entries zeros (duplicate points)."""
+    d = rng.lognormal(scale, spread, (m, OUTLIER_K + 1))
+    ties = rng.random(m) < tie_frac
+    d[ties] = np.round(d[ties], 1)
+    d[rng.random(d.shape) < zero_frac] = 0.0
+    d[:, 0] = 0.0
+    d.sort(axis=1)
+    return d
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    m=st.integers(1, 300),
+    scale=st.floats(-8.0, 2.0),
+    spread=st.sampled_from([0.1, 1.0, 4.0]),
+    tie_frac=st.sampled_from([0.0, 0.3, 1.0]),
+    zero_frac=st.sampled_from([0.0, 0.1, 0.5]),
+)
+def test_neighbor_mean_is_numpy_mean(seed, m, scale, spread, tie_frac, zero_frac):
+    assert OUTLIER_K == 8, (
+        "_neighbor_mean adds 8 columns in the order of numpy's 8-wide pairwise "
+        "block; another k needs the order numpy uses for it"
+    )
+    d = _neighbor_rows(np.random.default_rng(seed), m, scale, spread, tie_frac, zero_frac)
+    assert _same_bytes(_neighbor_mean(d), d[:, 1:].mean(axis=1))
+
+
+def test_neighbor_rows_tell_summation_orders_apart():
+    # rows like the drawn ones show a changed order in the bits: a
+    # left-to-right sum of the same columns differs from numpy's mean
+    d = _neighbor_rows(np.random.default_rng(0), 300, -3.0, 1.0, 0.3, 0.1)
+    left_to_right = d[:, 1].copy()
+    for c in d[:, 2:].T:
+        left_to_right += c
+    differ = (left_to_right / 8) != d[:, 1:].mean(axis=1)
+    assert 0 < differ.sum() < len(d)
 
 
 @PROPERTY

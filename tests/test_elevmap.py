@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -474,38 +477,84 @@ class TestWindowedMatchesFullGrid:
     @pytest.mark.parametrize("resolution, size", GRIDS)
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_random_update_sequences_same_bytes(self, resolution, size):
+        # ops: 0 recenter; 1 drift, integrate; 2 integrate; 3 drift,
+        # recenter, integrate; 4 recenter, drift, a public-layer read (which
+        # re-aligns the ring), integrate. 3 and 4 run on one cloud object,
+        # whose cell lookup integrate_cloud must not reuse once the map moved
         rng = np.random.default_rng(7 + int(size))
         new, ref = _filled_pair(resolution, size, rng, center=(0.0, 0.0))
         model = _model(base=1e-4, range_coeff=1e-4, time_rate=3e-6)
         n, t = new.n, 1.0
-        for step in range(120):
-            op = rng.integers(3)
-            if op == 0:
-                # mostly short moves, now and then a jump past the whole map
-                cells = rng.integers(-3, 4, 2)
-                if rng.random() < 0.1:
-                    cells = rng.choice([-1, 1], 2) * (2 * n + rng.integers(0, 5, 2))
-                target = new.center + (cells + rng.uniform(-0.45, 0.45, 2)) * resolution
-                for emap in (new, ref):
+        n_jumps = 0
+        for step in range(200):
+            op = rng.integers(5)
+            # mostly short moves, now and then a jump past the whole map
+            cells = rng.integers(-3, 4, 2)
+            if op == 4 and not cells.any():
+                cells[0] = 1  # the ring offset moves, so the read re-aligns
+            if op == 3 and rng.random() < 0.4:
+                # exactly n cells along one axis or both: the ring offset
+                # comes back to where it was, the center does not
+                cells = rng.choice([-n, 0, n], 2)
+                cells[rng.integers(2)] = rng.choice([-n, n])
+                n_jumps += 1
+            elif rng.random() < 0.1:
+                cells = rng.choice([-1, 1], 2) * (2 * n + rng.integers(0, 5, 2))
+            target = new.center + (cells + rng.uniform(-0.45, 0.45, 2)) * resolution
+            # about a third of the points lie off the window
+            m = int(rng.integers(0, 400))
+            xy = new.center + rng.uniform(-0.6, 0.6, (m, 2)) * n * resolution
+            z = rng.normal(0.1, 0.02, m)
+            if m and rng.random() < 0.3:
+                # points that carry no information (infinite range
+                # variance) must not touch a cell
+                z[rng.random(m) < 0.2] = 1e200
+            cloud = _cloud(np.column_stack([xy, z]), t)
+            origin = np.array([*new.center, 0.5])
+            returns = []
+            for emap in (new, ref):
+                out = []
+                if op in (0, 4):
                     emap.recenter(target)
-            else:
-                m = int(rng.integers(0, 400))
-                xy = new.center + rng.uniform(-0.6, 0.6, (m, 2)) * n * resolution
-                z = rng.normal(0.1, 0.02, m)
-                if m and rng.random() < 0.3:
-                    # points that carry no information (infinite range
-                    # variance) must not touch a cell
-                    z[rng.random(m) < 0.2] = 1e200
-                cloud = _cloud(np.column_stack([xy, z]), t)
-                origin = np.array([*new.center, 0.5])
-                for emap in (new, ref):
-                    if op == 1:
-                        emap.drift_compensate(cloud)
-                    emap.integrate_cloud(cloud, origin, model, t)
-                t += float(rng.uniform(0.0, 0.1))
-            # total_shift and skipped_points carry the two calls' returns
+                if op in (1, 3, 4):
+                    out.append(emap.drift_compensate(cloud))
+                if op == 3:
+                    emap.recenter(target)
+                if op == 4:
+                    _ = emap.height  # reading a public layer re-aligns the ring
+                if op != 0:
+                    out.append(emap.integrate_cloud(cloud, origin, model, t))
+                returns.append(out)
+            assert returns[0] == returns[1], step
+            t += float(rng.uniform(0.0, 0.1))
             assert _same_state(new, ref), step
-        assert new.total_shift != 0 and new.skipped_points > 0
+        assert new.total_shift != 0 and new.skipped_points > 0 and n_jumps > 5
+
+    @pytest.mark.parametrize("cells", [(1, 0), (0, -1), (-1, 1)])
+    def test_cells_looked_up_again_after_a_jump_of_n_cells(self, cells):
+        # a jump of exactly n cells between drift_compensate and
+        # integrate_cloud moves the center but leaves the ring offset as it
+        # was: a cell lookup cached on (points, offset) would write the cloud
+        # into the cells it had in the old window
+        rng = np.random.default_rng(5)
+        new, ref = _filled_pair(0.1, 2.0, rng)
+        span = new.n * new.resolution
+        model = _model(base=1e-4, range_coeff=1e-4)
+        # the cloud covers the old window and the new one
+        xy = new.center + rng.uniform(-0.5, 0.5, (400, 2)) * span
+        xy += rng.integers(0, 2, (400, 1)) * np.array(cells) * span
+        cloud = _cloud(np.column_stack([xy, rng.normal(0.1, 0.01, 400)]), 2.0)
+        target = new.center + np.array(cells) * span
+        returns = []
+        for emap in (new, ref):
+            shift = emap.drift_compensate(cloud)
+            emap.recenter(target)
+            returns.append((shift, emap.integrate_cloud(cloud, ORIGIN, model, 2.0)))
+        assert returns[0] == returns[1]
+        assert _same_state(new, ref)
+        _, ok = new.cell_indices(xy)
+        assert returns[0][1] == (~ok).sum() and 0 < ok.sum() < 400
+        assert new.valid.sum() > 0
 
 
 class TestFlatLookupsMatchFullGrid:
@@ -631,6 +680,40 @@ class TestRecenterJumps:
         emap.recenter(np.array([x, 0.0]))
         assert not emap.valid.any()
         assert emap.center[0] == np.round(x / 0.025) * 0.025 and emap.center[1] == 0.0
+
+    def test_center_past_the_reach_rejected(self):
+        # center / resolution used to overflow with a warning and leave an
+        # infinite center, so that every later recenter raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"map center must be within .*1e\+308"):
+                ElevationMap(resolution=0.025, size=5.0, center=(1e308, 0.0))
+
+    def test_robot_position_past_the_reach_rejected(self):
+        # at 2 m, -1e308 used to be accepted as the center, and a recenter to
+        # 1.7e308 then overflowed in the subtraction before its ValueError
+        emap = ElevationMap(resolution=2.0, size=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (-1e308, 1.7e308):
+                value = re.escape(f"[{x!r}, 0.0]")
+                with pytest.raises(ValueError, match=f"robot position .*: {value}"):
+                    emap.recenter(np.array([x, 0.0]))
+        np.testing.assert_array_equal(emap.center, [0.0, 0.0])
+
+    @pytest.mark.parametrize("resolution", [0.0125, 2.0, 5.0])
+    def test_positions_at_the_reach_stay_finite(self, resolution):
+        # a center or a robot position at either end of the reach, and the
+        # jumps between the two ends, compute without an overflow
+        emap = ElevationMap(resolution=resolution, size=5.0)
+        reach = emap._reach
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emap = ElevationMap(resolution=resolution, size=5.0, center=(reach, -reach))
+            for x, y in [(-reach, reach), (reach, reach), (-reach, -reach), (0.0, 0.0)]:
+                emap.recenter(np.array([x, y]))
+                assert np.isfinite(emap.center).all() and np.isfinite(emap.origin).all()
+        np.testing.assert_array_equal(emap.center, [0.0, 0.0])
 
     @pytest.mark.parametrize("center", [(np.nan, 0.0), (0.0, np.inf)])
     def test_non_finite_center_rejected(self, center):

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and a
+config built from a dict does not import YAML.
 
 A stdlib `ast` stand-in for a linter's unused-import rule. Package
 `__init__.py` files are skipped, since their imports are the re-exported API,
@@ -6,6 +7,9 @@ and so are `from __future__` imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +42,18 @@ def test_no_unused_imports(path):
 def test_check_finds_an_unused_import():
     source = "from __future__ import annotations\nimport json\nimport numpy as np\nnp.zeros(1)\n"
     assert _unused_imports(source) == ["line 2: json"]
+
+
+def test_config_from_dict_does_not_import_yaml():
+    # only `ScenarioConfig.from_yaml` reads YAML; the import costs a cold
+    # `import elevsim` about 15 ms
+    code = (
+        "import sys\n"
+        "from elevsim.pipeline import ScenarioConfig\n"
+        "ScenarioConfig.from_dict({'scene': 'obstacle', 'command': [[3.0, [0.5, 0.0, 0.0]]]})\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

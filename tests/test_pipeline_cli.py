@@ -1,4 +1,5 @@
 import copy
+import weakref
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 import yaml
 
-from elevsim import scene
+from elevsim import pipeline, scene
 from elevsim.cli import main
+from elevsim.elevmap import ElevationMap
 from elevsim.geometry import Pose, rotz
 from elevsim.pipeline import (
     CHAMFER_EVERY,
@@ -512,6 +514,36 @@ class TestSweepAndCompare:
         rows = run_step_sweep(cfg)
         assert [r["step_height_m"] for r in rows] == [0.075, 0.125]
         assert (tmp_path / "metrics.csv").exists()
+
+    def test_sweep_frees_each_map_before_the_next(self, monkeypatch):
+        # a sub-run's result (and with it its map) used to stay bound while
+        # the next sub-run built its map: two maps live at once
+        maps, live_at_build = [], []
+
+        class RecordedMap(ElevationMap):
+            def __init__(self, *args, **kwargs):
+                live_at_build.append(sum(ref() is not None for ref in maps))
+                super().__init__(*args, **kwargs)
+                maps.append(weakref.ref(self))
+
+        monkeypatch.setattr(pipeline, "ElevationMap", RecordedMap)
+        cfg = ScenarioConfig.from_dict(
+            {
+                "scene": {
+                    "extent": [8.0, 3.0],
+                    "primitives": [
+                        {"type": "flat", "z": 0.0},
+                        {"type": "step", "x_start": 1.0, "height": 0.1, "depth": 0.8},
+                    ],
+                },
+                "command": [[1.0, [0.5, 0.0, 0.0]]],
+                "sweep_step_heights": [0.075, 0.125, 0.1],
+            }
+        )
+        rows = run_step_sweep(cfg)
+        assert [r["step_height_m"] for r in rows] == [0.075, 0.125, 0.1]
+        assert live_at_build == [0, 0, 0]
+        assert all(ref() is None for ref in maps)
 
     def test_sweep_without_step_rejected(self):
         # rejected with the config, before any sub-run
