@@ -33,6 +33,7 @@ from .sensorsim import (
     CameraModel,
     CommandProfile,
     RobotState,
+    SensorNoise,
     Trajectory,
     inject_sensor_noise,
     render_depth,

@@ -120,11 +120,12 @@ class ElevationMap:
     def cell_indices(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, 2) cell index of each point and the mask of those in the window."""
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        # bounded to twice the center's reach, outside every window, so the
+        # division stays finite, then clamped to [-1, n] (NaN to n) so every
+        # point casts to a defined index; as unsigned, a negative index is out
+        # of range too, so the larger of the two tests both bounds of both axes
+        xy = np.minimum(np.maximum(xy, -2 * self._reach), 2 * self._reach)
         cell = np.floor((xy - self.origin) / self.resolution)
-        # clamped to [-1, n] before the cast, so that a NaN, infinite or huge
-        # coordinate casts to an out-of-range index, never undefined; fmin
-        # maps NaN to n. As unsigned, a negative index is out of range too,
-        # so the larger of the two tests both bounds of both axes
         idx = np.fmax(np.fmin(cell, self.n), -1).astype(int)
         u = idx.view(np.uint64)
         ok = np.maximum(u[:, 0], u[:, 1]) < self.n

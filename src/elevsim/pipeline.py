@@ -11,6 +11,7 @@ gives byte-identical outputs.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -31,8 +32,8 @@ from .odometry import (
 from .schema import BOOL, COUNT, FINITE, POSITIVE, Validated, check, interval, rule
 from .sensorsim import (
     Q_STAND,
-    CameraModel,
     CommandProfile,
+    SensorNoise,
     Trajectory,
     check_start,
     default_front_camera,
@@ -70,8 +71,7 @@ class ScenarioConfig(Validated):
     use_rear_camera: bool = rule(BOOL, default=True)
     drift_compensation: bool = rule(BOOL, default=True)
     injected_drift: np.ndarray = rule(FINITE, 3, default=(0.0, 0.0, 0.0))  # m/s
-    front_camera: CameraModel = field(default_factory=default_front_camera)
-    rear_camera: CameraModel = field(default_factory=default_rear_camera)
+    sensor_noise: SensorNoise = field(default_factory=SensorNoise)
     source_errors: SourceErrorModel = field(default_factory=SourceErrorModel)
     map_resolution: float = rule(MAP_RESOLUTION, default=DEFAULT_RESOLUTION)
     start_xy: tuple[float, float | None] = rule(coerce=tuple, default=(0.8, None))
@@ -128,25 +128,18 @@ class ScenarioConfig(Validated):
         # scalar knobs: the fields with a plain default, coerced by their rules
         scalars = {f.name for f in fields(cls) if f.default is not MISSING}
         kwargs = {key: d.pop(key) for key in scalars & d.keys()}
-        if "sensor_noise" in d:
-            sn = _section(d, "sensor_noise", ("sigma0", "k", "dropout"))
-            for key, camera in (("front_camera", default_front_camera),
-                                ("rear_camera", default_rear_camera)):
-                kwargs[key] = replace(camera(), noise_sigma0=sn.get("sigma0", 0.0),
-                                      noise_k=sn.get("k", 0.0), dropout=sn.get("dropout", 0.0))
-        if "height_noise" in d:
-            # the policy's observation noise: no run output reads it, so the
-            # section is validated and then discarded
-            hn = _section(d, "height_noise", ("sample_sigma", "bias_sigma"))
-            obsbuilder.HeightNoiseState(sample_sigma=hn.get("sample_sigma", 0.0),
-                                        bias_sigma=hn.get("bias_sigma", (0.0, 0.0, 0.0)))
-        if "source_errors" in d:
-            se = _section(d, "source_errors", ("estimator", "imu", "vio"))
-            kwargs["source_errors"] = SourceErrorModel(
-                estimator=EstimatorErrors(**se.get("estimator", {})),
-                imu=ImuErrors(**se.get("imu", {})),
-                vio=VioErrors(**se.get("vio", {})),
-            )
+        kwargs["sensor_noise"] = SensorNoise(**_section(d, "sensor_noise", SensorNoise))
+        # the policy's observation noise: no run output reads it, so the
+        # section is validated and then discarded
+        hn = _section(d, "height_noise", ("sample_sigma", "bias_sigma"))
+        obsbuilder.HeightNoiseState(sample_sigma=hn.get("sample_sigma", 0.0),
+                                    bias_sigma=hn.get("bias_sigma", (0.0, 0.0, 0.0)))
+        se = _section(d, "source_errors", SourceErrorModel)
+        kwargs["source_errors"] = SourceErrorModel(
+            estimator=EstimatorErrors(**_section(se, "source_errors.estimator", EstimatorErrors)),
+            imu=ImuErrors(**_section(se, "source_errors.imu", ImuErrors)),
+            vio=VioErrors(**_section(se, "source_errors.vio", VioErrors)),
+        )
         if d:
             raise ValueError(f"unknown config keys: {sorted(d)}")
         return cls(scene_spec=spec, profile=profile, **kwargs)
@@ -159,15 +152,17 @@ class ScenarioConfig(Validated):
             return cls.from_dict(yaml.safe_load(f) or {})
 
 
-def _section(d: dict, name: str, keys: tuple[str, ...]) -> dict:
-    """Pops config section `name`; a key outside `keys` is an error."""
-    section = d.pop(name)
+def _section(d: dict, name: str, keys) -> dict:
+    """A copy of section `name` (of a dotted name, its last part) popped from
+    `d`, or {}; its keys must be among `keys`, names or a dataclass's fields."""
+    section = d.pop(name.rpartition(".")[2], {})
     if not isinstance(section, dict):
         raise ValueError(f"{name} must be a mapping, got {section!r}")
-    unknown = sorted(set(section) - set(keys))
+    names = [f.name for f in fields(keys)] if isinstance(keys, type) else keys
+    unknown = sorted(set(section) - set(names))
     if unknown:
         raise ValueError(f"unknown {name} keys: {unknown}")
-    return section
+    return dict(section)
 
 
 @dataclass
@@ -234,9 +229,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     )
     est_pos, est_vtrack = _estimate_odometry(cfg, traj, odom_seed)
 
-    cameras = [(cfg.front_camera, rng_front)]
+    cameras = [(default_front_camera(), rng_front)]
     if cfg.use_rear_camera:
-        cameras.append((cfg.rear_camera, rng_rear))
+        cameras.append((default_rear_camera(), rng_rear))
     variance_model = SensorVarianceModel()
     emap = ElevationMap(resolution=cfg.map_resolution, center=est_pos[0][:2])
     # per-rate results: the default-fill fraction of each control tick and
@@ -273,7 +268,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             caps = (cap_p0[k], cap_p1[k], cap_r)
             for cam, rng, cam_true, cam_est in views:
                 cloud = render_depth(cam, cam_true[k], hf, t)
-                cloud = inject_sensor_noise(cloud, cam, rng)
+                cloud = inject_sensor_noise(cloud, cfg.sensor_noise, rng)
                 cam_pose = cam_est[k]
                 world = cloud.transformed(cam_pose)
                 world = cloudfilter.remove_outliers(world)
@@ -396,7 +391,6 @@ def run_step_sweep(cfg: ScenarioConfig) -> list[dict[str, float]]:
             scene_spec=scene.SceneSpec(prims, cfg.scene_spec.extent),
             sweep_step_heights=None,
             out_dir=None,
-            tag=f"{cfg.tag}step{h:.3f}",
         )
         # only the metrics are kept, so that a sub-run's map is freed before
         # the next one builds its own
@@ -421,8 +415,6 @@ def _fmt(v: float) -> str:
 
 def write_metrics(out_dir: Path, values: dict[str, float], tag: str) -> None:
     # wall time is excluded from the CSV so identical runs are byte-identical
-    import json
-
     rows = {k: v for k, v in values.items() if k != "wall_time_s"}
     with open(out_dir / "metrics.csv", "w") as f:
         f.write("metric,value,tag\n")

@@ -83,9 +83,6 @@ class CameraModel(Validated):
     height: int
     min_range: float
     max_range: float
-    noise_sigma0: float = rule(NON_NEGATIVE, default=0.0)  # sigma(r) = sigma0 + k * r^2
-    noise_k: float = rule(NON_NEGATIVE, default=0.0)
-    dropout: float = rule(UNIT, default=0.0)
 
     def __post_init__(self):
         super().__post_init__()
@@ -96,6 +93,15 @@ class CameraModel(Validated):
         """Unit ray directions in the sensor frame (x forward, y left, z up);
         read-only and shared by every camera of the same geometry."""
         return _unit_rays(self.h_fov, self.v_fov, self.width, self.height)
+
+
+@dataclass(frozen=True)
+class SensorNoise(Validated):
+    """Both cameras' range noise sigma(r) = sigma0 + k * r^2 and dropout."""
+
+    sigma0: float = rule(NON_NEGATIVE, default=0.0)
+    k: float = rule(NON_NEGATIVE, default=0.0)
+    dropout: float = rule(UNIT, default=0.0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -457,12 +463,12 @@ def _box_hits(o, edges, heights, j, dx, dz, lo, hi):
 
 
 def inject_sensor_noise(
-    cloud: PointCloud, camera: CameraModel, rng: np.random.Generator
+    cloud: PointCloud, noise: SensorNoise, rng: np.random.Generator
 ) -> PointCloud:
     """Range noise along each ray plus i.i.d. dropout. Deterministic per rng."""
     if len(cloud) == 0:
         return cloud
-    if camera.noise_sigma0 == 0 and camera.noise_k == 0 and camera.dropout == 0:
+    if noise.sigma0 == 0 and noise.k == 0 and noise.dropout == 0:
         return cloud
     # the range as `np.linalg.norm` sums it: ((x² + y²) + z²)
     x, y, z = cloud.points.T
@@ -470,10 +476,10 @@ def inject_sensor_noise(
     if not ranges.all():
         raise ValueError("a point at the sensor origin has no ray to add range noise along")
     rays = cloud.points / ranges[:, None]
-    sigma = camera.noise_sigma0 + camera.noise_k * ranges**2
+    sigma = noise.sigma0 + noise.k * ranges**2
     noisy_r = ranges + rng.normal(0.0, 1.0, len(cloud)) * sigma
     pts = rays * noisy_r[:, None]
-    keep = rng.random(len(cloud)) >= camera.dropout
+    keep = rng.random(len(cloud)) >= noise.dropout
     return PointCloud(t=cloud.t, frame=cloud.frame, points=pts.compress(keep, axis=0))
 
 

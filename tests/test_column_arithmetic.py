@@ -7,8 +7,6 @@ in place of a boolean index. Each must give the bits of the numpy form it
 replaced; those forms are kept here as the oracles.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +25,7 @@ from elevsim.elevmap import ElevationMap, SensorVarianceModel
 from elevsim.geometry import Pose, quat_from_euler, quat_from_yaw
 from elevsim.pointcloud import PointCloud
 from elevsim.scene import Heightfield
-from elevsim.sensorsim import Q_STAND, default_front_camera, inject_sensor_noise
+from elevsim.sensorsim import Q_STAND, SensorNoise, inject_sensor_noise
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -71,15 +69,15 @@ def test_column_norm_is_linalg_norm(p, lead):
     assert _same_bytes(np.sqrt((x * x + y * y) + z * z), np.linalg.norm(stack, axis=-1))
 
 
-def _numpy_inject_sensor_noise(cloud, camera, rng):
+def _numpy_inject_sensor_noise(cloud, noise, rng):
     ranges = np.linalg.norm(cloud.points, axis=1)
     if not ranges.all():
         raise ValueError("a point at the sensor origin has no ray")
     rays = cloud.points / ranges[:, None]
-    sigma = camera.noise_sigma0 + camera.noise_k * ranges**2
+    sigma = noise.sigma0 + noise.k * ranges**2
     noisy_r = ranges + rng.normal(0.0, 1.0, len(cloud)) * sigma
     pts = rays * noisy_r[:, None]
-    keep = rng.random(len(cloud)) >= camera.dropout
+    keep = rng.random(len(cloud)) >= noise.dropout
     return PointCloud(t=cloud.t, frame=cloud.frame, points=pts[keep])
 
 
@@ -99,10 +97,10 @@ def _outcome(fn, *args):
 def test_noise_ranges_match_linalg_norm(p, seed):
     # a zero row has no ray: both forms reject it before they divide,
     # whether or not the dropout would take it
-    cam = replace(default_front_camera(), noise_sigma0=0.003, noise_k=0.005, dropout=0.2)
+    noise = SensorNoise(sigma0=0.003, k=0.005, dropout=0.2)
     cloud = PointCloud(t=0.5, frame="front", points=p)
-    got = _outcome(inject_sensor_noise, cloud, cam, np.random.default_rng(seed))
-    expect = _outcome(_numpy_inject_sensor_noise, cloud, cam, np.random.default_rng(seed))
+    got = _outcome(inject_sensor_noise, cloud, noise, np.random.default_rng(seed))
+    expect = _outcome(_numpy_inject_sensor_noise, cloud, noise, np.random.default_rng(seed))
     assert got == expect
 
 

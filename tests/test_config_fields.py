@@ -1,14 +1,22 @@
-"""Every `ScenarioConfig` field is read by the package.
+"""Every field of `ScenarioConfig` and of its config sections is read by
+the package.
 
-A field counts as read when some module in `src/elevsim/` loads it as an
-attribute outside a `__post_init__` or `from_dict`, which only validate and
-parse it. A knob that nothing reads is accepted by the config and changes no
-output. A stdlib `ast` check: it matches attribute names, not the objects
-they are read from.
+The sections are the dataclasses that a config field's default factory
+builds, and theirs in turn: `SensorNoise`, `SourceErrorModel` and the three
+odometry error models. A field counts as read when some module in
+`src/elevsim/` loads it as an attribute outside a `__post_init__` or
+`from_dict`, which only validate and parse it. A knob that nothing reads
+is accepted by the config and changes no output. A stdlib `ast` check: it
+matches attribute names, not the objects they are read from.
 """
 
 import ast
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+
+import pytest
+
+from elevsim.pipeline import ScenarioConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "elevsim"
 MODULES = sorted(SRC.glob("*.py"))
@@ -46,8 +54,29 @@ def _unread_fields(sources: list[str], cls: str = "ScenarioConfig") -> list[str]
     return [name for name in fields if name not in read]
 
 
+def _sections(cls: type) -> list[str]:
+    """The names of the dataclasses that `cls`'s default factories build,
+    and of theirs in turn."""
+    made = [f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)]
+    return [name for sub in made for name in (sub.__name__, *_sections(sub))]
+
+
+SECTIONS = _sections(ScenarioConfig)
+
+
 def test_every_scenario_config_field_is_read():
     assert _unread_fields([p.read_text() for p in MODULES]) == []
+
+
+def test_sections_found():
+    assert sorted(SECTIONS) == sorted(
+        ["SensorNoise", "SourceErrorModel", "EstimatorErrors", "ImuErrors", "VioErrors"]
+    )
+
+
+@pytest.mark.parametrize("cls", SECTIONS)
+def test_every_section_field_is_read(cls):
+    assert _unread_fields([p.read_text() for p in MODULES], cls) == []
 
 
 def test_check_finds_a_field_read_only_while_parsing():
@@ -73,3 +102,12 @@ def test_check_finds_a_field_added_to_the_package():
     assert last in sources[k]
     sources[k] = sources[k].replace(last, last + "    drift_gate: float = 0.03\n")
     assert _unread_fields(sources) == ["drift_gate"]
+
+
+def test_check_finds_a_field_added_to_a_section():
+    sources = [p.read_text() for p in MODULES]
+    k = next(i for i, s in enumerate(sources) if "class SensorNoise" in s)
+    last = "    dropout: float = rule(UNIT, default=0.0)\n"
+    assert last in sources[k]
+    sources[k] = sources[k].replace(last, last + "    speckle: float = 0.0\n")
+    assert _unread_fields(sources, "SensorNoise") == ["speckle"]

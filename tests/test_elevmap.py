@@ -1,4 +1,5 @@
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -714,6 +715,29 @@ class TestRecenterJumps:
                 emap.recenter(np.array([x, y]))
                 assert np.isfinite(emap.center).all() and np.isfinite(emap.origin).all()
         np.testing.assert_array_equal(emap.center, [0.0, 0.0])
+
+    @pytest.mark.parametrize("resolution", [0.0125, 0.025, 2.0])
+    @pytest.mark.parametrize("at_reach", [False, True])
+    def test_points_past_the_float_range_read_and_write_nothing(self, resolution, at_reach):
+        # cell_indices divided before it clamped, so a finite point beyond
+        # resolution x float max overflowed with a warning; the in-window
+        # point of the same cloud still lands in its cell
+        emap = ElevationMap(resolution=resolution, size=5.0)
+        if at_reach:
+            emap = ElevationMap(resolution=resolution, size=5.0, center=(emap._reach, -emap._reach))
+        huge = [1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max]
+        xy = np.array([[x, emap.center[1]] for x in huge] + [[emap.center[0], y] for y in huge])
+        cloud = _cloud(np.column_stack([np.vstack([xy, emap.center]), np.full(len(xy) + 1, 0.2)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, mask = emap.query_heights(xy)
+            assert np.isnan(h).all() and not mask.any()
+            assert emap.drift_compensate(cloud) == 0.0
+            origin = np.array([*emap.center, 0.5])
+            assert emap.integrate_cloud(cloud, origin, _model(), 0.0) == len(xy)
+            h, mask = emap.query_heights(np.vstack([xy, emap.center]))
+        assert mask.tolist() == [False] * len(xy) + [True] and h[-1] == 0.2
+        assert emap.valid.sum() == 1
 
     @pytest.mark.parametrize("center", [(np.nan, 0.0), (0.0, np.inf)])
     def test_non_finite_center_rejected(self, center):

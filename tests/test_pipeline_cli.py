@@ -144,8 +144,8 @@ BAD_CONFIGS = {
         {"source_errors": {"vio": {"dropouts": [[NAN, 1.0]]}}},
         "dropouts",
     ),
-    "sigma0_negative": ({"sensor_noise": {"sigma0": -1.0}}, "noise_sigma0"),
-    "k_negative": ({"sensor_noise": {"k": -0.1}}, "noise_k"),
+    "sigma0_negative": ({"sensor_noise": {"sigma0": -1.0}}, "sigma0 must be"),
+    "k_negative": ({"sensor_noise": {"k": -0.1}}, "k must be"),
     "dropout_above_one": ({"sensor_noise": {"dropout": 1.5}}, "dropout"),
     "dropout_one": ({"sensor_noise": {"dropout": 1.0}}, "dropout"),
     # NaN noise used to pass a `< 0` check: the run died at the first cloud,
@@ -156,6 +156,12 @@ BAD_CONFIGS = {
     ),
     "bias_inf": ({"source_errors": {"estimator": {"bias": [0.0, INF, 0.0]}}}, "bias"),
     "orient_sigma_nan": ({"source_errors": {"imu": {"orient_sigma": NAN}}}, "orient_sigma"),
+    # a misspelled or non-mapping sub-section used to be a bare TypeError
+    "imu_unknown_key": (
+        {"source_errors": {"imu": {"gyro_sigma": 0.01}}},
+        "unknown source_errors.imu keys: ['gyro_sigma']",
+    ),
+    "vio_not_a_mapping": ({"source_errors": {"vio": 5}}, "source_errors.vio must be a mapping"),
     "walk_rate_nan": ({"source_errors": {"vio": {"walk_rate": NAN}}}, "walk_rate"),
     "sample_sigma_inf": ({"source_errors": {"vio": {"sample_sigma": INF}}}, "sample_sigma"),
     # a NaN threshold used to report success 0 with exit 0; the success
@@ -221,6 +227,15 @@ class TestConfig:
                 ScenarioConfig.from_dict({**SHORT, section: value})
             with pytest.raises(ValueError, match=f"{section} must be a mapping"):
                 ScenarioConfig.from_dict({**SHORT, section: None})
+        # and so are those of a source_errors sub-section, and a sub-section
+        # that is not a mapping; both used to be a bare TypeError
+        for value, match in (
+            ({"vio": {"walk_rte": 0.01}}, r"unknown source_errors\.vio keys.*walk_rte"),
+            ({"vio": 5}, r"source_errors\.vio must be a mapping, got 5"),
+            ({"imu": None}, r"source_errors\.imu must be a mapping, got None"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                ScenarioConfig.from_dict({**SHORT, "source_errors": value})
 
     def test_height_noise_validated_and_discarded(self):
         assert "height_noise" not in {f.name for f in fields(ScenarioConfig)}
@@ -237,7 +252,7 @@ class TestConfig:
             )
 
     def test_gyro_sigma_rejected(self):
-        with pytest.raises(TypeError, match="gyro_sigma"):
+        with pytest.raises(ValueError, match=r"unknown (source_errors\.)?imu keys.*gyro_sigma"):
             ScenarioConfig.from_dict({**SHORT, "source_errors": {"imu": {"gyro_sigma": 0.01}}})
 
     def test_scalar_knobs_coerced(self, tmp_path):

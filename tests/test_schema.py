@@ -25,7 +25,7 @@ from elevsim.pipeline import ScenarioConfig, run_scenario
 from elevsim.reward import DEFAULT_WEIGHTS, RewardConfig
 from elevsim.scene import SceneSpec
 from elevsim.schema import BOOL, COUNT
-from elevsim.sensorsim import CameraModel, CommandProfile
+from elevsim.sensorsim import CameraModel, CommandProfile, SensorNoise, default_front_camera
 
 BASE = ScenarioConfig.from_dict({"scene": "obstacle", "command": [[2.0, [0.5, 0.0, 0.0]]]})
 
@@ -51,9 +51,9 @@ RULED = [
     (ScenarioConfig, "snapshot_every", "positive and finite", None, True),
     (CameraModel, "h_fov", "in (0, pi)", None, False),
     (CameraModel, "v_fov", "in (0, pi)", None, False),
-    (CameraModel, "noise_sigma0", "non-negative and finite", None, False),
-    (CameraModel, "noise_k", "non-negative and finite", None, False),
-    (CameraModel, "dropout", "in [0, 1)", None, False),
+    (SensorNoise, "sigma0", "non-negative and finite", None, False),
+    (SensorNoise, "k", "non-negative and finite", None, False),
+    (SensorNoise, "dropout", "in [0, 1)", None, False),
     (EstimatorErrors, "vel_sigma", "non-negative and finite", 3, False),
     (EstimatorErrors, "bias", "finite", 3, False),
     (ImuErrors, "orient_sigma", "non-negative and finite", None, False),
@@ -72,13 +72,13 @@ RULED = [
     (HeightNoiseState, "bias", "finite", 3, False),
 ]
 CONFIGS = sorted({row[0] for row in RULED}, key=lambda cls: cls.__name__)
-FROZEN = [ScenarioConfig, CameraModel, CommandProfile, SceneSpec, EstimatorErrors,
+FROZEN = [ScenarioConfig, CameraModel, SensorNoise, CommandProfile, SceneSpec, EstimatorErrors,
           ImuErrors, VioErrors, SourceErrorModel, RewardConfig, SensorVarianceModel]
 
 
 def _base(cls):
     """A valid instance to replace one field of; frozen ones are shared."""
-    made = {ScenarioConfig: BASE, CameraModel: BASE.front_camera, SceneSpec: BASE.scene_spec,
+    made = {ScenarioConfig: BASE, CameraModel: default_front_camera(), SceneSpec: BASE.scene_spec,
             CommandProfile: BASE.profile, SourceErrorModel: BASE.source_errors}
     return made[cls] if cls in made else cls()
 

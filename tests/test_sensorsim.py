@@ -29,6 +29,7 @@ from elevsim.sensorsim import (
     CameraModel,
     CommandProfile,
     RobotState,
+    SensorNoise,
     default_front_camera,
     default_rear_camera,
     inject_sensor_noise,
@@ -775,17 +776,13 @@ class TestCaches:
 
 class TestSensorNoise:
     def test_noiseless_camera_returns_cloud_unchanged(self, flat_hf, short_trajectory, rng):
-        cam = default_front_camera()
-        cloud = _render(cam, short_trajectory.state(0), flat_hf)
-        out = inject_sensor_noise(cloud, cam, rng)
+        cloud = _render(default_front_camera(), short_trajectory.state(0), flat_hf)
+        out = inject_sensor_noise(cloud, SensorNoise(), rng)
         np.testing.assert_array_equal(out.points, cloud.points)
 
     def test_range_noise_perturbs_along_rays(self, flat_hf, short_trajectory):
-        from dataclasses import replace
-
-        cam = replace(default_front_camera(), noise_sigma0=0.01)
-        cloud = _render(cam, short_trajectory.state(0), flat_hf)
-        out = inject_sensor_noise(cloud, cam, np.random.default_rng(0))
+        cloud = _render(default_front_camera(), short_trajectory.state(0), flat_hf)
+        out = inject_sensor_noise(cloud, SensorNoise(sigma0=0.01), np.random.default_rng(0))
         assert len(out) == len(cloud)
         dr = np.linalg.norm(out.points, axis=1) - np.linalg.norm(cloud.points, axis=1)
         assert 0.005 < dr.std() < 0.02
@@ -795,31 +792,26 @@ class TestSensorNoise:
         np.testing.assert_allclose(unit_in, unit_out, atol=1e-9)
 
     def test_dropout_removes_expected_fraction(self, flat_hf, short_trajectory):
-        from dataclasses import replace
-
-        cam = replace(default_front_camera(), dropout=0.3)
-        cloud = _render(cam, short_trajectory.state(0), flat_hf)
-        out = inject_sensor_noise(cloud, cam, np.random.default_rng(0))
+        cloud = _render(default_front_camera(), short_trajectory.state(0), flat_hf)
+        out = inject_sensor_noise(cloud, SensorNoise(dropout=0.3), np.random.default_rng(0))
         frac = 1.0 - len(out) / len(cloud)
         assert 0.15 < frac < 0.45
 
     def test_noise_deterministic_per_seed(self, flat_hf, short_trajectory):
-        from dataclasses import replace
-
-        cam = replace(default_front_camera(), noise_sigma0=0.01, dropout=0.1)
-        cloud = _render(cam, short_trajectory.state(0), flat_hf)
-        a = inject_sensor_noise(cloud, cam, np.random.default_rng(42))
-        b = inject_sensor_noise(cloud, cam, np.random.default_rng(42))
+        noise = SensorNoise(sigma0=0.01, dropout=0.1)
+        cloud = _render(default_front_camera(), short_trajectory.state(0), flat_hf)
+        a = inject_sensor_noise(cloud, noise, np.random.default_rng(42))
+        b = inject_sensor_noise(cloud, noise, np.random.default_rng(42))
         np.testing.assert_array_equal(a.points, b.points)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", range(6))
     def test_point_at_sensor_origin_rejected_whatever_the_draw(self, seed):
         # the dropout takes the zero row in about half of these draws
-        cam = replace(default_front_camera(), noise_sigma0=0.01, dropout=0.5)
+        noise = SensorNoise(sigma0=0.01, dropout=0.5)
         cloud = PointCloud(t=0.0, frame="front", points=np.array([[1.0, 0, 0], [0.0, 0, 0]]))
         with pytest.raises(ValueError, match="sensor origin"):
-            inject_sensor_noise(cloud, cam, np.random.default_rng(seed))
+            inject_sensor_noise(cloud, noise, np.random.default_rng(seed))
 
 
 def test_camera_model_validation():
@@ -845,13 +837,16 @@ def test_camera_model_validation():
             min_range=2.0,
             max_range=1.0,
         )
+
+
+def test_sensor_noise_validation():
     # a negative sigma0 still drew about 1 m of noise; a dropout of 1.5 kept
     # no point and the run reported a NaN chamfer
-    for key, value in (("noise_sigma0", -1.0), ("noise_sigma0", float("inf")),
-                       ("noise_k", -0.1), ("dropout", 1.5), ("dropout", 1.0),
-                       ("dropout", -0.1), ("dropout", float("nan"))):
-        with pytest.raises(ValueError, match=key):
-            replace(default_front_camera(), **{key: value})
+    for key, value in (("sigma0", -1.0), ("sigma0", float("inf")), ("k", -0.1),
+                       ("dropout", 1.5), ("dropout", 1.0), ("dropout", -0.1),
+                       ("dropout", float("nan"))):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            SensorNoise(**{key: value})
 
 
 def test_ray_directions_unit_and_counted():
