@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import quat_mul, quat_normalize, quat_rotate
-from .schema import FINITE, NON_NEGATIVE, Validated, rule
+from .schema import FINITE, NON_NEGATIVE, PAIRS, Validated, rule
 from .sensorsim import Trajectory
 
 
@@ -36,14 +36,13 @@ class ImuErrors(Validated):
 class VioErrors(Validated):
     walk_rate: float = rule(NON_NEGATIVE, default=0.005)  # m / sqrt(s) position random walk
     sample_sigma: float = rule(NON_NEGATIVE, default=0.01)  # m per-sample noise
-    dropouts: tuple[tuple[float, float], ...] = ()
+    dropouts: tuple[tuple[float, float], ...] = rule(FINITE, PAIRS, default=())  # (t0, t1) each
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "dropouts", tuple(tuple(w) for w in self.dropouts))
-        for w in self.dropouts:
-            if len(w) != 2 or not (np.isfinite(w).all() and w[0] < w[1]):
-                raise ValueError(f"vio dropouts must be finite (t0, t1) pairs with t0 < t1: {w}")
+        for t0, t1 in self.dropouts:
+            if not t0 < t1:
+                raise ValueError(f"dropouts must be (t0, t1) pairs with t0 < t1: {(t0, t1)}")
 
 
 @dataclass(frozen=True)

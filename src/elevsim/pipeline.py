@@ -29,7 +29,7 @@ from .odometry import (
     fuse_streams,
     make_source_streams,
 )
-from .schema import BOOL, COUNT, FINITE, POSITIVE, Validated, check, interval, rule
+from .schema import BOOL, COUNT, FINITE, POSITIVE, Validated, check, interval, rule, section
 from .sensorsim import (
     Q_STAND,
     CommandProfile,
@@ -116,29 +116,23 @@ class ScenarioConfig(Validated):
             spec = scene.SceneSpec.from_dict(sc)
         else:
             raise ValueError(f"unknown scene {sc!r}")
-        cmd = d.pop("command", [[12.0, [0.5, 0.0, 0.0]]])
-        pair = "a (duration, [v_x, v_y, w_z]) pair"
-        if not isinstance(cmd, (list, tuple)):
-            raise ValueError(f"command must be a list of segments, each {pair}: {cmd!r}")
-        for i, seg in enumerate(cmd):
-            two = isinstance(seg, (list, tuple)) and len(seg) == 2
-            if not (two and isinstance(seg[1], (list, tuple))):
-                raise ValueError(f"command segment {i} is not {pair}: {seg!r}")
-        profile = CommandProfile([(float(dur), tuple(c)) for dur, c in cmd])
+        profile = CommandProfile(d.pop("command", [[12.0, [0.5, 0.0, 0.0]]]))
         # scalar knobs: the fields with a plain default, coerced by their rules
         scalars = {f.name for f in fields(cls) if f.default is not MISSING}
         kwargs = {key: d.pop(key) for key in scalars & d.keys()}
-        kwargs["sensor_noise"] = SensorNoise(**_section(d, "sensor_noise", SensorNoise))
+        noise = section(d.pop("sensor_noise", {}), "sensor_noise", SensorNoise)
+        kwargs["sensor_noise"] = SensorNoise(**noise)
         # the policy's observation noise: no run output reads it, so the
         # section is validated and then discarded
-        hn = _section(d, "height_noise", ("sample_sigma", "bias_sigma"))
+        hn = section(d.pop("height_noise", {}), "height_noise", ("sample_sigma", "bias_sigma"))
         obsbuilder.HeightNoiseState(sample_sigma=hn.get("sample_sigma", 0.0),
                                     bias_sigma=hn.get("bias_sigma", (0.0, 0.0, 0.0)))
-        se = _section(d, "source_errors", SourceErrorModel)
+        se = section(d.pop("source_errors", {}), "source_errors", SourceErrorModel)
         kwargs["source_errors"] = SourceErrorModel(
-            estimator=EstimatorErrors(**_section(se, "source_errors.estimator", EstimatorErrors)),
-            imu=ImuErrors(**_section(se, "source_errors.imu", ImuErrors)),
-            vio=VioErrors(**_section(se, "source_errors.vio", VioErrors)),
+            estimator=EstimatorErrors(
+                **section(se.get("estimator", {}), "source_errors.estimator", EstimatorErrors)),
+            imu=ImuErrors(**section(se.get("imu", {}), "source_errors.imu", ImuErrors)),
+            vio=VioErrors(**section(se.get("vio", {}), "source_errors.vio", VioErrors)),
         )
         if d:
             raise ValueError(f"unknown config keys: {sorted(d)}")
@@ -150,19 +144,6 @@ class ScenarioConfig(Validated):
 
         with open(path) as f:
             return cls.from_dict(yaml.safe_load(f) or {})
-
-
-def _section(d: dict, name: str, keys) -> dict:
-    """A copy of section `name` (of a dotted name, its last part) popped from
-    `d`, or {}; its keys must be among `keys`, names or a dataclass's fields."""
-    section = d.pop(name.rpartition(".")[2], {})
-    if not isinstance(section, dict):
-        raise ValueError(f"{name} must be a mapping, got {section!r}")
-    names = [f.name for f in fields(keys)] if isinstance(keys, type) else keys
-    unknown = sorted(set(section) - set(names))
-    if unknown:
-        raise ValueError(f"unknown {name} keys: {unknown}")
-    return dict(section)
 
 
 @dataclass

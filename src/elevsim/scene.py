@@ -9,13 +9,14 @@ interpolation smoothing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .geometry import Pose, yaw_aligned_grid
 from .pointcloud import PointCloud
+from .schema import FINITE, PAIRS, POSITIVE, Validated, rule, section
 
 GT_PATCH_RESOLUTION = 0.0175  # scanner-analog grid pitch
 SAMPLE_REGION = (0.5, 0.3)  # evaluated / sampled area around the base
@@ -30,31 +31,31 @@ class OutOfBoundsError(ValueError):
 
 
 @dataclass(frozen=True)
-class FlatRegion:
-    z: float = 0.0
+class FlatRegion(Validated):
+    z: float = rule(FINITE, default=0.0)
 
 
 @dataclass(frozen=True)
-class Step:
+class Step(Validated):
     """Raised box: z = height for x in [x_start, x_start + depth)."""
 
-    x_start: float
-    height: float
-    depth: float
+    x_start: float = rule(FINITE)
+    height: float = rule(FINITE)  # non-zero, checked by the scene
+    depth: float = rule(POSITIVE)
 
     def x_interval(self) -> tuple[float, float]:
         return (self.x_start, self.x_start + self.depth)
 
 
 @dataclass(frozen=True)
-class Platform:
+class Platform(Validated):
     """Rising steps to a platform, then a downward ramp back to ground."""
 
-    x_start: float
-    rise_steps: tuple[tuple[float, float], ...]  # (height, depth) per rise
-    platform_height: float
-    platform_length: float
-    ramp_slope: float
+    x_start: float = rule(FINITE)
+    rise_steps: tuple[tuple[float, float], ...] = rule(POSITIVE, PAIRS)  # (height, depth) each
+    platform_height: float = rule(POSITIVE)
+    platform_length: float = rule(POSITIVE)
+    ramp_slope: float = rule(POSITIVE)
 
     def x_interval(self) -> tuple[float, float]:
         depth = sum(d for _, d in self.rise_steps) + self.platform_length
@@ -67,37 +68,23 @@ PRIMITIVE_TYPES = {"flat": FlatRegion, "step": Step, "platform": Platform}  # sc
 
 
 @dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(Validated):
     primitives: list[Primitive]
-    extent: tuple[float, float]  # world size in x and y, base height z = 0
+    extent: np.ndarray = rule(POSITIVE, 2)  # world size in x and y, base height z = 0
 
     def __post_init__(self):
-        if len(self.extent) != 2 or not all(0 < e < math.inf for e in self.extent):
-            raise SceneError(f"scene extent must be two positive finite sizes: {self.extent}")
-        intervals = []
-        for p in self.primitives:
-            if isinstance(p, Platform) and any(len(r) != 2 for r in p.rise_steps):
-                raise SceneError(f"rise steps must be (height, depth) pairs in {p}")
-            values = np.hstack([np.ravel(getattr(p, f.name)) for f in fields(p)])
-            if not np.isfinite(values).all():
-                raise SceneError(f"non-finite value in {p}")
-            if isinstance(p, Step):
-                if p.height == 0 or p.depth <= 0:
-                    raise SceneError(f"degenerate step: {p}")
-                intervals.append((p.x_interval(), p))
-            elif isinstance(p, Platform):
-                if p.platform_height <= 0 or p.platform_length <= 0 or p.ramp_slope <= 0:
-                    raise SceneError(f"degenerate platform: {p}")
-                for h, d in p.rise_steps:
-                    if h <= 0 or d <= 0:
-                        raise SceneError(f"degenerate rise step in {p}")
-                intervals.append((p.x_interval(), p))
-        intervals.sort(key=lambda iv: iv[0][0])
-        for (a, pa), (b, pb) in zip(intervals, intervals[1:]):
+        try:
+            super().__post_init__()
+        except ValueError as e:
+            raise SceneError(*e.args) from None
+        for i, p in enumerate(self.primitives):
+            if isinstance(p, Step) and p.height == 0:
+                raise SceneError(f"primitives[{i}].height must be non-zero: {p}")
+        spans = [(p.x_interval(), p) for p in self.primitives if not isinstance(p, FlatRegion)]
+        spans.sort(key=lambda span: span[0][0])
+        for (a, pa), (b, pb) in zip(spans, spans[1:]):
             if b[0] < a[1]:
-                raise SceneError(
-                    f"primitives overlap in x: {pa} spans {a}, {pb} spans {b}"
-                )
+                raise SceneError(f"primitives overlap in x: {pa} spans {a}, {pb} spans {b}")
 
     def base_height(self) -> float:
         for p in self.primitives:
@@ -132,17 +119,31 @@ class SceneSpec:
         return z
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SceneSpec":
-        prims: list[Primitive] = []
-        for pd in d.get("primitives", []):
-            pd = dict(pd)
-            kind = pd.pop("type")
-            if kind not in PRIMITIVE_TYPES:
-                raise SceneError(f"unknown primitive type {kind!r}")
-            if kind == "platform":
-                pd["rise_steps"] = tuple(tuple(r) for r in pd["rise_steps"])
-            prims.append(PRIMITIVE_TYPES[kind](**pd))
-        return cls(primitives=prims, extent=tuple(d["extent"]))
+    def from_dict(cls, d) -> "SceneSpec":
+        """The scene of an inline `scene` config section. A malformed one is a
+        SceneError that names the section path and the key."""
+        d = section(d, "scene", ("extent", "primitives"), ("extent",), SceneError)
+        prims = d.get("primitives", [])
+        if not isinstance(prims, list):
+            raise SceneError(f"scene.primitives must be a list: {prims!r}")
+        made, types = [], sorted(PRIMITIVE_TYPES)  # a list, so an unhashable type is not in it
+        for i, p in enumerate(prims):
+            path = f"scene.primitives[{i}]"
+            if not isinstance(p, dict) or p.get("type") not in types:
+                raise SceneError(f"{path} must be a mapping with a type in {types}: {p!r}")
+            kind = PRIMITIVE_TYPES[p["type"]]
+            rest = {k: v for k, v in p.items() if k != "type"}
+            made.append(_built(path, kind, **section(rest, path, kind, error=SceneError)))
+        return _built("scene", cls, made, d["extent"])
+
+
+def _built(path: str, cls, *args, **kwargs):
+    """`cls(*args, **kwargs)` for config section `path`: a bad value is a
+    SceneError that names the path and the key."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as e:
+        raise SceneError(f"{path}.{e}") from None
 
 
 def obstacle_scene() -> SceneSpec:

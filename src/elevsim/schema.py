@@ -2,16 +2,18 @@
 
 A field states its rule in its `dataclasses.field` metadata through `rule`.
 A config subclasses `Validated`, whose `__post_init__` runs `validate` before
-the class's own checks that relate two fields. Each numeric kind is a half-open interval
-tested as `lo <= v < hi`, so NaN fails every kind; an open lower or a closed
-upper bound moves to the adjacent float when the kind is made. A value with
-a NaN or an infinity is reported as not finite, any other as not its kind.
+the class's own checks that relate two fields, and `section` is the one key
+check of a config section read from a mapping. Each numeric kind is a
+half-open interval tested as `lo <= v < hi`, so NaN fails every kind; an open
+lower or a closed upper bound moves to the adjacent float when the kind is
+made. A value with a NaN or an infinity is reported as not finite, any other
+as not its kind.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import field, fields
+from dataclasses import MISSING, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +36,7 @@ POSITIVE = interval("positive and finite", 0.0, math.inf)
 UNIT = interval("in [0, 1)", 0.0, 1.0, lo_closed=True)
 BOOL = Kind("true or false")  # an exact bool
 COUNT = Kind("a non-negative integer")  # an int or numpy integer >= 0, not a bool
+PAIRS = "(a, b) pairs of"  # a shape: a list of two-number lists, kept as float pairs
 
 
 def rule(kind: Kind | None = None, shape=None, *, coerce=None, optional=False, **kwargs):
@@ -67,22 +70,52 @@ def validate(obj) -> None:
 
 
 def check(key: str, value, kind: Kind | None, shape=None, coerce=None):
-    """`value` coerced, to a float, to a float array of `shape` or with
-    `coerce`, and checked against `kind`; else ValueError naming `key`."""
+    """`value` coerced, to a float, to a float array of `shape`, to a tuple of
+    float pairs or with `coerce`, and checked against `kind`; else ValueError
+    naming `key`."""
     if kind is BOOL or kind is COUNT:
         integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
         if not (isinstance(value, bool) if kind is BOOL else integer and 0 <= value):
             raise ValueError(f"{key} must be {kind.text}: {value!r}")
         return value
     try:
-        if coerce is None:
+        if shape is PAIRS:
+            coerce = _pairs
+        elif coerce is None:
             coerce = float if shape is None else lambda v: np.asarray(v, float).reshape(shape)
         v = coerce(value)
     except (TypeError, ValueError, OverflowError):
         what = kind.text if kind else f"a {coerce.__name__}"
         what = what if shape is None else f"{shape} values, each {what}"
         raise ValueError(f"{key} must be {what}: {value!r}") from None
-    if kind is not None and not np.all((kind.lo <= v) & (v < kind.hi)):
-        text = kind.text if np.isfinite(v).all() else FINITE.text
+    a = np.asarray(v)
+    if kind is not None and not np.all((kind.lo <= a) & (a < kind.hi)):
+        text = kind.text if np.isfinite(a).all() else FINITE.text
         raise ValueError(f"{key} must be {text}: {value}")
     return v
+
+
+def _pairs(value) -> tuple[tuple[float, float], ...]:
+    """A list of two-number lists as float pairs; a flat list is not one."""
+    if not (isinstance(value, (list, tuple)) and all(isinstance(p, (list, tuple)) for p in value)):
+        raise TypeError(f"not a list of pairs: {value!r}")
+    return tuple((float(a), float(b)) for a, b in value)
+
+
+def section(value, name: str, keys, required=(), error=ValueError) -> dict:
+    """A copy of config section `name`: a mapping whose keys are among `keys`
+    and include `required`. `keys` are names, or a dataclass whose fields
+    name them and whose fields without a default are required. A fault is
+    `error`, naming the section and the keys."""
+    if not isinstance(value, dict):
+        raise error(f"{name} must be a mapping, got {value!r}")
+    if isinstance(keys, type):
+        required = [f.name for f in fields(keys) if f.default is f.default_factory is MISSING]
+        keys = [f.name for f in fields(keys)]
+    unknown = sorted(set(value) - set(keys), key=str)  # YAML keys need not be strings
+    if unknown:
+        raise error(f"unknown {name} keys: {unknown}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise error(f"missing {name} keys: {missing}")
+    return dict(value)

@@ -124,19 +124,25 @@ class CommandProfile:
     segments: list[tuple[float, tuple[float, float, float]]]  # (duration, cmd)
 
     def __post_init__(self):
-        for d, cmd in self.segments:
+        pair = "a (duration, [v_x, v_y, w_z]) pair"
+        if not isinstance(self.segments, (list, tuple)):
+            raise ValueError(f"command must be a list of segments, each {pair}: {self.segments!r}")
+        segments = []
+        for i, seg in enumerate(self.segments):
             try:
+                d, cmd = seg
+                d, cmd = float(d), tuple(cmd)
                 c = np.asarray(cmd, dtype=float)
             except (TypeError, ValueError):
                 c = None
             if c is None or c.shape != (3,):
-                raise ValueError(
-                    f"segment ({d}, {cmd}) needs a command of three numbers (v_x, v_y, w_z)"
-                )
+                raise ValueError(f"command segment {i} is not {pair}: {seg!r}")
             if not (np.isfinite(d) and np.isfinite(c).all()):
                 raise ValueError(f"segment ({d}, {cmd}) is not finite")
             if d <= 0:
                 raise ValueError("segment durations must be positive")
+            segments.append((d, cmd))
+        object.__setattr__(self, "segments", segments)
 
     @property
     def total_duration(self) -> float:
@@ -484,7 +490,7 @@ def inject_sensor_noise(
 
 
 def default_front_camera() -> CameraModel:
-    """Stereo depth camera at the nose, pitched 60 degrees downward."""
+    """Stereo depth camera at the nose, pitched 50 degrees downward."""
     return CameraModel(
         name="front",
         mount=Pose(np.array([0.25, 0.0, 0.05]), quat_from_euler(0.0, np.deg2rad(50), 0.0)),

@@ -3,7 +3,8 @@ the package.
 
 The sections are the dataclasses that a config field's default factory
 builds, and theirs in turn: `SensorNoise`, `SourceErrorModel` and the three
-odometry error models. A field counts as read when some module in
+odometry error models. The scene section's are `SceneSpec` and its terrain
+primitives. A field counts as read when some module in
 `src/elevsim/` loads it as an attribute outside a `__post_init__` or
 `from_dict`, which only validate and parse it. A knob that nothing reads
 is accepted by the config and changes no output. A stdlib `ast` check: it
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from elevsim.pipeline import ScenarioConfig
+from elevsim.scene import PRIMITIVE_TYPES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "elevsim"
 MODULES = sorted(SRC.glob("*.py"))
@@ -62,6 +64,7 @@ def _sections(cls: type) -> list[str]:
 
 
 SECTIONS = _sections(ScenarioConfig)
+SCENE = ["SceneSpec", *(cls.__name__ for cls in PRIMITIVE_TYPES.values())]
 
 
 def test_every_scenario_config_field_is_read():
@@ -74,7 +77,11 @@ def test_sections_found():
     )
 
 
-@pytest.mark.parametrize("cls", SECTIONS)
+def test_scene_sections_found():
+    assert sorted(SCENE) == ["FlatRegion", "Platform", "SceneSpec", "Step"]
+
+
+@pytest.mark.parametrize("cls", SECTIONS + SCENE)
 def test_every_section_field_is_read(cls):
     assert _unread_fields([p.read_text() for p in MODULES], cls) == []
 
@@ -111,3 +118,12 @@ def test_check_finds_a_field_added_to_a_section():
     assert last in sources[k]
     sources[k] = sources[k].replace(last, last + "    speckle: float = 0.0\n")
     assert _unread_fields(sources, "SensorNoise") == ["speckle"]
+
+
+def test_check_finds_a_field_added_to_a_primitive():
+    sources = [p.read_text() for p in MODULES]
+    k = next(i for i, s in enumerate(sources) if "class Step" in s)
+    last = "    depth: float = rule(POSITIVE)\n"
+    assert last in sources[k]
+    sources[k] = sources[k].replace(last, last + "    nosing: float = rule(FINITE, default=0.0)\n")
+    assert _unread_fields(sources, "Step") == ["nosing"]

@@ -36,6 +36,14 @@ KEPT = {
 }
 
 
+def _has_default(value: ast.expr | None) -> bool:
+    """Whether a dataclass field's value gives it a default: a plain value,
+    or a `field(...)` or `rule(...)` call with `default` or `default_factory`."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("field", "rule"):
+        return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+    return value is not None
+
+
 class _Definitions(ast.NodeVisitor):
     """Defaulted parameters of every function, method and dataclass, keyed by
     the name a call uses: (label, parameter, position) triples, where the
@@ -57,7 +65,7 @@ class _Definitions(ast.NodeVisitor):
             ]
             for position, stmt in enumerate(fields):
                 name = stmt.target.id
-                if stmt.value is not None:
+                if _has_default(stmt.value):
                     self._add(node.name, f"{node.name}({name})", name, position)
         outer, self.owner = self.owner, node.name
         self.generic_visit(node)
@@ -156,6 +164,9 @@ def test_check_counts_each_way_of_passing_a_value():
         "    c: list = field(default_factory=list)\n"
         "    d: int = 3\n"
         "    e: int = 4\n"
+        "    f: float = rule(FINITE)\n"
+        "    g: float = rule(FINITE, default=0.0)\n"
+        "    h: list = field(metadata={})\n"
         "    @classmethod\n"
         "    def make(cls, d):\n"
         "        return cls(0, 1, c=[])\n"
@@ -175,7 +186,8 @@ def test_check_counts_each_way_of_passing_a_value():
         "    obj.m(1)\n"
         "    return M(q=2), cfg\n"
     )
-    assert _unpassed([source]) == ["Cfg(e)", "M(p)", "M.m(s)"]
+    # f and h have no default, so only g of the three is a knob
+    assert _unpassed([source]) == ["Cfg(e)", "Cfg(g)", "M(p)", "M.m(s)"]
 
 
 def test_check_finds_a_knob_added_to_the_package():

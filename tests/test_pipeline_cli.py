@@ -98,27 +98,72 @@ NO_SUCCESS = "unknown config keys: ['success']"
 BAD_CONFIGS = {
     "extent_nan": ({"scene": _scene(STEP, extent=(8.0, NAN))}, "extent"),
     "extent_inf": ({"scene": _scene(STEP, extent=(INF, 3.0))}, "extent"),
-    "step_height_nan": ({"scene": _scene({**STEP, "height": NAN})}, "height=nan"),
-    "step_x_start_nan": ({"scene": _scene({**STEP, "x_start": NAN})}, "x_start=nan"),
+    "step_height_nan": (
+        {"scene": _scene({**STEP, "height": NAN})}, "scene.primitives[1].height must be finite"
+    ),
+    "step_x_start_nan": (
+        {"scene": _scene({**STEP, "x_start": NAN})}, "scene.primitives[1].x_start must be finite"
+    ),
     "flat_z_nan": (
         {"scene": {"extent": [8.0, 3.0], "primitives": [{"type": "flat", "z": NAN}]}},
-        "FlatRegion(z=nan)",
+        "scene.primitives[0].z must be finite",
     ),
     "rise_step_nan": (
         {"scene": _scene({**PLATFORM, "rise_steps": [[0.1, NAN]]})},
-        "rise_steps=((0.1, nan),)",
+        "scene.primitives[1].rise_steps must be finite",
     ),
     "ramp_slope_inf": (
-        {"scene": _scene({**PLATFORM, "ramp_slope": INF})}, "ramp_slope=inf"
+        {"scene": _scene({**PLATFORM, "ramp_slope": INF})},
+        "scene.primitives[1].ramp_slope must be finite",
+    ),
+    # a malformed scene section used to escape as a bare TypeError or
+    # KeyError that named no section, or (an unknown scene key) to pass
+    "step_key_misspelled": (
+        {"scene": _scene({"type": "step", "heigth": 0.1, "x_start": 3.0, "depth": 0.8})},
+        "unknown scene.primitives[1] keys: ['heigth']",
+    ),
+    "extent_missing": ({"scene": {"primitives": []}}, "missing scene keys: ['extent']"),
+    "type_missing": (
+        {"scene": _scene({"height": 0.1, "x_start": 3.0, "depth": 0.8})},
+        "scene.primitives[1] must be a mapping with a type in ['flat', 'platform', 'step']",
+    ),
+    "step_height_missing": (
+        {"scene": _scene({"type": "step", "x_start": 3.0, "depth": 0.8})},
+        "missing scene.primitives[1] keys: ['height']",
+    ),
+    "primitives_not_a_list": (
+        {"scene": {"extent": [8.0, 3.0], "primitives": 5}}, "scene.primitives must be a list: 5"
+    ),
+    "primitive_not_a_mapping": (
+        {"scene": {"extent": [8.0, 3.0], "primitives": [5]}},
+        "scene.primitives[0] must be a mapping",
+    ),
+    "rise_steps_not_a_list": (
+        {"scene": _scene({**PLATFORM, "rise_steps": 5})},
+        "scene.primitives[1].rise_steps must be (a, b) pairs",
+    ),
+    "rise_step_of_four": (
+        {"scene": _scene({**PLATFORM, "rise_steps": [[0.1, 0.3, 0.1, 0.3]]})},
+        "scene.primitives[1].rise_steps must be (a, b) pairs",
+    ),
+    "extent_not_a_pair": (
+        {"scene": {"extent": 8.0, "primitives": []}}, "scene.extent must be 2 values"
+    ),
+    "scene_key_unknown": (
+        {"scene": {"extent": [8.0, 3.0], "primitives": [], "colour": 1}},
+        "unknown scene keys: ['colour']",
+    ),
+    "step_height_zero": (
+        {"scene": _scene({**STEP, "height": 0.0})}, "scene.primitives[1].height must be non-zero"
     ),
     # a short command died in simulate_trajectory, a long one in the reward
     # after the whole map loop, each with exit 1
     "command_two_components": (
-        {"command": [[2.0, [0.5, 0.0]]]}, "segment (2.0, (0.5, 0.0)) needs a command of three"
+        {"command": [[2.0, [0.5, 0.0]]]}, "command segment 0 is not a (duration, [v_x, v_y, w_z])"
     ),
     "command_four_components": (
         {"command": [[2.0, [0.5, 0.0, 0.0, 9.0]]]},
-        "segment (2.0, (0.5, 0.0, 0.0, 9.0)) needs a command of three",
+        "command segment 0 is not a (duration, [v_x, v_y, w_z]) pair: [2.0, [0.5, 0.0, 0.0, 9.0]]",
     ),
     "seed_negative": ({"seed": -1}, "seed"),
     "seed_float": ({"seed": 1.5}, "seed"),
@@ -143,6 +188,12 @@ BAD_CONFIGS = {
     "vio_dropout_nan": (
         {"source_errors": {"vio": {"dropouts": [[NAN, 1.0]]}}},
         "dropouts",
+    ),
+    # each used to be a bare TypeError; a flat list is not read as two windows
+    "vio_dropouts_not_a_list": ({"source_errors": {"vio": {"dropouts": 5}}}, "dropouts must be"),
+    "vio_dropout_not_a_list": ({"source_errors": {"vio": {"dropouts": [5]}}}, "dropouts must be"),
+    "vio_dropouts_flat": (
+        {"source_errors": {"vio": {"dropouts": [1.0, 2.0, 3.0, 4.0]}}}, "dropouts must be"
     ),
     "sigma0_negative": ({"sensor_noise": {"sigma0": -1.0}}, "sigma0 must be"),
     "k_negative": ({"sensor_noise": {"k": -0.1}}, "k must be"),
@@ -281,6 +332,16 @@ class TestConfig:
         with pytest.raises(ValueError) as err:
             ScenarioConfig.from_dict({**SHORT, **extra})
         assert text in str(err.value)
+
+    @pytest.mark.parametrize("case", [c for c in BAD_CONFIGS if set(BAD_CONFIGS[c][0]) == {"scene"}])
+    def test_bad_scene_is_a_scene_error(self, case):
+        # from the whole config and from the scene section alone
+        extra, text = BAD_CONFIGS[case]
+        for parse in (scene.SceneSpec.from_dict,
+                      lambda d: ScenarioConfig.from_dict({**SHORT, "scene": d})):
+            with pytest.raises(scene.SceneError) as err:
+                parse(extra["scene"])
+            assert text in str(err.value)
 
     @pytest.mark.parametrize(
         "command",
@@ -774,3 +835,11 @@ class TestCli:
         # the obstacle scene's 8 x 3 m at 0.0175 m, one x-profile per column
         assert grid.shape == (457, 171)
         assert (grid == grid[:, :1]).all()
+
+    def test_export_scene_misspelled_key_exits_2(self, tmp_path, capsys):
+        step = {"type": "step", "heigth": 0.1, "x_start": 3.0, "depth": 0.8}
+        cfg = self._write_cfg(tmp_path, {"scene": _scene(step)})
+        out = tmp_path / "scene.csv"
+        assert main(["export-scene", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown scene.primitives[1] keys: ['heigth']" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,8 +1,10 @@
 """Property tests for the terrain layer: random inline scenes either fail at
 `SceneSpec.from_dict` with a SceneError, or build a heightfield whose
-lookups, runs and bounds agree with the scene's analytic profile."""
+lookups, runs and bounds agree with the scene's analytic profile. Malformed
+scene sections fail with a SceneError too, never another exception."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +15,13 @@ SPECIAL = st.sampled_from([0.0, float("nan"), float("inf"), float("-inf")])
 
 
 @st.composite
-def scene_dicts(draw) -> dict:
+def scene_dicts(draw) -> tuple[dict, bool]:
     """A flat base and up to three steps or platforms, which may overlap.
-    Half the scenes may also hold zeros and non-finite values."""
+    Half the scenes may also hold zeros and non-finite values, and about a
+    third are malformed in one way: a primitive key misspelled or missing
+    (the `type` too), no extent, `primitives` or a primitive of the wrong
+    type, `rise_steps` of the wrong type or with a rise of four numbers, or
+    an unknown scene key. Returns the scene and whether it must fail."""
     special = draw(st.booleans())
 
     def num(lo: float, hi: float) -> float:
@@ -32,15 +38,48 @@ def scene_dicts(draw) -> dict:
                 "ramp_slope": num(-0.1, 2.0)}
 
     prims = [draw(st.sampled_from([step, platform]))() for _ in range(draw(st.integers(0, 3)))]
-    return {
+    d = {
         "extent": [num(0.05, 6.0), num(0.05, 2.0)],
         "primitives": [{"type": "flat", "z": num(-1.0, 1.0)}, *prims],
     }
+    fault = draw(st.sampled_from([None] * 12 + ["misspelled", "missing", "extent", "primitives",
+                                                "primitive", "rise_steps", "scene_key"]))
+    k = draw(st.integers(0, len(d["primitives"]) - 1))
+    prim = d["primitives"][k]
+    key = draw(st.sampled_from(sorted(prim)))
+    if fault == "misspelled":
+        # "height" -> "heigth", "z" -> "zz"
+        prim[key[:-2] + key[-1] + key[-2] if len(key) > 1 else key * 2] = prim.pop(key)
+    elif fault == "missing":
+        del prim[key]
+        return d, key != "z"  # a flat region's z defaults to 0
+    elif fault == "extent":
+        del d["extent"]
+    elif fault == "primitives":
+        d["primitives"] = draw(st.sampled_from([5, "step", None, {"type": "flat", "z": 0.0}]))
+    elif fault == "primitive":
+        d["primitives"][k] = draw(
+            st.sampled_from([5, "flat", None, [0.0], ["type", "flat"], {"type": ["step"]}])
+        )
+    elif fault == "rise_steps":
+        platforms = [p for p in d["primitives"] if p["type"] == "platform"]
+        rises = [5, "0.1", None, [0.1, 0.3], [[0.1, 0.3, 0.1, 0.3]], [[0.1, 0.3], 0.1]]
+        for p in platforms:
+            p["rise_steps"] = draw(st.sampled_from(rises))
+        return d, bool(platforms)
+    elif fault == "scene_key":
+        d[draw(st.sampled_from(["colour", "resolution", "primitive", "type", 1]))] = 1
+    return d, fault is not None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(d=scene_dicts(), resolution=st.floats(0.01, 0.1))
-def test_scene_rejected_or_profile_consistent(d, resolution):
+@given(drawn=scene_dicts(), resolution=st.floats(0.01, 0.1))
+def test_scene_rejected_or_profile_consistent(drawn, resolution):
+    d, malformed = drawn
+    if malformed:
+        with pytest.raises(SceneError):
+            SceneSpec.from_dict(d)
+        return
     try:
         spec = SceneSpec.from_dict(d)
     except SceneError:

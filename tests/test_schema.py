@@ -4,27 +4,32 @@ names it; the configs are frozen; and short whole runs from schema-drawn
 configs finish untruncated with finite metrics.
 
 `RULED` is this module's own copy of the schema: each ruled field with the
-kind text its errors use. The drawn values come from each field's metadata
-(its interval's bounds and their neighbours), and whether a value must be
-accepted comes from `INSIDE`, written here without the schema's code.
+kind text its errors use, and every ruled class in the package must be in it.
+The drawn values come from each field's metadata (its interval's bounds and
+their neighbours), and whether a value must be accepted comes from `INSIDE`
+and `RELATED`, written here without the schema's code.
 """
 
+import gc
+import importlib
 import math
+import pkgutil
 import re
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elevsim
 from elevsim.elevmap import SensorVarianceModel
 from elevsim.obsbuilder import HeightNoiseState
 from elevsim.odometry import EstimatorErrors, ImuErrors, SourceErrorModel, VioErrors
 from elevsim.pipeline import ScenarioConfig, run_scenario
 from elevsim.reward import DEFAULT_WEIGHTS, RewardConfig
-from elevsim.scene import SceneSpec
-from elevsim.schema import BOOL, COUNT
+from elevsim.scene import FlatRegion, Platform, SceneSpec, Step, obstacle_scene
+from elevsim.schema import BOOL, COUNT, PAIRS, POSITIVE, Validated, rule
 from elevsim.sensorsim import CameraModel, CommandProfile, SensorNoise, default_front_camera
 
 BASE = ScenarioConfig.from_dict({"scene": "obstacle", "command": [[2.0, [0.5, 0.0, 0.0]]]})
@@ -70,28 +75,49 @@ RULED = [
     (HeightNoiseState, "sample_sigma", "non-negative and finite", None, False),
     (HeightNoiseState, "bias_sigma", "non-negative and finite", 3, False),
     (HeightNoiseState, "bias", "finite", 3, False),
+    (VioErrors, "dropouts", "finite", PAIRS, False),
+    (FlatRegion, "z", "finite", None, False),
+    (Step, "x_start", "finite", None, False),
+    (Step, "height", "finite", None, False),
+    (Step, "depth", "positive and finite", None, False),
+    (Platform, "x_start", "finite", None, False),
+    (Platform, "rise_steps", "positive and finite", PAIRS, False),
+    (Platform, "platform_height", "positive and finite", None, False),
+    (Platform, "platform_length", "positive and finite", None, False),
+    (Platform, "ramp_slope", "positive and finite", None, False),
+    (SceneSpec, "extent", "positive and finite", 2, False),
 ]
-CONFIGS = sorted({row[0] for row in RULED}, key=lambda cls: cls.__name__)
-FROZEN = [ScenarioConfig, CameraModel, SensorNoise, CommandProfile, SceneSpec, EstimatorErrors,
-          ImuErrors, VioErrors, SourceErrorModel, RewardConfig, SensorVarianceModel]
+# the hand-written rules that relate the entries of one ruled field
+RELATED = {(VioErrors, "dropouts"): lambda pairs: all(float(a) < float(b) for a, b in pairs)}
+FROZEN = [ScenarioConfig, CameraModel, SensorNoise, CommandProfile, SceneSpec, FlatRegion, Step,
+          Platform, EstimatorErrors, ImuErrors, VioErrors, SourceErrorModel, RewardConfig,
+          SensorVarianceModel]
 
 
 def _base(cls):
     """A valid instance to replace one field of; frozen ones are shared."""
     made = {ScenarioConfig: BASE, CameraModel: default_front_camera(), SceneSpec: BASE.scene_spec,
-            CommandProfile: BASE.profile, SourceErrorModel: BASE.source_errors}
+            CommandProfile: BASE.profile, SourceErrorModel: BASE.source_errors,
+            Step: Step(x_start=3.0, height=0.1, depth=0.8), Platform: obstacle_scene().primitives[1]}
     return made[cls] if cls in made else cls()
 
 
 def _accepted(text: str, shape, value) -> bool:
     """Whether the schema must accept `value`: the kind's test on the value
-    coerced as the schema says (float, or a float per vector entry)."""
+    coerced as the schema says (float, a float per vector entry, or a list of
+    two-entry lists of them)."""
     if text == BOOL.text:
         return isinstance(value, bool)
     if text == COUNT.text:
         return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
     if shape is dict:
         return all(_accepted(text, None, v) for v in value.values())
+    if shape is PAIRS:
+        sequence = (list, tuple)
+        return isinstance(value, sequence) and all(
+            isinstance(p, sequence) and len(p) == 2 and all(_accepted(text, None, v) for v in p)
+            for p in value
+        )
     if shape is not None:
         return len(value) == shape and all(_accepted(text, None, v) for v in value)
     try:
@@ -121,6 +147,10 @@ def _values(kind, shape) -> st.SearchStrategy:
                        st.integers(-(2**1100), 2**1100))
     if shape is dict:
         return st.dictionaries(st.sampled_from(sorted(DEFAULT_WEIGHTS)), number, max_size=4)
+    if shape is PAIRS:
+        pairs = st.lists(st.lists(number, min_size=2, max_size=2), max_size=3)
+        ragged = st.lists(st.lists(number, max_size=3), max_size=2)
+        return st.one_of(pairs, ragged, st.lists(number, max_size=4), number)
     if shape is not None:
         return st.one_of(st.lists(number, min_size=shape, max_size=shape),
                          st.lists(number, max_size=shape + 1))
@@ -131,22 +161,65 @@ def _rules(cls) -> dict:
     return {f.name: f.metadata["rule"] for f in fields(cls) if "rule" in f.metadata}
 
 
-def test_every_ruled_field_is_in_the_table():
-    for cls in CONFIGS:
+def _ruled_classes() -> list[type]:
+    """Every dataclass in the package that subclasses `Validated`, at any
+    depth, and has a ruled field with a kind."""
+    for module in pkgutil.iter_modules(elevsim.__path__):
+        importlib.import_module(f"elevsim.{module.name}")
+    found, todo = [], list(Validated.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        ruled = is_dataclass(cls) and any(kind for kind, *_ in _rules(cls).values())
+        if ruled and cls.__module__.startswith("elevsim."):
+            found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def _off_the_table(classes: list[type]) -> list[str]:
+    """The classes whose ruled fields differ from their rows in `RULED`."""
+    off = []
+    for cls in classes:
         declared = {
             name: (kind.text, shape, optional)
             for name, (kind, shape, _, optional) in _rules(cls).items()
             if kind is not None
         }
-        expected = {row[1]: row[2:] for row in RULED if row[0] is cls}
-        assert declared == expected, cls.__name__
+        if declared != {row[1]: row[2:] for row in RULED if row[0] is cls}:
+            off.append(cls.__name__)
+    return off
+
+
+def test_every_ruled_field_is_in_the_table():
+    classes = _ruled_classes()
+    assert {row[0] for row in RULED} <= set(classes)
+    assert _off_the_table(classes) == []
+
+
+def test_table_check_finds_a_ruled_class_left_out():
+    @dataclass(frozen=True)
+    class Planted(Validated):
+        gain: float = rule(POSITIVE, default=1.0)
+
+    Planted.__module__ = "elevsim.planted"
+    try:
+        assert _off_the_table(_ruled_classes()) == ["Planted"]
+    finally:
+        del Planted
+        gc.collect()
+    assert _off_the_table(_ruled_classes()) == []
 
 
 def _constructs_or_names_the_key(cls, name: str, text: str, shape, optional: bool, value):
     """Replacing the field with `value` succeeds, storing a float inside the
-    kind, exactly when the value belongs to it; else the error names the key."""
-    if (value is None and optional) or (value is not None and _accepted(text, shape, value)):
+    kind (pairs as a tuple of float pairs), exactly when the value belongs to
+    it and keeps the field's related rule; else the error names the key."""
+    related = RELATED.get((cls, name), lambda value: True)
+    accepted = value is not None and _accepted(text, shape, value) and related(value)
+    if (value is None and optional) or accepted:
         stored = getattr(replace(_base(cls), **{name: value}), name)
+        if shape is PAIRS:
+            assert type(stored) is tuple and all(type(p) is tuple and len(p) == 2 for p in stored)
         if value is not None and text not in (BOOL.text, COUNT.text):
             entries = stored.values() if shape is dict else np.ravel(stored)
             assert all(type(v) in (float, np.float64) and INSIDE[text](v) for v in entries)
@@ -160,17 +233,21 @@ FIELD_IDS = [f"{r[0].__name__}.{r[1]}" for r in RULED]
 
 @pytest.mark.parametrize("cls, name, text, shape, optional", RULED, ids=FIELD_IDS)
 def test_field_edges(cls, name, text, shape, optional):
-    # each edge alone, or in the first entry of the field's valid default
+    # each edge alone, in the first entry of the field's valid default, or in
+    # either place of a pair
     kind, *_ = _rules(cls)[name]
     default = getattr(_base(cls), name)
     for edge in _edges(kind):
         if shape is dict:
-            value = {**default, "collisions": edge}
+            values = [{**default, "collisions": edge}]
+        elif shape is PAIRS:
+            values = [[[edge, 1.0]], [[1.0, edge]]]
         elif shape is not None:
-            value = [edge, *np.ravel(default)[1:]]
+            values = [[edge, *np.ravel(default)[1:]]]
         else:
-            value = edge
-        _constructs_or_names_the_key(cls, name, text, shape, optional, value)
+            values = [edge]
+        for value in values:
+            _constructs_or_names_the_key(cls, name, text, shape, optional, value)
 
 
 @pytest.mark.parametrize("cls, name, text, shape, optional", RULED, ids=FIELD_IDS)
