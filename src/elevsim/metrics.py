@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .elevmap import ElevationMap
-from .geometry import Pose, rotz, yaw_from_quat
+from .geometry import Pose, _apply, rotz, yaw_from_quat
 from .pointcloud import PointCloud
 from .scene import SAMPLE_REGION, Heightfield, ground_truth_patch
 from .sensorsim import CommandProfile
@@ -123,22 +123,13 @@ def rte(
     s = gt.arc_lengths()
     if s[-1] < segment_length:
         raise ValueError("ground-truth trajectory shorter than one segment")
-    gt_yaw = gt.yaws()
-    est_yaw = est.yaws()
-    n_segments = int(s[-1] // segment_length)
-    errors = []
-    for k in range(n_segments):
-        s0, s1 = k * segment_length, (k + 1) * segment_length
-        t0 = float(np.interp(s0, s, gt.t))
-        t1 = float(np.interp(s1, s, gt.t))
-        g0 = _interp_vec(np.array([t0]), gt.t, gt.positions)[0]
-        g1 = _interp_vec(np.array([t1]), gt.t, gt.positions)[0]
-        e0 = _interp_vec(np.array([t0]), est.t, est.positions)[0]
-        e1 = _interp_vec(np.array([t1]), est.t, est.positions)[0]
-        dyaw = float(np.interp(t0, gt.t, gt_yaw) - np.interp(t0, est.t, est_yaw))
-        aligned_end = g0 + rotz(dyaw) @ (e1 - e0)
-        errors.append(float(np.linalg.norm(aligned_end - g1)))
-    return MetricReport(values=errors)
+    # the times of the segment ends, then every segment's error at once
+    t = np.interp(np.arange(int(s[-1] // segment_length) + 1) * segment_length, s, gt.t)
+    g = _interp_vec(t, gt.t, gt.positions)
+    e = _interp_vec(t, est.t, est.positions)
+    dyaw = np.interp(t[:-1], gt.t, gt.yaws()) - np.interp(t[:-1], est.t, est.yaws())
+    d = g[:-1] + _apply(rotz(dyaw), e[1:] - e[:-1]) - g[1:]
+    return MetricReport(values=np.sqrt(np.vecdot(d, d)).tolist())
 
 
 def tracking_rms(

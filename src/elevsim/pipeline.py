@@ -85,8 +85,9 @@ class ScenarioConfig(Validated):
         super().__post_init__()
         if self.odometry not in ODOMETRY_MODES:
             raise ValueError(f"odometry mode must be one of {ODOMETRY_MODES}")
-        sx, sy = self.start_xy
-        check("start_xy", (sx, 0.0 if sy is None else sy), FINITE, 2)
+        # a y of None is the middle of the terrain
+        xy = self.start_xy
+        check("start_xy", xy[:1] + tuple(0.0 if y is None else y for y in xy[1:]), FINITE, 2)
         # the start footprint must lie on the grid that build_scene will make
         res = scene.GT_PATCH_RESOLUTION
         nx, ny = scene.grid_shape(self.scene_spec, res)
@@ -106,7 +107,10 @@ class ScenarioConfig(Validated):
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        d = dict(d)
+        # scalar knobs: the fields with a plain default, coerced by their rules
+        scalars = {f.name for f in fields(cls) if f.default is not MISSING}
+        d = section(d, "config", scalars | {"scene", "command", "sensor_noise",
+                                            "height_noise", "source_errors"})
         sc = d.pop("scene", "obstacle")
         if sc == "obstacle":
             spec = scene.obstacle_scene()
@@ -117,8 +121,6 @@ class ScenarioConfig(Validated):
         else:
             raise ValueError(f"unknown scene {sc!r}")
         profile = CommandProfile(d.pop("command", [[12.0, [0.5, 0.0, 0.0]]]))
-        # scalar knobs: the fields with a plain default, coerced by their rules
-        scalars = {f.name for f in fields(cls) if f.default is not MISSING}
         kwargs = {key: d.pop(key) for key in scalars & d.keys()}
         noise = section(d.pop("sensor_noise", {}), "sensor_noise", SensorNoise)
         kwargs["sensor_noise"] = SensorNoise(**noise)
@@ -134,8 +136,6 @@ class ScenarioConfig(Validated):
             imu=ImuErrors(**section(se.get("imu", {}), "source_errors.imu", ImuErrors)),
             vio=VioErrors(**section(se.get("vio", {}), "source_errors.vio", VioErrors)),
         )
-        if d:
-            raise ValueError(f"unknown config keys: {sorted(d)}")
         return cls(scene_spec=spec, profile=profile, **kwargs)
 
     @classmethod
@@ -143,7 +143,8 @@ class ScenarioConfig(Validated):
         import yaml  # only YAML configs pay its import
 
         with open(path) as f:
-            return cls.from_dict(yaml.safe_load(f) or {})
+            d = yaml.safe_load(f)
+        return cls.from_dict({} if d is None else d)  # an empty file, not `[]` or `false`
 
 
 @dataclass
@@ -295,22 +296,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _reward_mean(cfg: ScenarioConfig, traj: Trajectory, hf: scene.Heightfield) -> float:
-    """Mean reward over the control ticks. The reward reads only the
-    trajectory and the terrain, never the map."""
-    rcfg = reward.RewardConfig()
-    ticks = np.arange(0, len(traj), CONTROL_EVERY)
-    terrain = hf.heights_at(traj.pos[ticks, :2], fill=0.0)
-    commands = cfg.profile.at(traj.t[ticks])
-    prev_q, prev_dq = Q_STAND, np.zeros(12)
-    totals = []
-    for i, terrain_h, cmd in zip(ticks, terrain, commands):
-        st = traj.state(i)
-        qdd = (st.dq - prev_dq) / (CONTROL_EVERY / SIM_RATE)
-        b = reward.compute_terms(st, cmd, st.q, prev_q, np.zeros(12), 0, rcfg,
-                                 joint_accel=qdd, terrain_height=float(terrain_h))
-        totals.append(b.total)
-        prev_q, prev_dq = st.q, st.dq
-    return float(np.mean(totals))
+    """Mean reward over the control ticks, in one stacked reward call. The
+    reward reads only the trajectory and the terrain, never the map."""
+    st = traj.state(np.arange(0, len(traj), CONTROL_EVERY))
+    # a tick's action is its joint position; before the first the robot stands
+    prev_q = np.vstack([Q_STAND, st.q[:-1]])
+    prev_dq = np.vstack([np.zeros(12), st.dq[:-1]])
+    b = reward.compute_terms(
+        st, cfg.profile.at(st.t), st.q, prev_q, np.zeros(12), 0, reward.RewardConfig(),
+        joint_accel=(st.dq - prev_dq) / (CONTROL_EVERY / SIM_RATE),
+        terrain_height=hf.heights_at(st.position[:, :2], fill=0.0),
+    )
+    return float(np.mean(b.total))
 
 
 def _report(cfg: ScenarioConfig, traj: Trajectory, gt_traj: metrics.TrajectorySamples,

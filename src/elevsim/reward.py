@@ -43,18 +43,28 @@ class RewardConfig(Validated):
     tau_limit: float = rule(FINITE, default=GO1_TORQUE_LIMIT)
 
 
-def phi(x, sigma: float = 0.25) -> float:
-    """Tracking kernel exp(-||x||^2 / sigma^2); 1 at zero error."""
+def phi(x, sigma: float = 0.25) -> float | np.ndarray:
+    """Tracking kernel exp(-||x||^2 / sigma^2); 1 at zero error. One error x
+    gives a float, an (N, k) stack of N errors gives N values."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(np.exp(-(x @ x) / sigma**2))
+    k = np.exp(-np.vecdot(x, x) / sigma**2)
+    return float(k) if k.ndim == 0 else k
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """x ** 2 rounded as libm's pow, which a float's `** 2` calls; an
+    array's `** 2` is x * x, which rounds apart about once in 1,000."""
+    return np.float_power(x, 2)
 
 
 @dataclass
 class RewardBreakdown:
-    raw: dict[str, float]
-    weighted: dict[str, float]
-    pre_scale_sum: float
-    total: float
+    """Floats for one tick, (N,) arrays for a stack of N."""
+
+    raw: dict[str, float | np.ndarray]
+    weighted: dict[str, float | np.ndarray]
+    pre_scale_sum: float | np.ndarray
+    total: float | np.ndarray
 
 
 def compute_terms(
@@ -68,49 +78,48 @@ def compute_terms(
     joint_accel: np.ndarray | None = None,
     terrain_height: float = 0.0,
 ) -> RewardBreakdown:
-    """Evaluate every reward term for one control tick.
+    """Evaluate every reward term for one control tick, or for N at once.
 
+    For N ticks `state` is a stack of N rows, as `Trajectory.state(ticks)`
+    gives, and each other argument is N rows or one value for all of them;
+    each row of the result has the bits of a call on that tick alone.
     `terrain_height` is the local ground height used to turn the world base z
     into a trunk height. Air-time credit is granted at touchdown events.
     """
-    cmd = np.asarray(cmd, dtype=float).reshape(3)
-    action = np.asarray(action, dtype=float)
-    prev_action = np.asarray(prev_action, dtype=float)
-    torques = np.asarray(torques, dtype=float).reshape(12)
+    action, prev_action = np.asarray(action, dtype=float), np.asarray(prev_action, dtype=float)
     if action.shape != prev_action.shape:
         raise ValueError("action / prev_action shape mismatch")
-    qdd = np.zeros(12) if joint_accel is None else np.asarray(joint_accel).reshape(12)
-
-    v = state.lin_vel_body
-    w = state.ang_vel_body
-    td = state.foot_touchdown_air
+    n = np.shape(state.position)[:-1]  # () for one tick, (N,) for a stack
+    cmd, tau = np.asarray(cmd, dtype=float), np.asarray(torques, dtype=float)
+    qdd = np.zeros(12) if joint_accel is None else np.asarray(joint_accel, dtype=float)
+    v, w, td = state.lin_vel_body, state.ang_vel_body, state.foot_touchdown_air
     sigma = cfg.tracking_sigma
 
     raw = {
-        "lin_vel_track": phi(cmd[:2] - v[:2], sigma),
-        "ang_vel_track": phi(cmd[2] - w[2], sigma),
-        "feet_air_time": float(np.sum((td[td > 0] - cfg.air_time_target))),
-        "lin_vel_z": float(v[2] ** 2),
-        "ang_vel_xy": float(w[0] ** 2 + w[1] ** 2),
-        "joint_position": float(np.sum((state.q - Q_STAND) ** 2)),
-        "joint_acceleration": float(qdd @ qdd),
-        "joint_torques": float(torques @ torques),
-        "action_rate": float(np.sum((action - prev_action) ** 2)),
-        "collisions": float(collisions),
-        "trunk_height": float((state.position[2] - terrain_height - TRUNK_HEIGHT) ** 2),
-        "torque_limits": float(np.sum(np.maximum(0.0, np.abs(torques) - cfg.tau_limit))),
+        "lin_vel_track": phi(cmd[..., :2] - v[..., :2], sigma),
+        "ang_vel_track": phi(cmd[..., 2:] - w[..., 2:], sigma),
+        # a foot off its touchdown tick adds 0.0, which leaves the sum as is
+        "feet_air_time": np.sum(np.where(td > 0, td - cfg.air_time_target, 0.0), axis=-1),
+        "lin_vel_z": _square(v[..., 2]),
+        "ang_vel_xy": _square(w[..., 0]) + _square(w[..., 1]),
+        "joint_position": np.sum((state.q - Q_STAND) ** 2, axis=-1),
+        "joint_acceleration": np.vecdot(qdd, qdd),
+        "joint_torques": np.vecdot(tau, tau),
+        "action_rate": np.sum((action - prev_action) ** 2, axis=-1),
+        "collisions": np.asarray(collisions, dtype=float),
+        "trunk_height": _square(state.position[..., 2] - terrain_height - TRUNK_HEIGHT),
+        "torque_limits": np.sum(np.maximum(0.0, np.abs(tau) - cfg.tau_limit), axis=-1),
     }
+    raw = {name: np.broadcast_to(val, n) if n else float(val) for name, val in raw.items()}
     weighted = {name: cfg.weights[name] * val for name, val in raw.items()}
-    pre = float(sum(weighted.values()))
-    return RewardBreakdown(
-        raw=raw,
-        weighted=weighted,
-        pre_scale_sum=pre,
-        total=pre if pre >= 0 else cfg.negative_scale * pre,
-    )
+    b = RewardBreakdown(raw, weighted, pre_scale_sum=sum(weighted.values()), total=None)
+    b.total = total(b, cfg)
+    return b
 
 
-def total(breakdown: RewardBreakdown, cfg: RewardConfig) -> float:
-    """Weighted sum with the negative branch scaled down."""
+def total(breakdown: RewardBreakdown, cfg: RewardConfig) -> float | np.ndarray:
+    """Weighted sum with the negative branch scaled down; the one home of
+    that rule."""
     s = breakdown.pre_scale_sum
-    return s if s >= 0 else cfg.negative_scale * s
+    t = np.where(s >= 0, s, cfg.negative_scale * s)
+    return float(t) if t.ndim == 0 else t

@@ -55,7 +55,8 @@ FOV = interval("in (0, pi)", 0.0, np.pi)  # a camera's horizontal and vertical f
 
 @dataclass
 class RobotState:
-    """One tick of the robot's state; `Trajectory.state(i)` gives row views."""
+    """One tick of the robot's state, or a stack of N ticks whose fields
+    are (N,) and (N, ...) arrays; `Trajectory.state` gives either."""
 
     t: float
     position: np.ndarray  # (3,) world
@@ -186,10 +187,11 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def state(self, i: int) -> RobotState:
-        """Tick i as a RobotState whose arrays are views of these rows."""
+    def state(self, i) -> RobotState:
+        """Tick i as a RobotState whose arrays are views of these rows, or
+        for an index array of N ticks the stack of their rows."""
         return RobotState(
-            float(self.t[i]),
+            self.t[i] if np.ndim(i) else float(self.t[i]),
             self.pos[i],
             self.quat[i],
             self.v_body[i],
@@ -262,11 +264,11 @@ def simulate_trajectory(
     phase = (2 * np.pi * TROT_FREQUENCY * t[:, None] + TROT_PHASE_OFFSETS) % (2 * np.pi)
     cycle = phase / (2 * np.pi)
     contact = (cycle < TROT_DUTY) | ~moving[:, None]
-    air = np.empty((n, N_FEET))
-    a = np.zeros(N_FEET)
-    for i in range(n):
-        a = np.where(contact[i], 0.0, a + dt)
-        air[i] = a
+    # air time k ticks after the last contact (tick -1 for a foot that
+    # starts in the air) is dt added k times, in a running total's order
+    tick = np.arange(n)[:, None]
+    since = tick - np.maximum.accumulate(np.where(contact, tick, -1), axis=0)
+    air = np.cumsum(np.concatenate([[0.0], np.full(n, dt)]))[since]
     # a touchdown credits the air time the foot had on the tick before
     prev_contact = np.concatenate([np.ones((1, N_FEET), dtype=bool), contact[:-1]])
     prev_air = np.concatenate([np.zeros((1, N_FEET)), air[:-1]])

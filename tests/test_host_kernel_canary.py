@@ -12,6 +12,10 @@ goldens' bare byte mismatch:
   `s = x0*y0`, then `s = fma(xk, yk, s)` for k = 1, 2, ... The oracle is
   exact rational arithmetic (`fractions.Fraction`) rounded once per step.
   `Haswell` gives the plain left-to-right sum instead.
+- The stacked `np.vecdot` of `reward.compute_terms` and `metrics.rte`,
+  which must round each row as the one-row `x @ x` that a single tick or
+  segment took, and `np.float_power(x, 2)`, which must round as a float's
+  `** 2` (libm's pow, not x * x).
 - The stacked `np.arctan2` of `geometry.yaw_from_quat`, whose AVX-512 loop
   rounds in its own way: pinned `float.hex` values on a fixed sample.
 """
@@ -93,6 +97,34 @@ def test_one_row_matmul_is_the_fma_chain():
             + "Site: `cloudfilter.body_filter` (one point near the body, whose guard adds a "
             "second one)."
         )
+
+
+STACK_DEPENDENTS = (
+    "Depends on it: `reward_mean` (`reward.compute_terms` on the stack of a run's control "
+    "ticks) and `rte_mean_m` (`metrics.rte` on all its segments at once), in the "
+    "tests/golden reports and every pin in tests/test_bench_digests.py."
+)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12])
+def test_stacked_vecdot_is_the_one_row_dot(n):
+    rows = _rows(n)
+    got = np.vecdot(rows, rows)
+    want = np.array([x @ x for x in rows])
+    assert got.tobytes() == want.tobytes(), (
+        f"np.vecdot on a stack of {n}-element rows is not the one-row x @ x: "
+        f"{_moved(got, want)}. " + STACK_DEPENDENTS
+    )
+
+
+def test_float_power_is_a_floats_square():
+    x = np.random.default_rng(2).normal(size=20000)
+    got = np.float_power(x, 2)
+    want = np.array([v**2 for v in x])  # numpy float64 scalars: libm's pow
+    assert got.tobytes() == want.tobytes(), (
+        f"np.float_power(x, 2) does not round as a float's ** 2: {_moved(got, want)}. "
+        + STACK_DEPENDENTS
+    )
 
 
 # yaw_from_quat of the sample below on the reference host

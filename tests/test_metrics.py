@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from elevsim.elevmap import ElevationMap, SensorVarianceModel
-from elevsim.geometry import Pose, quat_from_yaw
+from elevsim.geometry import Pose, quat_from_yaw, rotz
 from elevsim.metrics import (
+    _interp_vec,
     TrajectorySamples,
     chamfer_one_way,
     map_vs_ground_truth,
     rte,
     tracking_rms,
 )
+from elevsim.pipeline import ScenarioConfig, run_scenario
 from elevsim.pointcloud import PointCloud
 from elevsim.sensorsim import CommandProfile
 
@@ -121,7 +125,66 @@ class TestMapVsGroundTruth:
         assert c_offset < 1.0
 
 
+def _loop_rte(est, gt, segment_length=1.0) -> list[float]:
+    """`rte` one segment at a time, as it was computed: the oracle of the
+    one-pass version."""
+    s = gt.arc_lengths()
+    gt_yaw, est_yaw = gt.yaws(), est.yaws()
+    errors = []
+    for k in range(int(s[-1] // segment_length)):
+        t0 = float(np.interp(k * segment_length, s, gt.t))
+        t1 = float(np.interp((k + 1) * segment_length, s, gt.t))
+        g0 = _interp_vec(np.array([t0]), gt.t, gt.positions)[0]
+        g1 = _interp_vec(np.array([t1]), gt.t, gt.positions)[0]
+        e0 = _interp_vec(np.array([t0]), est.t, est.positions)[0]
+        e1 = _interp_vec(np.array([t1]), est.t, est.positions)[0]
+        dyaw = float(np.interp(t0, gt.t, gt_yaw) - np.interp(t0, est.t, est_yaw))
+        aligned_end = g0 + rotz(dyaw) @ (e1 - e0)
+        errors.append(float(np.linalg.norm(aligned_end - g1)))
+    return errors
+
+
+def _walk(rng, n, dt):
+    """A turning, climbing walk of n samples with its yaw quaternions."""
+    yaw = np.cumsum(rng.normal(0.0, 0.05, n))
+    step = rng.uniform(0.0, 0.6, n)[:, None] * dt * np.column_stack([np.cos(yaw), np.sin(yaw)])
+    pos = np.column_stack([np.cumsum(step, axis=0), np.cumsum(rng.normal(0, 0.002, n))])
+    return TrajectorySamples(t=np.arange(n) * dt, positions=pos, quats=quat_from_yaw(yaw))
+
+
 class TestRte:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(40, 1500), st.sampled_from([0.25, 0.5, 1.0]),
+           st.booleans())
+    def test_one_pass_matches_the_segment_loop(self, seed, n, segment_length, own_clock):
+        rng = np.random.default_rng(seed)
+        gt = _walk(rng, n, 0.02)
+        assume(gt.arc_lengths()[-1] >= segment_length)
+        # a drifting, noisy estimate with a yaw error, on the same clock or
+        # its own
+        est_t = gt.t if not own_clock else np.sort(rng.uniform(-0.1, gt.t[-1] + 0.1, n // 2 + 2))
+        est_t = np.unique(est_t)
+        drift = np.outer(est_t, rng.normal(0, 0.05, 3)) + rng.normal(0, 0.01, (len(est_t), 3))
+        est = TrajectorySamples(
+            t=est_t,
+            positions=_interp_vec(est_t, gt.t, gt.positions) + drift,
+            quats=quat_from_yaw(np.interp(est_t, gt.t, gt.yaws()) + rng.normal(0, 0.05)),
+        )
+        got = rte(est, gt, segment_length).values
+        assert type(got) is list
+        assert [v.hex() for v in got] == [v.hex() for v in _loop_rte(est, gt, segment_length)]
+
+    def test_one_pass_matches_the_segment_loop_on_a_fused_run(self):
+        result = run_scenario(ScenarioConfig.from_dict({
+            "command": [[2.0, [0.5, 0.0, 0.2]], [2.0, [0.5, 0.0, -0.2]]],
+            "odometry": "ekf-vio", "use_rear_camera": False, "seed": 4,
+        }))
+        est, gt = result.est_trajectory, result.gt_trajectory
+        want = _loop_rte(est, gt)
+        assert len(want) >= 1
+        assert [v.hex() for v in rte(est, gt).values] == [v.hex() for v in want]
+        assert result.metrics["rte_mean_m"] == float(np.mean(want))
+
     @staticmethod
     def _straight(n=600, v=0.5, dt=0.02):
         t = np.arange(n) * dt

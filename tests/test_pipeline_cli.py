@@ -228,7 +228,15 @@ BAD_CONFIGS = {
         {"height_noise": {"sample_sigma": -1.0}}, "sample_sigma must be non-negative"
     ),
     "height_bias_sigma_inf": ({"height_noise": {"bias_sigma": [INF, 0, 0]}}, "bias_sigma"),
+    # each failed to unpack with a message that named no key
+    "start_xy_one_value": ({"start_xy": [1.0]}, "start_xy must be 2 values"),
+    "start_xy_three_values": ({"start_xy": [1.0, 1.5, 2.0]}, "start_xy must be 2 values"),
 }
+
+# YAML documents that are not a mapping: each was a bare TypeError or
+# ValueError naming nothing, or (an empty list, false, 0 or '') silently the
+# default scenario
+NOT_A_MAPPING = ["5", "[1, 2]", "abc", "[]", "false", "0", "''"]
 
 
 def _same(a, b) -> bool:
@@ -404,6 +412,22 @@ class TestConfig:
         cfg = ScenarioConfig.from_yaml(path)
         assert cfg.seed == 0
         assert cfg.profile.total_duration == 3.0
+
+    @pytest.mark.parametrize("document", NOT_A_MAPPING)
+    def test_config_that_is_not_a_mapping_rejected(self, tmp_path, document):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(document + "\n")
+        for parse in (lambda: ScenarioConfig.from_dict(yaml.safe_load(document)),
+                      lambda: ScenarioConfig.from_yaml(path)):
+            with pytest.raises(ValueError, match="config must be a mapping"):
+                parse()
+
+    def test_empty_yaml_file_is_the_default_scenario(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("")
+        cfg = ScenarioConfig.from_yaml(path)
+        assert cfg.profile.segments == [(12.0, (0.5, 0.0, 0.0))]
+        assert cfg.seed == 0 and cfg.odometry == "gt"
 
 
 class TestScenario:
@@ -682,6 +706,15 @@ class TestCli:
         rc = main(["run", "--config", str(path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", NOT_A_MAPPING)
+    def test_run_config_that_is_not_a_mapping_exits_2(self, tmp_path, capsys, document):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(document + "\n")
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config must be a mapping" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_nan_command_exits_2(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, {"command": [[1.0, [float("nan"), 0.0, 0.0]]]})

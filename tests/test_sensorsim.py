@@ -93,7 +93,41 @@ def _reference_trajectory(profile, hf, dt, start_xy, start_yaw):
     return [np.array(col) for col in zip(*rows)], truncated
 
 
+def _loop_air_time(contact: np.ndarray, dt: float) -> np.ndarray:
+    """Air time as the running total it was computed as, tick by tick: the
+    oracle of `simulate_trajectory`'s `air`."""
+    air = np.empty(contact.shape)
+    a = np.zeros(contact.shape[1])
+    for i in range(len(contact)):
+        a = np.where(contact[i], 0.0, a + dt)
+        air[i] = a
+    return air
+
+
+@st.composite
+def gait_profiles(draw):
+    """One to five segments of 0.05 to 1.5 s, each standing (a zero
+    command) or walking and turning; a start in the air or on the ground."""
+    segments = draw(st.lists(st.tuples(
+        st.floats(0.05, 1.5),
+        st.one_of(st.just((0.0, 0.0, 0.0)),
+                  st.tuples(st.floats(-0.3, 0.5), st.floats(-0.2, 0.2), st.floats(-0.3, 0.3))),
+    ), min_size=1, max_size=5))
+    return CommandProfile(segments)
+
+
 class TestTrajectory:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(gait_profiles(), st.sampled_from([1.0 / 300, 1.0 / 120]))
+    def test_air_time_is_the_running_total(self, flat_hf, profile, dt):
+        traj = simulate_trajectory(profile, flat_hf, dt, start_xy=(3.0, 1.5))
+        assert traj.air.tobytes() == _loop_air_time(traj.contacts, dt).tobytes()
+
+    def test_air_time_of_a_truncated_run_is_the_running_total(self, flat_hf):
+        traj = _run(CommandProfile([(0.4, (0.0, 0.0, 0.0)), (9.0, (1.0, 0.0, 0.0))]), flat_hf)
+        assert traj.truncated and (~traj.contacts[-1]).any()
+        assert traj.air.tobytes() == _loop_air_time(traj.contacts, 1.0 / 300).tobytes()
+
     @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
     def test_bad_step_rejected(self, flat_hf, dt):
         # NaN passed the old `dt <= 0` test and failed with an unnamed int
