@@ -92,6 +92,7 @@ def cmd_export_scene(args) -> int:
     except Exception as e:
         return _config_error(args.config, e)
     hf = scene.build_scene(cfg.scene_spec, scene.GT_PATCH_RESOLUTION)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     hf.to_csv(args.out)
     print(f"heightfield {hf.extent[0]}x{hf.extent[1]} written to {args.out}")
     return 0

@@ -37,18 +37,19 @@ class SensorVarianceModel(Validated):
 
 
 def _public_layer(i: int) -> property:
-    """Layer i in logical order: reading it re-aligns the storage first."""
+    """Layer i as a read-only copy in logical order."""
 
     def read(emap: ElevationMap) -> np.ndarray:
-        emap._realign()
-        return emap._layers[i]
+        layer = emap._logical(emap._layers[i])
+        layer.flags.writeable = False
+        return layer
 
     return property(read)
 
 
 class ElevationMap:
     """Square grid of {height, variance, valid, last_update} cells that
-    scrolls with the robot. Single writer; reads are safe between writes.
+    scrolls with the robot. Single writer; no read changes the map.
     """
 
     def __init__(
@@ -87,27 +88,14 @@ class ElevationMap:
         # integrate_cloud's per-cell slots: only the touched ones, each
         # written before it is read, so np.empty's untouched pages stay free
         self._slot = np.empty(self.n * self.n, dtype=np.int32)
-        # (points, flat cells, in-window mask) of the last cloud that
-        # drift_compensate looked up, for integrate_cloud of the same points
-        # array; recenter and _realign drop it when they move the cells
-        self._cells = None
         self.total_shift = 0.0
         self.last_time = 0.0
         self.skipped_points = 0
-
-    def _realign(self) -> None:
-        """Roll every layer in place back to offset (0, 0)."""
-        if self._offset != (0, 0):
-            for layer in self._layers:
-                layer[:] = self._logical(layer)
-            self._offset = (0, 0)
-            self._cells = None
 
     def _logical(self, layer: np.ndarray) -> np.ndarray:
         """A copy of a stored layer (or one of its shape) in logical order."""
         return np.roll(layer, (-self._offset[0], -self._offset[1]), axis=(0, 1))
 
-    # a layer held across a recenter is in storage order
     height = _public_layer(0)
     variance = _public_layer(1)
     valid = _public_layer(2)
@@ -131,9 +119,10 @@ class ElevationMap:
         ok = np.maximum(u[:, 0], u[:, 1]) < self.n
         return idx, ok
 
-    def _flat_cells(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def lookup(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat index into the stored layers of each in-window point's cell,
-        in point order, and the in-window mask."""
+        in point order, and the in-window mask: the `cells` of
+        `drift_compensate` and `integrate_cloud`, valid until a recenter."""
         idx, ok = self.cell_indices(xy)
         idx = idx.compress(ok, axis=0)
         ox, oy = self._offset
@@ -141,7 +130,7 @@ class ElevationMap:
 
     def _flat_layers(self) -> tuple[np.ndarray, ...]:
         """Flat views of the stored height, variance, valid and last_update
-        layers, which `_flat_cells` indexes."""
+        layers, which `lookup` indexes."""
         return tuple(layer.reshape(-1) for layer in self._layers)
 
     def integrate_cloud(
@@ -150,24 +139,22 @@ class ElevationMap:
         sensor_origin: np.ndarray,
         model: SensorVarianceModel,
         t: float,
+        cells: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> int:
         """Fuse a filtered world-frame cloud. Returns skipped point count.
 
         Per-point measurement variance is sensor-range dependent; the prior
         cell variance is inflated by the staleness since its last update.
         Fusion uses the information form, which is exactly the sequential
-        scalar Kalman update for any per-cell point ordering.
+        scalar Kalman update for any per-cell point ordering. `cells` is
+        the cloud's `lookup`, made here when it is not given.
         """
         if t < self.last_time - 1e-12:
             raise ValueError("integrate_cloud called with a timestamp in the past")
         self.last_time = max(self.last_time, t)
         if len(cloud) == 0:
             return 0
-        cells, self._cells = self._cells, None
-        if cells is not None and cells[0] is cloud.points:
-            flat, ok = cells[1:]
-        else:
-            flat, ok = self._flat_cells(cloud.points[:, :2])
+        flat, ok = self.lookup(cloud.points[:, :2]) if cells is None else cells
         skipped = len(ok) - len(flat)
         self.skipped_points += skipped
         if not len(flat):
@@ -205,16 +192,18 @@ class ElevationMap:
         last_update[hit] = t
         return skipped
 
-    def drift_compensate(self, cloud: PointCloud) -> float:
+    def drift_compensate(
+        self, cloud: PointCloud, cells: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> float:
         """Global z-shift from the mean discrepancy of the measurements within
         DRIFT_GATE of the map, applied only when at least DRIFT_MIN_POINTS
-        count. Run before integrating the same frame, which then reuses the
-        cloud's cell lookup. Returns the applied shift.
+        count. `cells` is the cloud's `lookup`, made here when it is not
+        given; the shift moves heights, not cells, so the frame's
+        `integrate_cloud` can take the same lookup. Returns the applied shift.
         """
         if len(cloud) == 0:
             return 0.0
-        flat, ok = self._flat_cells(cloud.points[:, :2])
-        self._cells = cloud.points, flat, ok
+        flat, ok = self.lookup(cloud.points[:, :2]) if cells is None else cells
         height, _, valid, _ = self._flat_layers()
         on_map = valid[flat]
         if not on_map.any():
@@ -261,12 +250,10 @@ class ElevationMap:
                 layer[:, c] = 0
         self._offset = (new_ox, new_oy)
         self.center = self.center + k * self.resolution
-        # a jump of n cells leaves the offset as it was, but not the cells
-        self._cells = None
 
     def query_height(self, x: float, y: float) -> tuple[float, float] | None:
         """Valid in-window cell state as (height, variance), else None."""
-        flat, ok = self._flat_cells(np.array([[x, y]]))
+        flat, ok = self.lookup(np.array([[x, y]]))
         height, variance, valid, _ = self._flat_layers()
         if not ok[0] or not valid[flat[0]]:
             return None
@@ -274,7 +261,7 @@ class ElevationMap:
 
     def query_heights(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized query: (heights with NaN for missing, valid mask)."""
-        flat, ok = self._flat_cells(xy)
+        flat, ok = self.lookup(xy)
         height, _, valid, _ = self._flat_layers()
         on_map = valid[flat]
         mask = ok.copy()
@@ -321,13 +308,11 @@ class ElevationMap:
                 f"# center={self.center[0]},{self.center[1]} resolution={self.resolution}"
                 f" shift={self.total_shift}\n"
             )
-            f.write("# height layer\n")
             height, variance, valid, _ = self._layers
-            h = self._logical(np.where(valid, height, np.nan))
-            np.savetxt(f, h, delimiter=",", fmt="%.9g")
-            f.write("# variance layer\n")
-            v = self._logical(np.where(valid, variance, np.nan))
-            np.savetxt(f, v, delimiter=",", fmt="%.9g")
+            for name, layer in (("height", height), ("variance", variance)):
+                f.write(f"# {name} layer\n")
+                logical = self._logical(np.where(valid, layer, np.nan))
+                np.savetxt(f, logical, delimiter=",", fmt="%.9g")
 
 
 def _ring_slices(start: int, length: int, n: int) -> tuple[slice, ...]:

@@ -14,6 +14,7 @@ from .elevmap import ElevationMap
 from .geometry import Pose, _apply, rotz, yaw_from_quat
 from .pointcloud import PointCloud
 from .scene import SAMPLE_REGION, Heightfield, ground_truth_patch
+from .schema import POSITIVE, check
 from .sensorsim import CommandProfile
 
 log = logging.getLogger(__name__)
@@ -120,6 +121,7 @@ def rte(
     fixed-arc-length segments, align the estimate at each segment start
     (position + yaw), and report end-point translation error norms.
     """
+    segment_length = check("segment_length", segment_length, POSITIVE)
     s = gt.arc_lengths()
     if s[-1] < segment_length:
         raise ValueError("ground-truth trajectory shorter than one segment")

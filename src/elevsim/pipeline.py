@@ -29,6 +29,7 @@ from .odometry import (
     fuse_streams,
     make_source_streams,
 )
+from .pointcloud import PointCloud
 from .schema import BOOL, COUNT, FINITE, POSITIVE, Validated, check, interval, rule, section
 from .sensorsim import (
     Q_STAND,
@@ -249,16 +250,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             k = i // CLOUD_EVERY
             caps = (cap_p0[k], cap_p1[k], cap_r)
             for cam, rng, cam_true, cam_est in views:
-                cloud = render_depth(cam, cam_true[k], hf, t)
-                cloud = inject_sensor_noise(cloud, cfg.sensor_noise, rng)
                 cam_pose = cam_est[k]
-                world = cloud.transformed(cam_pose)
-                world = cloudfilter.remove_outliers(world)
-                world = cloudfilter.body_filter(world, caps)
-                world = cloudfilter.voxel_downsample(world, cfg.map_resolution)
+                world = _world_cloud(cfg, hf, cam, rng, cam_true[k], cam_pose, caps, t)
+                # the drift shift moves heights, not cells: one lookup serves both
+                cells = emap.lookup(world.points[:, :2])
                 if cfg.drift_compensation:
-                    emap.drift_compensate(world)
-                emap.integrate_cloud(world, cam_pose.position, variance_model, t)
+                    emap.drift_compensate(world, cells=cells)
+                emap.integrate_cloud(world, cam_pose.position, variance_model, t, cells=cells)
 
         if i % CONTROL_EVERY == 0:
             emap.recenter(est_pos[i][:2])
@@ -293,6 +291,19 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         gt_trajectory=gt_traj,
         emap=emap,
     )
+
+
+def _world_cloud(cfg: ScenarioConfig, hf: scene.Heightfield, cam, rng, cam_true: Pose,
+                 cam_est: Pose, caps, t: float) -> PointCloud:
+    """One camera frame's cloud for the map: rendered from the true camera
+    pose, noised, moved to the world by the estimated pose, then through the
+    outlier, body and voxel filters. It never reads the map."""
+    cloud = render_depth(cam, cam_true, hf, t)
+    cloud = inject_sensor_noise(cloud, cfg.sensor_noise, rng)
+    world = cloud.transformed(cam_est)
+    world = cloudfilter.remove_outliers(world)
+    world = cloudfilter.body_filter(world, caps)
+    return cloudfilter.voxel_downsample(world, cfg.map_resolution)
 
 
 def _reward_mean(cfg: ScenarioConfig, traj: Trajectory, hf: scene.Heightfield) -> float:

@@ -26,6 +26,7 @@ from elevsim.geometry import Pose, quat_from_euler, quat_from_yaw
 from elevsim.pointcloud import PointCloud
 from elevsim.scene import Heightfield
 from elevsim.sensorsim import Q_STAND, SensorNoise, inject_sensor_noise
+from maplayers import same_bytes, seed_layers
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -50,11 +51,6 @@ def clouds(draw, max_size=40, specials=SPECIAL):
     return p
 
 
-def _same_bytes(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def _cloud(points, t=0.0):
     return PointCloud(t=t, frame="world", points=np.asarray(points, dtype=float))
 
@@ -66,7 +62,7 @@ def test_column_norm_is_linalg_norm(p, lead):
     # elements adds them left to right; (N, 3) rows and (9, M, 3) stacks
     stack = np.broadcast_to(p, (lead,) + p.shape) * np.arange(1, lead + 1)[:, None, None]
     x, y, z = np.moveaxis(stack, -1, 0)
-    assert _same_bytes(np.sqrt((x * x + y * y) + z * z), np.linalg.norm(stack, axis=-1))
+    assert same_bytes(np.sqrt((x * x + y * y) + z * z), np.linalg.norm(stack, axis=-1))
 
 
 def _numpy_inject_sensor_noise(cloud, noise, rng):
@@ -129,7 +125,7 @@ def test_integrate_ranges_match_linalg_norm(xy, z, origin, at_point):
     model = RecordingModel(range_coeff=1e-4)
     emap.integrate_cloud(_cloud(pts), origin, model, 0.0)
     if ok.any():
-        assert _same_bytes(model.ranges, np.linalg.norm(pts[ok] - origin, axis=1))
+        assert same_bytes(model.ranges, np.linalg.norm(pts[ok] - origin, axis=1))
 
 
 def _numpy_body_filter(cloud, caps):
@@ -182,7 +178,7 @@ def test_body_filter_matches_row_wise_form(seed, m, far, on_axis, yaw):
     pts = np.vstack([rng.uniform(lo, hi, (m, 3)), ends, cap, far])
     cloud = _cloud(rng.permutation(pts))
     got, expect = body_filter(cloud, caps), _numpy_body_filter(cloud, caps)
-    assert _same_bytes(got.points, expect.points)
+    assert same_bytes(got.points, expect.points)
 
 
 def _numpy_heights_at(hf, xy, fill=np.nan):
@@ -204,7 +200,7 @@ def _numpy_heights_at(hf, xy, fill=np.nan):
 def test_heights_at_matches_row_wise_form(xy, fill):
     # a 2 m x 1 m grid of 0.1 m cells, so that both axes' bounds are hit
     hf = Heightfield(0.1, (0.0, 0.0), np.arange(20) * 0.01 - 0.05, 10)
-    assert _same_bytes(hf.heights_at(xy, fill), _numpy_heights_at(hf, xy, fill))
+    assert same_bytes(hf.heights_at(xy, fill), _numpy_heights_at(hf, xy, fill))
 
 
 def _numpy_voxel_downsample(cloud, resolution):
@@ -235,7 +231,7 @@ def test_voxel_downsample_matches_column_form(p, resolution, scale, repeat):
     # rows put several points into one voxel
     cloud = _cloud(np.tile(p * scale, (repeat, 1)), t=0.25)
     got, expect = voxel_downsample(cloud, resolution), _numpy_voxel_downsample(cloud, resolution)
-    assert _same_bytes(got.points, expect.points)
+    assert same_bytes(got.points, expect.points)
 
 
 class MeshgridMap(ElevationMap):
@@ -276,11 +272,11 @@ def test_region_points_match_meshgrid_window(seed, resolution, valid_frac, offse
     new = ElevationMap(resolution, 1.5, center=(0.3, -0.2))
     ref = MeshgridMap(resolution, 1.5, center=(0.3, -0.2))
     n = new.n
-    layers = (rng.normal(0.1, 0.05, (n, n)), rng.random((n, n)) < valid_frac)
+    height, valid = rng.normal(0.1, 0.05, (n, n)), rng.random((n, n)) < valid_frac
     for emap in (new, ref):
-        emap.height[:], emap.valid[:] = layers
+        seed_layers(emap, height=height, valid=valid)
     pose = Pose(np.array([*(new.center + offset * 0.75), 0.3]), quat_from_yaw(yaw))
-    assert _same_bytes(new.region_points(pose, region), ref.region_points(pose, region))
+    assert same_bytes(new.region_points(pose, region), ref.region_points(pose, region))
 
 
 def _neighbor_rows(rng, m, scale, spread, tie_frac, zero_frac):
@@ -311,7 +307,7 @@ def test_neighbor_mean_is_numpy_mean(seed, m, scale, spread, tie_frac, zero_frac
         "block; another k needs the order numpy uses for it"
     )
     d = _neighbor_rows(np.random.default_rng(seed), m, scale, spread, tie_frac, zero_frac)
-    assert _same_bytes(_neighbor_mean(d), d[:, 1:].mean(axis=1))
+    assert same_bytes(_neighbor_mean(d), d[:, 1:].mean(axis=1))
 
 
 def test_neighbor_rows_tell_summation_orders_apart():
@@ -332,7 +328,7 @@ def test_transformed_is_the_checked_world_cloud(p, yaw):
     cloud = PointCloud(t=0.75, frame="front", points=p)
     out = cloud.transformed(pose)
     assert (out.t, out.frame) == (0.75, "world")
-    assert _same_bytes(out.points, pose.transform(p).reshape(-1, 3))
+    assert same_bytes(out.points, pose.transform(p).reshape(-1, 3))
 
 
 @PROPERTY
@@ -340,7 +336,7 @@ def test_transformed_is_the_checked_world_cloud(p, yaw):
 def test_select_is_the_boolean_index(p, seed):
     mask = np.random.default_rng(seed).random(len(p)) < 0.7
     cloud = PointCloud(t=0.5, frame="world", points=p)
-    assert _same_bytes(cloud.select(mask).points, p[mask])
+    assert same_bytes(cloud.select(mask).points, p[mask])
 
 
 def test_transformed_keeps_the_finite_check():

@@ -8,6 +8,7 @@ import pytest
 from elevsim.elevmap import DRIFT_GATE, DRIFT_MIN_POINTS, ElevationMap, SensorVarianceModel
 from elevsim.geometry import Pose, quat_from_yaw, rotz
 from elevsim.pointcloud import PointCloud
+from maplayers import LAYERS, STORAGE_LAYERS, same_bytes, seed_layers
 
 
 def _cloud(points, t=0.0):
@@ -242,16 +243,17 @@ class TestRecenter:
 
         for kx in range(-n - 1, n + 2):
             for ky in range(-n - 1, n + 2):
-                emap = ElevationMap(resolution=res, size=n * res)
-                emap.height[:] = rng.normal(size=(n, n))
-                emap.variance[:] = rng.uniform(0.1, 1.0, (n, n))
-                emap.last_update[:] = rng.uniform(0.0, 5.0, (n, n))
-                emap.valid[:] = rng.random((n, n)) < 0.7
+                emap = seed_layers(
+                    ElevationMap(resolution=res, size=n * res),
+                    height=rng.normal(size=(n, n)),
+                    variance=rng.uniform(0.1, 1.0, (n, n)),
+                    last_update=rng.uniform(0.0, 5.0, (n, n)),
+                    valid=rng.random((n, n)) < 0.7,
+                )
                 names = ("height", "variance", "last_update", "valid")
                 expect = [getattr(emap, k).copy() for k in names]
                 oracle(expect, kx, ky)
                 emap.recenter(emap.center + np.array([kx, ky]) * res)
-                # read after the call: a layer held across it is in storage order
                 layers = [getattr(emap, k) for k in names]
                 for got, ref in zip(layers, expect, strict=True):
                     assert got.tobytes() == ref.tobytes(), (kx, ky)
@@ -275,8 +277,7 @@ class TestRegionAndExport:
     @pytest.mark.parametrize("xy", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan), (1e300, 0.0)])
     def test_non_finite_base_reads_no_cells(self, xy):
         # as the full grid did, without an invalid-cast warning
-        emap = ElevationMap(resolution=0.025, size=5.0)
-        emap.valid[:] = True
+        emap = seed_layers(ElevationMap(resolution=0.025, size=5.0), valid=True)
         pose = Pose(np.array([*xy, 0.3]), quat_from_yaw(0.3))
         assert emap.region_points(pose, (0.5, 0.3)).shape == (0, 3)
 
@@ -292,7 +293,10 @@ class TestRegionAndExport:
 class FullGridMap(ElevationMap):
     """The full-grid versions of the windowed map methods, kept as the
     reference: every frame touched all n^2 cells, and the outputs must not
-    have changed by a bit."""
+    have changed by a bit. Its recenter keeps the ring's offset at (0, 0),
+    so its layers are the storage, updated in place."""
+
+    height, variance, valid, last_update = STORAGE_LAYERS
 
     def integrate_cloud(self, cloud, sensor_origin, model, t):
         if t < self.last_time - 1e-12:
@@ -385,14 +389,8 @@ class FullGridMap(ElevationMap):
         )
 
 
-def _same_bytes(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def _same_state(a: ElevationMap, b: ElevationMap) -> bool:
-    layers = ("height", "variance", "valid", "last_update", "center")
-    return all(_same_bytes(getattr(a, k), getattr(b, k)) for k in layers) and (
+    return all(same_bytes(getattr(a, k), getattr(b, k)) for k in (*LAYERS, "center")) and (
         (a.total_shift, a.last_time, a.skipped_points)
         == (b.total_shift, b.last_time, b.skipped_points)
     )
@@ -414,8 +412,7 @@ def _filled_pair(resolution, size, rng, center=(0.3, -0.2)):
         rng.uniform(0.0, 1.0, (n, n)),
     )
     for emap in maps:
-        for name, layer in zip(("height", "variance", "valid", "last_update"), layers):
-            getattr(emap, name)[:] = layer
+        seed_layers(emap, *layers)
     return maps
 
 
@@ -455,7 +452,7 @@ class TestWindowedMatchesFullGrid:
         for x, y, yaw, region in cases:
             pose = Pose(np.array([x, y, 0.3]), quat_from_yaw(yaw))
             got = new.region_points(pose, region)
-            assert _same_bytes(got, ref.region_points(pose, region)), (x, y, yaw, region)
+            assert same_bytes(got, ref.region_points(pose, region)), (x, y, yaw, region)
             found += len(got) > 0
         assert found > 150
 
@@ -480,8 +477,9 @@ class TestWindowedMatchesFullGrid:
     def test_random_update_sequences_same_bytes(self, resolution, size):
         # ops: 0 recenter; 1 drift, integrate; 2 integrate; 3 drift,
         # recenter, integrate; 4 recenter, drift, a public-layer read (which
-        # re-aligns the ring), integrate. 3 and 4 run on one cloud object,
-        # whose cell lookup integrate_cloud must not reuse once the map moved
+        # must leave the ring as it is), integrate. 3 and 4 run on one cloud
+        # object, whose cell lookup integrate_cloud must not reuse once the
+        # map moved
         rng = np.random.default_rng(7 + int(size))
         new, ref = _filled_pair(resolution, size, rng, center=(0.0, 0.0))
         model = _model(base=1e-4, range_coeff=1e-4, time_rate=3e-6)
@@ -492,7 +490,7 @@ class TestWindowedMatchesFullGrid:
             # mostly short moves, now and then a jump past the whole map
             cells = rng.integers(-3, 4, 2)
             if op == 4 and not cells.any():
-                cells[0] = 1  # the ring offset moves, so the read re-aligns
+                cells[0] = 1  # the read meets a scrolled ring
             if op == 3 and rng.random() < 0.4:
                 # exactly n cells along one axis or both: the ring offset
                 # comes back to where it was, the center does not
@@ -522,7 +520,7 @@ class TestWindowedMatchesFullGrid:
                 if op == 3:
                     emap.recenter(target)
                 if op == 4:
-                    _ = emap.height  # reading a public layer re-aligns the ring
+                    _ = emap.height
                 if op != 0:
                     out.append(emap.integrate_cloud(cloud, origin, model, t))
                 returns.append(out)
@@ -569,7 +567,8 @@ class TestFlatLookupsMatchFullGrid:
         rng = np.random.default_rng(int(resolution * 1e4) + int(10 * valid_frac))
         new, ref = _filled_pair(resolution, size, rng)
         valid = rng.random((new.n, new.n)) < valid_frac
-        new.valid[:], ref.valid[:] = valid, valid
+        for emap in (new, ref):
+            seed_layers(emap, valid=valid)
         model = _model(base=1e-4, range_coeff=1e-4, time_rate=3e-6)
         span = new.n * resolution
         origin = np.array([*new.center, 0.5])
@@ -591,7 +590,7 @@ class TestFlatLookupsMatchFullGrid:
                 assert new.valid.all() == (valid_frac == 1.0)
                 assert new.valid.any() == (valid_frac > 0.0)
             got, expect = new.query_heights(query), ref.query_heights(query)
-            assert all(_same_bytes(a, b) for a, b in zip(got, expect)), step
+            assert all(same_bytes(a, b) for a, b in zip(got, expect)), step
             shift = new.drift_compensate(cloud)
             assert shift == ref.drift_compensate(cloud), step
             shifts += shift != 0.0
@@ -635,7 +634,57 @@ class TestFlatLookupsMatchFullGrid:
         cloud.points = np.column_stack([xy, np.full(len(xy), 0.2)])
         assert emap.drift_compensate(cloud) == 0.0
         assert emap.integrate_cloud(cloud, ORIGIN, _model(), 1.0) == len(xy)
-        assert all(_same_bytes(getattr(emap, k), v) for k, v in before.items())
+        assert all(same_bytes(getattr(emap, k), v) for k, v in before.items())
+
+
+class TestExplicitCellLookup:
+    """The pipeline looks a frame's cells up once and passes them to
+    `drift_compensate` and `integrate_cloud`; called without them, each
+    looks the cells up itself, so the map keeps no lookup between calls."""
+
+    @staticmethod
+    def _pair_and_cloud(seed):
+        rng = np.random.default_rng(seed)
+        new, ref = (ElevationMap(0.1, 2.0, (0.3, -0.2)) for _ in range(2))
+        layers = (rng.normal(0.1, 0.01, (20, 20)), rng.uniform(1e-5, 1e-3, (20, 20)),
+                  rng.random((20, 20)) < 0.7, rng.uniform(0.0, 1.0, (20, 20)))
+        for emap in (new, ref):
+            seed_layers(emap, *layers)
+        # over the window and a margin, near the map heights: the shift applies
+        xy = new.center + rng.uniform(-1.2, 1.2, (500, 2))
+        h, mask = new.query_heights(xy)
+        z = np.where(mask, h + 0.01, 0.1) + rng.normal(0.0, 0.002, 500)
+        return new, ref, np.column_stack([xy, z])
+
+    @pytest.mark.parametrize("move", [(0.35, -0.2), (0.05, 0.0), (-3.0, 0.0)])
+    def test_points_moved_in_place_between_the_calls_get_a_fresh_lookup(self, move):
+        new, ref, pts = self._pair_and_cloud(4)
+        model = _model(base=1e-4, range_coeff=1e-4)
+        cloud = _cloud(pts.copy(), 2.0)
+        shift = new.drift_compensate(cloud)
+        cloud.points[:, :2] += move
+        skipped = new.integrate_cloud(cloud, ORIGIN, model, 2.0)
+        # the reference integrates a new cloud of the moved points
+        assert shift == ref.drift_compensate(_cloud(pts, 2.0)) != 0.0
+        assert skipped == ref.integrate_cloud(_cloud(cloud.points.copy(), 2.0), ORIGIN, model, 2.0)
+        assert _same_state(new, ref)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_passed_cells_give_the_bits_of_an_own_lookup(self, seed):
+        new, ref, pts = self._pair_and_cloud(seed)
+        model = _model(base=1e-4, range_coeff=1e-4, time_rate=3e-6)
+        rng = np.random.default_rng(seed + 10)
+        for step in range(6):
+            target = new.center + rng.integers(-4, 5, 2) * new.resolution
+            cloud = _cloud(pts + np.append(rng.uniform(-0.2, 0.2, 2), 0.0), 2.0 + step)
+            cells = new.lookup(cloud.points[:, :2])
+            assert new.drift_compensate(cloud, cells=cells) == ref.drift_compensate(cloud)
+            got = new.integrate_cloud(cloud, ORIGIN, model, 2.0 + step, cells=cells)
+            assert got == ref.integrate_cloud(cloud, ORIGIN, model, 2.0 + step)
+            for emap in (new, ref):
+                emap.recenter(target)
+            assert _same_state(new, ref), step
+        assert new.total_shift != 0.0
 
 
 class TestRecenterJumps:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from elevsim.elevmap import ElevationMap, SensorVarianceModel
 from elevsim.pointcloud import PointCloud
+from maplayers import LAYERS, seed_layers
 
-LAYERS = ("height", "variance", "valid", "last_update")
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 # 1/(1/p + a) may round one ulp above p when a is negligible next to 1/p
 ROUNDING = 1.0 + 4 * np.finfo(float).eps
@@ -23,10 +23,13 @@ def _random_map(seed: int, resolution: float, t_max: float = 1.0) -> ElevationMa
     rng = np.random.default_rng(seed)
     emap = ElevationMap(resolution=resolution, size=1.0, center=(0.2, -0.1))
     n = emap.n
-    emap.height[:] = rng.normal(0.1, 0.05, (n, n))
-    emap.variance[:] = rng.uniform(1e-6, 1e-3, (n, n))
-    emap.valid[:] = rng.random((n, n)) < 0.6
-    emap.last_update[:] = rng.uniform(0.0, t_max, (n, n))
+    seed_layers(
+        emap,
+        height=rng.normal(0.1, 0.05, (n, n)),
+        variance=rng.uniform(1e-6, 1e-3, (n, n)),
+        valid=rng.random((n, n)) < 0.6,
+        last_update=rng.uniform(0.0, t_max, (n, n)),
+    )
     emap.last_time = t_max
     return emap
 

@@ -17,8 +17,8 @@ from elevsim.elevmap import ElevationMap, SensorVarianceModel
 from elevsim.geometry import Pose, quat_from_yaw
 from elevsim.pipeline import ScenarioConfig, run_scenario
 from elevsim.pointcloud import PointCloud
+from maplayers import LAYERS, STORAGE_LAYERS, same_bytes, seed_layers
 
-LAYERS = ("height", "variance", "valid", "last_update")
 RES = 0.1
 MODEL = SensorVarianceModel(base_variance=1e-4, range_coeff=1e-4, time_variance_rate=3e-6)
 REGIONS = [(0.5, 0.3), (1.1, 0.7), (3.0, 3.0)]
@@ -27,6 +27,8 @@ REGIONS = [(0.5, 0.3), (1.1, 0.7), (3.0, 3.0)]
 class FlatScrollMap(ElevationMap):
     """The map with the flat-view scroll as its recenter: every layer is
     copied s = kx·n + ky cells on, so the storage stays in logical order."""
+
+    height, variance, valid, last_update = STORAGE_LAYERS
 
     def recenter(self, robot_xy):
         k = np.round((np.asarray(robot_xy, dtype=float) - self.center) / self.resolution)
@@ -49,11 +51,6 @@ class FlatScrollMap(ElevationMap):
         self.center = self.center + k * self.resolution
 
 
-def _same_bytes(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def _pair(n: int, seed: int) -> tuple[ElevationMap, FlatScrollMap]:
     """The ring map and its oracle, with the same random layers."""
     rng = np.random.default_rng(seed)
@@ -65,8 +62,7 @@ def _pair(n: int, seed: int) -> tuple[ElevationMap, FlatScrollMap]:
         rng.uniform(0.0, 1.0, (n, n)),
     )
     for emap in maps:
-        for name, layer in zip(LAYERS, layers, strict=True):
-            getattr(emap, name)[:] = layer
+        seed_layers(emap, *layers)
         emap.last_time = 1.0
     return maps
 
@@ -112,7 +108,7 @@ class Sequence:
         rng = np.random.default_rng(seed)
         xy = self._xy(rng, 60)
         got, expect = self.ring.query_heights(xy), self.ref.query_heights(xy)
-        assert all(_same_bytes(a, b) for a, b in zip(got, expect, strict=True))
+        assert all(same_bytes(a, b) for a, b in zip(got, expect, strict=True))
         for x, y in xy[:10]:
             assert self.ring.query_height(x, y) == self.ref.query_height(x, y)
 
@@ -122,7 +118,7 @@ class Sequence:
         pose = Pose(np.array([x, y, 0.3]), quat_from_yaw(rng.uniform(-np.pi, np.pi)))
         region = REGIONS[int(rng.integers(len(REGIONS)))]
         got = self.ring.region_points(pose, region)
-        assert _same_bytes(got, self.ref.region_points(pose, region))
+        assert same_bytes(got, self.ref.region_points(pose, region))
 
     def csv(self):
         with tempfile.TemporaryDirectory() as d:
@@ -133,12 +129,12 @@ class Sequence:
 
     def layers(self):
         for name in LAYERS:
-            assert _same_bytes(getattr(self.ring, name), getattr(self.ref, name)), name
+            assert same_bytes(getattr(self.ring, name), getattr(self.ref, name)), name
 
     def check_scalars(self):
         for attr in ("total_shift", "last_time", "skipped_points"):
             assert getattr(self.ring, attr) == getattr(self.ref, attr), attr
-        assert _same_bytes(self.ring.center, self.ref.center)
+        assert same_bytes(self.ring.center, self.ref.center)
 
 
 def _operations(n: int):
@@ -179,8 +175,7 @@ def test_ring_matches_flat_scroll_oracle(data, n, seed):
 @pytest.mark.parametrize("n", [6, 7, 20])
 @pytest.mark.parametrize("direction", [(1, 0), (0, -1), (-1, 1), (2, 3), (-3, -1)])
 def test_walk_wraps_the_ring_several_times(n, direction):
-    # a walk of about 3.5 map widths, every output checked at every step;
-    # the layers are read only at the end, since reading them re-aligns
+    # a walk of about 3.5 map widths, every output checked at every step
     seq = Sequence(n, seed=n)
     steps = int(3.5 * n / max(map(abs, direction)))
     start, shifts = seq.ref.center.copy(), 0
@@ -213,9 +208,41 @@ def test_layers_read_after_scrolls_are_logical(jump):
     seq.layers()
 
 
-def test_run_without_snapshots_never_realigns(monkeypatch):
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(6, 20), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_reads_are_pure(n, seed, data):
+    # a map scrolled to a drawn ring offset, read through every public read:
+    # no read moves the offset or the center or changes a stored byte, and
+    # a public layer is a read-only copy
+    seq = Sequence(n, seed)
+    offset = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    seq.recenter(offset, (0.0, 0.0))
+    seq.integrate(seed)
+    emap = seq.ring
+    assert emap._offset == offset
+    stored, center = [layer.tobytes() for layer in emap._layers], emap.center.copy()
+    rng = np.random.default_rng(seed)
+    xy = seq._xy(rng, 50)
+    pose = Pose(np.array([*xy[0], 0.3]), quat_from_yaw(rng.uniform(-np.pi, np.pi)))
+    for name in LAYERS:
+        layer = getattr(emap, name)
+        with pytest.raises(ValueError, match="read-only"):
+            layer[0, 0] = 0
+    emap.lookup(xy)
+    emap.cell_indices(xy)
+    emap.query_heights(xy)
+    emap.query_height(*xy[0])
+    emap.region_points(pose, REGIONS[1])
+    with tempfile.TemporaryDirectory() as d:
+        emap.to_csv(Path(d) / "map.csv")
+    assert [layer.tobytes() for layer in emap._layers] == stored
+    assert emap._offset == offset and same_bytes(emap.center, center)
+    seq.layers()
+
+
+def test_run_without_snapshots_makes_no_logical_copy(monkeypatch):
     # the hot path addresses the stored layers through the offset; only the
-    # public attributes and the CSV writer put them in logical order
+    # public layers and the CSV writer copy them into logical order
     calls = []
     logical = ElevationMap._logical
 

@@ -230,6 +230,17 @@ class TestRte:
         with pytest.raises(ValueError):
             rte(gt, gt)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "segment_length, text",
+        [(-1.0, "positive and finite"), (0.0, "positive and finite"), (np.nan, "finite")],
+    )
+    def test_bad_segment_length_rejected(self, segment_length, text):
+        # -1 used to return no segments, 0 to overflow and NaN to fail its cast
+        gt = self._straight()
+        with pytest.raises(ValueError, match=f"segment_length must be {text}"):
+            rte(gt, gt, segment_length=segment_length)
+
     def test_nonmonotonic_time_rejected(self):
         with pytest.raises(ValueError):
             TrajectorySamples(

@@ -869,6 +869,13 @@ class TestCli:
         assert grid.shape == (457, 171)
         assert (grid == grid[:, :1]).all()
 
+    def test_export_scene_into_a_new_directory(self, tmp_path):
+        # the parent of --out is made, as `run` makes its --out directory
+        cfg = self._write_cfg(tmp_path)
+        out = tmp_path / "new" / "nested" / "scene.csv"
+        assert main(["export-scene", "--config", str(cfg), "--out", str(out)]) == 0
+        assert np.loadtxt(out, delimiter=",").shape == (457, 171)
+
     def test_export_scene_misspelled_key_exits_2(self, tmp_path, capsys):
         step = {"type": "step", "heigth": 0.1, "x_start": 3.0, "depth": 0.8}
         cfg = self._write_cfg(tmp_path, {"scene": _scene(step)})
