@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,16 +21,9 @@ import numpy as np
 from . import cloudfilter, metrics, obsbuilder, reward, scene
 from .elevmap import DEFAULT_RESOLUTION, DEFAULT_SIZE, ElevationMap, SensorVarianceModel
 from .geometry import Pose, quat_normalize, quat_rotate, yaw_from_quat
-from .odometry import (
-    EstimatorErrors,
-    ImuErrors,
-    SourceErrorModel,
-    VioErrors,
-    fuse_streams,
-    make_source_streams,
-)
+from .odometry import SourceErrorModel, fuse_streams, make_source_streams
 from .pointcloud import PointCloud
-from .schema import BOOL, COUNT, FINITE, POSITIVE, Validated, check, interval, rule, section
+from .schema import BOOL, COUNT, FINITE, POSITIVE, Validated, build, check, interval, rule, section
 from .sensorsim import (
     Q_STAND,
     CommandProfile,
@@ -94,50 +87,52 @@ class ScenarioConfig(Validated):
         nx, ny = scene.grid_shape(self.scene_spec, res)
         grid = scene.Heightfield(res, (0.0, 0.0), np.zeros(nx), ny)
         check_start(grid, self.start_xy, self.start_yaw)
-        if self.sweep_step_heights:
+        if self.sweep_step_heights is not None:
             if self.snapshot_every is not None:
                 raise ValueError("snapshot_every is not supported in a step sweep")
-            heights = np.asarray(self.sweep_step_heights, dtype=float)
-            if heights.ndim != 1 or not (np.isfinite(heights) & (heights != 0)).all():
-                raise ValueError(f"sweep_step_heights must be finite and non-zero: {heights}")
+            try:
+                h = np.asarray(self.sweep_step_heights, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                h = np.zeros(0)
+            if h.ndim != 1 or not (h.size and np.isfinite(h).all() and h.all()):
+                raise ValueError("sweep_step_heights must be a non-empty list of finite, non-zero"
+                                 f" heights: {self.sweep_step_heights!r}")
+            object.__setattr__(self, "sweep_step_heights", h.tolist())  # a quoted "0.1" as 0.1
             if not any(isinstance(p, scene.Step) for p in self.scene_spec.primitives):
                 raise ValueError("sweep_step_heights needs a Step primitive in the scene")
+        # a metrics.csv row is `metric,value,tag`
+        if not isinstance(self.tag, str) or {",", "\r", "\n"} & set(self.tag):
+            raise ValueError(f"tag must be a string without a comma or line break: {self.tag!r}")
         settle = metrics.TRACKING_SETTLE_S
         if all(t1 - t0 <= settle for t0, t1, _ in self.profile.boundaries()):
             raise ValueError(f"no command segment outlasts the {settle} s tracking settle time")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        # scalar knobs: the fields with a plain default, coerced by their rules
-        scalars = {f.name for f in fields(cls) if f.default is not MISSING}
-        d = section(d, "config", scalars | {"scene", "command", "sensor_noise",
-                                            "height_noise", "source_errors"})
+        """`schema.build` of a mapping whose `scene` (a mapping, "obstacle" or
+        "flat") is `scene_spec` and whose `command` is `profile`."""
+        names = [f.name for f in fields(cls) if f.name not in ("scene_spec", "profile")]
+        d = section(d, "config", [*names, "scene", "command", "height_noise"])
         sc = d.pop("scene", "obstacle")
         if sc == "obstacle":
-            spec = scene.obstacle_scene()
+            d["scene_spec"] = scene.obstacle_scene()
         elif sc == "flat":
-            spec = scene.SceneSpec([scene.FlatRegion(0.0)], extent=(8.0, 3.0))
+            d["scene_spec"] = scene.SceneSpec([scene.FlatRegion(0.0)], extent=(8.0, 3.0))
         elif isinstance(sc, dict):
-            spec = scene.SceneSpec.from_dict(sc)
+            d["scene_spec"] = build(scene.SceneSpec, sc, "scene")
         else:
             raise ValueError(f"unknown scene {sc!r}")
-        profile = CommandProfile(d.pop("command", [[12.0, [0.5, 0.0, 0.0]]]))
-        kwargs = {key: d.pop(key) for key in scalars & d.keys()}
-        noise = section(d.pop("sensor_noise", {}), "sensor_noise", SensorNoise)
-        kwargs["sensor_noise"] = SensorNoise(**noise)
+        d["profile"] = CommandProfile(d.pop("command", [[12.0, [0.5, 0.0, 0.0]]]))
+        cfg = build(cls, {key: value for key, value in d.items() if key != "height_noise"})
         # the policy's observation noise: no run output reads it, so the
         # section is validated and then discarded
-        hn = section(d.pop("height_noise", {}), "height_noise", ("sample_sigma", "bias_sigma"))
-        obsbuilder.HeightNoiseState(sample_sigma=hn.get("sample_sigma", 0.0),
-                                    bias_sigma=hn.get("bias_sigma", (0.0, 0.0, 0.0)))
-        se = section(d.pop("source_errors", {}), "source_errors", SourceErrorModel)
-        kwargs["source_errors"] = SourceErrorModel(
-            estimator=EstimatorErrors(
-                **section(se.get("estimator", {}), "source_errors.estimator", EstimatorErrors)),
-            imu=ImuErrors(**section(se.get("imu", {}), "source_errors.imu", ImuErrors)),
-            vio=VioErrors(**section(se.get("vio", {}), "source_errors.vio", VioErrors)),
-        )
-        return cls(scene_spec=spec, profile=profile, **kwargs)
+        hn = section(d.get("height_noise", {}), "height_noise", ("sample_sigma", "bias_sigma"))
+        try:
+            obsbuilder.HeightNoiseState(sample_sigma=hn.get("sample_sigma", 0.0),
+                                        bias_sigma=hn.get("bias_sigma", (0.0, 0.0, 0.0)))
+        except ValueError as e:
+            raise ValueError(f"height_noise.{e}") from None
+        return cfg
 
     @classmethod
     def from_yaml(cls, path) -> "ScenarioConfig":

@@ -9,14 +9,14 @@ interpolation smoothing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .geometry import Pose, yaw_aligned_grid
 from .pointcloud import PointCloud
-from .schema import FINITE, PAIRS, POSITIVE, Validated, rule, section
+from .schema import FINITE, PAIRS, POSITIVE, Validated, rule
 
 GT_PATCH_RESOLUTION = 0.0175  # scanner-analog grid pitch
 SAMPLE_REGION = (0.5, 0.3)  # evaluated / sampled area around the base
@@ -63,13 +63,13 @@ class Platform(Validated):
         return (self.x_start, self.x_start + depth)
 
 
-Primitive = FlatRegion | Step | Platform
 PRIMITIVE_TYPES = {"flat": FlatRegion, "step": Step, "platform": Platform}  # scene dict `type`s
 
 
 @dataclass(frozen=True)
 class SceneSpec(Validated):
-    primitives: list[Primitive]
+    error = SceneError  # of `schema.build`, for the whole scene section
+    primitives: list[FlatRegion | Step | Platform] = field(metadata={"sections": PRIMITIVE_TYPES})
     extent: np.ndarray = rule(POSITIVE, 2)  # world size in x and y, base height z = 0
 
     def __post_init__(self):
@@ -117,33 +117,6 @@ class SceneSpec(Validated):
                 mask = (x >= cur) & (x < cur + ramp_len)
                 z[mask] = p.platform_height - (x[mask] - cur) * p.ramp_slope
         return z
-
-    @classmethod
-    def from_dict(cls, d) -> "SceneSpec":
-        """The scene of an inline `scene` config section. A malformed one is a
-        SceneError that names the section path and the key."""
-        d = section(d, "scene", ("extent", "primitives"), ("extent",), SceneError)
-        prims = d.get("primitives", [])
-        if not isinstance(prims, list):
-            raise SceneError(f"scene.primitives must be a list: {prims!r}")
-        made, types = [], sorted(PRIMITIVE_TYPES)  # a list, so an unhashable type is not in it
-        for i, p in enumerate(prims):
-            path = f"scene.primitives[{i}]"
-            if not isinstance(p, dict) or p.get("type") not in types:
-                raise SceneError(f"{path} must be a mapping with a type in {types}: {p!r}")
-            kind = PRIMITIVE_TYPES[p["type"]]
-            rest = {k: v for k, v in p.items() if k != "type"}
-            made.append(_built(path, kind, **section(rest, path, kind, error=SceneError)))
-        return _built("scene", cls, made, d["extent"])
-
-
-def _built(path: str, cls, *args, **kwargs):
-    """`cls(*args, **kwargs)` for config section `path`: a bad value is a
-    SceneError that names the path and the key."""
-    try:
-        return cls(*args, **kwargs)
-    except ValueError as e:
-        raise SceneError(f"{path}.{e}") from None
 
 
 def obstacle_scene() -> SceneSpec:

@@ -2,18 +2,18 @@
 
 A field states its rule in its `dataclasses.field` metadata through `rule`.
 A config subclasses `Validated`, whose `__post_init__` runs `validate` before
-the class's own checks that relate two fields, and `section` is the one key
-check of a config section read from a mapping. Each numeric kind is a
-half-open interval tested as `lo <= v < hi`, so NaN fails every kind; an open
-lower or a closed upper bound moves to the adjacent float when the kind is
-made. A value with a NaN or an infinity is reported as not finite, any other
-as not its kind.
+the class's own checks that relate two fields. `build` makes a config and its
+sections from a mapping, checking each one's keys by `section`. Each numeric
+kind is a half-open interval tested as `lo <= v < hi`, so NaN fails every
+kind; an open lower or a closed upper bound moves to the adjacent float when
+the kind is made. A value with a NaN or an infinity is reported as not
+finite, any other as not its kind.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, field, fields
+from dataclasses import MISSING, field, fields, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -102,15 +102,16 @@ def _pairs(value) -> tuple[tuple[float, float], ...]:
     return tuple((float(a), float(b)) for a, b in value)
 
 
-def section(value, name: str, keys, required=(), error=ValueError) -> dict:
-    """A copy of config section `name`: a mapping whose keys are among `keys`
-    and include `required`. `keys` are names, or a dataclass whose fields
-    name them and whose fields without a default are required. A fault is
-    `error`, naming the section and the keys."""
+def section(value, name: str, keys, error=ValueError) -> dict:
+    """A copy of config section `name`: a mapping whose keys are among `keys`,
+    names or a dataclass whose fields without a default (but for a list of
+    sections) are required. A fault is `error`, naming the section and keys."""
     if not isinstance(value, dict):
         raise error(f"{name} must be a mapping, got {value!r}")
+    required = []
     if isinstance(keys, type):
-        required = [f.name for f in fields(keys) if f.default is f.default_factory is MISSING]
+        required = [f.name for f in fields(keys)
+                    if f.default is f.default_factory is MISSING and "sections" not in f.metadata]
         keys = [f.name for f in fields(keys)]
     unknown = sorted(set(value) - set(keys), key=str)  # YAML keys need not be strings
     if unknown:
@@ -119,3 +120,33 @@ def section(value, name: str, keys, required=(), error=ValueError) -> dict:
     if missing:
         raise error(f"missing {name} keys: {missing}")
     return dict(value)
+
+
+def build(cls, value, path: str = "", error=None):
+    """Config dataclass `cls` (for a dict of them, the one that `value`'s
+    `type` picks) from section `path`, the whole config if empty. A field whose
+    default factory is a dataclass is sub-section `path.name`, and one with
+    `sections` metadata (such a dict) a list of them, none if left out. A fault
+    here or in a nested build is an `error` (`cls.error` or ValueError) whose
+    text starts with its key path."""
+    error = error or getattr(cls, "error", ValueError)
+    if isinstance(cls, dict):
+        names = sorted(cls)  # a list, so an unhashable type is not in it
+        if not isinstance(value, dict) or value.get("type") not in names:
+            raise error(f"{path} must be a mapping with a type in {names}: {value!r}")
+        cls, value = cls[value["type"]], {k: v for k, v in value.items() if k != "type"}
+    kwargs = section(value, path or "config", cls, error)
+    for f in fields(cls):
+        key = f"{path}.{f.name}" if path else f.name
+        if is_dataclass(f.default_factory) and f.name in kwargs:
+            kwargs[f.name] = build(f.default_factory, kwargs[f.name], key, error)
+        elif "sections" in f.metadata:
+            items = kwargs.get(f.name, [])
+            if not isinstance(items, list):
+                raise error(f"{key} must be a list: {items!r}")
+            kwargs[f.name] = [build(f.metadata["sections"], item, f"{key}[{i}]", error)
+                              for i, item in enumerate(items)]
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise (error(f"{path}.{e}") if path else e) from None

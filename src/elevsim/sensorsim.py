@@ -137,11 +137,11 @@ class CommandProfile:
             except (TypeError, ValueError):
                 c = None
             if c is None or c.shape != (3,):
-                raise ValueError(f"command segment {i} is not {pair}: {seg!r}")
+                raise ValueError(f"command[{i}] must be {pair}: {seg!r}")
             if not (np.isfinite(d) and np.isfinite(c).all()):
-                raise ValueError(f"segment ({d}, {cmd}) is not finite")
+                raise ValueError(f"command[{i}] is not finite: {seg!r}")
             if d <= 0:
-                raise ValueError("segment durations must be positive")
+                raise ValueError(f"command[{i}] duration must be positive: {d}")
             segments.append((d, cmd))
         object.__setattr__(self, "segments", segments)
 

@@ -8,6 +8,9 @@ through a `*` or `**` splat, or, for a dataclass field, as a keyword of
 `dataclasses.replace`. A stdlib `ast` check: calls match definitions by name
 (`f(...)`, `obj.f(...)`, `Cls(...)`, and `cls(...)` inside `Cls`), not by the
 object they are made on, so a shared name can hide a knob but never invent one.
+`schema.build(Cls, ...)` constructs `Cls`, and the sections that the default
+factories of its fields name, through one `cls(**kwargs)`, so it counts as a
+`**` splat call of each of them.
 
 The parameters that stay with a single package value are listed in `KEPT`,
 each with the test or the state that keeps it.
@@ -51,6 +54,7 @@ class _Definitions(ast.NodeVisitor):
 
     def __init__(self):
         self.params: dict[str, list[tuple[str, str, int | None]]] = {}
+        self.sections: dict[str, list[str]] = {}  # dataclass: its fields' factories
         self.owner: str | None = None
 
     def _add(self, key: str, label: str, name: str, position: int | None) -> None:
@@ -67,6 +71,9 @@ class _Definitions(ast.NodeVisitor):
                 name = stmt.target.id
                 if _has_default(stmt.value):
                     self._add(node.name, f"{node.name}({name})", name, position)
+                factory = [kw.value for kw in getattr(stmt.value, "keywords", [])
+                           if kw.arg == "default_factory" and isinstance(kw.value, ast.Name)]
+                self.sections.setdefault(node.name, []).extend(f.id for f in factory)
         outer, self.owner = self.owner, node.name
         self.generic_visit(node)
         self.owner = outer
@@ -96,11 +103,13 @@ class _Definitions(ast.NodeVisitor):
 class _Calls(ast.NodeVisitor):
     """What each call passes, keyed by the callee's name: the number of
     positional arguments (None after a `*` splat), the keyword names, and
-    whether a `**` splat is present. `replace` keywords are kept apart."""
+    whether a `**` splat is present. `replace` keywords are kept apart, and
+    so are the classes that `build` is called on."""
 
     def __init__(self):
         self.calls: dict[str, list[tuple[int | None, set[str], bool]]] = {}
         self.replaced: set[str] = set()
+        self.built: set[str] = set()
         self.owner: str | None = None
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -114,6 +123,10 @@ class _Calls(ast.NodeVisitor):
         if name == "cls" and self.owner:
             name = self.owner
         keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+        if name == "build" and node.args:
+            target = node.args[0]
+            built = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+            self.built.add(self.owner if built == "cls" else built)
         if name == "replace":
             self.replaced |= keywords
         elif name is not None:
@@ -131,6 +144,11 @@ def _unpassed(sources: list[str]) -> list[str]:
         tree = ast.parse(source)
         definitions.visit(tree)
         calls.visit(tree)
+    todo = list(calls.built)
+    while todo:
+        built = todo.pop()
+        calls.calls.setdefault(built, []).append((None, set(), True))
+        todo += definitions.sections.get(built, [])
 
     def passed(key: str, name: str, position: int | None, dataclass_field: bool) -> bool:
         if dataclass_field and name in calls.replaced:
@@ -199,3 +217,26 @@ def test_check_finds_a_knob_added_to_the_package():
         signature, "def remove_outliers(cloud: PointCloud, k: int = 8) -> PointCloud:"
     )
     assert _unpassed(sources) == sorted([*KEPT, "remove_outliers(k)"])
+
+
+def test_check_follows_build_into_sections():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class Noise:\n"
+        "    sigma: float = 0.0\n"
+        "@dataclass\n"
+        "class Cfg:\n"
+        "    noise: Noise = field(default_factory=Noise)\n"
+        "    seed: int = 0\n"
+        "    @classmethod\n"
+        "    def from_dict(cls, d):\n"
+        "        return build(cls, d)\n"
+        "@dataclass\n"
+        "class Other:\n"
+        "    gain: float = 1.0\n"
+    )
+    assert _unpassed([source]) == ["Other(gain)"]
+    assert _unpassed([source.replace("build(cls, d)", "cls()")]) == [
+        "Cfg(noise)", "Cfg(seed)", "Noise(sigma)", "Other(gain)"
+    ]

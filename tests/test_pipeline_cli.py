@@ -1,4 +1,5 @@
 import copy
+import re
 import weakref
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -23,6 +24,7 @@ from elevsim.pipeline import (
     run_step_sweep,
     write_metrics,
 )
+from elevsim.schema import build
 from elevsim.sensorsim import HIP_OFFSETS, CommandProfile, simulate_trajectory
 
 SHORT = {
@@ -91,13 +93,15 @@ def _scene(prim, extent=(8.0, 3.0)) -> dict:
 
 
 NO_SUCCESS = "unknown config keys: ['success']"
+SWEEP_HEIGHTS = "sweep_step_heights must be a non-empty list of finite, non-zero heights"
+TAG = "tag must be a string without a comma or line break"
 
 # config values that used to fail only once the run had started (or, for
 # the NaN step start, silently drop the step), each with the text its
 # error must name
 BAD_CONFIGS = {
-    "extent_nan": ({"scene": _scene(STEP, extent=(8.0, NAN))}, "extent"),
-    "extent_inf": ({"scene": _scene(STEP, extent=(INF, 3.0))}, "extent"),
+    "extent_nan": ({"scene": _scene(STEP, extent=(8.0, NAN))}, "scene.extent must be finite"),
+    "extent_inf": ({"scene": _scene(STEP, extent=(INF, 3.0))}, "scene.extent must be finite"),
     "step_height_nan": (
         {"scene": _scene({**STEP, "height": NAN})}, "scene.primitives[1].height must be finite"
     ),
@@ -159,62 +163,106 @@ BAD_CONFIGS = {
     # a short command died in simulate_trajectory, a long one in the reward
     # after the whole map loop, each with exit 1
     "command_two_components": (
-        {"command": [[2.0, [0.5, 0.0]]]}, "command segment 0 is not a (duration, [v_x, v_y, w_z])"
+        {"command": [[2.0, [0.5, 0.0]]]}, "command[0] must be a (duration, [v_x, v_y, w_z]) pair"
     ),
     "command_four_components": (
         {"command": [[2.0, [0.5, 0.0, 0.0, 9.0]]]},
-        "command segment 0 is not a (duration, [v_x, v_y, w_z]) pair: [2.0, [0.5, 0.0, 0.0, 9.0]]",
+        "command[0] must be a (duration, [v_x, v_y, w_z]) pair: [2.0, [0.5, 0.0, 0.0, 9.0]]",
     ),
-    "seed_negative": ({"seed": -1}, "seed"),
-    "seed_float": ({"seed": 1.5}, "seed"),
-    "seed_bool": ({"seed": True}, "seed"),
+    # these named neither `command` nor the segment
+    "command_nan": ({"command": [[NAN, [0.5, 0.0, 0.0]]]}, "command[0] is not finite: [nan, [0.5"),
+    "command_negative_duration": (
+        {"command": [[3.0, [0.5, 0.0, 0.0]], [-1.0, [0.5, 0.0, 0.0]]]},
+        "command[1] duration must be positive: -1.0",
+    ),
+    "seed_negative": ({"seed": -1}, "seed must be a non-negative integer: -1"),
+    "seed_float": ({"seed": 1.5}, "seed must be a non-negative integer: 1.5"),
+    "seed_bool": ({"seed": True}, "seed must be a non-negative integer: True"),
     "sweep_zero_height": (
         {"scene": _scene(STEP), "sweep_step_heights": [0.1, 0.0]},
-        "sweep_step_heights",
+        f"{SWEEP_HEIGHTS}: [0.1, 0.0]",
     ),
     "sweep_nan_height": (
-        {"scene": _scene(STEP), "sweep_step_heights": [NAN]},
-        "sweep_step_heights",
+        {"scene": _scene(STEP), "sweep_step_heights": [NAN]}, f"{SWEEP_HEIGHTS}: [nan]"
     ),
-    "sweep_without_step": ({"sweep_step_heights": [0.1]}, "sweep_step_heights"),
+    # a string failed in numpy, naming no key; an empty list ran one plain
+    # scenario instead of a sweep
+    "sweep_not_numbers": (
+        {"scene": _scene(STEP), "sweep_step_heights": "abc"}, f"{SWEEP_HEIGHTS}: 'abc'"
+    ),
+    "sweep_empty": ({"scene": _scene(STEP), "sweep_step_heights": []}, f"{SWEEP_HEIGHTS}: []"),
+    "sweep_without_step": (
+        {"sweep_step_heights": [0.1]}, "sweep_step_heights needs a Step primitive in the scene"
+    ),
+    # a non-string tag was stored as is, and a comma split the tag column
+    # of metrics.csv in two
+    "tag_not_a_string": ({"tag": 5}, f"{TAG}: 5"),
+    "tag_with_comma": ({"tag": "a,b"}, f"{TAG}: 'a,b'"),
+    "tag_with_newline": ({"tag": "a\nb"}, f"{TAG}: 'a\\nb'"),
     "vio_dropout_not_a_pair": (
         {"source_errors": {"vio": {"dropouts": [[1.0]]}}},
-        "dropouts",
+        "source_errors.vio.dropouts must be (a, b) pairs",
     ),
     "vio_dropout_reversed": (
         {"source_errors": {"vio": {"dropouts": [[1.0, 0.5]]}}},
-        "dropouts",
+        "source_errors.vio.dropouts must be (t0, t1) pairs with t0 < t1: (1.0, 0.5)",
     ),
     "vio_dropout_nan": (
         {"source_errors": {"vio": {"dropouts": [[NAN, 1.0]]}}},
-        "dropouts",
+        "source_errors.vio.dropouts must be finite",
     ),
     # each used to be a bare TypeError; a flat list is not read as two windows
-    "vio_dropouts_not_a_list": ({"source_errors": {"vio": {"dropouts": 5}}}, "dropouts must be"),
-    "vio_dropout_not_a_list": ({"source_errors": {"vio": {"dropouts": [5]}}}, "dropouts must be"),
-    "vio_dropouts_flat": (
-        {"source_errors": {"vio": {"dropouts": [1.0, 2.0, 3.0, 4.0]}}}, "dropouts must be"
+    "vio_dropouts_not_a_list": (
+        {"source_errors": {"vio": {"dropouts": 5}}}, "source_errors.vio.dropouts must be"
     ),
-    "sigma0_negative": ({"sensor_noise": {"sigma0": -1.0}}, "sigma0 must be"),
-    "k_negative": ({"sensor_noise": {"k": -0.1}}, "k must be"),
-    "dropout_above_one": ({"sensor_noise": {"dropout": 1.5}}, "dropout"),
-    "dropout_one": ({"sensor_noise": {"dropout": 1.0}}, "dropout"),
+    "vio_dropout_not_a_list": (
+        {"source_errors": {"vio": {"dropouts": [5]}}}, "source_errors.vio.dropouts must be"
+    ),
+    "vio_dropouts_flat": (
+        {"source_errors": {"vio": {"dropouts": [1.0, 2.0, 3.0, 4.0]}}},
+        "source_errors.vio.dropouts must be",
+    ),
+    "sigma0_negative": (
+        {"sensor_noise": {"sigma0": -1.0}}, "sensor_noise.sigma0 must be non-negative and finite"
+    ),
+    "k_negative": ({"sensor_noise": {"k": -0.1}}, "sensor_noise.k must be non-negative and finite"),
+    "dropout_above_one": (
+        {"sensor_noise": {"dropout": 1.5}}, "sensor_noise.dropout must be in [0, 1): 1.5"
+    ),
+    "dropout_one": (
+        {"sensor_noise": {"dropout": 1.0}}, "sensor_noise.dropout must be in [0, 1): 1.0"
+    ),
     # NaN noise used to pass a `< 0` check: the run died at the first cloud,
     # or (orient_sigma) reported finite metrics with exit 0
     "vel_sigma_nan": (
         {"source_errors": {"estimator": {"vel_sigma": [NAN, 0.02, 0.01]}}},
-        "vel_sigma",
+        "source_errors.estimator.vel_sigma must be finite",
     ),
-    "bias_inf": ({"source_errors": {"estimator": {"bias": [0.0, INF, 0.0]}}}, "bias"),
-    "orient_sigma_nan": ({"source_errors": {"imu": {"orient_sigma": NAN}}}, "orient_sigma"),
+    "vel_sigma_two_values": (
+        {"source_errors": {"estimator": {"vel_sigma": [0.02, 0.02]}}},
+        "source_errors.estimator.vel_sigma must be 3 values, each non-negative and finite",
+    ),
+    "bias_inf": (
+        {"source_errors": {"estimator": {"bias": [0.0, INF, 0.0]}}},
+        "source_errors.estimator.bias must be finite",
+    ),
+    "orient_sigma_nan": (
+        {"source_errors": {"imu": {"orient_sigma": NAN}}},
+        "source_errors.imu.orient_sigma must be finite",
+    ),
     # a misspelled or non-mapping sub-section used to be a bare TypeError
     "imu_unknown_key": (
         {"source_errors": {"imu": {"gyro_sigma": 0.01}}},
         "unknown source_errors.imu keys: ['gyro_sigma']",
     ),
     "vio_not_a_mapping": ({"source_errors": {"vio": 5}}, "source_errors.vio must be a mapping"),
-    "walk_rate_nan": ({"source_errors": {"vio": {"walk_rate": NAN}}}, "walk_rate"),
-    "sample_sigma_inf": ({"source_errors": {"vio": {"sample_sigma": INF}}}, "sample_sigma"),
+    "walk_rate_nan": (
+        {"source_errors": {"vio": {"walk_rate": NAN}}}, "source_errors.vio.walk_rate must be finite"
+    ),
+    "sample_sigma_inf": (
+        {"source_errors": {"vio": {"sample_sigma": INF}}},
+        "source_errors.vio.sample_sigma must be finite",
+    ),
     # a NaN threshold used to report success 0 with exit 0; the success
     # thresholds are pipeline constants now, so the section is unknown
     "success_chamfer_nan": ({"success": {"chamfer_cm": NAN}}, NO_SUCCESS),
@@ -223,11 +271,16 @@ BAD_CONFIGS = {
     "success_fill_inf": ({"success": {"max_fill_fraction": INF}}, NO_SUCCESS),
     "success_margin_nan": ({"success": {"window_margin": NAN}}, NO_SUCCESS),
     # the height noise is validated and then discarded: these used to pass
-    "height_sample_sigma_nan": ({"height_noise": {"sample_sigma": NAN}}, "sample_sigma"),
-    "height_sample_sigma_negative": (
-        {"height_noise": {"sample_sigma": -1.0}}, "sample_sigma must be non-negative"
+    "height_sample_sigma_nan": (
+        {"height_noise": {"sample_sigma": NAN}}, "height_noise.sample_sigma must be finite"
     ),
-    "height_bias_sigma_inf": ({"height_noise": {"bias_sigma": [INF, 0, 0]}}, "bias_sigma"),
+    "height_sample_sigma_negative": (
+        {"height_noise": {"sample_sigma": -1.0}},
+        "height_noise.sample_sigma must be non-negative and finite: -1.0",
+    ),
+    "height_bias_sigma_inf": (
+        {"height_noise": {"bias_sigma": [INF, 0, 0]}}, "height_noise.bias_sigma must be finite"
+    ),
     # each failed to unpack with a message that named no key
     "start_xy_one_value": ({"start_xy": [1.0]}, "start_xy must be 2 values"),
     "start_xy_three_values": ({"start_xy": [1.0, 1.5, 2.0]}, "start_xy must be 2 values"),
@@ -304,6 +357,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig.from_dict({**SHORT, "height_noise": {"bias_sigma": [0.1, 0.1]}})
 
+    def test_sweep_heights_kept_as_floats(self):
+        # a quoted height passed the check, ran every sub-run and then failed
+        # to format as a number in the sweep's metrics.csv
+        cfg = ScenarioConfig.from_dict(
+            {**SHORT, "scene": _scene(STEP), "sweep_step_heights": ["0.1", 1, 0.05]}
+        )
+        assert cfg.sweep_step_heights == [0.1, 1.0, 0.05]
+        assert all(type(h) is float for h in cfg.sweep_step_heights)
+
+    def test_tag_with_plus_suffix_accepted(self):
+        # `elevsim run --no-rear-camera` appends "+no-rear" to the tag
+        cfg = ScenarioConfig.from_dict({**SHORT, "tag": "ablation"})
+        assert replace(cfg, tag=cfg.tag + "+no-rear").tag == "ablation+no-rear"
+
     def test_snapshot_every_in_sweep_rejected(self):
         with pytest.raises(ValueError, match="snapshot_every"):
             ScenarioConfig.from_dict(
@@ -345,7 +412,7 @@ class TestConfig:
     def test_bad_scene_is_a_scene_error(self, case):
         # from the whole config and from the scene section alone
         extra, text = BAD_CONFIGS[case]
-        for parse in (scene.SceneSpec.from_dict,
+        for parse in (lambda d: build(scene.SceneSpec, d, "scene"),
                       lambda d: ScenarioConfig.from_dict({**SHORT, "scene": d})):
             with pytest.raises(scene.SceneError) as err:
                 parse(extra["scene"])
@@ -381,16 +448,16 @@ class TestConfig:
     @pytest.mark.parametrize(
         "command, text",
         [
-            ([[2.0, 0.5]], "command segment 0 is not"),
-            ([[2.0]], "command segment 0 is not"),
-            ([[1.0, [0.5, 0.0, 0.0]], [2.0, 0.5, 0.0, 0.0]], "command segment 1 is not"),
+            ([[2.0, 0.5]], "command[0] must be a"),
+            ([[2.0]], "command[0] must be a"),
+            ([[1.0, [0.5, 0.0, 0.0]], [2.0, 0.5, 0.0, 0.0]], "command[1] must be a"),
             (2.0, "command must be a list of segments"),
             ({"v_x": 0.5}, "command must be a list of segments"),
         ],
     )
     def test_malformed_command_rejected(self, command, text):
         # these used to fail on unpacking, with a message that named no segment
-        with pytest.raises(ValueError, match=text):
+        with pytest.raises(ValueError, match=re.escape(text)):
             ScenarioConfig.from_dict({**SHORT, "command": command})
 
     def test_one_segment_past_settle_time_accepted(self):
@@ -726,8 +793,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, text",
         [
-            ([[2.0, 0.5]], "command segment 0 is not"),
-            ([[2.0]], "command segment 0 is not"),
+            ([[2.0, 0.5]], "command[0] must be a"),
+            ([[2.0]], "command[0] must be a"),
             (2.0, "command must be a list of segments"),
         ],
     )

@@ -13,6 +13,7 @@ from elevsim.scene import (
     ground_truth_patch,
     obstacle_scene,
 )
+from elevsim.schema import build
 
 
 def test_flat_scene_profile_is_constant():
@@ -152,7 +153,7 @@ def test_scene_spec_yaml_round_trip(tmp_path):
             },
         ],
     }
-    parsed = SceneSpec.from_dict(d)
+    parsed = build(SceneSpec, d, "scene")
     x = np.linspace(0, 8, 400)
     np.testing.assert_allclose(parsed.profile_height(x), spec.profile_height(x))
 

@@ -1,7 +1,8 @@
 """Property tests for the terrain layer: random inline scenes either fail at
-`SceneSpec.from_dict` with a SceneError, or build a heightfield whose
-lookups, runs and bounds agree with the scene's analytic profile. Malformed
-scene sections fail with a SceneError too, never another exception."""
+`schema.build(SceneSpec, d, "scene")` with a SceneError, or build a
+heightfield whose lookups, runs and bounds agree with the scene's analytic
+profile. Malformed scene sections fail with a SceneError too, never another
+exception."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elevsim.scene import SceneError, SceneSpec, build_scene
+from elevsim.schema import build
 
 FILL = -7.0
 SPECIAL = st.sampled_from([0.0, float("nan"), float("inf"), float("-inf")])
@@ -78,10 +80,10 @@ def test_scene_rejected_or_profile_consistent(drawn, resolution):
     d, malformed = drawn
     if malformed:
         with pytest.raises(SceneError):
-            SceneSpec.from_dict(d)
+            build(SceneSpec, d, "scene")
         return
     try:
-        spec = SceneSpec.from_dict(d)
+        spec = build(SceneSpec, d, "scene")
     except SceneError:
         return
     hf = build_scene(spec, resolution)

@@ -28,11 +28,12 @@ from elevsim.obsbuilder import HeightNoiseState
 from elevsim.odometry import EstimatorErrors, ImuErrors, SourceErrorModel, VioErrors
 from elevsim.pipeline import ScenarioConfig, run_scenario
 from elevsim.reward import DEFAULT_WEIGHTS, RewardConfig
-from elevsim.scene import FlatRegion, Platform, SceneSpec, Step, obstacle_scene
+from elevsim.scene import PRIMITIVE_TYPES, FlatRegion, Platform, SceneSpec, Step, obstacle_scene
 from elevsim.schema import BOOL, COUNT, PAIRS, POSITIVE, Validated, rule
 from elevsim.sensorsim import CameraModel, CommandProfile, SensorNoise, default_front_camera
 
-BASE = ScenarioConfig.from_dict({"scene": "obstacle", "command": [[2.0, [0.5, 0.0, 0.0]]]})
+SHORT = {"scene": "obstacle", "command": [[2.0, [0.5, 0.0, 0.0]]]}
+BASE = ScenarioConfig.from_dict(SHORT)
 
 # whether a float lies inside a kind, by its text
 INSIDE = {
@@ -92,6 +93,38 @@ RELATED = {(VioErrors, "dropouts"): lambda pairs: all(float(a) < float(b) for a,
 FROZEN = [ScenarioConfig, CameraModel, SensorNoise, CommandProfile, SceneSpec, FlatRegion, Step,
           Platform, EstimatorErrors, ImuErrors, VioErrors, SourceErrorModel, RewardConfig,
           SensorVarianceModel]
+
+
+STEP = {"type": "step", "x_start": 3.0, "height": 0.1, "depth": 0.8}
+PLATFORM = {"type": "platform", "x_start": 5.0, "rise_steps": [[0.1, 0.3]], "platform_height": 0.3,
+            "platform_length": 1.0, "ramp_slope": 0.3}
+
+
+def _scene(*primitives) -> dict:
+    return {"scene": {"extent": [8.0, 3.0], "primitives": list(primitives)}}
+
+
+# every config section that `ScenarioConfig.from_dict` reads, with its full
+# key path and the config keys that put a section's values there
+SECTION_PATHS = [
+    (SensorNoise, "sensor_noise", lambda s: {"sensor_noise": s}),
+    (EstimatorErrors, "source_errors.estimator", lambda s: {"source_errors": {"estimator": s}}),
+    (ImuErrors, "source_errors.imu", lambda s: {"source_errors": {"imu": s}}),
+    (VioErrors, "source_errors.vio", lambda s: {"source_errors": {"vio": s}}),
+    (HeightNoiseState, "height_noise", lambda s: {"height_noise": s}),
+    (SceneSpec, "scene", lambda s: {"scene": {"extent": [8.0, 3.0], **s}}),
+    (FlatRegion, "scene.primitives[0]", lambda s: _scene({"type": "flat", **s})),
+    (Step, "scene.primitives[1]", lambda s: _scene({"type": "flat"}, {**STEP, **s})),
+    (Platform, "scene.primitives[2]", lambda s: _scene({"type": "flat"}, STEP, {**PLATFORM, **s})),
+]
+# each ruled field of those sections, but the noise state's `bias`, which is
+# not a `height_noise` key
+PATH_CASES = [
+    (path, place, name, shape)
+    for cls, path, place in SECTION_PATHS
+    for ruled, name, _, shape, _ in RULED
+    if ruled is cls and (ruled, name) != (HeightNoiseState, "bias")
+]
 
 
 def _base(cls):
@@ -257,6 +290,29 @@ def test_field_fuzz(cls, name, text, shape, optional, data):
     kind, *_ = _rules(cls)[name]
     value = data.draw(_values(kind, shape), label=name)
     _constructs_or_names_the_key(cls, name, text, shape, optional, value)
+
+
+def _reachable(cls) -> list[type]:
+    """The sections that `cls`'s default factories build, and theirs."""
+    made = [f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)]
+    return [c for sub in made for c in (sub, *_reachable(sub))]
+
+
+def test_section_paths_cover_every_ruled_section():
+    reachable = {*_reachable(ScenarioConfig), SceneSpec, *PRIMITIVE_TYPES.values()}
+    reachable.add(HeightNoiseState)  # the height_noise section, validated and discarded
+    ruled = {cls for cls in reachable if any(row[0] is cls for row in RULED)}
+    assert ruled == {cls for cls, _, _ in SECTION_PATHS}
+
+
+@pytest.mark.parametrize("path, place, name, shape", PATH_CASES,
+                         ids=[f"{case[0]}.{case[2]}" for case in PATH_CASES])
+def test_section_errors_start_with_the_full_key_path(path, place, name, shape):
+    # NaN is outside every kind of these sections
+    bad = math.nan if shape is None else [[math.nan, 1.0]] if shape is PAIRS else [math.nan] * shape
+    with pytest.raises(ValueError) as err:
+        ScenarioConfig.from_dict({**SHORT, **place({name: bad})})
+    assert str(err.value).startswith(f"{path}.{name} must be "), err.value
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)

@@ -897,7 +897,8 @@ def test_ray_directions_unit_and_counted():
 def test_command_profile_needs_three_components(cmd):
     # a short command used to fail in simulate_trajectory and a long one in
     # the reward, after the whole map loop
-    with pytest.raises(ValueError, match=r"segment 1 is not a \(duration, \[v_x, v_y, w_z\]\) pair"):
+    pair = r"command\[1\] must be a \(duration, \[v_x, v_y, w_z\]\) pair"
+    with pytest.raises(ValueError, match=pair):
         CommandProfile([(1.0, (0.5, 0.0, 0.0)), (2.0, cmd)])
 
 
