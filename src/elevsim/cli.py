@@ -38,6 +38,11 @@ def _config_error(path: Path, e: Exception) -> int:
     return 2
 
 
+def _output_error(path: Path, problem: str) -> int:
+    print(f"output error: {path} {problem}", file=sys.stderr)
+    return 2
+
+
 def cmd_run(args) -> int:
     try:
         cfg = pipeline.ScenarioConfig.from_yaml(args.config)
@@ -52,6 +57,10 @@ def cmd_run(args) -> int:
         cfg = replace(cfg, **overrides)
     except Exception as e:  # config errors get a diagnostic, nonzero exit
         return _config_error(args.config, e)
+    try:  # before any work, so that a file in the way fails at once
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        return _output_error(cfg.out_dir, f"cannot be made a directory: {e.strerror}")
     if cfg.sweep_step_heights:
         for row in pipeline.run_step_sweep(cfg):
             print(
@@ -91,8 +100,13 @@ def cmd_export_scene(args) -> int:
         cfg = pipeline.ScenarioConfig.from_yaml(args.config)
     except Exception as e:
         return _config_error(args.config, e)
+    if args.out.is_dir():
+        return _output_error(args.out, "is a directory, not a CSV file")
+    try:
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        return _output_error(args.out.parent, f"cannot be made a directory: {e.strerror}")
     hf = scene.build_scene(cfg.scene_spec, scene.GT_PATCH_RESOLUTION)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     hf.to_csv(args.out)
     print(f"heightfield {hf.extent[0]}x{hf.extent[1]} written to {args.out}")
     return 0

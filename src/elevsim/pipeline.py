@@ -22,7 +22,6 @@ from . import cloudfilter, metrics, obsbuilder, reward, scene
 from .elevmap import DEFAULT_RESOLUTION, DEFAULT_SIZE, ElevationMap, SensorVarianceModel
 from .geometry import Pose, quat_normalize, quat_rotate, yaw_from_quat
 from .odometry import SourceErrorModel, fuse_streams, make_source_streams
-from .pointcloud import PointCloud
 from .schema import BOOL, COUNT, FINITE, POSITIVE, Validated, build, check, interval, rule, section
 from .sensorsim import (
     Q_STAND,
@@ -188,13 +187,13 @@ def _step_window(spec: scene.SceneSpec) -> tuple[float, float] | None:
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    """Stages: precompute, one map loop over the ticks, reward, report."""
+    """Stages: precompute, the frame stage, one map loop over the ticks, reward, report."""
     if cfg.snapshot_every is not None and cfg.out_dir is None:
         raise ValueError("snapshot_every needs an out_dir to write the snapshots to")
     t_start = time.perf_counter()
     # child 2 fed the height noise that was dropped; odometry keeps child 3
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-    rng_front, rng_rear = (np.random.default_rng(s) for s in seeds[:2])
+    rngs = [np.random.default_rng(s) for s in seeds[:2]]  # front, rear camera
     odom_seed = int(seeds[3].generate_state(1)[0])
 
     hf = scene.build_scene(cfg.scene_spec, scene.GT_PATCH_RESOLUTION)
@@ -207,9 +206,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     )
     est_pos, est_vtrack = _estimate_odometry(cfg, traj, odom_seed)
 
-    cameras = [(default_front_camera(), rng_front)]
-    if cfg.use_rear_camera:
-        cameras.append((default_rear_camera(), rng_rear))
+    frames = _frames(cfg, hf, traj, est_pos, rngs)
     variance_model = SensorVarianceModel()
     emap = ElevationMap(resolution=cfg.map_resolution, center=est_pos[0][:2])
     # per-rate results: the default-fill fraction of each control tick and
@@ -220,17 +217,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.out_dir is not None:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    # every tick's poses in stacked calls, row k for the rate's tick k: the
-    # cloud ticks' true and estimated base poses, each camera's and the body
-    # capsules; the control ticks' estimate; the chamfer ticks' estimate and
-    # truth. The estimate keeps the true orientation
-    cloud_true = Pose(traj.pos[::CLOUD_EVERY], traj.quat[::CLOUD_EVERY])
-    cloud_est = Pose(est_pos[::CLOUD_EVERY], traj.quat[::CLOUD_EVERY])
-    views = [
-        (cam, rng, cloud_true.compose(cam.mount), cloud_est.compose(cam.mount))
-        for cam, rng in cameras
-    ]
-    cap_p0, cap_p1, cap_r = cloudfilter.body_capsules(cloud_est, traj.q[::CLOUD_EVERY])
+    # the control ticks' estimate and the chamfer ticks' estimate and truth
+    # in stacked calls, row k for the rate's tick k
     control_est = Pose(est_pos[::CONTROL_EVERY], traj.quat[::CONTROL_EVERY])
     chamfer_est = Pose(est_pos[::CHAMFER_EVERY], traj.quat[::CHAMFER_EVERY])
     chamfer_true = Pose(traj.pos[::CHAMFER_EVERY], traj.quat[::CHAMFER_EVERY])
@@ -242,16 +230,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         if i % CLOUD_EVERY and i % CONTROL_EVERY and i % CHAMFER_EVERY and not snapshot:
             continue
         if i % CLOUD_EVERY == 0:
-            k = i // CLOUD_EVERY
-            caps = (cap_p0[k], cap_p1[k], cap_r)
-            for cam, rng, cam_true, cam_est in views:
-                cam_pose = cam_est[k]
-                world = _world_cloud(cfg, hf, cam, rng, cam_true[k], cam_pose, caps, t)
+            for origin, world in next(frames):
                 # the drift shift moves heights, not cells: one lookup serves both
                 cells = emap.lookup(world.points[:, :2])
                 if cfg.drift_compensation:
                     emap.drift_compensate(world, cells=cells)
-                emap.integrate_cloud(world, cam_pose.position, variance_model, t, cells=cells)
+                emap.integrate_cloud(world, origin, variance_model, t, cells=cells)
 
         if i % CONTROL_EVERY == 0:
             emap.recenter(est_pos[i][:2])
@@ -288,17 +272,30 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def _world_cloud(cfg: ScenarioConfig, hf: scene.Heightfield, cam, rng, cam_true: Pose,
-                 cam_est: Pose, caps, t: float) -> PointCloud:
-    """One camera frame's cloud for the map: rendered from the true camera
-    pose, noised, moved to the world by the estimated pose, then through the
+def _frames(cfg: ScenarioConfig, hf: scene.Heightfield, traj: Trajectory, est_pos: np.ndarray,
+            rngs: list[np.random.Generator]):
+    """The frame stage: per cloud tick, a list of one (sensor origin, world
+    cloud) per camera, each camera drawing its noise from its own generator
+    in `rngs` (front, rear). A cloud is rendered from the true camera pose,
+    noised, moved to the world by the estimated pose, then put through the
     outlier, body and voxel filters. It never reads the map."""
-    cloud = render_depth(cam, cam_true, hf, t)
-    cloud = inject_sensor_noise(cloud, cfg.sensor_noise, rng)
-    world = cloud.transformed(cam_est)
-    world = cloudfilter.remove_outliers(world)
-    world = cloudfilter.body_filter(world, caps)
-    return cloudfilter.voxel_downsample(world, cfg.map_resolution)
+    cameras = [default_front_camera(), default_rear_camera()][: 2 if cfg.use_rear_camera else 1]
+    # the cloud ticks' poses in stacked calls, row k for cloud tick k; the
+    # estimate keeps the true orientation
+    true = Pose(traj.pos[::CLOUD_EVERY], traj.quat[::CLOUD_EVERY])
+    est = Pose(est_pos[::CLOUD_EVERY], traj.quat[::CLOUD_EVERY])
+    views = [(c, rng, true.compose(c.mount), est.compose(c.mount)) for c, rng in zip(cameras, rngs)]
+    p0, p1, r = cloudfilter.body_capsules(est, traj.q[::CLOUD_EVERY])
+    for k, t in enumerate(traj.t[::CLOUD_EVERY]):
+        frame = []
+        for cam, rng, cam_true, cam_est in views:
+            cloud = render_depth(cam, cam_true[k], hf, t)
+            cloud = inject_sensor_noise(cloud, cfg.sensor_noise, rng)
+            world = cloudfilter.remove_outliers(cloud.transformed(cam_est[k]))
+            world = cloudfilter.body_filter(world, (p0[k], p1[k], r))
+            world = cloudfilter.voxel_downsample(world, cfg.map_resolution)
+            frame.append((cam_est[k].position, world))
+        yield frame
 
 
 def _reward_mean(cfg: ScenarioConfig, traj: Trajectory, hf: scene.Heightfield) -> float:
@@ -413,12 +410,17 @@ def read_metrics_csv(path) -> dict[str, float]:
     with open(path) as f:
         if next(f, None) is None:
             raise ValueError(f"{path} is empty, not a metrics report")
-        for line in f:
+        for n, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split(",")
             if parts[0] == "sweep":
                 raise ValueError(f"{path} is a step-sweep report, not a metrics report")
-            if len(parts) >= 2:
+            if not line.strip():
+                continue
+            try:
                 out[parts[0]] = float(parts[1])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path} line {n} is not a metric,value,tag row with a number"
+                                 f" value: {line.rstrip()!r}") from None
     return out
 
 

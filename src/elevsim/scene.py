@@ -77,10 +77,21 @@ class SceneSpec(Validated):
             super().__post_init__()
         except ValueError as e:
             raise SceneError(*e.args) from None
+        flats = [i for i, p in enumerate(self.primitives) if isinstance(p, FlatRegion)]
+        if len(flats) > 1:
+            raise SceneError(f"primitives[{flats[1]}] is a second flat region; only the first"
+                             f" sets the base height: {self.primitives[flats[1]]}")
+        spans = []
         for i, p in enumerate(self.primitives):
             if isinstance(p, Step) and p.height == 0:
                 raise SceneError(f"primitives[{i}].height must be non-zero: {p}")
-        spans = [(p.x_interval(), p) for p in self.primitives if not isinstance(p, FlatRegion)]
+            if isinstance(p, FlatRegion):
+                continue
+            a, b = p.x_interval()
+            if b <= 0 or a >= self.extent[0]:
+                raise SceneError(f"primitives[{i}] spans x in [{a}, {b}), outside the scene's"
+                                 f" [0, {self.extent[0]}): {p}")
+            spans.append(((a, b), p))
         spans.sort(key=lambda span: span[0][0])
         for (a, pa), (b, pb) in zip(spans, spans[1:]):
             if b[0] < a[1]:

@@ -160,6 +160,22 @@ BAD_CONFIGS = {
     "step_height_zero": (
         {"scene": _scene({**STEP, "height": 0.0})}, "scene.primitives[1].height must be non-zero"
     ),
+    # each ran and changed nothing: the base height is the first flat's z, and
+    # a primitive off the terrain raises no cell (a swept step at x = 9 m
+    # reported success 0 with no window chamfer at every height)
+    "flat_twice": (
+        {"scene": {"extent": [8.0, 3.0],
+                   "primitives": [{"type": "flat", "z": 0.0}, {"type": "flat", "z": 0.4}]}},
+        "scene.primitives[1] is a second flat region",
+    ),
+    "step_past_extent": (
+        {"scene": _scene({**STEP, "x_start": 9.0})},
+        "scene.primitives[1] spans x in [9.0, 9.8), outside the scene's [0, 8.0)",
+    ),
+    "platform_before_origin": (
+        {"scene": _scene({**PLATFORM, "x_start": -10.0})},
+        "scene.primitives[1] spans x in [-10.0, ",
+    ),
     # a short command died in simulate_trajectory, a long one in the reward
     # after the whole map loop, each with exit 1
     "command_two_components": (
@@ -662,6 +678,69 @@ class TestScenario:
         assert m["rte_mean_m"] > 0.0
 
 
+class TestFrameStage:
+    """The frame stage (`pipeline._frames`) run alone, with the run's seeds
+    and no map, yields the clouds that the map loop integrates, byte for byte
+    and in order: the frame-level oracle for any faster frame stage."""
+
+    @staticmethod
+    def _cfg(rear: bool) -> ScenarioConfig:
+        # a turning ekf-vio walk with sensor noise, so that the true and the
+        # estimated pose differ and every camera draws from its RNG
+        return ScenarioConfig.from_dict({
+            **SHORT,
+            "command": [[1.0, [0.5, 0.0, 0.3]]],
+            "odometry": "ekf-vio",
+            "use_rear_camera": rear,
+            "sensor_noise": {"sigma0": 0.003, "k": 0.005, "dropout": 0.02},
+        })
+
+    @pytest.mark.parametrize("rear", [False, True], ids=["one_camera", "two_cameras"])
+    def test_map_integrates_what_the_frame_stage_yields_alone(self, monkeypatch, rear):
+        cfg = self._cfg(rear)
+        integrated = []
+        integrate = ElevationMap.integrate_cloud
+
+        def spy(emap, cloud, origin, *args, **kwargs):
+            integrated.append((cloud.t, cloud.frame, origin.tobytes(), cloud.points.tobytes()))
+            return integrate(emap, cloud, origin, *args, **kwargs)
+
+        monkeypatch.setattr(ElevationMap, "integrate_cloud", spy)
+        run_scenario(cfg)
+        monkeypatch.undo()
+
+        # the run's precompute and seed hierarchy, then the frame stage alone
+        seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+        hf = scene.build_scene(cfg.scene_spec, scene.GT_PATCH_RESOLUTION)
+        traj = simulate_trajectory(cfg.profile, hf, dt=1.0 / SIM_RATE, start_xy=cfg.start_xy,
+                                   start_yaw=cfg.start_yaw)
+        est_pos, _ = pipeline._estimate_odometry(cfg, traj, int(seeds[3].generate_state(1)[0]))
+        rngs = [np.random.default_rng(s) for s in seeds[:2]]
+        alone = [
+            (world.t, world.frame, origin.tobytes(), world.points.tobytes())
+            for frame in pipeline._frames(cfg, hf, traj, est_pos, rngs)
+            for origin, world in frame
+        ]
+        cameras = 2 if rear else 1
+        assert len(alone) == cameras * len(range(0, len(traj), CLOUD_EVERY))
+        assert min(len(points) for *_, points in alone) > 0
+        assert integrated == alone
+
+    @pytest.mark.parametrize("rear", [False, True], ids=["one_camera", "two_cameras"])
+    def test_one_render_per_camera_and_cloud_tick(self, monkeypatch, rear):
+        rendered = []
+        render = pipeline.render_depth
+
+        def counted(camera, pose, hf, t):
+            rendered.append(t)
+            return render(camera, pose, hf, t)
+
+        monkeypatch.setattr(pipeline, "render_depth", counted)
+        ticks = run_scenario(self._cfg(rear)).gt_trajectory.t
+        cameras = 2 if rear else 1
+        assert rendered == [t for t in ticks[::CLOUD_EVERY] for _ in range(cameras)]
+
+
 class TestSweepAndCompare:
     def test_step_sweep_rows(self, tmp_path):
         cfg = ScenarioConfig.from_dict(
@@ -749,6 +828,11 @@ class TestSweepAndCompare:
         write_metrics(tmp_path, {"x": 1.5, "y": -2.0}, "")
         back = read_metrics_csv(tmp_path / "metrics.csv")
         assert back == {"x": 1.5, "y": -2.0}
+
+    def test_read_metrics_csv_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("metric,value,tag\n\nx,1.5,\n  \ny,-2.0,a\n\n")
+        assert read_metrics_csv(path) == {"x": 1.5, "y": -2.0}
 
 
 class TestCli:
@@ -924,6 +1008,56 @@ class TestCli:
         empty.write_text("")
         assert main(["compare", str(tmp_path / "metrics.csv"), str(empty)]) == 2
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, line, row",
+        [
+            # it used to print only "could not convert string to float: 'abc'"
+            ("chamfer_mean_cm,1.5,\nrte_mean_m,abc,\n", 3, "rte_mean_m,abc,"),
+            # a one-field row used to be skipped silently; a blank line still is
+            ("\nchamfer_mean_cm,1.5,\nrte_mean_m\n", 4, "rte_mean_m"),
+        ],
+        ids=["value_not_a_number", "one_field"],
+    )
+    def test_compare_verb_bad_row_names_file_and_line(self, tmp_path, capsys, body, line, row):
+        write_metrics(tmp_path, {"chamfer_mean_cm": 1.5}, "")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("metric,value,tag\n" + body)
+        assert main(["compare", str(tmp_path / "metrics.csv"), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"compare error: {bad} line {line} ") and err.count("\n") == 1
+        assert repr(row) in err
+
+    def test_run_out_onto_a_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # it used to end in a FileExistsError traceback with exit 1, after the
+        # trajectory and the odometry had run
+        cfg = self._write_cfg(tmp_path)
+        out = tmp_path / "out"
+        out.write_text("kept")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(pipeline, "simulate_trajectory", no_work)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: {out} cannot be made a directory")
+        assert err.count("\n") == 1
+        assert out.read_text() == "kept"
+
+    def test_export_scene_onto_a_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # it used to end in an IsADirectoryError traceback with exit 1
+        cfg = self._write_cfg(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the scene was built")
+
+        monkeypatch.setattr(scene, "build_scene", no_work)
+        assert main(["export-scene", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"output error: {out} is a directory, not a CSV file\n"
+        assert not list(out.iterdir())
 
     def test_export_scene_verb(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

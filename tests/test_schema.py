@@ -128,8 +128,11 @@ PATH_CASES = [
 
 
 def _base(cls):
-    """A valid instance to replace one field of; frozen ones are shared."""
-    made = {ScenarioConfig: BASE, CameraModel: default_front_camera(), SceneSpec: BASE.scene_spec,
+    """A valid instance to replace one field of; frozen ones are shared. The
+    scene is flat only, so that it is valid at every extent: a primitive off
+    the terrain is an error."""
+    made = {ScenarioConfig: BASE, CameraModel: default_front_camera(),
+            SceneSpec: SceneSpec([FlatRegion()], extent=(8.0, 3.0)),
             CommandProfile: BASE.profile, SourceErrorModel: BASE.source_errors,
             Step: Step(x_start=3.0, height=0.1, depth=0.8), Platform: obstacle_scene().primitives[1]}
     return made[cls] if cls in made else cls()
