@@ -106,7 +106,7 @@ def cmd_export_scene(args) -> int:
         args.out.parent.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         return _output_error(args.out.parent, f"cannot be made a directory: {e.strerror}")
-    hf = scene.build_scene(cfg.scene_spec, scene.GT_PATCH_RESOLUTION)
+    hf = scene.build_scene(cfg.scene_spec)
     hf.to_csv(args.out)
     print(f"heightfield {hf.extent[0]}x{hf.extent[1]} written to {args.out}")
     return 0

@@ -20,6 +20,10 @@ from .schema import NON_NEGATIVE, POSITIVE, Validated, check, interval, rule
 
 DEFAULT_RESOLUTION = 0.025
 DEFAULT_SIZE = 5.0  # also the largest map
+# the most cells along a side: 2048 keeps every run's map (the finest, the
+# benchmark's 0.0125 m sweep, has 400) and bounds the four layers to about
+# 105 MB, where a mistyped resolution would ask for gigabytes
+MAX_CELLS = 2048
 # drift compensation: the largest measurement-vs-map discrepancy (m) that
 # counts, and the fewest gated points that move the map
 DRIFT_GATE = 0.03
@@ -64,6 +68,9 @@ class ElevationMap:
         self.n = int(round(size / resolution))
         if self.n < 1:
             raise ValueError(f"map size {size} m rounds to zero {resolution} m cells")
+        if self.n > MAX_CELLS:
+            raise ValueError(f"a {size} m map at {resolution} m has {self.n} cells a side,"
+                             f" more than {MAX_CELLS}")
         # a center and a robot position within this reach of the origin keep
         # center / resolution, the jump between them and the jump in cells
         # finite; recenter moves the center at most half a cell past it

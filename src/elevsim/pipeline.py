@@ -19,12 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import cloudfilter, metrics, obsbuilder, reward, scene
-from .elevmap import DEFAULT_RESOLUTION, DEFAULT_SIZE, ElevationMap, SensorVarianceModel
+from .elevmap import DEFAULT_RESOLUTION, DEFAULT_SIZE, MAX_CELLS, ElevationMap, SensorVarianceModel
 from .geometry import Pose, quat_normalize, quat_rotate, yaw_from_quat
 from .odometry import SourceErrorModel, fuse_streams, make_source_streams
 from .schema import BOOL, COUNT, FINITE, POSITIVE, Validated, build, check, interval, rule, section
 from .sensorsim import (
     Q_STAND,
+    SIM_RATE,
     CommandProfile,
     SensorNoise,
     Trajectory,
@@ -36,14 +37,14 @@ from .sensorsim import (
     simulate_trajectory,
 )
 
-SIM_RATE = 300  # lcm of the three pipeline rates
 CONTROL_EVERY = SIM_RATE // 50
 CLOUD_EVERY = SIM_RATE // 30
 CHAMFER_EVERY = SIM_RATE // 20
 
 ODOMETRY_MODES = ("gt", "ekf-vio", "ekf-novio")
-# one cell may not outgrow the map
-MAP_RESOLUTION = interval(f"in (0, {DEFAULT_SIZE}] m", 0.0, DEFAULT_SIZE, hi_closed=True)
+# one cell may not outgrow the map, nor the map its MAX_CELLS a side
+_FINEST = DEFAULT_SIZE / MAX_CELLS
+MAP_RESOLUTION = interval(f"in [{_FINEST}, {DEFAULT_SIZE}] m", _FINEST, DEFAULT_SIZE, True, True)
 
 
 # Map-quality proxy for step traversal: the run counts as a success if the
@@ -68,7 +69,6 @@ class ScenarioConfig(Validated):
     source_errors: SourceErrorModel = field(default_factory=SourceErrorModel)
     map_resolution: float = rule(MAP_RESOLUTION, default=DEFAULT_RESOLUTION)
     start_xy: tuple[float, float | None] = rule(coerce=tuple, default=(0.8, None))
-    start_yaw: float = rule(FINITE, default=0.0)
     sweep_step_heights: list[float] | None = None
     out_dir: Path | None = rule(coerce=Path, optional=True, default=None)
     snapshot_every: float | None = rule(POSITIVE, optional=True, default=None)
@@ -82,10 +82,8 @@ class ScenarioConfig(Validated):
         xy = self.start_xy
         check("start_xy", xy[:1] + tuple(0.0 if y is None else y for y in xy[1:]), FINITE, 2)
         # the start footprint must lie on the grid that build_scene will make
-        res = scene.GT_PATCH_RESOLUTION
-        nx, ny = scene.grid_shape(self.scene_spec, res)
-        grid = scene.Heightfield(res, (0.0, 0.0), np.zeros(nx), ny)
-        check_start(grid, self.start_xy, self.start_yaw)
+        nx, ny = scene.grid_shape(self.scene_spec)
+        check_start(scene.Heightfield(np.zeros(nx), ny), self.start_xy)
         if self.sweep_step_heights is not None:
             if self.snapshot_every is not None:
                 raise ValueError("snapshot_every is not supported in a step sweep")
@@ -196,14 +194,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     rngs = [np.random.default_rng(s) for s in seeds[:2]]  # front, rear camera
     odom_seed = int(seeds[3].generate_state(1)[0])
 
-    hf = scene.build_scene(cfg.scene_spec, scene.GT_PATCH_RESOLUTION)
-    traj = simulate_trajectory(
-        cfg.profile,
-        hf,
-        dt=1.0 / SIM_RATE,
-        start_xy=cfg.start_xy,
-        start_yaw=cfg.start_yaw,
-    )
+    hf = scene.build_scene(cfg.scene_spec)
+    traj = simulate_trajectory(cfg.profile, hf, start_xy=cfg.start_xy)
     est_pos, est_vtrack = _estimate_odometry(cfg, traj, odom_seed)
 
     frames = _frames(cfg, hf, traj, est_pos, rngs)
@@ -406,14 +398,20 @@ def write_metrics(out_dir: Path, values: dict[str, float], tag: str) -> None:
 
 
 def read_metrics_csv(path) -> dict[str, float]:
+    """The metrics of a `write_metrics` report, which starts with the header
+    `metric,value,tag`; any other file is a ValueError that names it."""
     out: dict[str, float] = {}
     with open(path) as f:
-        if next(f, None) is None:
+        header = next(f, None)
+        if header is None:
             raise ValueError(f"{path} is empty, not a metrics report")
+        if header.startswith("metric,step_height_m,"):
+            raise ValueError(f"{path} is a step-sweep report, not a metrics report")
+        if header.rstrip("\n") != "metric,value,tag":
+            raise ValueError(f"{path} is not a metrics report: its first line is"
+                             f" {header.rstrip()!r}, not 'metric,value,tag'")
         for n, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split(",")
-            if parts[0] == "sweep":
-                raise ValueError(f"{path} is a step-sweep report, not a metrics report")
             if not line.strip():
                 continue
             try:

@@ -1,7 +1,8 @@
 """Parametric ground-truth terrains and exact height queries.
 
 Terrain primitives are profiles along x, extruded along y. A heightfield
-stores that profile sampled once at x cell centers, with the number of cells
+stores that profile sampled once at the x cell centers of the one scene grid
+(GT_PATCH_RESOLUTION cells from the world origin), with the number of cells
 along y; lookups are piecewise-constant so vertical step faces stay sharp (no
 interpolation smoothing).
 """
@@ -18,7 +19,7 @@ from .geometry import Pose, yaw_aligned_grid
 from .pointcloud import PointCloud
 from .schema import FINITE, PAIRS, POSITIVE, Validated, rule
 
-GT_PATCH_RESOLUTION = 0.0175  # scanner-analog grid pitch
+GT_PATCH_RESOLUTION = 0.0175  # scanner-analog pitch of the scene grid and the GT patch
 SAMPLE_REGION = (0.5, 0.3)  # evaluated / sampled area around the base
 
 
@@ -150,17 +151,14 @@ def obstacle_scene() -> SceneSpec:
 
 @dataclass(frozen=True)
 class Heightfield:
-    """Ground-truth terrain: one height per x cell, extruded over `ny` cells
-    along y. Immutable after construction."""
+    """Ground-truth terrain on the scene grid, whose square cells of
+    GT_PATCH_RESOLUTION start at the world origin: one height per x cell,
+    extruded over `ny` cells along y. Immutable after construction."""
 
-    resolution: float
-    origin: tuple[float, float]  # world xy of cell (0, 0) lower corner
     profile: np.ndarray  # (nx,) heights, read-only
     ny: int  # cells along y
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise SceneError("resolution must be positive")
         if self.profile.ndim != 1 or len(self.profile) < 1 or self.ny < 1:
             raise SceneError("heightfield needs at least a 1x1 grid")
         if not np.isfinite(self.profile).all():
@@ -174,7 +172,7 @@ class Heightfield:
         Run k covers [x_start, x_end) over the whole y extent."""
         z = self.profile
         starts = np.flatnonzero(np.r_[True, z[1:] != z[:-1]])
-        x = self.origin[0] + np.append(starts, len(z)) * self.resolution
+        x = np.append(starts, len(z)) * GT_PATCH_RESOLUTION
         runs = np.column_stack([x[:-1], x[1:], z[starts]])
         runs.setflags(write=False)
         return runs
@@ -186,13 +184,13 @@ class Heightfield:
     @property
     def size(self) -> tuple[float, float]:
         nx, ny = self.extent
-        return (nx * self.resolution, ny * self.resolution)
+        return (nx * GT_PATCH_RESOLUTION, ny * GT_PATCH_RESOLUTION)
 
     def heights_at(self, xy: np.ndarray, fill: float = np.nan) -> np.ndarray:
         """Vectorized lookup; out-of-extent entries get `fill`."""
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         # bounds are checked before the cast, so NaN is off the grid too
-        cell = np.floor((xy - np.asarray(self.origin)) / self.resolution)
+        cell = np.floor(xy / GT_PATCH_RESOLUTION)
         nx, ny = self.extent
         cx, cy = cell.T
         ok = (cx >= 0) & (cx < nx)
@@ -203,8 +201,8 @@ class Heightfield:
 
     def height_at(self, x: float, y: float) -> float:
         """`heights_at` of one point on Python floats; NaN off the grid."""
-        cx = (x - self.origin[0]) / self.resolution
-        cy = (y - self.origin[1]) / self.resolution
+        cx = x / GT_PATCH_RESOLUTION
+        cy = y / GT_PATCH_RESOLUTION
         nx, ny = self.extent
         # bounds first: a NaN or infinite coordinate fails them, never floor
         if 0 <= cx < nx and 0 <= cy < ny:
@@ -214,25 +212,21 @@ class Heightfield:
     def to_csv(self, path) -> None:
         """The (nx, ny) grid, one row per x cell, under a header line."""
         with open(path, "w") as f:
-            f.write(
-                f"# resolution={self.resolution} origin={self.origin[0]},{self.origin[1]}\n"
-            )
+            f.write(f"# resolution={GT_PATCH_RESOLUTION} origin=0.0,0.0\n")
             grid = np.broadcast_to(self.profile[:, None], self.extent)
             np.savetxt(f, grid, delimiter=",", fmt="%.9g")
 
 
-def grid_shape(spec: SceneSpec, resolution: float) -> tuple[int, int]:
+def grid_shape(spec: SceneSpec) -> tuple[int, int]:
     """Cells along x and y of the heightfield that `build_scene` makes."""
-    if resolution <= 0:
-        raise SceneError("resolution must be positive")
-    return tuple(max(1, int(round(e / resolution))) for e in spec.extent)
+    return tuple(max(1, int(round(e / GT_PATCH_RESOLUTION))) for e in spec.extent)
 
 
-def build_scene(spec: SceneSpec, resolution: float) -> Heightfield:
-    """Sample the scene's analytic profile at cell centers."""
-    nx, ny = grid_shape(spec, resolution)
-    xc = (np.arange(nx) + 0.5) * resolution
-    return Heightfield(resolution, (0.0, 0.0), profile=spec.profile_height(xc), ny=ny)
+def build_scene(spec: SceneSpec) -> Heightfield:
+    """Sample the scene's analytic profile at the scene grid's cell centers."""
+    nx, ny = grid_shape(spec)
+    xc = (np.arange(nx) + 0.5) * GT_PATCH_RESOLUTION
+    return Heightfield(spec.profile_height(xc), ny)
 
 
 def ground_truth_patch(hf: Heightfield, base_pose: Pose) -> PointCloud:

@@ -25,11 +25,12 @@ import numpy as np
 
 from .geometry import Pose, quat_conj, quat_from_euler, quat_rotate, rotz
 from .pointcloud import PointCloud, empty_cloud
-from .scene import Heightfield, OutOfBoundsError
-from .schema import NON_NEGATIVE, POSITIVE, UNIT, Validated, check, interval, rule
+from .scene import GT_PATCH_RESOLUTION, Heightfield, OutOfBoundsError
+from .schema import NON_NEGATIVE, UNIT, Validated, interval, rule
 
 log = logging.getLogger(__name__)
 
+SIM_RATE = 300  # Hz of the one simulation clock: the lcm of the pipeline's three rates
 N_JOINTS = 12
 N_FEET = 4
 
@@ -205,19 +206,17 @@ class Trajectory:
 
 
 def simulate_trajectory(
-    profile: CommandProfile,
-    hf: Heightfield,
-    dt: float,
-    start_xy=(0.5, None),
-    start_yaw: float = 0.0,
+    profile: CommandProfile, hf: Heightfield, start_xy=(0.5, None)
 ) -> Trajectory:
-    """Integrate the commanded kinematic motion over the heightfield.
+    """Integrate the commanded kinematic motion over the heightfield, one
+    tick per 1 / SIM_RATE s, from heading 0: the robot turns only through
+    the commanded yaw rate.
 
     If the base footprint leaves the heightfield the stream is truncated
     and flagged; a start pose whose footprint is off the heightfield is an
     OutOfBoundsError (a ValueError).
     """
-    dt = check("dt", dt, POSITIVE)
+    dt = 1.0 / SIM_RATE
     n = int(round(profile.total_duration / dt)) + 1
     t = np.arange(n) * dt
     cmd = profile.at(t)
@@ -225,7 +224,7 @@ def simulate_trajectory(
     sx, sy = _start_xy(hf, start_xy)
     # tick i holds the start plus the body-frame command of ticks < i rotated
     # by yaw; cumsum adds the steps in the same order as a running total
-    yaw = np.cumsum(np.concatenate([[start_yaw], cmd[:-1, 2] * dt]))
+    yaw = np.cumsum(np.concatenate([[0.0], cmd[:-1, 2] * dt]))
     rot = rotz(yaw)[:, :2, :2]
     step = (rot[:-1] @ np.ascontiguousarray(cmd[:-1, :2])[..., None])[..., 0] * dt
     xy = np.cumsum(np.concatenate([[[sx, sy]], step]), axis=0)
@@ -234,7 +233,7 @@ def simulate_trajectory(
     off_map = ~np.isfinite(foot_h).all(axis=1)
     truncated = bool(off_map.any())
     if off_map[0]:
-        raise _off_terrain(sx, sy, start_yaw)
+        raise _off_terrain(sx, sy)
     if truncated:
         n = int(np.argmax(off_map))
         log.warning("trajectory left the heightfield at t=%.3f", t[n])
@@ -314,22 +313,20 @@ def _hips_xy(xy: np.ndarray, rot: np.ndarray) -> np.ndarray:
     return HIP_OFFSETS[:, :2] @ np.swapaxes(rot, -1, -2) + xy[:, None, :]
 
 
-def _off_terrain(sx: float, sy: float, yaw: float) -> OutOfBoundsError:
-    return OutOfBoundsError(
-        f"start pose (x={sx}, y={sy}, yaw={yaw}) has its footprint off the terrain"
-    )
+def _off_terrain(sx: float, sy: float) -> OutOfBoundsError:
+    return OutOfBoundsError(f"start pose (x={sx}, y={sy}) has its footprint off the terrain")
 
 
-def check_start(hf: Heightfield, start_xy, start_yaw: float) -> None:
+def check_start(hf: Heightfield, start_xy) -> None:
     """Raise the OutOfBoundsError of `simulate_trajectory` if the start
     footprint is off the heightfield, without integrating a trajectory: the
     same footprint, one row instead of a stack. Only the grid of `hf`
     matters, so a flat one of the same shape stands in for a scene not yet
     built."""
     sx, sy = _start_xy(hf, start_xy)
-    rot = rotz(np.array([start_yaw], dtype=float))[:, :2, :2]
+    rot = rotz(np.array([0.0]))[:, :2, :2]
     if not np.isfinite(hf.heights_at(_hips_xy(np.array([[sx, sy]]), rot)[0])).all():
-        raise _off_terrain(sx, sy, start_yaw)
+        raise _off_terrain(sx, sy)
 
 
 def render_depth(camera: CameraModel, cam_pose: Pose, hf: Heightfield, t: float) -> PointCloud:
@@ -393,10 +390,9 @@ def _first_hits(hf: Heightfield, o: np.ndarray, dirs: np.ndarray, t_max: float) 
     runs = hf.x_runs
     edges = np.concatenate([runs[:, 0], runs[-1:, 1]])
     dx, dy, dz = np.where(dirs == 0, _AXIS_TINY, dirs).T
-    y0 = hf.origin[1]
     # the span of each ray inside the grid's xy box
     tx0, tx1 = (edges[[0, -1], None] - o[0]) / dx
-    ty0, ty1 = (np.array([[y0], [y0 + hf.size[1]]]) - o[1]) / dy
+    ty0, ty1 = (np.array([[0.0], [hf.size[1]]]) - o[1]) / dy
     lo = np.maximum(np.maximum(np.minimum(tx0, tx1), np.minimum(ty0, ty1)), 0.0)
     hi = np.minimum(np.minimum(np.maximum(tx0, tx1), np.maximum(ty0, ty1)), t_max)
     live = lo < hi
@@ -409,7 +405,7 @@ def _first_hits(hf: Heightfield, o: np.ndarray, dirs: np.ndarray, t_max: float) 
     reach = np.minimum(hi, np.maximum(lo, t_low))
     x = o[0] + dx[live] * np.array([lo[live], reach[live]])
     # one cell of slack on each side absorbs rounding at the reach's ends
-    span = [x.min() - hf.resolution, x.max() + hf.resolution]
+    span = [x.min() - GT_PATCH_RESOLUTION, x.max() + GT_PATCH_RESOLUTION]
     k0, k1 = (min(max(k, 0), len(runs) - 1) for k in np.searchsorted(edges, span, "right") - 1)
     box = functools.partial(_box_hits, o, edges, runs[:, 2])
     if k1 - k0 < 2 * _BAND:

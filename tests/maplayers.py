@@ -1,4 +1,4 @@
-"""Shared helpers for the elevation-map tests.
+"""Shared helpers for the elevation-map and point-cloud tests.
 
 The public layers are read-only copies in logical order, so a test that
 sets a map's cells writes the storage of a fresh map, whose ring has not
@@ -8,6 +8,7 @@ scrolled and whose storage is therefore in logical order.
 import numpy as np
 
 from elevsim.elevmap import ElevationMap
+from elevsim.pointcloud import PointCloud
 
 LAYERS = ("height", "variance", "valid", "last_update")
 
@@ -32,6 +33,11 @@ def _storage_layer(i: int) -> property:
 # for an oracle map whose own recenter never moves the ring's offset: its
 # public layers are the writable storage, which its methods update in place
 STORAGE_LAYERS = tuple(_storage_layer(i) for i in range(len(LAYERS)))
+
+
+def cloud(points, t=0.0, frame="world") -> PointCloud:
+    """A cloud of the given points, in the world frame unless `frame` says."""
+    return PointCloud(t=t, frame=frame, points=np.asarray(points, dtype=float))
 
 
 def same_bytes(a, b) -> bool:

@@ -18,8 +18,8 @@ from elevsim.cloudfilter import (
     voxel_downsample,
 )
 from elevsim.geometry import Pose, quat_from_euler
-from elevsim.pointcloud import PointCloud
 from elevsim.sensorsim import HIP_OFFSETS, Q_STAND, RobotState
+from maplayers import cloud as _cloud
 
 
 def _reference_voxel_downsample(cloud, resolution):
@@ -80,10 +80,6 @@ def _reference_body_filter(points, state):
 
 def _body_filter(cloud, state):
     return body_filter(cloud, body_capsules(state.pose, state.q))
-
-
-def _cloud(points, t=0.0, frame="world"):
-    return PointCloud(t=t, frame=frame, points=np.asarray(points, dtype=float))
 
 
 def _standing_state(position=(0.0, 0.0, 0.30), quat=(1.0, 0.0, 0.0, 0.0)):

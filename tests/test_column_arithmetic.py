@@ -24,8 +24,9 @@ from elevsim.cloudfilter import (
 from elevsim.elevmap import ElevationMap, SensorVarianceModel
 from elevsim.geometry import Pose, quat_from_euler, quat_from_yaw
 from elevsim.pointcloud import PointCloud
-from elevsim.scene import Heightfield
+from elevsim.scene import GT_PATCH_RESOLUTION, Heightfield
 from elevsim.sensorsim import Q_STAND, SensorNoise, inject_sensor_noise
+from maplayers import cloud as _cloud
 from maplayers import same_bytes, seed_layers
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -49,10 +50,6 @@ def clouds(draw, max_size=40, specials=SPECIAL):
     rows = rng.random(m) < 0.1
     p[rows] = rng.choice(specials[:2], (rows.sum(), 3))
     return p
-
-
-def _cloud(points, t=0.0):
-    return PointCloud(t=t, frame="world", points=np.asarray(points, dtype=float))
 
 
 @PROPERTY
@@ -183,7 +180,7 @@ def test_body_filter_matches_row_wise_form(seed, m, far, on_axis, yaw):
 
 def _numpy_heights_at(hf, xy, fill=np.nan):
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    cell = np.floor((xy - np.asarray(hf.origin)) / hf.resolution)
+    cell = np.floor(xy / GT_PATCH_RESOLUTION)
     ok = ((cell >= 0) & (cell < hf.extent)).all(axis=1)
     out = np.full(len(xy), fill, dtype=float)
     out[ok] = hf.profile[cell[ok, 0].astype(int)]
@@ -198,8 +195,9 @@ def _numpy_heights_at(hf, xy, fill=np.nan):
     fill=st.sampled_from([np.nan, 0.0, -np.inf]),
 )
 def test_heights_at_matches_row_wise_form(xy, fill):
-    # a 2 m x 1 m grid of 0.1 m cells, so that both axes' bounds are hit
-    hf = Heightfield(0.1, (0.0, 0.0), np.arange(20) * 0.01 - 0.05, 10)
+    # a 1.995 m x 0.9975 m grid of the scene's cells, so that both axes'
+    # bounds are hit
+    hf = Heightfield(np.arange(114) * 0.01 - 0.05, 57)
     assert same_bytes(hf.heights_at(xy, fill), _numpy_heights_at(hf, xy, fill))
 
 

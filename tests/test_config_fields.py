@@ -9,9 +9,16 @@ primitives. A field counts as read when some module in
 `from_dict`, which only validate and parse it. A knob that nothing reads
 is accepted by the config and changes no output. A stdlib `ast` check: it
 matches attribute names, not the objects they are read from.
+
+Every top-level `ScenarioConfig` field is also set by some run that the
+repository makes: a golden case, a benchmark workload, the acceptance gate
+or `elevsim run`'s overrides. A field that no run sets holds one value in
+every run, and is a constant of its module instead.
 """
 
 import ast
+import sys
+import types
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -19,10 +26,14 @@ import pytest
 
 from elevsim.pipeline import ScenarioConfig
 from elevsim.scene import PRIMITIVE_TYPES
+from test_golden import CASES
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "elevsim"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "elevsim"
 MODULES = sorted(SRC.glob("*.py"))
 PARSE_ONLY = {"__post_init__", "from_dict"}
+# config keys that set a field of another name
+KEY_FIELDS = {"scene": "scene_spec", "command": "profile"}
 
 
 def _fields(tree: ast.AST, cls: str) -> list[str]:
@@ -127,3 +138,60 @@ def test_check_finds_a_field_added_to_a_primitive():
     assert last in sources[k]
     sources[k] = sources[k].replace(last, last + "    nosing: float = rule(FINITE, default=0.0)\n")
     assert _unread_fields(sources, "Step") == ["nosing"]
+
+
+def _keys_set(tree: ast.AST) -> set[str]:
+    """The keys that a source sets: the string keys of its dict literals and
+    of its `d["key"] = ...` stores, and the keywords of its `replace` calls."""
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys.update(k.value for k in node.keys if isinstance(k, ast.Constant))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.slice, ast.Constant):
+                keys.add(node.slice.value)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "replace":
+            keys.update(kw.arg for kw in node.keywords if kw.arg)
+    return keys
+
+
+def _workload_configs() -> list[dict]:
+    """Each benchmark workload's config, from `perfbench/workloads.py` run in
+    memory as the benchmark digests test runs it."""
+    path = ROOT / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    # dataclasses looks up the defining module while it builds a class
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return [w.config(0, "out") if w.sweep else w.config(0) for w in module.WORKLOADS.values()]
+
+
+def _fields_set_by_runs() -> set[str]:
+    """The `ScenarioConfig` fields that the golden cases, the benchmark
+    workloads, the acceptance gate and `cli.cmd_run`'s overrides set."""
+    keys = {key for config in [*CASES.values(), *_workload_configs()] for key in config}
+    keys |= _keys_set(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    cli = ast.parse((SRC / "cli.py").read_text())
+    keys |= _keys_set(next(node for node in ast.walk(cli)
+                           if isinstance(node, ast.FunctionDef) and node.name == "cmd_run"))
+    return {KEY_FIELDS.get(key, key) for key in keys}
+
+
+def _unset_fields(pipeline_source: str) -> list[str]:
+    fields_set = _fields_set_by_runs()
+    return [f for f in _fields(ast.parse(pipeline_source), "ScenarioConfig") if f not in fields_set]
+
+
+def test_every_scenario_config_field_is_set_by_a_run():
+    assert _unset_fields((SRC / "pipeline.py").read_text()) == []
+
+
+def test_check_finds_a_field_that_no_run_sets():
+    source = (SRC / "pipeline.py").read_text()
+    last = '    tag: str = ""\n'
+    assert last in source
+    source = source.replace(last, last + "    start_yaw: float = rule(FINITE, default=0.0)\n")
+    assert _unset_fields(source) == ["start_yaw"]

@@ -5,14 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
-from elevsim.elevmap import DRIFT_GATE, DRIFT_MIN_POINTS, ElevationMap, SensorVarianceModel
+from elevsim.elevmap import (
+    DRIFT_GATE,
+    DRIFT_MIN_POINTS,
+    MAX_CELLS,
+    ElevationMap,
+    SensorVarianceModel,
+)
 from elevsim.geometry import Pose, quat_from_yaw, rotz
-from elevsim.pointcloud import PointCloud
 from maplayers import LAYERS, STORAGE_LAYERS, same_bytes, seed_layers
-
-
-def _cloud(points, t=0.0):
-    return PointCloud(t=t, frame="world", points=np.asarray(points, dtype=float))
+from maplayers import cloud as _cloud
 
 
 def _model(base=1e-4, range_coeff=0.0, time_rate=0.0):
@@ -131,6 +133,15 @@ class TestIntegration:
         # 0.01 m rounds to zero 0.025 m cells
         with pytest.raises(ValueError):
             ElevationMap(resolution=resolution, size=size)
+
+    def test_map_of_too_many_cells_rejected(self):
+        # 1e-4 m cells asked for 18.6 GiB per layer
+        too_many = "a 5.0 m map at 0.0001 m has 50000 cells a side, more than 2048"
+        with pytest.raises(ValueError, match=re.escape(too_many)):
+            ElevationMap(resolution=1e-4)
+        assert ElevationMap(resolution=5.0 / MAX_CELLS).n == MAX_CELLS
+        with pytest.raises(ValueError, match="more than 2048"):
+            ElevationMap(resolution=np.nextafter(5.0 / 2048.5, 0), size=5.0)
 
     @pytest.mark.parametrize("key", ["base_variance", "range_coeff", "time_variance_rate"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-4])

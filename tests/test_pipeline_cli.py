@@ -11,7 +11,7 @@ import yaml
 from elevsim import pipeline, scene
 from elevsim.cli import main
 from elevsim.elevmap import ElevationMap
-from elevsim.geometry import Pose, rotz
+from elevsim.geometry import Pose
 from elevsim.pipeline import (
     CHAMFER_EVERY,
     CLOUD_EVERY,
@@ -44,8 +44,9 @@ HEIGHT_NOISE = {"sample_sigma": 0.005, "bias_sigma": [0.01, 0.01, 0.01]}
 NAN, INF = float("nan"), float("inf")
 # scalar keys whose bad values used to fail deep in the run, or to finish with
 # a NaN chamfer (a 0.01 m map_size held no 0.025 m cell). scene_resolution,
-# map_size, drift_gate and drift_min_points are module constants now, so a
-# config that still sets one fails as an unknown key, which names it too
+# map_size, drift_gate and drift_min_points are module constants now, and a
+# run starts at heading 0 (start_yaw), so a config that still sets one fails
+# as an unknown key, which names it too
 BAD_SCALARS = [
     ("scene_resolution", 0),
     ("scene_resolution", -0.01),
@@ -74,6 +75,8 @@ BAD_SCALARS = [
     ("use_rear_camera", None),
     ("drift_compensation", "no"),
     ("drift_compensation", 2),
+    # a finite heading too: the key is gone
+    ("start_yaw", 0.3),
 ]
 
 STEP = {"type": "step", "x_start": 3.0, "height": 0.1, "depth": 0.8}
@@ -300,6 +303,11 @@ BAD_CONFIGS = {
     # each failed to unpack with a message that named no key
     "start_xy_one_value": ({"start_xy": [1.0]}, "start_xy must be 2 values"),
     "start_xy_three_values": ({"start_xy": [1.0, 1.5, 2.0]}, "start_xy must be 2 values"),
+    # a 50000-cell side passed, and the run simulated the trajectory and the
+    # odometry before the map failed to allocate 18.6 GiB per layer
+    "map_resolution_too_fine": (
+        {"map_resolution": 1e-4}, "map_resolution must be in [0.00244140625, 5.0] m: 0.0001"
+    ),
 }
 
 # YAML documents that are not a mapping: each was a bare TypeError or
@@ -639,13 +647,12 @@ class TestScenario:
             ScenarioConfig.from_dict({**SHORT, "start_xy": [x, 1.5]})
         ScenarioConfig.from_dict({**SHORT, "start_xy": [x - 0.002, 1.5]})
 
-    @pytest.mark.parametrize("yaw", [0.0, 0.3, -2.0, np.pi / 2])
-    def test_config_check_agrees_with_trajectory_at_the_edge(self, yaw):
+    def test_config_check_agrees_with_trajectory_at_the_edge(self):
         # starts whose footprint straddles each grid edge, by a millimetre
         # down to single ulps: a config is accepted iff the trajectory starts
         spec = scene.SceneSpec([scene.FlatRegion(0.0)], (8.0, 3.0))
-        hf = scene.build_scene(spec, 0.0175)
-        hips = HIP_OFFSETS[:, :2] @ rotz(yaw)[:2, :2].T
+        hf = scene.build_scene(spec)
+        hips = HIP_OFFSETS[:, :2]  # a run starts at heading 0
         starts = []
         for lo, hi, axis in ((0.0, hf.size[0], 0), (0.0, hf.size[1], 1)):
             for edge, reach in ((lo, -hips[:, axis].min()), (hi, -hips[:, axis].max())):
@@ -658,12 +665,12 @@ class TestScenario:
         outcomes = set()
         for xy in starts:
             try:
-                simulate_trajectory(profile, hf, 1.0 / SIM_RATE, start_xy=xy, start_yaw=yaw)
+                simulate_trajectory(profile, hf, start_xy=xy)
                 starts_ok = True
             except scene.OutOfBoundsError:
                 starts_ok = False
             try:
-                ScenarioConfig(spec, profile, start_xy=xy, start_yaw=yaw)
+                ScenarioConfig(spec, profile, start_xy=xy)
                 config_ok = True
             except scene.OutOfBoundsError:
                 config_ok = False
@@ -711,9 +718,8 @@ class TestFrameStage:
 
         # the run's precompute and seed hierarchy, then the frame stage alone
         seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-        hf = scene.build_scene(cfg.scene_spec, scene.GT_PATCH_RESOLUTION)
-        traj = simulate_trajectory(cfg.profile, hf, dt=1.0 / SIM_RATE, start_xy=cfg.start_xy,
-                                   start_yaw=cfg.start_yaw)
+        hf = scene.build_scene(cfg.scene_spec)
+        traj = simulate_trajectory(cfg.profile, hf, start_xy=cfg.start_xy)
         est_pos, _ = pipeline._estimate_odometry(cfg, traj, int(seeds[3].generate_state(1)[0]))
         rngs = [np.random.default_rng(s) for s in seeds[:2]]
         alone = [
@@ -1044,6 +1050,33 @@ class TestCli:
         assert err.startswith(f"output error: {out} cannot be made a directory")
         assert err.count("\n") == 1
         assert out.read_text() == "kept"
+
+    def test_run_too_fine_map_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # it used to simulate the trajectory and the odometry before the map
+        # failed to allocate its layers
+        cfg = self._write_cfg(tmp_path, {"map_resolution": 1e-4})
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(pipeline, "simulate_trajectory", no_work)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error in {cfg}: map_resolution must be in [")
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_verb_scene_csv_is_an_error(self, tmp_path, capsys):
+        # an export-scene heightfield used to read as a report whose metric
+        # names are heights, with exit 0
+        cfg = self._write_cfg(tmp_path)
+        scene_csv = tmp_path / "scene.csv"
+        assert main(["export-scene", "--config", str(cfg), "--out", str(scene_csv)]) == 0
+        write_metrics(tmp_path, {"chamfer_mean_cm": 1.5}, "")
+        capsys.readouterr()
+        assert main(["compare", str(scene_csv), str(tmp_path / "metrics.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"compare error: {scene_csv} is not a metrics report: its first line is"
+                       " '# resolution=0.0175 origin=0.0,0.0', not 'metric,value,tag'\n")
 
     def test_export_scene_onto_a_directory_exits_2(self, tmp_path, capsys, monkeypatch):
         # it used to end in an IsADirectoryError traceback with exit 1

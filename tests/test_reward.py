@@ -130,9 +130,9 @@ class TestTerms:
 
     def test_gait_base_height_is_the_reward_trunk_height(self):
         # the trajectory and the reward read one nominal trunk height
-        hf = build_scene(SceneSpec([FlatRegion(0.0)], extent=(8.0, 3.0)), 0.0175)
+        hf = build_scene(SceneSpec([FlatRegion(0.0)], extent=(8.0, 3.0)))
         profile = CommandProfile([(1.0, (0.5, 0.0, 0.0)), (1.0, (0.0, 0.0, 0.0))])
-        traj = simulate_trajectory(profile, hf, dt=1.0 / SIM_RATE)
+        traj = simulate_trajectory(profile, hf)
         for i in range(0, len(traj), CONTROL_EVERY):
             assert _terms(traj.state(i)).raw["trunk_height"] == 0.0, traj.t[i]
 
@@ -354,7 +354,7 @@ class TestStacked:
     )
     def test_reward_mean_is_the_loop_of_one_tick_calls(self, obstacle_hf, command, start_xy):
         cfg = ScenarioConfig.from_dict({"command": command, "start_xy": list(start_xy)})
-        traj = simulate_trajectory(cfg.profile, obstacle_hf, 1.0 / SIM_RATE, start_xy=start_xy)
+        traj = simulate_trajectory(cfg.profile, obstacle_hf, start_xy=start_xy)
         assert _reward_mean(cfg, traj, obstacle_hf).hex() == _loop_reward_mean(
             cfg, traj, obstacle_hf).hex()
 

@@ -3,6 +3,7 @@ import pytest
 
 from elevsim.geometry import Pose, quat_from_yaw
 from elevsim.scene import (
+    GT_PATCH_RESOLUTION,
     FlatRegion,
     Heightfield,
     Platform,
@@ -62,8 +63,8 @@ def test_build_scene_samples_cell_centers():
     spec = SceneSpec(
         [FlatRegion(0.0), Step(x_start=1.0, height=0.2, depth=0.5)], extent=(2.0, 1.0)
     )
-    hf = build_scene(spec, resolution=0.1)
-    assert hf.extent == (20, 10)
+    hf = build_scene(spec)
+    assert hf.extent == (114, 57)
     # cell containing x=1.05 sits on the step, cell at x=0.95 does not
     z = hf.heights_at(np.array([[1.05, 0.5], [0.95, 0.5]]))
     assert z[0] == pytest.approx(0.2)
@@ -72,18 +73,18 @@ def test_build_scene_samples_cell_centers():
 
 def test_heightfield_exact_queries_match_profile():
     spec = obstacle_scene()
-    hf = build_scene(spec, resolution=0.0175)
+    hf = build_scene(spec)
     rng = np.random.default_rng(7)
     xy = np.column_stack([rng.uniform(0, 8, 200), rng.uniform(0, 3, 200)])
     got = hf.heights_at(xy)
     # brute force: the profile evaluated at each query's cell-center x
-    ix = np.floor(xy[:, 0] / hf.resolution).astype(int)
-    expect = spec.profile_height((ix + 0.5) * hf.resolution)
+    ix = np.floor(xy[:, 0] / GT_PATCH_RESOLUTION).astype(int)
+    expect = spec.profile_height((ix + 0.5) * GT_PATCH_RESOLUTION)
     assert np.allclose(got, expect, atol=0.0)
 
 
 def test_heights_at_fill_value():
-    hf = build_scene(SceneSpec([FlatRegion(0.0)], extent=(1.0, 1.0)), 0.1)
+    hf = build_scene(SceneSpec([FlatRegion(0.0)], extent=(1.0, 1.0)))
     out = hf.heights_at(np.array([[0.5, 0.5], [2.0, 0.5]]), fill=-9.0)
     assert out[0] == 0.0 and out[1] == -9.0
 
@@ -91,11 +92,11 @@ def test_heights_at_fill_value():
 def test_height_at_matches_heights_at():
     # one point on Python floats, against the vectorized lookup; off the
     # grid, NaN or infinite, both give NaN
-    hf = Heightfield(0.0175, (-0.3, 0.2), np.linspace(0.0, 0.4, 57), 31)
+    hf = Heightfield(np.linspace(0.0, 0.4, 57), 31)
     rng = np.random.default_rng(5)
-    (x0, y0), (sx, sy) = hf.origin, hf.size
-    xs = list(rng.uniform(x0 - 0.2, x0 + sx + 0.2, 60)) + [x0, x0 + sx, np.nextafter(x0 + sx, 0)]
-    ys = list(rng.uniform(y0 - 0.2, y0 + sy + 0.2, 60)) + [y0, y0 + sy, np.nextafter(y0, 0)]
+    sx, sy = hf.size
+    xs = list(rng.uniform(-0.2, sx + 0.2, 60)) + [0.0, sx, np.nextafter(sx, 0)]
+    ys = list(rng.uniform(-0.2, sy + 0.2, 60)) + [0.0, sy, np.nextafter(0.0, -1.0)]
     xs += [np.nan, np.inf, -np.inf, 1e300]
     ys += [np.nan, np.inf, -np.inf, -1e300]
     pts = [(x, y) for x in xs for y in ys]
@@ -106,7 +107,7 @@ def test_height_at_matches_heights_at():
 
 
 def test_heightfield_is_immutable():
-    hf = build_scene(SceneSpec([FlatRegion(0.0)], extent=(1.0, 1.0)), 0.1)
+    hf = build_scene(SceneSpec([FlatRegion(0.0)], extent=(1.0, 1.0)))
     with pytest.raises(ValueError):
         hf.profile[0] = 1.0
 
@@ -115,25 +116,27 @@ def test_x_runs_cached_read_only_and_exact():
     spec = SceneSpec(
         [FlatRegion(0.0), Step(x_start=1.0, height=0.2, depth=0.5)], extent=(2.0, 1.0)
     )
-    profile = build_scene(spec, 0.1).profile
-    hf = Heightfield(resolution=0.1, origin=(-0.5, 2.0), profile=profile, ny=10)
+    hf = build_scene(spec)
     runs = hf.x_runs
     assert runs is hf.x_runs
     assert not runs.flags.writeable
-    # cells [0, 10) at 0, [10, 15) at 0.2, [15, 20) at 0, from x = -0.5
-    np.testing.assert_allclose(runs, [[-0.5, 0.5, 0.0], [0.5, 1.0, 0.2], [1.0, 1.5, 0.0]])
+    # cells [0, 57) at 0, [57, 86) at 0.2 (those centred on the step), [86,
+    # 114) at 0, from x = 0
+    np.testing.assert_allclose(
+        runs, [[0.0, 0.9975, 0.0], [0.9975, 1.505, 0.2], [1.505, 1.995, 0.0]]
+    )
     for x0, x1, h in runs:
-        ix = np.arange(round((x0 + 0.5) / 0.1), round((x1 + 0.5) / 0.1))
+        ix = np.arange(round(x0 / GT_PATCH_RESOLUTION), round(x1 / GT_PATCH_RESOLUTION))
         assert (hf.profile[ix] == h).all()
 
 
 def test_heightfield_csv_round_trip(tmp_path):
-    hf = build_scene(obstacle_scene(), resolution=0.05)
+    hf = build_scene(obstacle_scene())
     path = tmp_path / "scene.csv"
     hf.to_csv(path)
-    assert path.read_text().splitlines()[0] == "# resolution=0.05 origin=0.0,0.0"
+    assert path.read_text().splitlines()[0] == "# resolution=0.0175 origin=0.0,0.0"
     grid = np.loadtxt(path, delimiter=",")
-    assert grid.shape == hf.extent == (160, 60)
+    assert grid.shape == hf.extent == (457, 171)
     np.testing.assert_allclose(grid, np.repeat(hf.profile[:, None], hf.ny, axis=1))
 
 

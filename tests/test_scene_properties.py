@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elevsim.scene import SceneError, SceneSpec, build_scene
+from elevsim.scene import GT_PATCH_RESOLUTION, SceneError, SceneSpec, build_scene
 from elevsim.schema import build
 
 FILL = -7.0
@@ -75,8 +75,8 @@ def scene_dicts(draw) -> tuple[dict, bool]:
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(drawn=scene_dicts(), resolution=st.floats(0.01, 0.1))
-def test_scene_rejected_or_profile_consistent(drawn, resolution):
+@given(drawn=scene_dicts())
+def test_scene_rejected_or_profile_consistent(drawn):
     d, malformed = drawn
     if malformed:
         with pytest.raises(SceneError):
@@ -86,35 +86,35 @@ def test_scene_rejected_or_profile_consistent(drawn, resolution):
         spec = build(SceneSpec, d, "scene")
     except SceneError:
         return
-    hf = build_scene(spec, resolution)
+    hf = build_scene(spec)
     nx, ny = hf.extent
-    ox, oy = hf.origin
+    res = GT_PATCH_RESOLUTION
 
     # every cell center looks up the profile at its x
-    xc = ox + (np.arange(nx) + 0.5) * resolution
-    yc = oy + (np.arange(ny) + 0.5) * resolution
+    xc = (np.arange(nx) + 0.5) * res
+    yc = (np.arange(ny) + 0.5) * res
     centers = np.stack(np.meshgrid(xc, yc, indexing="ij"), axis=-1).reshape(-1, 2)
     expect = np.repeat(spec.profile_height(xc), ny)
     np.testing.assert_array_equal(hf.heights_at(centers, fill=FILL), expect)
 
-    # the runs tile [origin, origin + nx * res) and change height at each edge
+    # the runs tile [0, nx * res) and change height at each edge
     runs = hf.x_runs
-    assert runs[0, 0] == ox and runs[-1, 1] == ox + nx * resolution
+    assert runs[0, 0] == 0.0 and runs[-1, 1] == nx * res
     np.testing.assert_array_equal(runs[1:, 0], runs[:-1, 1])
     assert (runs[1:, 2] != runs[:-1, 2]).all()
-    cells = np.rint((runs[:, 1] - runs[:, 0]) / resolution).astype(int)
+    cells = np.rint((runs[:, 1] - runs[:, 0]) / res).astype(int)
     np.testing.assert_array_equal(np.repeat(runs[:, 2], cells), hf.profile)
 
     # half a cell past each edge of the grid, and a non-finite point, is off it
     w, h = hf.size
     off = np.array(
         [
-            [ox - resolution / 2, oy + h / 2],
-            [ox + w + resolution / 2, oy + h / 2],
-            [ox + w / 2, oy - resolution / 2],
-            [ox + w / 2, oy + h + resolution / 2],
-            [np.nan, oy + h / 2],
-            [ox + w / 2, np.inf],
+            [-res / 2, h / 2],
+            [w + res / 2, h / 2],
+            [w / 2, -res / 2],
+            [w / 2, h + res / 2],
+            [np.nan, h / 2],
+            [w / 2, np.inf],
         ]
     )
     np.testing.assert_array_equal(hf.heights_at(off, fill=FILL), FILL)

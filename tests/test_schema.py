@@ -42,7 +42,7 @@ INSIDE = {
     "positive and finite": lambda x: 0 < x < math.inf,
     "in [0, 1)": lambda x: 0 <= x < 1,
     "in (0, pi)": lambda x: 0 < x < math.pi,
-    "in (0, 5.0] m": lambda x: 0 < x <= 5.0,
+    "in [0.00244140625, 5.0] m": lambda x: 0.00244140625 <= x <= 5.0,
     "in (0, 1]": lambda x: 0 < x <= 1,
 }
 
@@ -52,8 +52,7 @@ RULED = [
     (ScenarioConfig, "use_rear_camera", BOOL.text, None, False),
     (ScenarioConfig, "drift_compensation", BOOL.text, None, False),
     (ScenarioConfig, "injected_drift", "finite", 3, False),
-    (ScenarioConfig, "map_resolution", "in (0, 5.0] m", None, False),
-    (ScenarioConfig, "start_yaw", "finite", None, False),
+    (ScenarioConfig, "map_resolution", "in [0.00244140625, 5.0] m", None, False),
     (ScenarioConfig, "snapshot_every", "positive and finite", None, True),
     (CameraModel, "h_fov", "in (0, pi)", None, False),
     (CameraModel, "v_fov", "in (0, pi)", None, False),
@@ -352,7 +351,6 @@ def _short_runs(draw) -> dict:
         "drift_compensation": draw(st.booleans()),
         "injected_drift": draw(vec),
         "map_resolution": draw(st.sampled_from([0.0125, 0.025, 0.05])),
-        "start_yaw": draw(_within("finite", -0.3, 0.3)),
         "sensor_noise": {
             "sigma0": draw(_within("non-negative and finite", 0.0, 0.005)),
             "k": draw(_within("non-negative and finite", 0.0, 0.01)),
