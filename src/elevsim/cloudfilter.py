@@ -5,10 +5,22 @@ their own output. Default order in the pipeline: outlier -> body -> voxel.
 The voxel filter groups points by one packed int64 key per voxel, and the
 body filter runs its capsule distance test only on the points inside the
 body's bounding box.
+
+The outlier filter's k-NN reads a depth frame's raster (`_window_knn`):
+every point lies on its pixel's ray, a line through the sensor origin, so a
+point j on another ray is at least rho_i * |sin theta_ij| from point i, with
+rho_i the sensor range of i and theta_ij the angle between the two rays,
+whatever the sign of j's range. If the k-th distance within a pixel window
+lies below rho_i times the smallest |sin| to any ray outside the window,
+every point outside is farther, so the window holds the k nearest
+neighbours. The distances are summed as `cKDTree` sums them,
+((dx² + dy²) + dz²), so they have its bits; a point that the bound does not
+clear, and every point of a cloud without a raster, goes to the tree.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -16,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from .geometry import Pose
 from .pointcloud import PointCloud
-from .sensorsim import HIP_OFFSETS
+from .sensorsim import HIP_OFFSETS, CameraModel, _unit_rays
 
 log = logging.getLogger(__name__)
 
@@ -26,19 +38,38 @@ OUTLIER_K = 8
 OUTLIER_STD_RATIO = 2.0
 
 
-def remove_outliers(cloud: PointCloud) -> PointCloud:
+# half-widths of the pixel windows that the raster k-NN tries in turn, each
+# on the points that the one before did not clear
+WINDOWS = (2, 3, 5)
+# far above the rounding of the distances, the ranges and the angle bound
+_CLEAR_SLACK = 1e-6
+
+
+def remove_outliers(
+    cloud: PointCloud, camera: CameraModel | None = None, ranges: np.ndarray | None = None
+) -> PointCloud:
     """Statistical outlier removal: keep a point iff its mean distance to its
     OUTLIER_K nearest neighbors is within (global mean + OUTLIER_STD_RATIO *
     global std).
+
+    A cloud from `render_depth` (with its `pixels`), given with its
+    `camera` and its points' sensor `ranges`, finds most neighbors in the
+    raster; the distances have the bits of the `cKDTree` query alone.
     """
     n = len(cloud)
     if n < OUTLIER_K + 1:
         log.debug("cloud of %d points too small for k=%d; returned unchanged", n, OUTLIER_K)
         return cloud
-    # the median-split build is cheaper than the balanced one and gives the
-    # same neighbor distances
-    tree = cKDTree(cloud.points, balanced_tree=False)
-    dists, _ = tree.query(cloud.points, k=OUTLIER_K + 1)  # first neighbor is the point itself
+    dists = np.empty((n, OUTLIER_K + 1))
+    todo = np.arange(n)
+    if camera is not None and cloud.pixels is not None:
+        todo = _window_knn(cloud.points, cloud.pixels, ranges, camera, dists)
+    if len(todo):
+        # the median-split build is cheaper than the balanced one and gives
+        # the same neighbor distances
+        tree = cKDTree(cloud.points, balanced_tree=False)
+        # the first neighbor is the point itself
+        dists[todo] = tree.query(cloud.points[todo], k=OUTLIER_K + 1)[0]
     mean_d = _neighbor_mean(dists)
     keep = mean_d <= mean_d.mean() + OUTLIER_STD_RATIO * mean_d.std()
     return cloud.select(keep)
@@ -50,6 +81,64 @@ def _neighbor_mean(dists: np.ndarray) -> np.ndarray:
     its strided short-axis reduction."""
     _, c1, c2, c3, c4, c5, c6, c7, c8 = dists.T
     return (((c1 + c2) + (c3 + c4)) + ((c5 + c6) + (c7 + c8))) / 8
+
+
+def _window_knn(points: np.ndarray, pixels: np.ndarray, ranges: np.ndarray,
+                camera: CameraModel, dists: np.ndarray) -> np.ndarray:
+    """Write the OUTLIER_K + 1 nearest distances (the point itself first)
+    of each point that a pixel window clears into its row of `dists`, and
+    return the indices of the points that no window of `WINDOWS` clears."""
+    (width, height), pad = (camera.width, camera.height), max(WINDOWS)
+    # each coordinate on a raster padded so that every window lies inside
+    # it, inf at a pixel without a point
+    stride = height + 2 * pad
+    at = (pixels // height + pad) * stride + pixels % height + pad
+    grid = np.full((3, (width + 2 * pad) * stride), np.inf)
+    grid[:, at] = points.T
+    bounds = _clear_bounds(camera.h_fov, camera.v_fov, width, height)
+    todo = np.arange(len(points))
+    for w, bound in zip(WINDOWS, bounds):
+        step = np.arange(-w, w + 1)
+        # (K, M): the window's K pixels, one column per point
+        near = (step[:, None] * stride + step).reshape(-1, 1) + at[todo]
+        # ((dx² + dy²) + dz²) in place, in two buffers
+        d2, sq = np.empty(near.shape), np.empty(near.shape)
+        for k, row in enumerate(grid):
+            acc = d2 if k == 0 else sq
+            np.take(row, near, out=acc)
+            acc -= row[at[todo]]
+            acc *= acc
+            if k:
+                d2 += sq
+        d2 = d2.T.copy()
+        d2.sort(axis=1)
+        clear = np.sqrt(d2[:, OUTLIER_K]) < ranges[todo] * bound[pixels[todo]]
+        dists[todo[clear]] = np.sqrt(d2[clear, : OUTLIER_K + 1])
+        todo = todo[~clear]
+        if not len(todo):
+            break
+    return todo
+
+
+@functools.lru_cache(maxsize=16)
+def _clear_bounds(h_fov: float, v_fov: float, width: int, height: int) -> list[np.ndarray]:
+    """Per window of `WINDOWS`, each pixel's smallest |sin| of the angle
+    between its ray and a ray outside its window, less `_CLEAR_SLACK`; inf
+    where no ray lies outside. Built 16 rays at a time, so that no
+    temporary outgrows the heap's small blocks."""
+    rays = _unit_rays(h_fov, v_fov, width, height)
+    u, v = np.divmod(np.arange(len(rays)), height)
+    sin2 = [np.empty(len(rays)) for _ in WINDOWS]
+    for lo in range(0, len(rays), 16):
+        rows = slice(lo, lo + 16)
+        cos = rays[rows] @ rays.T
+        apart = np.maximum(abs(u[rows, None] - u), abs(v[rows, None] - v))
+        for w, out in zip(WINDOWS, sin2):
+            out[rows] = np.where(apart > w, 1 - cos * cos, np.inf).min(axis=1)
+    bounds = [np.sqrt(s) * (1 - _CLEAR_SLACK) for s in sin2]
+    for bound in bounds:
+        bound.setflags(write=False)
+    return bounds
 
 
 def voxel_downsample(cloud: PointCloud, resolution: float) -> PointCloud:

@@ -283,7 +283,7 @@ def _frames(cfg: ScenarioConfig, hf: scene.Heightfield, traj: Trajectory, est_po
         for cam, rng, cam_true, cam_est in views:
             cloud = render_depth(cam, cam_true[k], hf, t)
             cloud = inject_sensor_noise(cloud, cfg.sensor_noise, rng)
-            world = cloudfilter.remove_outliers(cloud.transformed(cam_est[k]))
+            world = cloudfilter.remove_outliers(cloud.transformed(cam_est[k]), cam, cloud.ranges())
             world = cloudfilter.body_filter(world, (p0[k], p1[k], r))
             world = cloudfilter.voxel_downsample(world, cfg.map_resolution)
             frame.append((cam_est[k].position, world))

@@ -14,6 +14,9 @@ class PointCloud:
     t: float
     frame: str
     points: np.ndarray  # (N, 3)
+    # each point's row of its camera's `ray_directions`; only `render_depth`
+    # sets it, and `transformed` and `select` keep it
+    pixels: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -27,7 +30,9 @@ class PointCloud:
 
     def transformed(self, pose: Pose) -> "PointCloud":
         """The points mapped through `pose`, tagged as world frame."""
-        return PointCloud(t=self.t, frame="world", points=pose.transform(self.points))
+        return PointCloud(
+            t=self.t, frame="world", points=pose.transform(self.points), pixels=self.pixels
+        )
 
     def select(self, mask: np.ndarray) -> "PointCloud":
         """The points at boolean `mask`; a subset of a checked cloud needs no
@@ -35,7 +40,14 @@ class PointCloud:
         index of a 2-D array takes numpy's much slower generic path."""
         sub = object.__new__(PointCloud)
         sub.t, sub.frame, sub.points = self.t, self.frame, self.points.compress(mask, axis=0)
+        sub.pixels = None if self.pixels is None else self.pixels.compress(mask)
         return sub
+
+    def ranges(self) -> np.ndarray:
+        """Each point's distance from the frame's origin, as `np.linalg.norm`
+        sums it: ((x² + y²) + z²)."""
+        x, y, z = self.points.T
+        return np.sqrt((x * x + y * y) + z * z)
 
 
 def empty_cloud(t: float, frame: str) -> PointCloud:

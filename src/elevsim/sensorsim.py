@@ -345,7 +345,8 @@ def render_depth(camera: CameraModel, cam_pose: Pose, hf: Heightfield, t: float)
     # a hit nearer than min_range blocks the ray, as in a real sensor
     keep = (t_hit >= camera.min_range) & (t_hit <= camera.max_range)
     world = origin + dirs.compress(keep, axis=0) * t_hit[keep][:, None]
-    return PointCloud(t=t, frame=camera.name, points=cam_pose.inverse_transform(world))
+    return PointCloud(t=t, frame=camera.name, points=cam_pose.inverse_transform(world),
+                      pixels=np.flatnonzero(keep))
 
 
 # an axis-parallel ray gets this component in place of 0, signed so that the
@@ -474,9 +475,7 @@ def inject_sensor_noise(
         return cloud
     if noise.sigma0 == 0 and noise.k == 0 and noise.dropout == 0:
         return cloud
-    # the range as `np.linalg.norm` sums it: ((x² + y²) + z²)
-    x, y, z = cloud.points.T
-    ranges = np.sqrt((x * x + y * y) + z * z)
+    ranges = cloud.ranges()
     if not ranges.all():
         raise ValueError("a point at the sensor origin has no ray to add range noise along")
     rays = cloud.points / ranges[:, None]
@@ -484,7 +483,7 @@ def inject_sensor_noise(
     noisy_r = ranges + rng.normal(0.0, 1.0, len(cloud)) * sigma
     pts = rays * noisy_r[:, None]
     keep = rng.random(len(cloud)) >= noise.dropout
-    return PointCloud(t=cloud.t, frame=cloud.frame, points=pts.compress(keep, axis=0))
+    return PointCloud(t=cloud.t, frame=cloud.frame, points=pts, pixels=cloud.pixels).select(keep)
 
 
 def default_front_camera() -> CameraModel:

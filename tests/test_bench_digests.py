@@ -3,25 +3,22 @@ pass of `sweep_fine_map`, must give the outputs digest that
 `perfbench/run.py` prints for it. A change that means to alter the
 outputs' bits updates the digests here and says so.
 
-`perfbench/workloads.py` is read and executed in memory, so no bytecode is
-written next to it. `digest` is a copy of the one in `perfbench/run.py`,
-which pins BLAS threads through the environment when it is imported.
+`perfbench/workloads.py` is read and executed in memory
+(`benchworkloads.load_workloads`). `digest` is a copy of the one in
+`perfbench/run.py`, which pins BLAS threads through the environment when it
+is imported.
 """
 
 import hashlib
 import json
-import sys
-import types
-from pathlib import Path
 
 import pytest
 
+from benchworkloads import load_workloads
 from elevsim.pipeline import ScenarioConfig, run_scenario, run_step_sweep
 
 # a failure also reports this host's BLAS core and SIMD targets (conftest.py)
 pytestmark = pytest.mark.host_bits
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 SEED = 3
 DIGESTS = {
@@ -40,14 +37,7 @@ def digest(rows: list[dict]) -> str:
 
 @pytest.fixture(scope="module")
 def workloads():
-    module = types.ModuleType("perfbench_workloads")
-    # dataclasses looks up the defining module while it builds a class
-    sys.modules[module.__name__] = module
-    try:
-        exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
-    finally:
-        del sys.modules[module.__name__]
-    return module.WORKLOADS
+    return load_workloads()
 
 
 def _pass_digest(wl, seed: int, tmp_path) -> str:

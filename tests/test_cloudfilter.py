@@ -17,9 +17,27 @@ from elevsim.cloudfilter import (
     remove_outliers,
     voxel_downsample,
 )
+from elevsim import cloudfilter
 from elevsim.geometry import Pose, quat_from_euler
-from elevsim.sensorsim import HIP_OFFSETS, Q_STAND, RobotState
+from elevsim.scene import FlatRegion, SceneSpec, Step, build_scene, obstacle_scene
+from elevsim.sensorsim import (
+    HIP_OFFSETS,
+    Q_STAND,
+    TRUNK_HEIGHT,
+    RobotState,
+    SensorNoise,
+    default_front_camera,
+    default_rear_camera,
+    inject_sensor_noise,
+    render_depth,
+)
 from maplayers import cloud as _cloud
+
+SCENES = {
+    "obstacle": build_scene(obstacle_scene()),
+    "step": build_scene(SceneSpec([FlatRegion(0.0), Step(x_start=2.0, height=0.15, depth=1.0)],
+                                  (4.0, 2.0))),
+}
 
 
 def _reference_voxel_downsample(cloud, resolution):
@@ -121,6 +139,72 @@ class TestOutlierRemoval:
         cloud = _cloud(np.arange(3.0 * OUTLIER_K).reshape(OUTLIER_K, 3))
         out = remove_outliers(cloud)
         assert out is cloud
+
+
+def _frame(scene, front, x, y, yaw, pitch, roll, drift, noise, seed):
+    """A depth frame as the pipeline makes it: rendered from a drawn base
+    pose, noised, moved to the world by an estimate off by `drift`; with its
+    camera and its points' sensor ranges."""
+    hf = SCENES[scene]
+    cam = default_front_camera() if front else default_rear_camera()
+    z = hf.height_at(x, y) + TRUNK_HEIGHT
+    base = Pose(np.array([x, y, z]), quat_from_euler(roll, pitch, yaw))
+    cloud = render_depth(cam, base.compose(cam.mount), hf, 0.0)
+    cloud = inject_sensor_noise(cloud, noise, np.random.default_rng(seed))
+    est = Pose(base.position + drift, base.quat).compose(cam.mount)
+    return cloud.transformed(est), cam, cloud.ranges()
+
+
+class TestRasterKnn:
+    """The raster windows give the `cKDTree` query's bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scene=st.sampled_from(sorted(SCENES)),
+        front=st.booleans(),
+        x=st.floats(0.6, 3.4),
+        y=st.floats(0.6, 1.4),
+        yaw=st.floats(-np.pi, np.pi),
+        pitch=st.floats(-0.3, 0.3),
+        roll=st.floats(-0.3, 0.3),
+        drift=st.tuples(*[st.floats(-0.1, 0.1)] * 3),
+        # up to 0.5 m at zero range: it flips the sign of many near ranges
+        sigma0=st.sampled_from([0.0, 0.005, 0.5]),
+        k=st.sampled_from([0.0, 0.01]),
+        dropout=st.sampled_from([0.0, 0.1, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_tree_query(self, scene, front, x, y, yaw, pitch, roll, drift,
+                                     sigma0, k, dropout, seed):
+        noise = SensorNoise(sigma0=sigma0, k=k, dropout=dropout)
+        world, cam, ranges = _frame(scene, front, x, y, yaw, pitch, roll, np.array(drift),
+                                    noise, seed)
+        if len(world) < OUTLIER_K + 1:
+            return
+        tree = cloudfilter.cKDTree(world.points, balanced_tree=False)
+        want = tree.query(world.points, k=OUTLIER_K + 1)[0]
+        got = np.full_like(want, np.nan)
+        todo = cloudfilter._window_knn(world.points, world.pixels, ranges, cam, got)
+        cleared = np.ones(len(world), dtype=bool)
+        cleared[todo] = False
+        assert got[cleared].tobytes() == want[cleared].tobytes()
+        assert np.isnan(got[~cleared]).all()
+        out = remove_outliers(world, cam, ranges)
+        assert out.points.tobytes() == remove_outliers(world).points.tobytes()
+
+    def test_flat_front_frame_builds_no_tree(self, monkeypatch):
+        hf = build_scene(SceneSpec([FlatRegion(0.0)], (4.0, 2.0)))
+        monkeypatch.setitem(SCENES, "flat", hf)
+        world, cam, ranges = _frame("flat", True, 1.0, 1.0, 0.0, 0.0, 0.0, np.zeros(3),
+                                    SensorNoise(), 0)
+        want = remove_outliers(world)
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("a cKDTree was built for a frame that the raster clears")
+
+        monkeypatch.setattr(cloudfilter, "cKDTree", no_tree)
+        assert len(world) > 500
+        assert remove_outliers(world, cam, ranges).points.tobytes() == want.points.tobytes()
 
 
 class TestVoxelDownsample:

@@ -17,13 +17,12 @@ every run, and is a constant of its module instead.
 """
 
 import ast
-import sys
-import types
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
+from benchworkloads import load_workloads
 from elevsim.pipeline import ScenarioConfig
 from elevsim.scene import PRIMITIVE_TYPES
 from test_golden import CASES
@@ -158,15 +157,7 @@ def _keys_set(tree: ast.AST) -> set[str]:
 def _workload_configs() -> list[dict]:
     """Each benchmark workload's config, from `perfbench/workloads.py` run in
     memory as the benchmark digests test runs it."""
-    path = ROOT / "perfbench" / "workloads.py"
-    module = types.ModuleType("perfbench_workloads")
-    # dataclasses looks up the defining module while it builds a class
-    sys.modules[module.__name__] = module
-    try:
-        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    finally:
-        del sys.modules[module.__name__]
-    return [w.config(0, "out") if w.sweep else w.config(0) for w in module.WORKLOADS.values()]
+    return [w.config(0, "out") if w.sweep else w.config(0) for w in load_workloads().values()]
 
 
 def _fields_set_by_runs() -> set[str]:

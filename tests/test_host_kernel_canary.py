@@ -18,12 +18,16 @@ goldens' bare byte mismatch:
   `** 2` (libm's pow, not x * x).
 - The stacked `np.arctan2` of `geometry.yaw_from_quat`, whose AVX-512 loop
   rounds in its own way: pinned `float.hex` values on a fixed sample.
+- scipy's `cKDTree` distance, which must be `sqrt((dx*dx + dy*dy) + dz*dz)`
+  rounded step by step, with no fused multiply-add: the raster k-NN of
+  `cloudfilter.remove_outliers` sums its distances so.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from elevsim.geometry import yaw_from_quat
 
@@ -164,3 +168,21 @@ def test_stacked_arctan2_keeps_its_bits():
     assert not moved, (
         f"the stacked np.arctan2 rounds differently at rows {moved}. " + ARCTAN2_DEPENDENTS
     )
+
+
+def test_kdtree_distance_is_the_left_to_right_sum():
+    # clouds of a few metres, and points a millimetre apart, as a frame's
+    rng = np.random.default_rng(31)
+    data = np.vstack([rng.uniform(-3, 3, (400, 3)), rng.normal(1.0, 1e-3, (100, 3))])
+    queries = np.vstack([data[::5], rng.uniform(-3, 3, (100, 3))])
+    for balanced in (True, False):
+        got, idx = cKDTree(data, balanced_tree=balanced).query(queries, k=9)
+        dx, dy, dz = np.moveaxis(data[idx] - queries[:, None], -1, 0)
+        want = np.sqrt((dx * dx + dy * dy) + dz * dz)
+        assert got.tobytes() == want.tobytes(), (
+            f"cKDTree's distances are not sqrt((dx*dx + dy*dy) + dz*dz): "
+            f"{_moved(got.ravel(), want.ravel())}. Depends on it: "
+            "`cloudfilter.remove_outliers`, whose raster windows must give the bits of the "
+            "tree query; its kept set reaches the tests/golden reports and every pin in "
+            "tests/test_bench_digests.py."
+        )

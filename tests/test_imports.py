@@ -1,9 +1,10 @@
-"""Every name a package module imports is used in that module, and a
-config built from a dict does not import YAML.
+"""Every name a package, test or benchmark module imports is used in that
+module, and a config built from a dict does not import YAML.
 
 A stdlib `ast` stand-in for a linter's unused-import rule. Package
 `__init__.py` files are skipped, since their imports are the re-exported API,
-and so are `from __future__` imports.
+and so are `from __future__` imports. `tests/test_acceptance.py` is the one
+exemption: the acceptance gate is contract, and is not edited.
 """
 
 import ast
@@ -14,8 +15,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "elevsim"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "elevsim"
+EXEMPT = {"__init__.py", "test_acceptance.py"}
+MODULES = sorted(
+    p for d in (SRC, ROOT / "tests", ROOT / "perfbench") for p in d.glob("*.py")
+    if p.name not in EXEMPT
+)
 
 
 def _unused_imports(source: str) -> list[str]:

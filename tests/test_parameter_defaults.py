@@ -211,11 +211,12 @@ def test_check_counts_each_way_of_passing_a_value():
 def test_check_finds_a_knob_added_to_the_package():
     sources = [p.read_text() for p in MODULES]
     k = next(i for i, s in enumerate(sources) if "def remove_outliers(" in s)
-    signature = "def remove_outliers(cloud: PointCloud) -> PointCloud:"
-    assert signature in sources[k]
-    sources[k] = sources[k].replace(
-        signature, "def remove_outliers(cloud: PointCloud, k: int = 8) -> PointCloud:"
+    signature = (
+        "    cloud: PointCloud, camera: CameraModel | None = None, "
+        "ranges: np.ndarray | None = None\n"
     )
+    assert signature in sources[k]
+    sources[k] = sources[k].replace(signature, signature[:-1] + ", k: int = 8\n")
     assert _unpassed(sources) == sorted([*KEPT, "remove_outliers(k)"])
 
 

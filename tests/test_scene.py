@@ -6,7 +6,6 @@ from elevsim.scene import (
     GT_PATCH_RESOLUTION,
     FlatRegion,
     Heightfield,
-    Platform,
     SceneError,
     SceneSpec,
     Step,

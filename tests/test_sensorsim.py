@@ -16,7 +16,6 @@ from elevsim.scene import (
     SceneSpec,
     Step,
     build_scene,
-    obstacle_scene,
 )
 from elevsim.sensorsim import (
     HIP_OFFSETS,
