@@ -121,7 +121,7 @@ def _window_knn(points: np.ndarray, pixels: np.ndarray, ranges: np.ndarray,
 
 
 @functools.lru_cache(maxsize=16)
-def _clear_bounds(h_fov: float, v_fov: float, width: int, height: int) -> list[np.ndarray]:
+def _clear_bounds(h_fov: float, v_fov: float, width: int, height: int) -> tuple[np.ndarray, ...]:
     """Per window of `WINDOWS`, each pixel's smallest |sin| of the angle
     between its ray and a ray outside its window, less `_CLEAR_SLACK`; inf
     where no ray lies outside. Built 16 rays at a time, so that no
@@ -135,7 +135,7 @@ def _clear_bounds(h_fov: float, v_fov: float, width: int, height: int) -> list[n
         apart = np.maximum(abs(u[rows, None] - u), abs(v[rows, None] - v))
         for w, out in zip(WINDOWS, sin2):
             out[rows] = np.where(apart > w, 1 - cos * cos, np.inf).min(axis=1)
-    bounds = [np.sqrt(s) * (1 - _CLEAR_SLACK) for s in sin2]
+    bounds = tuple(np.sqrt(s) * (1 - _CLEAR_SLACK) for s in sin2)
     for bound in bounds:
         bound.setflags(write=False)
     return bounds
