@@ -13,9 +13,11 @@ rho_i the sensor range of i and theta_ij the angle between the two rays,
 whatever the sign of j's range. If the k-th distance within a pixel window
 lies below rho_i times the smallest |sin| to any ray outside the window,
 every point outside is farther, so the window holds the k nearest
-neighbours. The distances are summed as `cKDTree` sums them,
-((dx² + dy²) + dz²), so they have its bits; a point that the bound does not
-clear, and every point of a cloud without a raster, goes to the tree.
+neighbours. A point that the bound does not clear, and every point of a
+cloud without a raster, takes its distances from a brute-force pass over the
+cloud (`pointcloud.nearest_sq`): in effect the last window is the whole
+frame. Both sum the distances as `cKDTree` sums them, ((dx² + dy²) + dz²),
+so they have a tree query's bits.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ import functools
 import logging
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Pose
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, nearest_sq, window_sq
 from .sensorsim import HIP_OFFSETS, CameraModel, _unit_rays
 
 log = logging.getLogger(__name__)
@@ -54,7 +55,7 @@ def remove_outliers(
 
     A cloud from `render_depth` (with its `pixels`), given with its
     `camera` and its points' sensor `ranges`, finds most neighbors in the
-    raster; the distances have the bits of the `cKDTree` query alone.
+    raster; the distances have the bits of a `cKDTree` query either way.
     """
     n = len(cloud)
     if n < OUTLIER_K + 1:
@@ -65,11 +66,8 @@ def remove_outliers(
     if camera is not None and cloud.pixels is not None:
         todo = _window_knn(cloud.points, cloud.pixels, ranges, camera, dists)
     if len(todo):
-        # the median-split build is cheaper than the balanced one and gives
-        # the same neighbor distances
-        tree = cKDTree(cloud.points, balanced_tree=False)
         # the first neighbor is the point itself
-        dists[todo] = tree.query(cloud.points[todo], k=OUTLIER_K + 1)[0]
+        dists[todo] = np.sqrt(nearest_sq(cloud.points, cloud.points[todo], OUTLIER_K + 1))
     mean_d = _neighbor_mean(dists)
     keep = mean_d <= mean_d.mean() + OUTLIER_STD_RATIO * mean_d.std()
     return cloud.select(keep)
@@ -101,16 +99,7 @@ def _window_knn(points: np.ndarray, pixels: np.ndarray, ranges: np.ndarray,
         step = np.arange(-w, w + 1)
         # (K, M): the window's K pixels, one column per point
         near = (step[:, None] * stride + step).reshape(-1, 1) + at[todo]
-        # ((dx² + dy²) + dz²) in place, in two buffers
-        d2, sq = np.empty(near.shape), np.empty(near.shape)
-        for k, row in enumerate(grid):
-            acc = d2 if k == 0 else sq
-            np.take(row, near, out=acc)
-            acc -= row[at[todo]]
-            acc *= acc
-            if k:
-                d2 += sq
-        d2 = d2.T.copy()
+        d2 = window_sq(grid, near, grid[:, at[todo]]).T.copy()
         d2.sort(axis=1)
         clear = np.sqrt(d2[:, OUTLIER_K]) < ranges[todo] * bound[pixels[todo]]
         dists[todo[clear]] = np.sqrt(d2[clear, : OUTLIER_K + 1])

@@ -21,6 +21,8 @@ from .schema import FINITE, PAIRS, POSITIVE, Validated, rule
 
 GT_PATCH_RESOLUTION = 0.0175  # scanner-analog pitch of the scene grid and the GT patch
 SAMPLE_REGION = (0.5, 0.3)  # evaluated / sampled area around the base
+# nodes of the GT patch lattice along x and y: SAMPLE_REGION at GT_PATCH_RESOLUTION
+GT_PATCH_SHAPE = tuple(math.ceil(s / GT_PATCH_RESOLUTION) for s in SAMPLE_REGION)
 
 
 class SceneError(ValueError):
@@ -230,14 +232,13 @@ def build_scene(spec: SceneSpec) -> Heightfield:
 
 
 def ground_truth_patch(hf: Heightfield, base_pose: Pose) -> PointCloud:
-    """One point per GT_PATCH_RESOLUTION grid point of the yaw-aligned
-    SAMPLE_REGION around the base that lies on the heightfield, as a
-    world-frame cloud.
+    """One point per node of the GT_PATCH_SHAPE lattice, at
+    GT_PATCH_RESOLUTION pitch, of the yaw-aligned SAMPLE_REGION around the
+    base that lies on the heightfield, as a world-frame cloud. Its `pixels`
+    hold each point's node, ix * ny + iy.
     """
-    nx = math.ceil(SAMPLE_REGION[0] / GT_PATCH_RESOLUTION)
-    ny = math.ceil(SAMPLE_REGION[1] / GT_PATCH_RESOLUTION)
-    world = yaw_aligned_grid(base_pose, nx, ny, GT_PATCH_RESOLUTION)
+    world = yaw_aligned_grid(base_pose, *GT_PATCH_SHAPE, GT_PATCH_RESOLUTION)
     z = hf.heights_at(world)
     ok = np.isfinite(z)
     pts = np.column_stack([world.compress(ok, axis=0), z[ok]])
-    return PointCloud(t=0.0, frame="world", points=pts)
+    return PointCloud(t=0.0, frame="world", points=pts, pixels=np.flatnonzero(ok))

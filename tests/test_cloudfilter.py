@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from elevsim.cloudfilter import (
     BODY_MARGIN,
@@ -140,6 +143,39 @@ class TestOutlierRemoval:
         out = remove_outliers(cloud)
         assert out is cloud
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(OUTLIER_K + 1, 400),
+        # a coarse pitch puts many points on shared coordinates: tied distances
+        pitch=st.sampled_from([0.0, 0.01, 0.05]),
+        spread=st.sampled_from([0.01, 0.3, 3.0]),
+        duplicates=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_tree_query_without_pixels(self, n, pitch, spread, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(0.0, spread, (n, 3))
+        if pitch:
+            pts = np.round(pts / pitch) * pitch
+        pts = np.vstack([pts, pts[rng.integers(0, n, duplicates)]])
+        want = cKDTree(pts).query(pts, k=OUTLIER_K + 1)[0]
+        got = np.sqrt(cloudfilter.nearest_sq(pts, pts, OUTLIER_K + 1))
+        assert got.tobytes() == want.tobytes()
+        mean_d = cloudfilter._neighbor_mean(want)
+        keep = mean_d <= mean_d.mean() + OUTLIER_STD_RATIO * mean_d.std()
+        assert remove_outliers(_cloud(pts)).points.tobytes() == pts[keep].tobytes()
+
+    def test_brute_force_memory_is_bounded(self, rng):
+        # unchunked, the (5000, 5000) squared distances alone take 200 MB
+        cloud = _cloud(rng.normal(0.0, 1.0, (5000, 3)))
+        tracemalloc.start()
+        try:
+            remove_outliers(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
 
 def _frame(scene, front, x, y, yaw, pitch, roll, drift, noise, seed):
     """A depth frame as the pipeline makes it: rendered from a drawn base
@@ -156,7 +192,7 @@ def _frame(scene, front, x, y, yaw, pitch, roll, drift, noise, seed):
 
 
 class TestRasterKnn:
-    """The raster windows give the `cKDTree` query's bits."""
+    """The raster windows give a `cKDTree` query's bits."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -181,8 +217,7 @@ class TestRasterKnn:
                                     noise, seed)
         if len(world) < OUTLIER_K + 1:
             return
-        tree = cloudfilter.cKDTree(world.points, balanced_tree=False)
-        want = tree.query(world.points, k=OUTLIER_K + 1)[0]
+        want = cKDTree(world.points).query(world.points, k=OUTLIER_K + 1)[0]
         got = np.full_like(want, np.nan)
         todo = cloudfilter._window_knn(world.points, world.pixels, ranges, cam, got)
         cleared = np.ones(len(world), dtype=bool)
@@ -192,17 +227,17 @@ class TestRasterKnn:
         out = remove_outliers(world, cam, ranges)
         assert out.points.tobytes() == remove_outliers(world).points.tobytes()
 
-    def test_flat_front_frame_builds_no_tree(self, monkeypatch):
+    def test_flat_front_frame_needs_no_brute_force(self, monkeypatch):
         hf = build_scene(SceneSpec([FlatRegion(0.0)], (4.0, 2.0)))
         monkeypatch.setitem(SCENES, "flat", hf)
         world, cam, ranges = _frame("flat", True, 1.0, 1.0, 0.0, 0.0, 0.0, np.zeros(3),
                                     SensorNoise(), 0)
         want = remove_outliers(world)
 
-        def no_tree(*args, **kwargs):
-            raise AssertionError("a cKDTree was built for a frame that the raster clears")
+        def no_brute_force(*args, **kwargs):
+            raise AssertionError("a frame that the raster clears went to the brute force")
 
-        monkeypatch.setattr(cloudfilter, "cKDTree", no_tree)
+        monkeypatch.setattr(cloudfilter, "nearest_sq", no_brute_force)
         assert len(world) > 500
         assert remove_outliers(world, cam, ranges).points.tobytes() == want.points.tobytes()
 

@@ -19,8 +19,9 @@ goldens' bare byte mismatch:
 - The stacked `np.arctan2` of `geometry.yaw_from_quat`, whose AVX-512 loop
   rounds in its own way: pinned `float.hex` values on a fixed sample.
 - scipy's `cKDTree` distance, which must be `sqrt((dx*dx + dy*dy) + dz*dz)`
-  rounded step by step, with no fused multiply-add: the raster k-NN of
-  `cloudfilter.remove_outliers` sums its distances so.
+  rounded step by step, with no fused multiply-add. The package sums its
+  nearest-neighbour distances so without scipy; the tests that hold it to
+  the tree's bits need the tree to sum them so too.
 """
 
 from fractions import Fraction
@@ -181,8 +182,11 @@ def test_kdtree_distance_is_the_left_to_right_sum():
         want = np.sqrt((dx * dx + dy * dy) + dz * dz)
         assert got.tobytes() == want.tobytes(), (
             f"cKDTree's distances are not sqrt((dx*dx + dy*dy) + dz*dz): "
-            f"{_moved(got.ravel(), want.ravel())}. Depends on it: "
-            "`cloudfilter.remove_outliers`, whose raster windows must give the bits of the "
-            "tree query; its kept set reaches the tests/golden reports and every pin in "
-            "tests/test_bench_digests.py."
+            f"{_moved(got.ravel(), want.ravel())}. Depends on it: the oracle tests that "
+            "hold the package's nearest-neighbour distances to the tree's bits, "
+            "test_cloudfilter.py::TestRasterKnn::test_same_bits_as_tree_query and "
+            "TestOutlierRemoval::test_same_bits_as_tree_query_without_pixels, and "
+            "test_metrics.py::TestLatticeChamfer::test_same_bits_as_tree_query and "
+            "TestChamfer::test_unbalanced_tree_keeps_the_bits. The package itself does "
+            "not use scipy."
         )

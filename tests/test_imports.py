@@ -1,5 +1,6 @@
 """Every name a package, test or benchmark module imports is used in that
-module, and a config built from a dict does not import YAML.
+module, a config built from a dict does not import YAML, and a run does not
+import scipy.
 
 A stdlib `ast` stand-in for a linter's unused-import rule. Package
 `__init__.py` files are skipped, since their imports are the re-exported API,
@@ -63,3 +64,25 @@ def test_config_from_dict_does_not_import_yaml():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_run_does_not_import_scipy():
+    # the nearest neighbours of the outlier filter and the chamfer are numpy;
+    # scipy.spatial would cost a cold `elevsim run` about 0.4 s and 30 MB
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import elevsim\n"
+        "from elevsim.pipeline import ScenarioConfig, run_scenario\n"
+        "cfg = ScenarioConfig.from_dict({'scene': 'obstacle', 'command': [[1.0, [0.5, 0.0, 0.0]]],"
+        " 'use_rear_camera': True, 'seed': 0})\n"
+        "run_scenario(cfg)\n"
+        "pts = np.random.default_rng(0).normal(0.0, 1.0, (200, 3))\n"
+        "elevsim.chamfer_one_way(pts[:100], pts[100:])\n"
+        "elevsim.remove_outliers(elevsim.PointCloud(t=0.0, frame='world', points=pts))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,8 +8,11 @@ from scipy.spatial import cKDTree
 
 from elevsim.elevmap import ElevationMap, SensorVarianceModel
 from elevsim.geometry import Pose, quat_from_yaw, rotz
+from elevsim import metrics
 from elevsim.metrics import (
     _interp_vec,
+    _lattice_nearest,
+    _relative,
     TrajectorySamples,
     chamfer_one_way,
     map_vs_ground_truth,
@@ -16,6 +21,15 @@ from elevsim.metrics import (
 )
 from elevsim.pipeline import ScenarioConfig, run_scenario
 from elevsim.pointcloud import PointCloud
+from elevsim.scene import (
+    SAMPLE_REGION,
+    FlatRegion,
+    SceneSpec,
+    Step,
+    build_scene,
+    ground_truth_patch,
+    obstacle_scene,
+)
 from elevsim.sensorsim import CommandProfile
 
 
@@ -123,6 +137,94 @@ class TestMapVsGroundTruth:
         assert c_offset is not None and c_aligned is not None
         assert abs(c_offset - c_aligned) < 0.2
         assert c_offset < 1.0
+
+
+LATTICE_SCENES = {
+    "obstacle": build_scene(obstacle_scene()),
+    # 1.0 m x 0.6 m: most patches hang off an edge and leave holes in the lattice
+    "small": build_scene(SceneSpec([FlatRegion(0.0), Step(x_start=0.4, height=0.1, depth=0.3)],
+                                   (1.0, 0.6))),
+}
+
+
+def _map_points(hf, est, resolution, sigma, rng):
+    """Cell centres of a world-aligned map grid at `resolution` inside the
+    yaw-aligned SAMPLE_REGION around `est`, at the terrain height (0 off the
+    scene) plus noise, as `region_points` gives them."""
+    half = np.hypot(*SAMPLE_REGION) / 2 + resolution
+    lo = np.floor((est.position[:2] - half) / resolution)
+    hi = np.ceil((est.position[:2] + half) / resolution)
+    gx, gy = np.meshgrid(*((np.arange(a, b) + 0.5) * resolution for a, b in zip(lo, hi)),
+                         indexing="ij")
+    xy = np.column_stack([gx.ravel(), gy.ravel()])
+    z = hf.heights_at(xy, fill=0.0) + rng.normal(0.0, sigma, len(xy))
+    pts = np.column_stack([xy, z])
+    rel = _relative(pts, est)
+    inside = (abs(rel[:, 0]) <= SAMPLE_REGION[0] / 2) & (abs(rel[:, 1]) <= SAMPLE_REGION[1] / 2)
+    return pts[inside]
+
+
+class TestLatticeChamfer:
+    """The ground-truth patch's lattice windows give a `cKDTree` query's bits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        scene=st.sampled_from(sorted(LATTICE_SCENES)),
+        x=st.floats(-0.2, 8.2),
+        y=st.floats(-0.2, 3.2),
+        yaw=st.floats(-np.pi, np.pi),
+        # the estimate's drift: up to 0.3 m puts map points off the patch
+        drift=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-0.05, 0.05)),
+        dyaw=st.floats(-0.2, 0.2),
+        resolution=st.sampled_from([0.0125, 0.02, 0.025, 0.05]),
+        sigma=st.sampled_from([0.0, 0.002, 0.02]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_tree_query(self, scene, x, y, yaw, drift, dyaw, resolution, sigma,
+                                     seed):
+        hf = LATTICE_SCENES[scene]
+        true = Pose(np.array([x, y, 0.3]), quat_from_yaw(yaw))
+        est = Pose(true.position + drift, quat_from_yaw(yaw + dyaw))
+        gt = ground_truth_patch(hf, true)
+        map_pts = _map_points(hf, est, resolution, sigma, np.random.default_rng(seed))
+        assume(len(gt) and len(map_pts))
+        p1, p2 = _relative(map_pts, est), _relative(gt.points, true)
+        want = cKDTree(p2).query(p1)[0]
+        got = np.full_like(want, np.nan)
+        todo = _lattice_nearest(p1, p2, gt.pixels, got)
+        cleared = np.ones(len(p1), dtype=bool)
+        cleared[todo] = False
+        assert got[cleared].tobytes() == want[cleared].tobytes()
+        assert np.isnan(got[~cleared]).all()
+        chamfer = (float(want.mean()) * 100.0).hex()
+        assert chamfer_one_way(p1, p2, gt.pixels).hex() == chamfer
+        assert chamfer_one_way(p1, p2).hex() == chamfer
+
+    def test_aligned_map_needs_no_brute_force(self, monkeypatch):
+        hf = LATTICE_SCENES["obstacle"]
+        pose = Pose(np.array([3.2, 1.5, 0.4]), quat_from_yaw(0.3))
+        gt = ground_truth_patch(hf, pose)
+        p1 = _relative(_map_points(hf, pose, 0.025, 0.002, np.random.default_rng(0)), pose)
+        p2 = _relative(gt.points, pose)
+        want = chamfer_one_way(p1, p2)
+
+        def no_brute_force(*args, **kwargs):
+            raise AssertionError("a map point that a window clears went to the brute force")
+
+        monkeypatch.setattr(metrics, "nearest_sq", no_brute_force)
+        assert len(p1) > 200
+        assert chamfer_one_way(p1, p2, gt.pixels) == want
+
+    def test_brute_force_memory_is_bounded(self, rng):
+        # unchunked, the (2000, 2000) squared distances alone take 32 MB
+        p1, p2 = rng.normal(0, 1, (2000, 3)), rng.normal(0, 1, (2000, 3))
+        tracemalloc.start()
+        try:
+            chamfer_one_way(p1, p2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def _loop_rte(est, gt, segment_length=1.0) -> list[float]:
